@@ -91,17 +91,14 @@ def _plan_family_sweep() -> int:
         verify_program(program, plan=plan, config=config)
         checked += 1
 
-        # Every lowering tier verifies on every family: blocked with a
-        # tiny gather budget (many single-segment blocks) and the opt-in
-        # relaxed dense contraction alongside the auto pick above.
+        # Both lowering tiers verify on every family: blocked with a tiny
+        # gather budget (many single-segment blocks) alongside the auto
+        # pick above.
         tiny = MPUConfig(pe_rows=pe_rows, pe_cols=pe_cols, mu=mu, k=k,
                          gather_budget=1)
         verify_program(compile_plan(plan, bcq, tiny, tier="blocked"),
                        plan=plan, config=tiny)
-        verify_program(compile_plan(plan, bcq, config, tier="relaxed",
-                                    allow_reassociation=True),
-                       plan=plan, config=config)
-        checked += 2
+        checked += 1
 
         prepared = mpu.prepare(bcq, plan)
         verify_program(compile_plan(plan, prepared, config),

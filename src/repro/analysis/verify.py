@@ -24,10 +24,8 @@ Plan (:func:`verify_plan`):
 
 Program (:func:`verify_program`):
 
-``program-tier``            tier is a known lowering; the ``dense``
-                            matrix exists exactly on the relaxed tier
-                            (shape ``(m, n)`` float64, LUT-path buffers
-                            empty there); ``gather_budget >= 1``.
+``program-tier``            tier is a known lowering;
+                            ``gather_budget >= 1``.
 ``program-geometry``        slot count, buffer shapes, dtypes.
 ``lut-cols-bounds``         gather indices in ``[0, n]`` (``n`` = sentinel).
 ``lut-cols-layout``         per segment block: non-sentinel indices form
@@ -44,15 +42,21 @@ Program (:func:`verify_program`):
 ``scales-shape``            α matrix is ``(num_segments, rows_p)``.
 ``offset-slices``           offset column spans valid, ascending,
                             disjoint; one offset column per span.
+``plane-group-partition``   fused tier only: plane groups are non-empty,
+                            ascending, contiguous and cover every plane
+                            exactly once; other programs carry none.
+``plane-group-buffers``     each group's stacked flat indices equal
+                            ``slot·2^µ + keys`` of its planes (intp,
+                            planes in ascending column order) and its
+                            stacked α equals their ``scales``.
 ``instruction-order``       the instruction list is exactly the tier's
-                            replay order: fused = LUTs, ``("plane", p)``
-                            passes ascending, the full scale tail,
+                            replay order: fused = LUTs, ``("plane", g)``
+                            groups ascending, one ``("scale",)`` stage,
                             offsets; blocked = LUTs, then per segment
                             range every plane's ``("plane_block", p, lo,
                             hi)`` followed by that range's scale updates
                             (segments-ascending / planes-innermost
-                            throughout), offsets ascending; a relaxed
-                            program is the single ``("matmul",)``.
+                            throughout), offsets ascending.
 ``plane-block-coverage``    blocked tier only: the shared segment-range
                             walk is non-empty, ascending, contiguous, and
                             covers ``[0, num_segments)`` exactly — every
@@ -233,28 +237,22 @@ def verify_plan(plan: TileExecutionPlan) -> None:
 # Programs
 # ---------------------------------------------------------------------------
 
-_PROGRAM_TIERS = ("fused", "blocked", "relaxed")
+_PROGRAM_TIERS = ("fused", "blocked")
 
 
 def _check_instructions(program: CompiledProgram) -> None:
     """Pin the instruction list to the program tier's replay order.
 
-    A fused program is exactly LUTs, one ``("plane", p)`` per pass, the
-    scale tail segments-ascending/planes-innermost, offsets.  A blocked
+    A fused program is exactly LUTs, one ``("plane", g)`` per plane group,
+    the single ``("scale",)`` stage (which replays the (segment, plane)
+    updates in the interpreter's order), offsets.  A blocked
     program walks one shared segment-range sequence — boundaries depend on
     the compile-time gather budget, so the verifier first checks their
     *coverage* (non-empty, ascending, contiguous, complete), then pins the
     whole interleaved list: each range emits every plane's ``("plane_block",
     p, lo, hi)`` followed by that range's scale ops in the interpreter's
-    order.  A relaxed program is exactly the single ``("matmul",)``.
+    order.
     """
-    if program.tier == "relaxed":
-        if program.instructions != (("matmul",),):
-            _prog_fail("instruction-order",
-                       "a relaxed program must be the single ('matmul',) "
-                       f"instruction; got {program.instructions[:4]}")
-        return
-
     num_planes = len(program.passes)
     offset_ops = [("offset", k) for k in range(len(program.offset_slices))]
     ops = list(program.instructions)
@@ -267,15 +265,13 @@ def _check_instructions(program: CompiledProgram) -> None:
 
     if program.tier == "fused":
         expected = [("luts",)]
-        expected += [("plane", p) for p in range(num_planes)]
-        expected += [("scale", s, p) for s in range(program.num_segments)
-                     for p in range(num_planes)]
+        expected += [("plane", g) for g in range(len(program.groups))]
+        expected += [("scale",)]
         expected += offset_ops
         if ops != expected:
             _prog_fail("instruction-order",
-                       "fused instruction list is not the interpreter's "
-                       "replay order (LUTs, plane passes ascending, scale "
-                       "updates segments-ascending/planes-innermost, "
+                       "fused instruction list is not the replay order "
+                       "(LUTs, plane groups ascending, one scale stage, "
                        f"offsets ascending); got {ops[:6]}...")
         return
 
@@ -311,6 +307,55 @@ def _check_instructions(program: CompiledProgram) -> None:
                    f"ascending); got {ops[:6]}...")
 
 
+def _check_plane_groups(program: CompiledProgram) -> None:
+    """Pin the fused tier's plane groups to the per-plane buffers.
+
+    Groups must partition the planes in ascending order (every plane
+    gathered exactly once, in the order the scale stage consumes them),
+    and each group's stacked flat indices / α must be exactly its planes'
+    ``slot·2^µ + keys`` / ``scales`` side by side.
+    """
+    groups = program.groups
+    if program.tier != "fused" or not (program.num_slots and program.passes):
+        if groups:
+            _prog_fail("plane-group-partition",
+                       f"only a non-empty fused program carries plane "
+                       f"groups; this {program.tier} program has "
+                       f"{len(groups)}")
+        return
+    cursor = 0
+    for g, group in enumerate(groups):
+        if group.lo != cursor or not group.lo < group.hi <= len(program.passes):
+            _prog_fail("plane-group-partition",
+                       f"group {g} spans planes [{group.lo}, {group.hi}) at "
+                       f"cursor {cursor}: groups must be non-empty, "
+                       "ascending and contiguous")
+        cursor = group.hi
+    if cursor != len(program.passes):
+        _prog_fail("plane-group-partition",
+                   f"plane groups end at plane {cursor}; they must cover "
+                   f"all {len(program.passes)} planes")
+    slot_base = (np.arange(program.num_slots, dtype=np.intp)
+                 << program.mu)[:, None]
+    for g, group in enumerate(groups):
+        planes = program.passes[group.lo:group.hi]
+        index = np.concatenate([slot_base + pp.keys for pp in planes], axis=1)
+        if group.index.dtype != np.intp or \
+                group.index.shape != index.shape or \
+                not np.array_equal(group.index, index):
+            _prog_fail("plane-group-buffers",
+                       f"group {g}: stacked flat indices must equal "
+                       "slot·2^µ + keys of planes "
+                       f"[{group.lo}, {group.hi}) as intp {index.shape}")
+        scales = np.concatenate([pp.scales for pp in planes], axis=1)
+        if group.scales.dtype != scales.dtype or \
+                group.scales.shape != scales.shape or \
+                not np.array_equal(group.scales, scales):
+            _prog_fail("plane-group-buffers",
+                       f"group {g}: stacked α must equal the scales of "
+                       f"planes [{group.lo}, {group.hi}) side by side")
+
+
 def _segment_blocks(program: CompiledProgram):
     """Yield ``(segment_index, block)`` slot blocks of ``lut_cols``."""
     gmax = program.slots_per_segment
@@ -343,21 +388,6 @@ def verify_program(program: CompiledProgram,
     if program.gather_budget < 1:
         _prog_fail("program-tier",
                    f"gather_budget must be >= 1, got {program.gather_budget}")
-    if (program.dense is not None) != (program.tier == "relaxed"):
-        _prog_fail("program-tier",
-                   f"the dense matrix must exist exactly on the relaxed "
-                   f"tier; tier={program.tier!r}, dense "
-                   f"{'present' if program.dense is not None else 'absent'}")
-    if program.tier == "relaxed":
-        if program.dense.shape != (m, n) or \
-                program.dense.dtype != np.float64:
-            _prog_fail("program-tier",
-                       f"relaxed dense matrix must be float64 ({m}, {n}); "
-                       f"got {program.dense.dtype} {program.dense.shape}")
-        if program.passes or program.num_slots or program.offset_slices:
-            _prog_fail("program-tier",
-                       "a relaxed program bakes everything into dense: "
-                       "LUT-path buffers must be empty")
 
     # -- geometry ----------------------------------------------------------
     if m < 0 or n < 0 or mu < 1:
@@ -473,7 +503,8 @@ def verify_program(program: CompiledProgram,
                        f"after the previous span's stop {prev_stop}")
         prev_stop = stop
 
-    # -- instruction list --------------------------------------------------
+    # -- plane groups + instruction list -----------------------------------
+    _check_plane_groups(program)
     _check_instructions(program)
 
     # -- affine stats ------------------------------------------------------
@@ -510,13 +541,6 @@ def verify_program(program: CompiledProgram,
             _prog_fail("program-geometry",
                        f"program is ({m}, {n}, µ={mu}) but plan is "
                        f"({plan.m}, {plan.n}, µ={plan.mu})")
-
-    if program.tier == "relaxed":
-        # The dense matrix bakes the whole LUT/scale/offset structure, so
-        # the only plan-pinned contracts left are the shape (checked above)
-        # and the baked affine stats (checked below).
-        _check_affine_stats_vs_plan(program, stats_fn)
-        return
 
     if program.num_segments != len(segments):
         _prog_fail("segment-cols-match",

@@ -28,6 +28,7 @@ most significant key bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,37 +66,57 @@ def key_to_pattern(key: int, mu: int) -> np.ndarray:
     return np.array([1 if b else -1 for b in bits], dtype=np.int8)
 
 
-def build_lut_tables(groups: np.ndarray, dtype: np.dtype | type = np.float64) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _sign_matrix(mu: int, integer: bool) -> np.ndarray:
+    """Read-only ``(2^µ, µ)`` ±1 pattern matrix of every key, per µ.
+
+    ``signs[key, i]`` is +1 if bit ``µ-1-i`` of ``key`` is set, else −1
+    (Table II convention) — int64 for integer LUTs, float64 otherwise.
+    Built once per ``(µ, integer)`` and shared by every table build.
+    """
+    keys = np.arange(1 << mu, dtype=np.int64)
+    bit_positions = mu - 1 - np.arange(mu)
+    sign_bits = ((keys[:, None] >> bit_positions[None, :]) & 1) == 1
+    signs = (np.where(sign_bits, 1, -1).astype(np.int64) if integer
+             else np.where(sign_bits, 1.0, -1.0))
+    signs.setflags(write=False)
+    return signs
+
+
+def build_lut_tables(groups: np.ndarray, dtype: np.dtype | type = np.float64,
+                     axis: int = -1) -> np.ndarray:
     """Compute LUT contents for a whole stack of µ-long activation groups.
 
-    ``groups`` has shape ``(..., µ)``; the result has shape ``(..., 2^µ)``
-    with ``out[..., key] = Σ_i pattern(key)_i · groups[..., i]`` (Table II
-    convention).  The sum is accumulated *sequentially* over the µ inputs
-    with elementwise operations, so every entry goes through the same
-    rounding sequence no matter how many groups are stacked:
+    ``groups`` holds the µ inputs of each group along ``axis``; the result
+    has the same shape with that axis widened to ``2^µ`` entries, e.g.
+    ``(..., µ) → (..., 2^µ)`` with ``out[..., key] = Σ_i pattern(key)_i ·
+    groups[..., i]`` (Table II convention).  The sum is accumulated
+    *sequentially* over the µ inputs with elementwise operations, so every
+    entry goes through the same rounding sequence no matter how many groups
+    are stacked or which axis holds the entries:
     :func:`build_lut_values` is exactly the single-group case, and the
     batched MPU executor relies on that bit-for-bit equivalence.
     """
     g = np.asarray(groups)
-    if g.ndim < 1 or g.shape[-1] < 1:
+    if g.ndim < 1 or g.shape[axis] < 1:
         raise ValueError("activation groups must contain at least one element")
-    mu = g.shape[-1]
+    mu = g.shape[axis]
     if mu > 16:
         raise ValueError("mu > 16 would require a 64Ki-entry LUT; refusing")
-    keys = np.arange(1 << mu, dtype=np.int64)
-    # signs[key, i] = +1 if bit (mu-1-i) of key is set else -1
-    bit_positions = mu - 1 - np.arange(mu)
-    sign_bits = ((keys[:, None] >> bit_positions[None, :]) & 1) == 1
-    if np.issubdtype(np.dtype(dtype), np.integer):
-        signs = np.where(sign_bits, 1, -1).astype(np.int64)
-        x = g.astype(np.int64)
-        values = np.zeros(g.shape[:-1] + (keys.size,), dtype=np.int64)
-    else:
-        signs = np.where(sign_bits, 1.0, -1.0)
-        x = g.astype(np.float64)
-        values = np.zeros(g.shape[:-1] + (keys.size,), dtype=np.float64)
+    integer = bool(np.issubdtype(np.dtype(dtype), np.integer))
+    signs = _sign_matrix(mu, integer)
+    work = np.int64 if integer else np.float64
+    shape = list(g.shape)
+    shape[axis] = 1 << mu
+    values = np.zeros(shape, dtype=work)
+    x = g.astype(work)
+    # Input i keeps its (size-1) axis and the sign column broadcasts along
+    # it, so every term is built in the output's own memory layout.
+    ax = axis % g.ndim
+    lead = (slice(None),) * ax
+    sign_col = (slice(None),) + (None,) * (g.ndim - 1 - ax)
     for i in range(mu):
-        values += signs[:, i] * x[..., i, None]
+        values += signs[:, i][sign_col] * x[lead + (slice(i, i + 1),)]
     return values.astype(dtype)
 
 

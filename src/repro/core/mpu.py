@@ -68,7 +68,7 @@ Two serving-oriented extensions sit on top (used by :mod:`repro.serve`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -221,7 +221,7 @@ class PreparedWeights:
         for every :meth:`MatrixProcessingUnit.gemm` on prepared weights.
     tier:
         The lowering tier the embedded program was compiled to
-        (``"fused"``, ``"blocked"`` or ``"relaxed"``) — what
+        (``"fused"`` or ``"blocked"``) — what
         :meth:`MatrixProcessingUnit.prepare` resolved ``tier="auto"`` to,
         recorded so serving layers can report which kernel a layer runs.
     """
@@ -372,8 +372,7 @@ class MatrixProcessingUnit:
     # -- weight-stationary preparation -------------------------------------
     def prepare(self, weights: BCQTensor,
                 plan: TileExecutionPlan | None = None,
-                tier: str = "auto", batch_hint: int | None = None,
-                allow_reassociation: bool = False) -> PreparedWeights:
+                tier: str = "auto", batch_hint: int | None = None) -> PreparedWeights:
         """Precompute the per-(segment, plane) RAC key matrices for serving.
 
         A weight-stationary worker latches the weight tile's µ-bit patterns
@@ -388,8 +387,8 @@ class MatrixProcessingUnit:
         :class:`~repro.core.program.CompiledProgram` (reusing the packed
         keys), which :meth:`gemm` executes by default, and hoists the
         per-plane active-row derivation of mixed tensors out of the
-        per-call path.  ``tier`` / ``batch_hint`` / ``allow_reassociation``
-        pass through to :func:`~repro.core.program.compile_plan`'s
+        per-call path.  ``tier`` / ``batch_hint`` pass through to
+        :func:`~repro.core.program.compile_plan`'s
         working-set-aware lowering selection; the resolved tier is recorded
         in :attr:`PreparedWeights.tier`.
         """
@@ -413,8 +412,7 @@ class MatrixProcessingUnit:
                                    active_rows=active, max_planes=max_planes)
         from repro.core.program import compile_plan  # mpu ↔ program cycle
         program = compile_plan(plan, prepared, cfg, tier=tier,
-                               batch_hint=batch_hint,
-                               allow_reassociation=allow_reassociation)
+                               batch_hint=batch_hint)
         return replace(prepared, program=program, tier=program.tier)
 
     # -- batched executor --------------------------------------------------

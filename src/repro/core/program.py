@@ -7,9 +7,9 @@ over column segments × bit planes × LUT groups with one ``np.take`` per
 group.  The plan and the weights are immutable per layer, so all of that
 control flow can be resolved **once**.  :func:`compile_plan` lowers a plan
 into a :class:`CompiledProgram` — flat buffers plus a short instruction
-list — and :meth:`CompiledProgram.execute` replays it with a handful of
-fused NumPy calls per bit plane (the Exo ``LoopIR_compiler`` shape: IR in,
-flat program out).
+list — and :meth:`CompiledProgram.execute` replays it with a small, fixed
+number of fused NumPy calls per GEMM (the Exo ``LoopIR_compiler`` shape: IR
+in, flat program out).
 
 Buffer layout
 -------------
@@ -21,17 +21,23 @@ compiled segments) slots each, so every per-slot buffer is a dense matrix:
     index ``n`` that points at an appended all-zero activation row.  One
     fancy-index builds every µ-group of every segment at once; the LUT
     tables of all segments are then built by a single
-    :func:`~repro.core.lut.build_lut_tables` call.
+    :func:`~repro.core.lut.build_lut_tables` call, laid out ``(num_slots,
+    2^µ, batch)`` so that ``(num_slots·2^µ, batch)`` is a free view.
 ``PlanePass.keys`` — ``(num_slots, rows_p)`` int32 per bit plane
-    The RAC keys of every (slot, active row) pair: one fancy-index per
-    plane gathers **all** LUT reads of the plane pass, replacing the
-    interpreted per-group ``np.take`` loop.  Padded slots carry key 0 into
-    an all-zero LUT, so they contribute exactly ``+0.0``.
+    The RAC keys of every (slot, active row) pair.  Padded slots carry key
+    0 into an all-zero LUT, so they contribute exactly ``+0.0``.
 ``PlanePass.rows`` / ``PlanePass.scales``
     The per-row-band plane masks of a mixed-precision tensor, baked into a
     dense scatter-index vector (``None`` when every row is active) and a
     ``(num_segments, rows_p)`` α matrix — no per-call
     ``plane_activity()`` or scale gathering.
+``PlaneGroup.index`` / ``PlaneGroup.scales`` (fused tier)
+    A plane group is a run of consecutive bit planes ``[lo, hi)`` whose
+    buffers are stacked along the row axis: ``index`` holds the flat LUT
+    addresses ``slot·2^µ + key`` of every (slot, stacked row) pair, so one
+    ``np.take`` into the ``(num_slots·2^µ, batch)`` LUT view reads **all**
+    of the group's RAC operands, and ``scales`` is the matching
+    ``(num_segments, Σrows)`` α matrix.
 ``offsets`` / ``offset_slices``
     The owned scale groups' offset columns and column spans, walked in
     ascending group order exactly like the interpreted offset stage.
@@ -44,28 +50,23 @@ estimate (:meth:`~repro.core.dataflow.TileExecutionPlan.
 working_set_bytes`) at a compile-time ``batch_hint``:
 
 ``"fused"``
-    The one-big-gather lowering above — one ``("plane", p)`` fancy-index
-    per bit plane.  Fastest when each op touches little data (batch-1
-    decode), where Python dispatch, not arithmetic, dominates.
+    The one-big-gather lowering above — one ``("plane", g)`` gather per
+    plane group, then one ``("scale",)`` stage: an α multiply per group and
+    the ``y`` updates.  Fastest when each op touches little data (batch-1
+    decode), where Python dispatch, not arithmetic, dominates.  Planes are
+    grouped at compile time while ``num_slots × Σrows`` fits
+    ``_PLANE_GROUP_ELEMENTS``; at run time a group whose ``num_slots ×
+    Σrows × batch`` exceeds that budget gathers one plane at a time (same
+    code path, group width 1), which keeps large-batch gathers cache-sized.
 ``"blocked"``
     Segment-blocked gathers: ``("plane_block", p, lo, hi)`` instructions
     stream segment ranges ``[lo, hi)`` through a fixed reusable
-    ``(batch, rows)`` scratch buffer, one ``np.take`` per (segment,
+    ``(rows, batch)`` scratch buffer, one ``np.take`` per (segment,
     µ-group) — the interpreter's exact per-group update order, so the tier
     stays **bitwise** identical to interpreted/reference on outputs and
     stats while never materialising the fused tier's ``(slots × rows ×
     batch)`` intermediate.  Selected automatically when the fused working
     set at ``batch_hint`` exceeds ``_BLOCKED_THRESHOLD_BYTES``.
-``"relaxed"``
-    An opt-in (``allow_reassociation=True``) reassociated fast path: the
-    tensor is dequantized once to a dense float64 matrix and the program
-    is a single ``("matmul",)`` BLAS contraction.  This re-associates the
-    float reductions, so it is **exempt from the bit-exactness contract**
-    (results agree with the bit-exact tiers to accumulator rounding, not
-    bitwise) and is never chosen by ``tier="auto"`` — only for engines
-    whose contract is ``allclose``.  The one audited
-    ``# repro: noqa reassociating-reduction`` suppression in
-    :meth:`CompiledProgram.execute` marks it.
 
 Bit-exactness contract
 ----------------------
@@ -80,10 +81,14 @@ re-associate a float summation is rejected:
   accumulator dtype, matching the interpreted ascending group order; the
   padded tail slots add ``+0.0``, which is value-preserving in IEEE-754
   round-to-nearest (including for ``±inf``/NaN partials under fp16
-  overflow);
-* the scale/scatter stage replays the interpreted update order exactly —
-  segments ascending, bit planes innermost — as explicit ``("scale", s,
-  p)`` instructions, and the offset stage reuses the same per-group ops.
+  overflow).  Stacking planes along the row axis adds batching, not
+  reordering: every (segment, row, column) partial still sums its own
+  µ-groups in ascending order;
+* the α multiply is elementwise (float64, as in the interpreter), so one
+  multiply over a stacked partial is value-identical to one per
+  (segment, plane); the ``y`` updates then replay the interpreted order
+  exactly — segments ascending, bit planes innermost — and the offset
+  stage reuses the same per-group ops.
 
 No einsum/tensordot/pairwise-``np.sum`` over a reduction the interpreter
 performs sequentially appears anywhere in :meth:`CompiledProgram.execute`.
@@ -125,7 +130,16 @@ from repro.core.mpu import (
 from repro.quant.bcq import BCQTensor
 from repro.telemetry import get_telemetry
 
-__all__ = ["CompiledProgram", "PlanePass", "compile_plan"]
+__all__ = ["CompiledProgram", "PlaneGroup", "PlanePass", "compile_plan"]
+
+# Gathered elements (num_slots × Σrows × batch) up to which the fused tier
+# stacks a group's bit planes into one gather.  Measured on a 2-vCPU Xeon
+# VM (2 MiB L2 per core), fp32 accumulators: stacking cuts the bench
+# model's 25-layer batch-1 pass from ~8-9 to ~4 ms, but stacking without
+# a bound ran at ~0.6× of per-plane gathers on 256-1024-wide fused layers
+# at batch 64, where the stacked buffers outgrow L2.  2^18 elements (1 MiB
+# of fp32 values) keeps stacking to the dispatch-bound shapes.
+_PLANE_GROUP_ELEMENTS = 1 << 18
 
 # Elements per gather buffer before execute() chunks its work — batch
 # columns on the fused tier, segment blocks on the blocked tier.  Chunking
@@ -158,7 +172,7 @@ _BLOCKED_PARTIAL_BYTES = 1 << 19
 # decode-floor win, so a moderate prefill-side hint is safe at both ends.
 _DEFAULT_BATCH_HINT = 8
 
-_TIERS = ("fused", "blocked", "relaxed")
+_TIERS = ("fused", "blocked")
 
 
 def _resolve_gather_budget(config: MPUConfig | None) -> int:
@@ -201,21 +215,33 @@ class PlanePass:
 
 
 @dataclass(frozen=True)
+class PlaneGroup:
+    """Bit planes ``[lo, hi)`` stacked along the row axis (fused tier):
+    ``(num_slots, Σrows)`` intp flat LUT addresses ``slot·2^µ + key`` and
+    the ``(num_segments, Σrows)`` α matrix, plane ``lo``'s columns first."""
+
+    lo: int
+    hi: int
+    index: np.ndarray
+    scales: np.ndarray
+
+
+@dataclass(frozen=True)
 class CompiledProgram:
     """A tile-execution plan lowered to flat buffers + an instruction list.
 
     ``instructions`` is the complete run recipe executed in order:
-    ``("luts",)`` builds every segment's LUT tables in one call, ``("plane",
-    p)`` gathers and accumulates plane ``p``'s partials in one fused gather
-    (the fused tier) or ``("plane_block", p, lo, hi)`` accumulates segments
-    ``[lo, hi)`` of plane ``p`` through a reusable scratch buffer (the
-    blocked tier), ``("scale", s, p)`` applies one (segment, plane) α
-    update — segments-ascending, planes-innermost, the interpreted
-    executor's exact order; on the blocked tier each segment range's scale
-    ops follow that range's ``plane_block`` ops directly, while the range's
-    float64 partial slices are still cache-resident — and ``("offset", k)``
-    adds one owned scale group's offset term.  A relaxed-tier program is a single ``("matmul",)``
-    against the baked ``dense`` matrix (opt-in; see "Lowering tiers").
+    ``("luts",)`` builds every segment's LUT tables in one call.  On the
+    fused tier, ``("plane", g)`` gathers and accumulates plane group ``g``'s
+    partials and a single ``("scale",)`` applies every group's α multiply
+    and the (segment, plane) ``y`` updates — segments-ascending,
+    planes-innermost, the interpreted executor's exact order.  On the
+    blocked tier, ``("plane_block", p, lo, hi)`` accumulates segments
+    ``[lo, hi)`` of plane ``p`` through a reusable scratch buffer and
+    ``("scale", s, p)`` applies one (segment, plane) α update; each segment
+    range's scale ops follow that range's ``plane_block`` ops directly,
+    while the range's float64 partial slices are still cache-resident.
+    ``("offset", k)`` adds one owned scale group's offset term.
 
     ``tier`` names the lowering the program was compiled to and prefixes
     its profiling rollup keys (``program.<tier>.<op>``); ``gather_budget``
@@ -236,7 +262,7 @@ class CompiledProgram:
     stats_slope: tuple[int, ...]
     tier: str = "fused"
     gather_budget: int = _GATHER_BUDGET
-    dense: np.ndarray | None = None
+    groups: tuple[PlaneGroup, ...] = ()
 
     @property
     def num_slots(self) -> int:
@@ -280,13 +306,15 @@ class CompiledProgram:
         t_op = 0
 
         luts = None
-        partials: list[np.ndarray | None] = [None] * len(self.passes)
+        # Fused tier: one accumulator-dtype (segments, Σrows, batch) partial
+        # per plane group, consumed by the single ("scale",) stage.
+        group_partials: list[np.ndarray | None] = [None] * len(self.groups)
         # Blocked tier: each plane's partials buffer holds only the current
         # block's segments (reused across blocks), so scale ops index it
-        # relative to the plane's current block base.  Fused planes keep the
-        # whole (num_segments, ...) partial with a zero base.
+        # relative to the plane's current block base.
+        partials: list[np.ndarray | None] = [None] * len(self.passes)
         part_base = [0] * len(self.passes)
-        # One reusable (batch, rows) scratch per plane width — every
+        # One reusable (rows, batch) scratch per plane width — every
         # segment of every block streams through it.
         scratch_by_rows: dict[int, np.ndarray] = {}
         gmax = self.slots_per_segment
@@ -299,11 +327,13 @@ class CompiledProgram:
                 # so their LUT entries are exactly +0.0.
                 x_pad = np.concatenate(
                     [x, np.zeros((1, batch), dtype=x.dtype)], axis=0)
-                xg = x_pad[self.lut_cols]                  # (slots, µ, B)
-                luts = build_lut_tables(xg.transpose(0, 2, 1), dtype=acc_dtype)
+                # (slots, µ, B) → (slots, 2^µ, B): one table row per key,
+                # batch innermost.
+                luts = build_lut_tables(x_pad[self.lut_cols], dtype=acc_dtype,
+                                        axis=1)
             elif kind == "plane":
-                partials[op[1]] = self._run_plane(self.passes[op[1]], luts,
-                                                  acc_dtype)
+                group_partials[op[1]] = self._run_group(
+                    self.groups[op[1]], luts, acc_dtype)
             elif kind == "plane_block":
                 p, lo, hi = op[1], op[2], op[3]
                 pp = self.passes[p]
@@ -317,7 +347,7 @@ class CompiledProgram:
                 part_base[p] = lo
                 scratch = scratch_by_rows.get(rows)
                 if scratch is None:
-                    scratch = np.empty((batch, rows), dtype=acc_dtype)
+                    scratch = np.empty((rows, batch), dtype=acc_dtype)
                     scratch_by_rows[rows] = scratch
                 for s in range(lo, hi):
                     # The interpreted per-segment core verbatim: zero the
@@ -328,26 +358,21 @@ class CompiledProgram:
                     base = s * gmax
                     for g in range(gmax):
                         scratch += np.take(luts[base + g], pp.keys[base + g],
-                                           axis=1)
+                                           axis=0)
                     # float64 conversion happens on assignment — the same
-                    # value-exact cast as the fused tier's astype.
-                    part[s - lo] = scratch.T
+                    # value-exact cast as the interpreter's astype.
+                    part[s - lo] = scratch
             elif kind == "scale":
-                s, p = op[1], op[2]
-                pp = self.passes[p]
-                term = pp.scales[s][:, None] * partials[p][s - part_base[p]]
-                if pp.rows is None:
-                    y += term
+                if len(op) == 1:
+                    self._scale_groups(group_partials, y)
                 else:
-                    y[pp.rows] += term
-            elif kind == "matmul":
-                # The relaxed tier's whole program: a dense float64 BLAS
-                # contraction over the dequantized matrix (offsets baked
-                # in).  Reassociates the reductions the bit-exact tiers
-                # perform sequentially — compiled only under an explicit
-                # allow_reassociation=True opt-in, for engines whose
-                # contract is allclose rather than bitwise.
-                y = self.dense @ x  # repro: noqa reassociating-reduction
+                    s, p = op[1], op[2]
+                    pp = self.passes[p]
+                    term = pp.scales[s][:, None] * partials[p][s - part_base[p]]
+                    if pp.rows is None:
+                        y += term
+                    else:
+                        y[pp.rows] += term
             else:  # "offset"
                 start, stop = self.offset_slices[op[1]]
                 # Same reduction call as _add_offset_terms: the one shared
@@ -410,18 +435,20 @@ class CompiledProgram:
 
         Counts the dominant array traffic of each opcode — activation
         gathers, key matrices, LUT tables, partial/output updates — from
-        the program's static shapes; integer arithmetic only.
+        the program's static shapes; integer arithmetic only.  A fused
+        ``plane`` / ``scale`` op counts the sum of its planes' per-plane
+        traffic, so per-run totals do not depend on how planes are grouped.
         """
         if kind == "luts":
             # µ-column activation gather in + every segment's table out.
             return (self.num_slots * self.mu * batch * 8
                     + self.num_slots * batch * (1 << self.mu) * acc_itemsize)
         if kind == "plane":
-            # Key matrix + the gathered LUT values + the partial updates.
-            pp = self.passes[op[1]]
-            rows = pp.keys.shape[1]
-            return (pp.keys.nbytes
-                    + 2 * self.num_slots * rows * batch * acc_itemsize)
+            # Per plane: key matrix + the gathered LUT values + the partial
+            # updates (every plane's keys share one integer width).
+            rows = self.groups[op[1]].index.shape[1]
+            return self.num_slots * rows * (self.passes[0].keys.itemsize
+                                            + 2 * batch * acc_itemsize)
         if kind == "plane_block":
             # The block's slice of the plane's traffic: its slots' key rows,
             # LUT reads + scratch accumulations, and the float64 partial
@@ -432,14 +459,15 @@ class CompiledProgram:
             return (slots * rows * pp.keys.itemsize
                     + 2 * slots * rows * batch * acc_itemsize
                     + (op[3] - op[2]) * rows * batch * 8)
-        if kind == "matmul":
-            # Dense matrix + activations in, output out (all float64).
-            return (self.m * self.n + self.n * batch + self.m * batch) * 8
         if kind == "scale":
-            # α·partial read + y scatter update (both float64).
-            pp = self.passes[op[2]]
-            rows = pp.keys.shape[1]
-            return 2 * rows * batch * 8
+            # Per (segment, plane): α·partial read + y scatter update (both
+            # float64).
+            passes = self.passes if len(op) == 1 else (self.passes[op[2]],)
+            rows = 0
+            for pp in passes:
+                rows += pp.keys.shape[1]
+            segments = self.num_segments if len(op) == 1 else 1
+            return segments * 2 * rows * batch * 8
         # "offset": group-sum read + dense y update.
         start, stop = self.offset_slices[op[1]]
         return (stop - start) * batch * 8 + self.m * batch * 8
@@ -447,38 +475,85 @@ class CompiledProgram:
     def batch_step(self, rows: int) -> int:
         """Fused-tier batch columns per gather chunk under the budget.
 
-        The knob the gather budget turns on this tier: a plane pass gathers
-        ``num_slots × rows`` elements per batch column, so this many
-        columns fit one budget-sized buffer (at least one).
+        The knob the gather budget turns on this tier: a gather over
+        ``rows`` (stacked) rows reads ``num_slots × rows`` elements per
+        batch column, so this many columns fit one budget-sized buffer (at
+        least one).
         """
         return max(1, self.gather_budget // max(self.num_slots * rows, 1))
 
-    def _run_plane(self, pp: PlanePass, luts: np.ndarray,
-                   acc_dtype: np.dtype) -> np.ndarray:
-        """Gather + accumulate one plane pass → float64 ``(S, rows, B)``.
+    def _plane_spans(self, group: PlaneGroup) -> list[tuple]:
+        """``(start, stop, scatter rows)`` of each plane's stacked columns."""
+        spans, a = [], 0
+        for pp in self.passes[group.lo:group.hi]:
+            spans.append((a, a + pp.keys.shape[1], pp.rows))
+            a += pp.keys.shape[1]
+        return spans
 
-        One fancy-index per batch chunk fetches every (slot, row) LUT read
-        of the pass; the per-segment partial then accumulates over group
-        positions in ascending order, in the accumulator dtype, exactly
-        like the interpreted per-group loop (padded tail slots add +0.0).
+    def _run_group(self, group: PlaneGroup, luts: np.ndarray,
+                   acc_dtype: np.dtype) -> np.ndarray:
+        """Gather + accumulate one plane group → ``(S, Σrows, B)`` partial.
+
+        The whole group is one gather while ``num_slots × Σrows × batch``
+        fits ``_PLANE_GROUP_ELEMENTS``, else one gather per plane (group
+        width 1); each gather is further chunked over batch columns by the
+        gather budget.  Every (segment, row, column) partial then sums its
+        µ-groups in ascending order, in the accumulator dtype, exactly like
+        the interpreted per-group loop (padded tail slots add +0.0).
         """
         num_segments, gmax = self.num_segments, self.slots_per_segment
-        rows, batch = pp.keys.shape[1], luts.shape[1]
-        partial = np.zeros((num_segments, rows, batch), dtype=acc_dtype)
-        slot_idx = np.arange(self.num_slots)[:, None]
-        step = self.batch_step(rows)
-        for c0 in range(0, batch, step):
-            c1 = min(c0 + step, batch)
-            # (slots, rows, chunk): advanced indices on axes 0/2 broadcast
-            # first, the sliced batch axis trails.
-            values = luts[:, c0:c1][slot_idx, :, pp.keys]
-            values = values.reshape(num_segments, gmax, rows, c1 - c0)
-            sub = partial[:, :, c0:c1]
-            for j in range(gmax):
-                sub += values[:, j]
-        # One α-stage float64 conversion per plane; slicing it per segment
-        # is value-identical to converting each slice.
-        return partial.astype(np.float64, copy=False)
+        batch = luts.shape[2]
+        lut_rows = luts.reshape(self.num_slots << self.mu, batch)  # a view
+        total = group.index.shape[1]
+        partial = np.zeros((num_segments, total, batch), dtype=acc_dtype)
+        spans = self._plane_spans(group)
+        if self.num_slots * total * batch <= _PLANE_GROUP_ELEMENTS:
+            spans = [(0, total, None)]
+        for a, b, _ in spans:
+            index = group.index[:, a:b]
+            step = self.batch_step(b - a)
+            for c0 in range(0, batch, step):
+                c1 = min(c0 + step, batch)
+                # (slots, rows, chunk) LUT reads, batch innermost.
+                if c1 - c0 == batch:
+                    values = np.take(lut_rows, index, axis=0)
+                else:
+                    values = lut_rows[index, c0:c1]
+                values = values.reshape(num_segments, gmax, b - a, c1 - c0)
+                sub = partial[:, a:b, c0:c1]
+                for j in range(gmax):
+                    sub += values[:, j]
+        return partial
+
+    def _scale_groups(self, group_partials: list[np.ndarray | None],
+                      y: np.ndarray) -> None:
+        """The fused scale stage: α-scale every group, then update ``y``.
+
+        The α multiply is float64 and elementwise, so it equals the
+        interpreter's per-(segment, plane) ``alpha * partial`` however it
+        is batched: one multiply over a group's whole stacked partial while
+        that fits ``_PLANE_GROUP_ELEMENTS``, else one per (segment, plane),
+        right before its update reads it (cache-hot at large batch).  The
+        ``y`` updates replay the interpreter's order: segments ascending,
+        planes innermost, ``y[rows] +=`` for masked planes.
+        """
+        groups = []
+        for group, partial in zip(self.groups, group_partials, strict=True):
+            whole = None
+            if partial.size <= _PLANE_GROUP_ELEMENTS:
+                whole = np.multiply(group.scales[:, :, None], partial,
+                                    dtype=np.float64)
+            groups.append((group.scales, partial, whole,
+                           self._plane_spans(group)))
+        for s in range(self.num_segments):
+            for scales, partial, whole, spans in groups:
+                for a, b, rows in spans:
+                    term = whole[s, a:b] if whole is not None else np.multiply(
+                        scales[s, a:b, None], partial[s, a:b], dtype=np.float64)
+                    if rows is None:
+                        y += term
+                    else:
+                        y[rows] += term
 
     # -- shared-memory shipping -------------------------------------------
     def buffers(self) -> dict[str, np.ndarray]:
@@ -489,8 +564,9 @@ class CompiledProgram:
             out[f"scales{p}"] = pp.scales
             if pp.rows is not None:
                 out[f"rows{p}"] = pp.rows
-        if self.dense is not None:
-            out["dense"] = self.dense
+        for g, group in enumerate(self.groups):
+            out[f"group_index{g}"] = group.index
+            out[f"group_scales{g}"] = group.scales
         return out
 
     def spec(self) -> dict:
@@ -507,7 +583,7 @@ class CompiledProgram:
             "stats_slope": list(self.stats_slope),
             "tier": self.tier,
             "gather_budget": self.gather_budget,
-            "has_dense": self.dense is not None,
+            "groups": [[group.lo, group.hi] for group in self.groups],
         }
 
     @classmethod
@@ -523,6 +599,10 @@ class CompiledProgram:
                       rows=arrays[f"rows{p}"] if masked else None,
                       scales=arrays[f"scales{p}"])
             for p, masked in enumerate(spec["masked"]))
+        groups = tuple(
+            PlaneGroup(lo=lo, hi=hi, index=arrays[f"group_index{g}"],
+                       scales=arrays[f"group_scales{g}"])
+            for g, (lo, hi) in enumerate(spec.get("groups", ())))
         return cls(
             m=spec["m"], n=spec["n"], mu=spec["mu"],
             num_segments=spec["num_segments"],
@@ -535,7 +615,7 @@ class CompiledProgram:
             stats_slope=tuple(spec["stats_slope"]),
             tier=spec.get("tier", "fused"),
             gather_budget=spec.get("gather_budget", _GATHER_BUDGET),
-            dense=arrays.get("dense") if spec.get("has_dense") else None)
+            groups=groups)
 
 
 def _affine_stats(stats_fn) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -552,13 +632,40 @@ def _affine_stats(stats_fn) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return base, slope
 
 
+def _plane_groups(passes: list[PlanePass], num_slots: int,
+                  mu: int) -> tuple[PlaneGroup, ...]:
+    """Pack consecutive planes into fused-tier plane groups.
+
+    A group grows while its batch-1 gather (``num_slots × Σrows``) fits
+    ``_PLANE_GROUP_ELEMENTS``; a plane wider than that alone is a group of
+    one.  Each group bakes its stacked flat LUT addresses ``slot·2^µ +
+    key`` and α columns, planes in ascending order.
+    """
+    bounds: list[tuple[int, int]] = []
+    lo = width = 0
+    for p, pp in enumerate(passes):
+        rows = pp.keys.shape[1]
+        if p > lo and num_slots * (width + rows) > _PLANE_GROUP_ELEMENTS:
+            bounds.append((lo, p))
+            lo, width = p, 0
+        width += rows
+    bounds.append((lo, len(passes)))
+    slot_base = (np.arange(num_slots, dtype=np.intp) << mu)[:, None]
+    return tuple(
+        PlaneGroup(lo=lo, hi=hi,
+                   index=np.concatenate([slot_base + pp.keys
+                                         for pp in passes[lo:hi]], axis=1),
+                   scales=np.concatenate([pp.scales for pp in passes[lo:hi]],
+                                         axis=1))
+        for lo, hi in bounds)
+
+
 def compile_plan(plan: TileExecutionPlan,
                  weights: BCQTensor | PreparedWeights,
                  config: MPUConfig | None = None,
                  shard: PlanShard | None = None,
                  tier: str = "auto",
-                 batch_hint: int | None = None,
-                 allow_reassociation: bool = False) -> CompiledProgram:
+                 batch_hint: int | None = None) -> CompiledProgram:
     """Lower a tile-execution plan (or one segment-axis shard of it) into a
     :class:`CompiledProgram`.
 
@@ -580,10 +687,7 @@ def compile_plan(plan: TileExecutionPlan,
     (:meth:`~repro.core.dataflow.TileExecutionPlan.working_set_bytes`,
     restricted to the shard's segments for sub-programs) exceeds
     ``_BLOCKED_THRESHOLD_BYTES``, and ``"fused"`` otherwise — both bitwise
-    tiers.  ``tier="relaxed"`` additionally requires
-    ``allow_reassociation=True`` (it re-associates float reductions; never
-    chosen by ``"auto"``) and has no shard form — a dense sub-matrix
-    cannot carry the shard's owned-offset split.
+    tiers.
     """
     config = config or MPUConfig()
     mpu = MatrixProcessingUnit(config)
@@ -596,17 +700,6 @@ def compile_plan(plan: TileExecutionPlan,
     if tier not in (*_TIERS, "auto"):
         raise ValueError(f"tier must be one of {('auto', *_TIERS)}, "
                          f"got {tier!r}")
-    if tier == "relaxed":
-        if not allow_reassociation:
-            raise ValueError(
-                "tier='relaxed' re-associates float reductions and is "
-                "opt-in: pass allow_reassociation=True (engines with an "
-                "allclose contract only; see docs/compilation.md)")
-        if shard is not None:
-            raise ValueError(
-                "the relaxed tier has no shard sub-programs: the dense "
-                "matrix bakes every offset term, which cannot honour a "
-                "shard's owned-scale-group split")
     if batch_hint is None:
         batch_hint = _DEFAULT_BATCH_HINT
     elif batch_hint < 0:
@@ -648,24 +741,6 @@ def compile_plan(plan: TileExecutionPlan,
         tier = "blocked" if working_set > _BLOCKED_THRESHOLD_BYTES else "fused"
 
     base, slope = _affine_stats(stats_fn)
-    if tier == "relaxed":
-        # The whole program is one BLAS contraction over the dequantized
-        # matrix (α scaling and offset terms baked in), so none of the
-        # LUT-path buffers ship: empty slot/pass/offset buffers keep the
-        # geometry checks trivial and the shared-memory payload minimal.
-        program = CompiledProgram(
-            m=m, n=n, mu=mu, num_segments=0, slots_per_segment=0,
-            lut_cols=np.zeros((0, mu), dtype=np.int64), passes=(),
-            offsets=np.zeros((m, 0), dtype=np.float64), offset_slices=(),
-            instructions=(("matmul",),), stats_base=base, stats_slope=slope,
-            tier="relaxed", gather_budget=gather_budget,
-            dense=np.ascontiguousarray(weights.dequantize(),
-                                       dtype=np.float64))
-        if os.environ.get("REPRO_VERIFY"):
-            from repro.analysis.verify import verify_program
-            verify_program(program, plan=plan, config=config, shard=shard)
-        return program
-
     # Gather-index matrix into the zero-row-padded activations: real
     # columns index x, padded positions (ragged µ-group tails and slots
     # past a segment's group count) read the sentinel zero row n.
@@ -712,14 +787,13 @@ def compile_plan(plan: TileExecutionPlan,
     offsets = np.ascontiguousarray(weights.offsets[:, list(owned_groups)])
 
     instructions: list[tuple] = []
+    groups: tuple[PlaneGroup, ...] = ()
     if num_slots and passes:
         instructions.append(("luts",))
         if tier == "fused":
-            for p in range(len(passes)):
-                instructions.append(("plane", p))
-            for s in range(num_segments):
-                for p in range(len(passes)):
-                    instructions.append(("scale", s, p))
+            groups = _plane_groups(passes, num_slots, mu)
+            instructions += [("plane", g) for g in range(len(groups))]
+            instructions.append(("scale",))
         else:
             # Blocked: one shared ascending, contiguous segment-range walk.
             # Each range emits every plane's ("plane_block", p, lo, hi)
@@ -753,7 +827,7 @@ def compile_plan(plan: TileExecutionPlan,
         lut_cols=lut_cols, passes=tuple(passes), offsets=offsets,
         offset_slices=offset_slices, instructions=tuple(instructions),
         stats_base=base, stats_slope=slope, tier=tier,
-        gather_budget=gather_budget)
+        gather_budget=gather_budget, groups=groups)
     if os.environ.get("REPRO_VERIFY"):
         # Structural verification of every freshly compiled program
         # (including prepare() and the serving pools' shard sub-programs).

@@ -117,8 +117,7 @@ def shard_plan(plan: TileExecutionPlan, num_shards: int,
 def compile_shard_programs(shards: Sequence[PlanShard], weights,
                            config: MPUConfig | None = None,
                            tier: str = "auto",
-                           batch_hint: int | None = None,
-                           allow_reassociation: bool = False
+                           batch_hint: int | None = None
                            ) -> list[CompiledProgram]:
     """Lower each shard of one plan to its executable sub-program.
 
@@ -132,12 +131,10 @@ def compile_shard_programs(shards: Sequence[PlanShard], weights,
     tensor (or its :class:`~repro.core.mpu.PreparedWeights`, whose packed
     keys segment-axis sub-programs reuse).
 
-    ``tier`` / ``batch_hint`` / ``allow_reassociation`` pass through to
-    the compiler's working-set-aware lowering selection — ``tier="auto"``
-    sizes each shard's tier from that shard's own working-set share, so a
-    wide plan can lower some shards blocked and others fused.  The relaxed
-    tier is rejected for segment-axis shards (dense programs cannot split
-    offset ownership; see :func:`~repro.core.program.compile_plan`).
+    ``tier`` / ``batch_hint`` pass through to the compiler's
+    working-set-aware lowering selection — ``tier="auto"`` sizes each
+    shard's tier from that shard's own working-set share, so a wide plan
+    can lower some shards blocked and others fused.
     """
     from repro.core.mpu import MatrixProcessingUnit, PreparedWeights
 
@@ -147,15 +144,13 @@ def compile_shard_programs(shards: Sequence[PlanShard], weights,
         if shard.axis == "segments":
             programs.append(compile_plan(
                 shard.plan, weights, mpu.config, shard=shard, tier=tier,
-                batch_hint=batch_hint,
-                allow_reassociation=allow_reassociation))
+                batch_hint=batch_hint))
         else:
             tensor = (weights.weights if isinstance(weights, PreparedWeights)
                       else weights)
             programs.append(mpu.prepare(
                 tensor.take_rows(shard.row_indices), tier=tier,
-                batch_hint=batch_hint,
-                allow_reassociation=allow_reassociation).program)
+                batch_hint=batch_hint).program)
     return programs
 
 

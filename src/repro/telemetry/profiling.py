@@ -3,8 +3,8 @@
 This is the third telemetry layer: when ``Telemetry.profiling`` is on,
 the compiled executor rolls up per-instruction opcode timings keyed by
 lowering tier — ``program.<tier>.<op>``, e.g. ``program.fused.luts`` /
-``program.fused.plane`` / ``program.blocked.plane_block`` /
-``program.relaxed.matmul`` plus the shared ``scale`` / ``offset`` ops,
+``program.fused.plane`` / ``program.blocked.plane_block`` plus the
+shared ``scale`` / ``offset`` ops,
 with bytes-touched estimates — and the scheduler rolls up per-phase
 timings (``scheduler.admit`` / ``scheduler.decode``).  The tier prefix
 separates the kernel families, so a mixed fleet (decode layers fused,

@@ -364,9 +364,7 @@ class TestRepoLintState:
         assert suppressed == [
             ("mpu.py", "reassociating-reduction"),
             ("mpu.py", "reassociating-reduction"),
-            # The offset group-sum (shared with the interpreter) and the
-            # relaxed tier's opt-in dense contraction.
-            ("program.py", "reassociating-reduction"),
+            # The offset group-sum (shared with the interpreter).
             ("program.py", "reassociating-reduction"),
             ("workers.py", "unlocked-shared-state"),
         ]

@@ -19,6 +19,7 @@ from repro.analysis import (
     verify_shard_programs,
 )
 from repro.core.mpu import MatrixProcessingUnit, MPUConfig
+import repro.core.program as program_mod
 from repro.core.program import compile_plan
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
 from repro.serve.sharding import shard_plan
@@ -26,14 +27,16 @@ from repro.serve.sharding import shard_plan
 CFG = MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4)
 
 
-def _fused_instructions(program):
-    """The fused tier's exact replay order for a program's dimensions."""
+def _rebake_fused(program):
+    """A fused program with its plane groups and replay order rebuilt for
+    its (possibly edited) passes."""
+    groups = program_mod._plane_groups(list(program.passes),
+                                       program.num_slots, program.mu)
     ops = [("luts",)]
-    ops += [("plane", p) for p in range(len(program.passes))]
-    ops += [("scale", s, p) for s in range(program.num_segments)
-            for p in range(len(program.passes))]
+    ops += [("plane", g) for g in range(len(groups))]
+    ops += [("scale",)]
     ops += [("offset", k) for k in range(len(program.offset_slices))]
-    return tuple(ops)
+    return corrupt(program, groups=groups, instructions=tuple(ops))
 
 
 def build(m=24, n=40, bits=3, group_size=16, config=CFG, mixed=False, seed=7):
@@ -77,10 +80,14 @@ def blocked(uniform):
 
 
 @pytest.fixture(scope="module")
-def relaxed(uniform):
+def grouped(uniform):
+    # A one-element plane-group budget puts every plane in its own group,
+    # so the fused program carries several ("plane", g) gathers.
     plan, bcq, _, _ = uniform
-    program = compile_plan(plan, bcq, CFG, tier="relaxed",
-                           allow_reassociation=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(program_mod, "_PLANE_GROUP_ELEMENTS", 1)
+        program = compile_plan(plan, bcq, CFG)
+    assert len(program.groups) == len(program.passes) > 1
     return plan, bcq, program, CFG
 
 
@@ -243,10 +250,10 @@ class TestProgramMutations:
 
     def test_dropped_plane_pass_vs_plan(self, uniform):
         plan, _, program, _ = uniform
-        bad = corrupt(program, passes=program.passes[:-1])
         # Keep the self-contained checks clean so the plan comparison is
-        # what fires: rebake the instruction list for the truncated passes.
-        bad = corrupt(bad, instructions=_fused_instructions(bad))
+        # what fires: rebake the groups and instruction list for the
+        # truncated passes.
+        bad = _rebake_fused(corrupt(program, passes=program.passes[:-1]))
         expect("plane-mask-active-rows", verify_program, bad,
                plan=plan, config=CFG)
 
@@ -330,12 +337,13 @@ class TestShardMutations:
 
 class TestTierMutations:
     """The tier invariants: ``program-tier``, ``plane-block-coverage``,
+    the fused tier's ``plane-group-partition`` / ``plane-group-buffers``,
     and the tier-aware ``instruction-order``."""
 
-    def test_sound_blocked_and_relaxed_verify(self, uniform, blocked,
-                                              relaxed):
+    def test_sound_blocked_and_grouped_verify(self, uniform, blocked,
+                                              grouped):
         plan, _, _, _ = uniform
-        for _, _, program, cfg in (blocked, relaxed):
+        for _, _, program, cfg in (blocked, grouped):
             verify_program(program)
             verify_program(program, plan=plan, config=cfg)
 
@@ -348,26 +356,64 @@ class TestTierMutations:
         expect("program-tier", verify_program,
                corrupt(program, gather_budget=0))
 
-    def test_dense_matrix_on_bitwise_tier(self, uniform):
+    def test_plane_groups_out_of_order(self, grouped):
+        # Swapped groups still cover every plane, but not ascending: the
+        # scale stage would consume partials in the wrong plane order.
+        _, _, program, _ = grouped
+        groups = program.groups
+        expect("plane-group-partition", verify_program,
+               corrupt(program, groups=(groups[1], groups[0], *groups[2:])))
+
+    def test_plane_group_dropped(self, grouped):
+        # A missing group leaves its planes' partials never gathered.
+        _, _, program, _ = grouped
+        expect("plane-group-partition", verify_program,
+               corrupt(program, groups=program.groups[:-1]))
+
+    def test_plane_groups_on_blocked_tier(self, blocked, grouped):
+        _, _, program, _ = blocked
+        expect("plane-group-partition", verify_program,
+               corrupt(program, groups=grouped[2].groups))
+
+    def test_plane_group_index_mismatch(self, uniform):
         _, _, program, _ = uniform
-        dense = np.zeros((program.m, program.n))
-        expect("program-tier", verify_program, corrupt(program, dense=dense))
+        (group,) = program.groups
+        index = group.index.copy()
+        index[0, -1] ^= 1  # another key of the same slot's table
+        expect("plane-group-buffers", verify_program,
+               corrupt(program, groups=(dataclasses.replace(group,
+                                                            index=index),)))
 
-    def test_relaxed_without_dense_matrix(self, relaxed):
-        _, _, program, _ = relaxed
-        expect("program-tier", verify_program, corrupt(program, dense=None))
+    def test_plane_group_index_wrong_dtype(self, uniform):
+        _, _, program, _ = uniform
+        (group,) = program.groups
+        index = group.index.astype(np.int32)
+        expect("plane-group-buffers", verify_program,
+               corrupt(program, groups=(dataclasses.replace(group,
+                                                            index=index),)))
 
-    def test_relaxed_dense_wrong_dtype(self, relaxed):
-        _, _, program, _ = relaxed
-        expect("program-tier", verify_program,
-               corrupt(program, dense=program.dense.astype(np.float32)))
+    def test_plane_group_scales_mismatch(self, mixed):
+        _, _, program, _ = mixed
+        (group,) = program.groups
+        scales = group.scales.copy()
+        scales[-1, -1] *= 2.0
+        expect("plane-group-buffers", verify_program,
+               corrupt(program, groups=(dataclasses.replace(group,
+                                                            scales=scales),)))
 
-    def test_blocked_program_relabelled_fused(self, blocked):
-        # The body holds plane_block streams, not the fused ("plane", p)
-        # passes the relabelled tier promises.
+    def test_blocked_program_relabelled_fused(self, blocked, uniform):
+        # The body holds plane_block streams, not the fused ("plane", g)
+        # gathers the relabelled tier promises.
         _, _, program, _ = blocked
         expect("instruction-order", verify_program,
-               corrupt(program, tier="fused"))
+               corrupt(program, tier="fused", groups=uniform[2].groups))
+
+    def test_fused_scale_stage_missing(self, uniform):
+        _, _, program, _ = uniform
+        instructions = tuple(op for op in program.instructions
+                             if op != ("scale",))
+        expect("instruction-order", verify_program,
+               corrupt(program, instructions=instructions))
 
     def test_dropped_plane_block(self, blocked):
         # The range walk is pinned by plane 0's blocks; dropping one leaves
@@ -402,11 +448,6 @@ class TestTierMutations:
         instructions.remove(blocks[0])
         expect("instruction-order", verify_program,
                corrupt(program, instructions=tuple(instructions)))
-
-    def test_relaxed_wrong_instruction(self, relaxed):
-        _, _, program, _ = relaxed
-        expect("instruction-order", verify_program,
-               corrupt(program, instructions=(("luts",),)))
 
 
 class TestReproVerifyKnob:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.lut import (
     FFLUT,
     HalfFFLUT,
+    build_lut_tables,
     build_lut_values,
     key_to_pattern,
     lut_table_rows,
@@ -78,6 +79,34 @@ class TestBuildLUTValues:
         assert list(keys) == list(range(8))
         assert patterns[0] == (-1, -1, -1)
         assert values[0] == -6.0
+
+
+class TestBuildLUTTables:
+    def test_sign_matrix_cached_read_only(self, rng):
+        from repro.core.lut import _sign_matrix
+        signs = _sign_matrix(4, False)
+        assert signs is _sign_matrix(4, False)
+        assert signs is not _sign_matrix(4, True)
+        assert not signs.flags.writeable
+        assert signs.shape == (16, 4) and signs.dtype == np.float64
+        assert _sign_matrix(4, True).dtype == np.int64
+        # Repeated builds leave the shared matrix untouched.
+        build_lut_tables(rng.standard_normal((3, 4)))
+        np.testing.assert_array_equal(
+            signs, [key_to_pattern(k, 4) for k in range(16)])
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64,
+                                       np.int64])
+    def test_key_axis_layout_is_bitwise_transpose(self, rng, dtype):
+        # Entries along any axis are the same values as along the last.
+        groups = rng.standard_normal((5, 3, 4)) * 10
+        if dtype is np.int64:
+            groups = np.round(groups)
+        last = build_lut_tables(groups, dtype=dtype)            # (5, 3, 16)
+        middle = build_lut_tables(groups.transpose(0, 2, 1), dtype=dtype,
+                                  axis=1)                       # (5, 16, 3)
+        assert middle.shape == (5, 16, 3) and middle.dtype == dtype
+        np.testing.assert_array_equal(middle, last.transpose(0, 2, 1))
 
 
 class TestFFLUT:

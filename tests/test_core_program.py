@@ -166,12 +166,13 @@ class TestProgramStructure:
         n_seg = len(plan.segments)
         assert prog.num_segments == n_seg
         assert prog.num_slots == n_seg * prog.slots_per_segment
-        expected = 1 + n_planes + n_seg * n_planes + plan.num_scale_groups
-        assert len(prog.instructions) == expected
-        # Scale updates replay the interpreter's order: segments ascending,
-        # planes innermost.
-        scales = [op[1:] for op in prog.instructions if op[0] == "scale"]
-        assert scales == [(s, p) for s in range(n_seg) for p in range(n_planes)]
+        # A small program stacks every plane into one group: LUTs, one
+        # gather, one scale stage (which replays the interpreter's
+        # segments-ascending / planes-innermost y order), the offsets.
+        assert [(g.lo, g.hi) for g in prog.groups] == [(0, n_planes)]
+        assert prog.instructions == (
+            ("luts",), ("plane", 0), ("scale",),
+            *(("offset", k) for k in range(plan.num_scale_groups)))
 
     @pytest.mark.parametrize("batch", [0, 1, 3, 17])
     def test_stats_affine_in_batch(self, rng, batch):
@@ -188,13 +189,27 @@ class TestProgramStructure:
             prog.stats(-1)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_buffers_spec_roundtrip(self, rng, kind):
+    @pytest.mark.parametrize("group_elements",
+                             [1, program_mod._PLANE_GROUP_ELEMENTS])
+    def test_buffers_spec_roundtrip(self, rng, monkeypatch, kind,
+                                    group_elements):
         # The process-backend shipping path: spec travels by pickle, arrays
-        # as raw buffers; the rebuilt program executes bit-identically.
+        # as raw buffers; the rebuilt program keeps its plane groups and
+        # executes bit-identically.  A one-element group budget ships one
+        # group per plane.
+        monkeypatch.setattr(program_mod, "_PLANE_GROUP_ELEMENTS",
+                            group_elements)
         tensor, x = _case(rng, kind)
         prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
         spec = pickle.loads(pickle.dumps(prog.spec()))
         rebuilt = CompiledProgram.from_buffers(spec, prog.buffers())
+        assert len(prog.groups) == (len(prog.passes) if group_elements == 1
+                                    else 1)
+        assert [(g.lo, g.hi) for g in rebuilt.groups] == \
+            [(g.lo, g.hi) for g in prog.groups]
+        for got, want in zip(rebuilt.groups, prog.groups, strict=True):
+            assert got.index is want.index and got.scales is want.scales
+        assert rebuilt.instructions == prog.instructions
         _assert_same(prog.execute(x, accumulate_dtype=np.float32),
                      rebuilt.execute(x, accumulate_dtype=np.float32))
 
@@ -267,3 +282,29 @@ class TestProgramErrors:
         tensor, x = _case(rng, "uniform")
         with pytest.raises(ValueError, match="executor"):
             MatrixProcessingUnit(MPU_CFG).gemm(tensor, x, executor="jit")
+
+    @pytest.mark.parametrize("group_elements", [1, program_mod._PLANE_GROUP_ELEMENTS])
+    @pytest.mark.parametrize("batch", [1, 9])
+    def test_profile_bytes_match_per_plane_formula(self, rng, monkeypatch,
+                                                   group_elements, batch):
+        # program.<tier>.plane / .scale rollups must count the same bytes
+        # per run however planes are grouped, so bandwidth figures stay
+        # comparable with one-gather-per-plane programs.
+        monkeypatch.setattr(program_mod, "_PLANE_GROUP_ELEMENTS",
+                            group_elements)
+        tensor, _ = _case(rng, "mixed")
+        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
+        assert len(prog.groups) == (len(prog.passes) if group_elements == 1
+                                    else 1)
+        acc = 4
+        slots, rows = prog.num_slots, [pp.keys.shape[1] for pp in prog.passes]
+        expected = {
+            "luts": slots * prog.mu * batch * 8
+            + slots * batch * (1 << prog.mu) * acc,
+            "plane": sum(pp.keys.nbytes + 2 * slots * r * batch * acc
+                         for pp, r in zip(prog.passes, rows, strict=True)),
+            "scale": sum(2 * r * batch * 8 for r in rows) * prog.num_segments,
+            "offset": sum((stop - start) * batch * 8 + prog.m * batch * 8
+                          for start, stop in prog.offset_slices),
+        }
+        assert prog._profile_bytes(batch, acc) == expected

@@ -6,9 +6,6 @@ batch hint — fused one-big-gather below the threshold, segment-blocked
 streams above it — and the blocked tier replays the interpreter's exact
 update order, so its outputs *and* :class:`~repro.core.mpu.MPURunStats`
 are bit-identical to the interpreted executor on every shape in the sweep.
-The relaxed dense tier never wins ``auto``: it re-associates float
-reductions and must be opted into with ``allow_reassociation=True``
-(allclose-contract engines only).
 """
 
 import numpy as np
@@ -73,12 +70,6 @@ class TestTierSelection:
         assert compile_plan(plan, tensor, CFG,
                             batch_hint=1 << 16).tier == "blocked"
 
-    def test_relaxed_never_auto_selected(self, sweep):
-        for tensor, plan in sweep.values():
-            prog = compile_plan(plan, tensor, CFG,
-                                allow_reassociation=True)
-            assert prog.tier in ("fused", "blocked")
-
 
 class TestBlockedBitwise:
     @pytest.mark.parametrize("size", ["small", "large"])
@@ -111,37 +102,11 @@ class TestBlockedBitwise:
             assert s_f == s_b
 
 
-class TestRelaxedTier:
-    def test_opt_in_required(self, sweep):
-        tensor, plan = sweep["small", "uniform"]
-        with pytest.raises(ValueError, match="allow_reassociation"):
-            compile_plan(plan, tensor, CFG, tier="relaxed")
-
+class TestTierArguments:
     def test_unknown_tier_rejected(self, sweep):
         tensor, plan = sweep["small", "uniform"]
         with pytest.raises(ValueError, match="tier"):
             compile_plan(plan, tensor, CFG, tier="warp")
-
-    def test_relaxed_shard_rejected(self, sweep):
-        tensor, plan = sweep["small", "uniform"]
-        shard = shard_plan(plan, 2, axis="segments")[0]
-        with pytest.raises(ValueError, match="shard"):
-            compile_plan(plan, tensor, CFG, shard=shard, tier="relaxed",
-                         allow_reassociation=True)
-
-    @pytest.mark.parametrize("kind", ["uniform", "mixed"])
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_relaxed_allclose_with_exact_stats(self, sweep, kind, batch):
-        tensor, plan = sweep["small", kind]
-        x = _x(tensor, batch)
-        prog = compile_plan(plan, tensor, CFG, tier="relaxed",
-                            allow_reassociation=True)
-        assert prog.tier == "relaxed"
-        y, stats = prog.execute(x)
-        y_int, s_int = MatrixProcessingUnit(CFG).gemm(
-            tensor, x, executor="interpreted")
-        np.testing.assert_allclose(y, y_int, rtol=1e-10, atol=1e-12)
-        assert stats == s_int
 
 
 class TestTierPlumbing:
@@ -153,15 +118,11 @@ class TestTierPlumbing:
         assert prepared.tier == prepared.program.tier == "fused"
         prepared = mpu.prepare(large)
         assert prepared.tier == prepared.program.tier == "blocked"
-        prepared = mpu.prepare(small, tier="relaxed",
-                               allow_reassociation=True)
-        assert prepared.tier == prepared.program.tier == "relaxed"
 
-    @pytest.mark.parametrize("tier", ["blocked", "relaxed"])
+    @pytest.mark.parametrize("tier", ["blocked"])
     def test_spec_buffers_roundtrip(self, sweep, tier):
         tensor, plan = sweep["small", "mixed"]
-        prog = compile_plan(plan, tensor, CFG, tier=tier,
-                            allow_reassociation=tier == "relaxed")
+        prog = compile_plan(plan, tensor, CFG, tier=tier)
         clone = CompiledProgram.from_buffers(prog.spec(), prog.buffers())
         assert clone.tier == tier
         assert clone.gather_budget == prog.gather_budget
