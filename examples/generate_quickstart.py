@@ -142,7 +142,7 @@ def main() -> None:
     print(f"LUT reads (RAC) : {stats.lut_reads:,}")
     print(f"LUT generations : {stats.lut_generations:,}")
     print(f"solo comparison : prefill({len(prompts[0])} tokens) + "
-          f"{len(solo.step_stats)} steps × batch-1 passes = "
+          f"{len(solo.tokens) - 1} steps × batch-1 passes = "
           f"{solo.mpu_stats.cycles:,} cycles for request 0 alone")
 
     print()

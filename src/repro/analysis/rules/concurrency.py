@@ -13,7 +13,8 @@ server pump).  Two failure modes recur in that mix:
 Both are statically checkable shapes.  The shared-state rule is opt-in
 by construction: only classes that create a lock in ``__init__`` are
 held to the discipline, and methods named ``*_locked`` are exempt (the
-repo's caller-holds-the-lock convention, e.g. ``_compact_locked``).
+repo's caller-holds-the-lock convention, e.g.
+``_outstanding_growth_locked``).
 """
 
 from __future__ import annotations

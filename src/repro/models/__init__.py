@@ -29,7 +29,6 @@ from repro.models.dataset import (
 )
 from repro.models.transformer import (
     CacheOverflowError,
-    KVCache,
     OutOfPagesError,
     PagedKVCache,
     PagePool,
@@ -60,7 +59,6 @@ __all__ = [
     "split_corpus",
     "batchify",
     "CacheOverflowError",
-    "KVCache",
     "OutOfPagesError",
     "PagedKVCache",
     "PagePool",

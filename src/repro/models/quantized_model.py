@@ -11,15 +11,18 @@ Running the model through different engines with the same quantized weights
 reproduces Table IV (engine numerics); running it with different quantizers /
 bit widths reproduces Table VI and the accuracy axis of Fig. 17.
 
-Incremental decoding rides the same glue: :meth:`QuantizedLM.prefill`,
-:meth:`QuantizedLM.decode_step` and :meth:`QuantizedLM.generate` thread a
-:class:`~repro.models.transformer.KVCache` through the transformer's
+Incremental decoding rides the same glue: :meth:`QuantizedLM.prefill` and
+:meth:`QuantizedLM.decode_step` thread a
+:class:`~repro.models.transformer.PagedKVCache` through the transformer's
 ``step`` path with every weight GEMM executed on a
 :class:`~repro.core.mpu.MatrixProcessingUnit` over memoised tile plans and
 :class:`~repro.core.mpu.PreparedWeights` (attention score/context matmuls
-stay float, as in the full forward), accumulating per-step
+stay float, as in the full forward), returning each pass's
 :class:`~repro.core.mpu.MPURunStats` so the modelled decode cost is
 plan-exact per emitted token instead of re-charging a full prefill.
+:meth:`QuantizedLM.generate` is one request run through the serving
+:class:`~repro.serve.scheduler.DecodeScheduler`, so solo and served
+generations come from the same decode loop.
 """
 
 from __future__ import annotations
@@ -40,16 +43,10 @@ from repro.quant.optq import OPTQConfig, quantize_optq
 from repro.quant.rtn import RTNConfig, UniformQuantizedTensor, quantize_rtn
 from repro.quant.mixed_precision import MixedPrecisionPlan
 from repro.quant.shiftadd import ShiftAddConfig, quantize_shiftadd
-from repro.models.transformer import (
-    _PAGE_ROOT_KEY,
-    KVCache,
-    PagedKVCache,
-    PagePool,
-    TransformerLM,
-)
+from repro.models.transformer import PagedKVCache, TransformerLM
 
 __all__ = ["QuantizationRecipe", "QuantizedLM", "GenerationResult",
-           "PagedPrefillResult", "quantize_model_weights",
+           "quantize_model_weights",
            "capture_calibration_activations", "recipe_from_mixed_precision"]
 
 
@@ -181,51 +178,16 @@ class GenerationResult:
         steps.
     finish_reason:
         ``"eos"`` or ``"length"``.
-    prefill_stats:
-        Modelled MPU counters of the prefill pass (flat batch = prompt
-        positions).
-    step_stats:
-        Per-decode-iteration counters (flat batch = 1 for a solo decode) —
-        their sum plus ``prefill_stats`` is :attr:`mpu_stats`, and each
-        entry equals the analytic plan stats for its batch, so the decode
-        cost provably scales per emitted token.
+    mpu_stats:
+        Modelled MPU counters of every pass the generation ran: the
+        prefill (flat batch = prompt positions) plus one flat-batch-1
+        decode step per further token, so the decode cost provably scales
+        per emitted token.
     """
 
     tokens: np.ndarray
     finish_reason: str
-    prefill_stats: MPURunStats
-    step_stats: tuple[MPURunStats, ...]
-    shared_tokens: int = 0
-
-    @property
-    def mpu_stats(self) -> MPURunStats:
-        total = self.prefill_stats
-        for s in self.step_stats:
-            total = total.merge(s)
-        return total
-
-
-@dataclass(frozen=True)
-class PagedPrefillResult:
-    """One prefix-aware batched prefill over a shared page pool.
-
-    ``logits`` covers only the *computed* suffix positions (right-padded
-    across rows); row ``r``'s next-token logits sit at column
-    ``suffix_lens[r] - 1``.  ``shared_lens[r]`` counts the leading prompt
-    tokens whose K/V were mapped from resident pages instead of being
-    recomputed (always ≤ ``prompt_len - 1``: the final prompt position runs
-    through the model so its logits exist).
-    """
-
-    logits: np.ndarray
-    cache: PagedKVCache
-    stats: MPURunStats
-    shared_lens: np.ndarray
-    suffix_lens: np.ndarray
-
-    def last_logits(self, row: int) -> np.ndarray:
-        """The next-token logits of one prompt row."""
-        return self.logits[row, int(self.suffix_lens[row]) - 1]
+    mpu_stats: MPURunStats
 
 
 class _StatsSink:
@@ -401,7 +363,7 @@ class QuantizedLM:
     def prefill(self, tokens: np.ndarray, *, num_valid: np.ndarray | None = None,
                 capacity: int | None = None,
                 mpu_config: MPUConfig | None = None,
-                gemm=None, cache=None) -> tuple[np.ndarray, KVCache, MPURunStats]:
+                gemm=None, cache=None) -> tuple[np.ndarray, PagedKVCache, MPURunStats]:
         """Run the prompt(s) through the cache-aware step path.
 
         ``tokens`` is ``(seq,)`` or ``(batch, seq)`` (right-padded when
@@ -411,11 +373,10 @@ class QuantizedLM:
         the full forward.  Returns ``(logits, cache, stats)`` with the
         populated cache and the pass's plan-exact counters.
 
-        ``cache`` optionally supplies a pre-built cache (dense or paged)
-        instead of a fresh dense :class:`~repro.models.transformer.KVCache`;
-        a paged cache whose rows carry prefix-mapped pages arrives with
-        nonzero lengths, and ``tokens`` then holds only the unshared
-        suffixes (see :meth:`paged_prefill`).
+        ``cache`` optionally supplies a cache over a shared page pool
+        instead of a fresh :meth:`~repro.models.transformer.TransformerLM.
+        init_cache`; rows carrying prefix-mapped pages arrive with nonzero
+        lengths, and ``tokens`` then holds only the unshared suffixes.
         """
         arr = np.asarray(tokens, dtype=np.int64)
         if arr.ndim == 1:
@@ -429,49 +390,7 @@ class QuantizedLM:
         logits = self.model.step(arr, cache, matmul=hook, num_valid=num_valid)
         return logits, cache, sink.take()
 
-    def paged_prefill(self, prompts: list[np.ndarray], pool: PagePool, *,
-                      capacity: int | None = None,
-                      mpu_config: MPUConfig | None = None,
-                      gemm=None,
-                      prefix_sharing: bool = True) -> PagedPrefillResult:
-        """Prefill a batch of prompts over a shared page pool.
-
-        The prefix-lookup fast path: each prompt first walks the pool's page
-        registry (:meth:`~repro.models.transformer.PagePool.map_prefix`) and
-        maps every resident page holding an identical leading token chunk —
-        those positions **skip prefill entirely**; only the divergent
-        suffixes run, stacked as one ragged right-padded pass.  With
-        ``prefix_sharing=False`` every prompt prefills in full (the
-        baseline the prefix-cache benchmark compares against).
-        """
-        if not prompts:
-            raise ValueError("paged_prefill needs at least one prompt")
-        arrs = [np.asarray(p, dtype=np.int64).reshape(-1) for p in prompts]
-        if any(a.size == 0 for a in arrs):
-            raise ValueError("a prompt is a non-empty 1-D token sequence")
-        cache = self.model.init_paged_cache(0, pool, capacity=capacity)
-        shared = np.zeros(len(arrs), dtype=np.int64)
-        for i, arr in enumerate(arrs):
-            if prefix_sharing:
-                # Cap the match below the full prompt so the final position
-                # always runs through the model and yields its logits.
-                pages, key, matched = pool.map_prefix(arr, arr.size - 1)
-            else:
-                pages, key, matched = [], _PAGE_ROOT_KEY, 0
-            cache.add_row(pages, key, matched)
-            shared[i] = matched
-        suffix_lens = np.array([a.size for a in arrs], dtype=np.int64) - shared
-        width = int(suffix_lens.max())
-        stacked = np.zeros((len(arrs), width), dtype=np.int64)
-        for i, arr in enumerate(arrs):
-            stacked[i, : suffix_lens[i]] = arr[shared[i]:]
-        logits, cache, stats = self.prefill(stacked, num_valid=suffix_lens,
-                                            mpu_config=mpu_config, gemm=gemm,
-                                            cache=cache)
-        return PagedPrefillResult(logits=logits, cache=cache, stats=stats,
-                                  shared_lens=shared, suffix_lens=suffix_lens)
-
-    def decode_step(self, tokens: np.ndarray, cache: KVCache, *,
+    def decode_step(self, tokens: np.ndarray, cache: PagedKVCache, *,
                     mpu_config: MPUConfig | None = None,
                     gemm=None) -> tuple[np.ndarray, MPURunStats]:
         """One stacked decode iteration: ``(batch, t_new)`` new tokens.
@@ -493,8 +412,8 @@ class QuantizedLM:
                                  max_new_tokens: int) -> np.ndarray:
         """Validate one generation request; returns the prompt as int64.
 
-        The single capacity rule for every decode entry point (solo
-        :meth:`generate` and the serving scheduler): a non-empty 1-D prompt
+        The single capacity rule of the decode scheduler (which solo
+        :meth:`generate` runs too): a non-empty 1-D prompt
         whose cached length after ``max_new_tokens - 1`` decode steps still
         fits ``max_seq_len`` (the last token is never fed back).
         """
@@ -513,61 +432,27 @@ class QuantizedLM:
     def generate(self, tokens: np.ndarray, max_new_tokens: int, *,
                  eos_token: int | None = None,
                  mpu_config: MPUConfig | None = None,
-                 gemm=None, pool: PagePool | None = None,
-                 prefix_sharing: bool = True) -> GenerationResult:
+                 gemm=None) -> GenerationResult:
         """Greedy autoregressive generation for one prompt (KV-cached).
 
-        Prefills the prompt once, then emits up to ``max_new_tokens`` tokens
-        through single-position :meth:`decode_step` calls — O(1) engine work
-        per token instead of the O(T) (and O(T²) attention) of re-running
-        the full forward.  Stops early when ``eos_token`` is produced (the
-        EOS itself is included in the output).
-
-        With ``pool`` the request runs over a shared :class:`PagePool`: any
-        prompt prefix already resident as registered pages skips prefill
-        (``result.shared_tokens``), and on return the request's pages go
-        back to the pool's free list — still registered, so a later request
-        with the same prefix revives them without recompute.
+        Runs the request alone through a private
+        :class:`~repro.serve.scheduler.DecodeScheduler`: the prompt
+        prefills once, then up to ``max_new_tokens`` tokens come from
+        single-position decode steps — O(1) engine work per token instead
+        of the O(T) (and O(T²) attention) of re-running the full forward.
+        Stops early when ``eos_token`` is produced (the EOS itself is
+        included in the output).
         """
-        prompt = self.check_generation_request(tokens, max_new_tokens)
-        gemm = gemm or self.prepared_gemm(mpu_config)
-
-        shared_tokens = 0
-        cache = None
-        try:
-            if pool is not None:
-                res = self.paged_prefill([prompt], pool, gemm=gemm,
-                                         prefix_sharing=prefix_sharing)
-                logits = res.logits
-                cache = res.cache
-                prefill_stats = res.stats
-                shared_tokens = int(res.shared_lens[0])
-                next_token = int(np.argmax(res.last_logits(0)))
-            else:
-                logits, cache, prefill_stats = self.prefill(prompt, gemm=gemm)
-                next_token = int(np.argmax(logits[0, -1]))
-            generated = [next_token]
-            step_stats: list[MPURunStats] = []
-            finish_reason = "length"
-            while True:
-                if eos_token is not None and next_token == eos_token:
-                    finish_reason = "eos"
-                    break
-                if len(generated) >= max_new_tokens:
-                    break
-                logits, stats = self.decode_step(
-                    np.array([[next_token]], dtype=np.int64), cache, gemm=gemm)
-                step_stats.append(stats)
-                next_token = int(np.argmax(logits[0, -1]))
-                generated.append(next_token)
-        finally:
-            if pool is not None and cache is not None:
-                cache.release()
-        return GenerationResult(tokens=np.asarray(generated, dtype=np.int64),
-                                finish_reason=finish_reason,
-                                prefill_stats=prefill_stats,
-                                step_stats=tuple(step_stats),
-                                shared_tokens=shared_tokens)
+        from repro.serve.scheduler import DecodeScheduler  # models ↔ serve cycle
+        sched = DecodeScheduler(self, gemm=gemm, max_active=1,
+                                mpu_config=mpu_config)
+        seq = sched.submit(tokens, max_new_tokens, eos_token=eos_token)
+        sched.run_until_idle()
+        if seq.error is not None:
+            raise seq.error
+        return GenerationResult(tokens=seq.tokens,
+                                finish_reason=seq.finish_reason,
+                                mpu_stats=sched.metrics.mpu_stats)
 
     def bcq_views(self) -> dict[str, BCQTensor]:
         """BCQ view of every quantized weight matrix, keyed by layer name.

@@ -17,8 +17,8 @@ Two forward entry points exist:
   and perplexity evaluation (unchanged numerics);
 * :meth:`TransformerLM.step` — the stateful incremental pass for
   autoregressive decoding: Q/K/V are computed only for the new position(s),
-  K/V are appended to a :class:`KVCache`, and attention runs against every
-  cached position under a padding-aware additive mask.  Per-row cache
+  K/V are appended to a :class:`PagedKVCache`, and attention runs against
+  every cached position under a padding-aware additive mask.  Per-row cache
   lengths make one stacked ``step`` serve a ragged batch of sequences, the
   substrate the continuous-batching decode scheduler
   (:mod:`repro.serve.scheduler`) drives.
@@ -33,31 +33,26 @@ tolerance rather than bit-for-bit; ``DECODE_ATOL`` documents the bound the
 equivalence tests pin (attention against cached K/V is exact: masked
 positions contribute exact zeros, and adding 0.0 is exact in any order).
 
-Two cache representations implement the same small protocol ``step``
-drives (``plan_append`` → per-layer ``scatter``/``attention_view`` →
-``commit_append``):
-
-* :class:`KVCache` — one dense ``(layers, batch, heads, capacity, d_head)``
-  block per pool, ``max_seq_len`` capacity reserved per row;
-* :class:`PagedKVCache` — per-sequence page tables over a shared
-  :class:`PagePool` of fixed-size K/V pages.  Pages holding a completed
-  token prefix are content-addressed by a rolling hash, so a new sequence
-  whose prompt shares a prefix with any resident (or recently freed) page
-  chain maps those pages copy-on-write and skips recomputing their K/V
-  entirely.  Attention gathers the mapped pages into a stacked buffer and
-  runs the *same* masked attention as the dense path — logits are
-  bit-identical, which the paged-cache tests pin.
+The K/V cache is one representation: a :class:`PagedKVCache` holds
+per-sequence page tables over a :class:`PagePool` of fixed-size K/V pages,
+shared by every sequence of a decode server or private to one
+:meth:`TransformerLM.init_cache` batch.  Pages holding a completed token
+prefix are content-addressed by a rolling hash, so a new sequence whose
+prompt shares a prefix with any resident (or recently freed) page chain
+maps those pages copy-on-write and skips recomputing their K/V entirely.
+Attention gathers the mapped pages into a stacked buffer and runs the
+*same* masked attention as :meth:`TransformerLM.forward`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TransformerConfig", "TransformerLM", "KVCache", "PagePool",
-           "PagedKVCache", "CacheOverflowError", "OutOfPagesError",
+__all__ = ["TransformerConfig", "TransformerLM", "PagePool", "PagedKVCache",
+           "CacheOverflowError", "OutOfPagesError",
            "cross_entropy", "softmax", "DECODE_ATOL"]
 
 # Absolute logit tolerance for prefill-then-step decoding vs. re-running the
@@ -173,118 +168,6 @@ class OutOfPagesError(RuntimeError):
     waits until departures free pages); hitting it mid-decode means the
     caller admitted more growth than it reserved.
     """
-
-
-@dataclass
-class KVCache:
-    """Per-layer stacked K/V arrays plus a per-row occupancy vector.
-
-    Attributes
-    ----------
-    k, v:
-        float64 arrays of shape ``(n_layers, batch, n_heads, capacity,
-        d_head)``; slot ``[..., p, :]`` holds the key/value of cached
-        position ``p``.
-    lengths:
-        int64 array of shape ``(batch,)``: the number of *valid* cached
-        positions per row.  Rows are independent — a ragged batch of
-        sequences shares one cache, with each row attending only its own
-        ``lengths[r]`` prefix (slots at or beyond a row's length may hold
-        stale data and are never attended).
-    """
-
-    k: np.ndarray
-    v: np.ndarray
-    lengths: np.ndarray
-
-    @property
-    def n_layers(self) -> int:
-        return self.k.shape[0]
-
-    @property
-    def batch(self) -> int:
-        return self.k.shape[1]
-
-    @property
-    def capacity(self) -> int:
-        return self.k.shape[3]
-
-    def gather_rows(self, rows) -> KVCache:
-        """A new cache holding only ``rows`` (copies; rows stay independent).
-
-        This is how the decode scheduler changes batch membership between
-        iterations: finished sequences leave by gathering the survivors.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        return KVCache(k=self.k[:, rows], v=self.v[:, rows],
-                       lengths=self.lengths[rows].copy())
-
-    @staticmethod
-    def concat(caches: list[KVCache]) -> KVCache:
-        """Stack caches along the batch axis (copies the full arrays).
-
-        New sequences join an in-flight dense decode batch this way: their
-        prefilled rows are concatenated onto the pool's cache and attend
-        through the shared padding-aware mask from the next step on.  Every
-        cache must agree on capacity, dtype and the per-position head shape
-        ``(n_layers, n_heads, d_head)`` — rows of incompatible caches cannot
-        share one stacked attention pass.
-        """
-        if not caches:
-            raise ValueError("cannot concatenate an empty cache list")
-        base = caches[0]
-        head_shape = (base.n_layers, base.k.shape[2], base.k.shape[4])
-        for i, c in enumerate(caches[1:], start=1):
-            if c.capacity != base.capacity:
-                raise ValueError(
-                    f"cannot concatenate KV caches: cache 0 has capacity "
-                    f"{base.capacity} but cache {i} has capacity "
-                    f"{c.capacity}; rows can only join a decode batch whose "
-                    f"cache reserves the same positions per row")
-            if c.k.dtype != base.k.dtype or c.v.dtype != base.v.dtype:
-                raise ValueError(
-                    f"cannot concatenate KV caches: cache 0 stores "
-                    f"{base.k.dtype}/{base.v.dtype} K/V but cache {i} "
-                    f"stores {c.k.dtype}/{c.v.dtype}")
-            got = (c.n_layers, c.k.shape[2], c.k.shape[4])
-            if got != head_shape:
-                raise ValueError(
-                    f"cannot concatenate KV caches: cache 0 has "
-                    f"(layers, heads, d_head) = {head_shape} but cache {i} "
-                    f"has {got}; the caches belong to different models")
-        return KVCache(
-            k=np.concatenate([c.k for c in caches], axis=1),
-            v=np.concatenate([c.v for c in caches], axis=1),
-            lengths=np.concatenate([c.lengths for c in caches]))
-
-    # -- the append/attend protocol step() drives ---------------------------
-    def plan_append(self, rows: np.ndarray, positions: np.ndarray,
-                    tokens: np.ndarray):
-        """Prepare the scatter targets for one step's new K/V.
-
-        The dense cache addresses slots directly by ``(row, position)``;
-        token ids are irrelevant (the paged cache records them for
-        prefix hashing).
-        """
-        return rows, positions
-
-    def scatter(self, layer: int, plan, k_new: np.ndarray,
-                v_new: np.ndarray) -> None:
-        """Write one layer's new K/V at the planned slots."""
-        rows, positions = plan
-        self.k[layer][rows, :, positions] = k_new
-        self.v[layer][rows, :, positions] = v_new
-
-    def attention_view(self, layer: int, kv_len: int):
-        """``(keys, vals)`` of shape ``(batch, heads, kv_len, d_head)``.
-
-        Slots at or beyond a row's length may hold stale data — the step
-        mask blocks them, and blocked positions contribute exact zeros.
-        """
-        return self.k[layer][:, :, :kv_len], self.v[layer][:, :, :kv_len]
-
-    def commit_append(self, plan) -> None:
-        """Post-step bookkeeping hook (no-op for the dense cache)."""
 
 
 # Seed of the rolling page-hash chain: every sequence's first page hashes
@@ -513,15 +396,13 @@ class _PagedAppendPlan:
 
 
 class PagedKVCache:
-    """Per-sequence page tables over a shared :class:`PagePool`.
+    """Per-sequence page tables over a :class:`PagePool`.
 
-    Implements the same append/attend protocol as the dense
-    :class:`KVCache` (``plan_append`` → per-layer ``scatter`` /
-    ``attention_view`` → ``commit_append``), so
-    :meth:`TransformerLM.step` drives either representation unchanged and
-    the paged path's logits are bit-identical to the dense path's: the
-    gathered keys/values hold the same numbers at every unmasked slot, and
-    masked slots contribute exact zeros either way.
+    :meth:`TransformerLM.step` drives it through an append/attend protocol
+    (``plan_append`` → per-layer ``scatter`` / ``attention_view`` →
+    ``commit_append``).  The gathered keys/values hold the cached numbers
+    at every unmasked slot and masked slots contribute exact zeros, so a
+    prefill's logits are bit-identical to :meth:`TransformerLM.forward`.
 
     Rows only ever *append*; completed pages are immutable, so prefix
     sharing is copy-on-write without ever copying — shared (refcount > 1)
@@ -574,7 +455,7 @@ class PagedKVCache:
 
         Page references transfer — the donor must be discarded afterwards.
         This is how admitted sequences join a decode pool: O(rows added)
-        bookkeeping, no K/V copy (contrast :meth:`KVCache.concat`).
+        bookkeeping, no K/V copy.
         """
         if other.pool is not self.pool:
             raise ValueError("caches must share one PagePool to merge")
@@ -694,8 +575,8 @@ class PagedKVCache:
 
     def attention_view(self, layer: int, kv_len: int):
         """Gather the mapped pages into stacked ``(batch, heads, kv_len,
-        d_head)`` keys/values — same layout (and same numbers at every
-        unmasked slot) as the dense cache's view."""
+        d_head)`` keys/values (slots beyond a row's length hold stale data
+        the step mask blocks)."""
         pages, slots = self._gather_index(kv_len)
         keys = self.pool.k[layer][pages, :, slots]  # (batch, kv_len, h, dh)
         vals = self.pool.v[layer][pages, :, slots]
@@ -894,24 +775,30 @@ class TransformerLM:
         return logits, caches
 
     # ------------------------------------------------- incremental decoding
-    def init_cache(self, batch: int, capacity: int | None = None) -> KVCache:
-        """An empty :class:`KVCache` for ``batch`` sequences.
+    def _check_capacity(self, capacity: int | None) -> int:
+        """The per-row cached-position bound: default and hard upper bound
+        ``max_seq_len`` (the positional table has no entries beyond it)."""
+        max_len = self.config.max_seq_len
+        capacity = max_len if capacity is None else capacity
+        if not 1 <= capacity <= max_len:
+            raise ValueError(
+                f"capacity must be in [1, {max_len}], got {capacity}")
+        return capacity
+
+    def init_cache(self, batch: int, capacity: int | None = None) -> PagedKVCache:
+        """An empty :class:`PagedKVCache` for ``batch`` sequences over a
+        private :class:`PagePool` holding ``capacity`` positions per row.
 
         ``capacity`` bounds the cached positions per row (default: the
-        model's ``max_seq_len``, which is also the hard upper bound — the
-        positional embedding table has no entries beyond it).
+        model's ``max_seq_len``).
         """
-        cfg = self.config
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        capacity = cfg.max_seq_len if capacity is None else capacity
-        if not 1 <= capacity <= cfg.max_seq_len:
-            raise ValueError(
-                f"capacity must be in [1, {cfg.max_seq_len}], got {capacity}")
-        dh = cfg.d_model // cfg.n_heads
-        shape = (cfg.n_layers, batch, cfg.n_heads, capacity, dh)
-        return KVCache(k=np.zeros(shape), v=np.zeros(shape),
-                       lengths=np.zeros(batch, dtype=np.int64))
+        capacity = self._check_capacity(capacity)
+        page_size = 8
+        pool = self.make_page_pool(batch * -(-capacity // page_size),
+                                   page_size)
+        return PagedKVCache.empty(pool, batch, capacity)
 
     def make_page_pool(self, num_pages: int, page_size: int = 8) -> PagePool:
         """A :class:`PagePool` sized for this model's K/V geometry."""
@@ -927,10 +814,7 @@ class TransformerLM:
         cfg = self.config
         if batch < 0:
             raise ValueError("batch must be >= 0")
-        capacity = cfg.max_seq_len if capacity is None else capacity
-        if not 1 <= capacity <= cfg.max_seq_len:
-            raise ValueError(
-                f"capacity must be in [1, {cfg.max_seq_len}], got {capacity}")
+        capacity = self._check_capacity(capacity)
         dh = cfg.d_model // cfg.n_heads
         got = (pool.n_layers, pool.k.shape[2], pool.k.shape[4])
         if got != (cfg.n_layers, cfg.n_heads, dh):
@@ -946,10 +830,9 @@ class TransformerLM:
 
         ``x`` is the layer-norm output for the new positions ``(b, t_new,
         d)``; the freshly computed K/V of the valid ``(row, col)`` pairs are
-        scattered into ``cache`` at the pre-validated slots of ``plan``
-        (dense slots or page-table entries), then every query attends the
-        first ``kv_len`` cached positions under ``mask`` ``(b, t_new,
-        kv_len)`` (True = blocked).
+        scattered into ``cache`` at the pre-validated page slots of
+        ``plan``, then every query attends the first ``kv_len`` cached
+        positions under ``mask`` ``(b, t_new, kv_len)`` (True = blocked).
         """
         cfg = self.config
         p = self.params
@@ -991,12 +874,12 @@ class TransformerLM:
             :meth:`forward`); with ``t_new == 1`` it is one decode
             iteration.
         cache:
-            A :class:`KVCache` from :meth:`init_cache` or a
-            :class:`PagedKVCache` from :meth:`init_paged_cache`; K/V of the
-            valid new positions are appended in place and ``cache.lengths``
-            advances by each row's valid count.  A paged cache may start
-            with nonzero lengths from prefix-mapped pages, in which case
-            ``tokens`` holds only each row's unshared suffix.
+            A :class:`PagedKVCache` from :meth:`init_cache` or
+            :meth:`init_paged_cache`; K/V of the valid new positions are
+            appended in place and ``cache.lengths`` advances by each row's
+            valid count.  The cache may start with nonzero lengths from
+            prefix-mapped pages, in which case ``tokens`` holds only each
+            row's unshared suffix.
         matmul:
             Optional weight-GEMM hook, exactly as in :meth:`forward`.
         num_valid:

@@ -9,8 +9,7 @@ LLM inference engines use (Orca-style iteration-level batching):
 * a pool of *in-flight sequences* shares one **paged KV cache** — a
   :class:`~repro.models.transformer.PagePool` of fixed-size K/V pages with
   per-sequence page tables (:class:`~repro.models.transformer.
-  PagedKVCache`); the dense ragged :class:`~repro.models.transformer.
-  KVCache` survives behind ``CacheConfig(paged=False)``;
+  PagedKVCache`);
 * each scheduler iteration runs **one stacked single-position decode step**
   over every in-flight sequence — the engine work per iteration is one
   plan execution at flat batch = #active, independent of how long the
@@ -19,8 +18,7 @@ LLM inference engines use (Orca-style iteration-level batching):
   already resident as registered pages is mapped copy-on-write (its
   prefill is **skipped**), the divergent suffixes prefill together as one
   ragged right-padded stacked pass, and the new page tables splice onto
-  the shared cache in O(rows added) — no full-pool
-  :meth:`~repro.models.transformer.KVCache.concat` copies;
+  the shared cache in O(rows added) — no K/V copies;
 * sequences leave as soon as they emit their EOS token or exhaust their
   token budget; departure releases their page references in O(pages of
   the departing rows) — no survivor-gather compaction copies;
@@ -39,7 +37,14 @@ The scheduler core is synchronous and thread-safe (``submit`` may be called
 from any thread; ``step`` is driven by one driver at a time) —
 :class:`~repro.serve.server.InferenceServer` pumps it from an asyncio task
 via the event loop's executor, and tests/benchmarks drive it inline with
-:meth:`DecodeScheduler.run_until_idle`.
+:meth:`DecodeScheduler.run_until_idle`.  It is the only greedy decode loop:
+:meth:`~repro.models.quantized_model.QuantizedLM.generate` is a one-request
+inline run over a private pool, so solo and served tokens come from the
+same code.
+
+A failure settles only the requests it concerns: a cache overflow fails
+the rows that overflow, an oversized request fails at admission, and an
+``on_token`` hook that raises fails its own request and is dropped.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from repro.models.quantized_model import QuantizedLM
 from repro.models.transformer import (
     _PAGE_ROOT_KEY,
     CacheOverflowError,
-    KVCache,
     OutOfPagesError,
     PagedKVCache,
     PagePool,
@@ -74,14 +78,10 @@ LATENCY_WINDOW = 4096
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """KV-cache strategy knobs for a :class:`DecodeScheduler`.
+    """Paged KV-cache knobs for a :class:`DecodeScheduler`.
 
     Attributes
     ----------
-    paged:
-        Use the paged cache (default).  ``False`` restores the dense
-        ragged-``KVCache`` pool — full-copy admission/compaction, no
-        prefix sharing — kept as the comparison oracle.
     page_size:
         Tokens per K/V page.  Smaller pages share finer-grained prefixes
         and waste fewer tail slots; larger pages mean fewer gather indices
@@ -102,11 +102,16 @@ class CacheConfig:
         prefills prompts in full — the benchmark baseline.
     """
 
-    paged: bool = True
     page_size: int = 8
     num_pages: int | None = None
     capacity: int | None = None
     prefix_sharing: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("page_size", "num_pages", "capacity"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def pool_pages(self, max_active: int, max_seq_len: int) -> int:
         if self.num_pages is not None:
@@ -183,8 +188,9 @@ class SequenceState:
     """One generation request as the scheduler tracks it.
 
     ``finish_reason`` settles to ``"eos"``, ``"length"``, ``"cancelled"``
-    (the client abandoned the request), or ``"error"`` (the decode driver
-    hit a fatal error — ``error`` then carries the exception).
+    (the client abandoned the request), or ``"error"`` (the request failed
+    or its ``on_token`` hook raised — ``error`` then carries the
+    exception).
     """
 
     request_id: int
@@ -216,8 +222,34 @@ class SequenceState:
             self.finish_reason = "eos"
         elif len(self.generated) >= self.max_new_tokens:
             self.finish_reason = "length"
-        if self.on_token is not None:
-            self.on_token(self, token, self.done)
+        self._notify(token)
+
+    def _fail(self, error: BaseException) -> None:
+        """Settle as failed and tell the hook (``token=None, done=True``)."""
+        self.finish_reason = "error"
+        self.error = error
+        self._notify(None)
+
+    def _notify(self, token: int | None) -> None:
+        """Fire ``on_token``; the ``done=True`` call is the hook's last.
+
+        A hook that raises fails only this request: it settles as
+        ``"error"`` with the exception attached (an earlier error is kept)
+        and the hook is never called again, so the driver and the other
+        requests of the batch carry on.
+        """
+        hook = self.on_token
+        if hook is None:
+            return
+        if self.done:
+            self.on_token = None
+        try:
+            hook(self, token, self.done)
+        except Exception as exc:
+            self.on_token = None
+            self.finish_reason = "error"
+            if self.error is None:
+                self.error = exc
 
 
 class DecodeScheduler:
@@ -240,8 +272,8 @@ class DecodeScheduler:
     mpu_config:
         Geometry for the default ``gemm`` (ignored when ``gemm`` is given).
     cache_config:
-        KV-cache strategy (:class:`CacheConfig`); default: paged with
-        prefix sharing and a pool sized so admission never blocks below
+        Paged KV-cache knobs (:class:`CacheConfig`); default: prefix
+        sharing and a pool sized so admission never blocks below
         ``max_active``.
     debug_audit:
         Run the :mod:`repro.analysis.pool_audit` invariant auditor after
@@ -261,16 +293,18 @@ class DecodeScheduler:
         self.max_active = max_active
         self._gemm = gemm or qlm.prepared_gemm(mpu_config)
         self.cache_config = cache_config or CacheConfig()
-        self.pool: PagePool | None = None
-        if self.cache_config.paged:
-            self.pool = self.model.make_page_pool(
-                self.cache_config.pool_pages(
-                    max_active, self.model.config.max_seq_len),
-                self.cache_config.page_size)
+        max_seq_len = self.model.config.max_seq_len
+        capacity = self.cache_config.capacity
+        if capacity is not None and capacity > max_seq_len:
+            raise ValueError(f"cache capacity {capacity} exceeds the "
+                             f"model's max_seq_len {max_seq_len}")
+        self.pool: PagePool = self.model.make_page_pool(
+            self.cache_config.pool_pages(max_active, max_seq_len),
+            self.cache_config.page_size)
         self.metrics = DecodeMetrics()
         self._waiting: deque[SequenceState] = deque()
         self._active: list[SequenceState] = []
-        self._cache: KVCache | PagedKVCache | None = None
+        self._cache: PagedKVCache | None = None
         self._lock = threading.Lock()
         self._next_id = 0
         if debug_audit is None:
@@ -315,8 +349,9 @@ class DecodeScheduler:
 
         A waiting request is dropped immediately; an in-flight one is
         compacted out of the cache at the next iteration boundary, so it
-        stops consuming a pool slot and a decode-step row.  No further
-        ``on_token`` callbacks fire after the current iteration.
+        stops consuming a pool slot and a decode-step row.  Either way its
+        ``on_token`` hook gets one last ``token=None, done=True`` call
+        (unless the current iteration already delivered ``done=True``).
         """
         with self._lock:
             if seq.done:
@@ -325,7 +360,8 @@ class DecodeScheduler:
             try:
                 self._waiting.remove(seq)
             except ValueError:
-                pass  # already admitted; step() compacts it out
+                return  # already admitted; step() compacts it out
+        seq._notify(None)
 
     def abort(self, error: BaseException) -> list[SequenceState]:
         """Fail every waiting and in-flight request (fatal driver error).
@@ -340,43 +376,33 @@ class DecodeScheduler:
             failed = list(self._waiting) + self._active
             self._waiting.clear()
             self._active = []
-            if isinstance(self._cache, PagedKVCache):
+            if self._cache is not None:
                 self._cache.release()
             self._cache = None
         for seq in failed:
-            seq.finish_reason = "error"
-            seq.error = error
-            if seq.on_token is not None:
-                seq.on_token(seq, None, True)
+            seq._fail(error)
         return failed
 
     # -- the iteration loop ------------------------------------------------
-    def _compact_locked(self) -> None:
-        """Drop finished/cancelled sequences from the pool (caller holds the
-        lock), keeping active-list order and cache-row order aligned.
+    def _compact(self) -> None:
+        """Drop finished/cancelled sequences from the pool, keeping
+        active-list order and cache-row order aligned, then give each
+        departed request its final callback (a no-op for all but requests
+        cancelled in flight).
 
-        Paged: O(pages of the departing rows) — their page references are
-        released (shared pages survive while any holder lives, and freed
-        pages keep their registration for prefix revival).  Dense: the
-        legacy survivor-gather copy.
+        O(pages of the departing rows): their page references are released
+        (shared pages survive while any holder lives, and freed pages keep
+        their registration for prefix revival).
         """
-        dead = [i for i, seq in enumerate(self._active) if seq.done]
-        if not dead:
-            return
-        survivors = [i for i, seq in enumerate(self._active) if not seq.done]
-        self._active = [self._active[i] for i in survivors]
-        if isinstance(self._cache, PagedKVCache):
+        with self._lock:
+            dead = [i for i, seq in enumerate(self._active) if seq.done]
+            if not dead:
+                return
+            departed = [self._active[i] for i in dead]
+            self._active = [seq for seq in self._active if not seq.done]
             self._cache.remove_rows(dead)
-        else:
-            self._cache = (self._cache.gather_rows(survivors)
-                           if survivors else None)
-
-    def _fail(self, seq: SequenceState, error: BaseException) -> None:
-        """Settle one request as failed (per-request, scheduler stays up)."""
-        seq.finish_reason = "error"
-        seq.error = error
-        if seq.on_token is not None:
-            seq.on_token(seq, None, True)
+        for seq in departed:
+            seq._notify(None)
 
     def _outstanding_growth_locked(self) -> int:
         """Pages the in-flight set may still allocate before every sequence
@@ -394,67 +420,13 @@ class DecodeScheduler:
         prefill logit, and its rows join the pool's cache so it participates
         in the next stacked decode step.
 
-        Paged admission maps each prompt's longest registered page-chain
+        Admission maps each prompt's longest registered page-chain
         prefix first (those tokens **skip the prefill pass**) and admits
         only while the pool can cover the candidate's worst-case page span
         plus every in-flight sequence's remaining growth — otherwise the
         candidate is pushed back (FIFO preserved) and waits:
         out-of-pages backpressure instead of a mid-decode failure.
         """
-        if self.pool is not None:
-            return self._admit_paged()
-        tel = get_telemetry()
-        t_adm = time.perf_counter_ns() if tel.enabled else 0
-        with self._lock:
-            admitted: list[SequenceState] = []
-            while self._waiting and len(self._active) + len(admitted) < self.max_active:
-                admitted.append(self._waiting.popleft())
-        if not admitted:
-            return []
-        if tel.enabled:
-            now = time.perf_counter_ns()
-            for seq in admitted:
-                tel.trace.record("request.queue", seq._submitted_ns, now,
-                                 request_id=seq.request_id)
-
-        lens = np.array([s.prompt.size for s in admitted], dtype=np.int64)
-        width = int(lens.max())
-        stacked = np.zeros((len(admitted), width), dtype=np.int64)
-        for i, seq in enumerate(admitted):
-            stacked[i, : seq.prompt.size] = seq.prompt
-        t_pf = time.perf_counter_ns() if tel.enabled else 0
-        logits, cache, stats = self.qlm.prefill(stacked, num_valid=lens,
-                                                gemm=self._gemm)
-        if tel.enabled:
-            tel.trace.record("scheduler.prefill", t_pf, time.perf_counter_ns(),
-                             request_ids=[s.request_id for s in admitted],
-                             prefill_tokens=int(lens.sum()))
-        with self._lock:
-            self.metrics.mpu_stats = self.metrics.mpu_stats.merge(stats)
-            self.metrics.admissions += 1
-            self.metrics.prefill_tokens += int(lens.sum())
-            self.metrics.generated_tokens += len(admitted)
-
-        finished: list[SequenceState] = []
-        for i, seq in enumerate(admitted):
-            seq._emit(int(np.argmax(logits[i, lens[i] - 1])))
-            if seq.done:
-                finished.append(seq)
-        survivors = [i for i, seq in enumerate(admitted) if not seq.done]
-        if survivors:
-            rows = cache.gather_rows(survivors) if len(survivors) != len(admitted) else cache
-            with self._lock:
-                self._cache = rows if self._cache is None \
-                    else KVCache.concat([self._cache, rows])
-                self._active.extend(admitted[i] for i in survivors)
-        if tel.enabled:
-            tel.trace.record("scheduler.admission", t_adm,
-                             time.perf_counter_ns(),
-                             request_ids=[s.request_id for s in admitted],
-                             prefill_tokens=int(lens.sum()))
-        return finished
-
-    def _admit_paged(self) -> list[SequenceState]:
         pool = self.pool
         capacity = self.cache_config.capacity
         sharing = self.cache_config.prefix_sharing
@@ -471,10 +443,11 @@ class DecodeScheduler:
                 seq = self._waiting.popleft()
                 growth = self._outstanding_growth_locked()
             if seq.done:
-                continue  # cancelled after submit, before admission
+                seq._notify(None)  # cancelled after submit, before admission
+                continue
             max_pages = pool.pages_for(seq.prompt.size + seq.max_new_tokens - 1)
             if max_pages > pool.num_pages:
-                self._fail(seq, OutOfPagesError(
+                seq._fail(OutOfPagesError(
                     f"request {seq.request_id} spans {max_pages} pages but "
                     f"the pool only holds {pool.num_pages}; grow num_pages "
                     f"or page_size"))
@@ -533,7 +506,7 @@ class DecodeScheduler:
                 # the offending requests fail; the rest retry immediately.
                 cache.release()
                 for r in err.rows:
-                    self._fail(admitted[r], err)
+                    admitted[r]._fail(err)
                     finished.append(admitted[r])
                     pool.release(rowspecs[r][0])  # the map_prefix reference
                 keep = [i for i in range(len(admitted))
@@ -590,10 +563,8 @@ class DecodeScheduler:
         data): refcount conservation against the live cache's page tables,
         registry bijection, free-list consistency.  Raises
         :class:`repro.analysis.pool_audit.PoolAuditError` naming every
-        violated invariant.  No-op for the dense cache.
+        violated invariant.
         """
-        if self.pool is None:
-            return
         from repro.analysis.pool_audit import assert_pool_consistent
         with self._lock:
             caches = [self._cache] if self._cache is not None else []
@@ -611,10 +582,10 @@ class DecodeScheduler:
         finished = self._admit()
         t_admit = time.perf_counter()
 
+        # Compact cancelled sequences out before the stacked pass so they
+        # stop occupying a cache row and a decode column.
+        self._compact()
         with self._lock:
-            # Compact cancelled sequences out before the stacked pass so they
-            # stop occupying a cache row and a decode column.
-            self._compact_locked()
             active = list(self._active)
         if active:
             last = np.array([[seq.generated[-1]] for seq in active],
@@ -628,10 +599,10 @@ class DecodeScheduler:
                 # The overflow check runs before any cache write, so only
                 # the named rows fail; survivors decode next iteration.
                 for r in err.rows:
-                    self._fail(active[r], err)
+                    active[r]._fail(err)
                     finished.append(active[r])
+                self._compact()
                 with self._lock:
-                    self._compact_locked()
                     self.metrics.busy_s += time.perf_counter() - t0
                     self.metrics.finished += len(finished)
                 if tel.enabled:
@@ -660,8 +631,7 @@ class DecodeScheduler:
                 seq._emit(int(np.argmax(logits[i, 0])))
                 if seq.done:
                     finished.append(seq)
-            with self._lock:
-                self._compact_locked()
+            self._compact()
 
         with self._lock:
             self.metrics.busy_s += time.perf_counter() - t0

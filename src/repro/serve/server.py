@@ -25,12 +25,13 @@ Multi-token generation does **not** go through the one-shot pipeline:
 :meth:`InferenceServer.submit_generate` (and the streaming
 :meth:`InferenceServer.stream_generate`) hand requests to a
 :class:`~repro.serve.scheduler.DecodeScheduler` that keeps a pool of
-in-flight sequences over one shared KV cache, admits new requests between
-decode iterations, and drives one stacked single-position decode step per
-iteration through the same sharded pool — so each emitted token costs one
-plan execution at flat batch = #active instead of a full re-prefill, and a
-request's tokens are bit-identical to a solo :meth:`InferenceServer.
-generate_solo` run.
+in-flight sequences over one shared paged KV cache, admits new requests
+between decode iterations, and drives one stacked single-position decode
+step per iteration through the same sharded pool — so each emitted token
+costs one plan execution at flat batch = #active instead of a full
+re-prefill.  :meth:`InferenceServer.generate_solo` runs one request through
+a private scheduler of the same kind, so a request's served tokens are
+bit-identical to its solo run.
 """
 
 from __future__ import annotations
@@ -157,11 +158,10 @@ class InferenceServer:
     decode_max_active:
         In-flight sequence cap of the continuous-batching decode scheduler.
     cache_config:
-        KV-cache strategy for the decode scheduler
-        (:class:`~repro.serve.scheduler.CacheConfig`): paged K/V with
-        cross-request prefix sharing by default; ``page_size`` /
-        ``num_pages`` size the page pool, ``paged=False`` restores the
-        dense cache.
+        Paged KV-cache knobs for the decode scheduler
+        (:class:`~repro.serve.scheduler.CacheConfig`): cross-request
+        prefix sharing by default; ``page_size`` / ``num_pages`` size the
+        page pool.
     """
 
     def __init__(self, qlm: QuantizedLM, num_shards: int = 2,
@@ -427,8 +427,10 @@ class InferenceServer:
         """One KV-cached greedy generation through the same sharded pool.
 
         The sequential baseline for :meth:`submit_generate` — identical
-        tokens, no iteration-level batching, same pinned prepared state.
-        Updates only the modelled GEMM counters, not the decode metrics.
+        tokens, no iteration-level batching, same pinned prepared state:
+        :meth:`~repro.models.quantized_model.QuantizedLM.generate` runs the
+        request alone through a private scheduler.  Updates only the
+        modelled GEMM counters, not the decode metrics.
         """
         return self.qlm.generate(np.asarray(tokens, dtype=np.int64),
                                  max_new_tokens, eos_token=eos_token,

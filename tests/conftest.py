@@ -61,8 +61,6 @@ def _audit_scheduler_pools(monkeypatch):
     from repro.analysis.pool_audit import assert_pool_consistent
 
     for sched in instances:
-        if sched.pool is None:
-            continue
         caches = [sched._cache] if sched._cache is not None else []
         assert_pool_consistent(sched.pool, caches)
 

@@ -7,10 +7,10 @@ Acceptance pins for the incremental-decoding refactor:
   at every length — on uniform, ragged-length, and mixed-precision
   (``per_row_bits``) models;
 * the accumulated :class:`~repro.core.mpu.MPURunStats` are plan-exact:
-  the prefill pass equals the analytic counters at flat batch = prompt
-  positions, every decode step equals the analytic counters at flat batch
-  = 1, and their sum is the result's total — i.e. decode cost scales
-  per emitted token, with no O(T²) re-prefill term.
+  the result's total is the analytic counters of the prefill at flat
+  batch = prompt positions plus one flat-batch-1 decode step per further
+  token — i.e. decode cost scales per emitted token, with no O(T²)
+  re-prefill term.
 """
 
 import numpy as np
@@ -100,21 +100,33 @@ class TestGenerateEquivalence:
 
 class TestDecodeStatsPlanExact:
     def test_prefill_and_step_stats_match_analytic(self, qlm, rng):
+        """An EOS-stopped generation is charged the prompt-batch prefill
+        plus one batch-1 pass per further token it actually emitted."""
         prompt = rng.integers(0, VOCAB, size=9)
-        steps = 7
-        result = qlm.generate(prompt, steps, mpu_config=MPU_CFG)
-        assert result.prefill_stats == qlm.model_mpu_stats(
-            batch=prompt.size, mpu_config=MPU_CFG)
+        free = qlm.generate(prompt, 7, mpu_config=MPU_CFG)
+        stopped = qlm.generate(prompt, 7, eos_token=int(free.tokens[4]),
+                               mpu_config=MPU_CFG)
+        n = len(stopped.tokens)
+        assert stopped.finish_reason == "eos" and n <= 5
+        expected = qlm.model_mpu_stats(batch=prompt.size, mpu_config=MPU_CFG)
         per_step = qlm.model_mpu_stats(batch=1, mpu_config=MPU_CFG)
-        assert len(result.step_stats) == steps - 1
-        assert all(s == per_step for s in result.step_stats)
+        for _ in range(n - 1):
+            expected = expected.merge(per_step)
+        assert stopped.mpu_stats == expected
 
     def test_total_is_sum_of_prefill_and_steps(self, qlm, rng):
+        """``generate`` equals composing the split entry points by hand:
+        same tokens, and its total is the sum of their stats."""
         prompt = rng.integers(0, VOCAB, size=5)
         result = qlm.generate(prompt, 5, mpu_config=MPU_CFG)
-        expected = result.prefill_stats
-        for s in result.step_stats:
-            expected = expected.merge(s)
+        logits, cache, expected = qlm.prefill(prompt, mpu_config=MPU_CFG)
+        tokens = [int(np.argmax(logits[0, -1]))]
+        for _ in range(4):
+            logits, stats = qlm.decode_step(np.array([[tokens[-1]]]), cache,
+                                            mpu_config=MPU_CFG)
+            expected = expected.merge(stats)
+            tokens.append(int(np.argmax(logits[0, -1])))
+        np.testing.assert_array_equal(result.tokens, tokens)
         assert result.mpu_stats == expected
 
     def test_decode_cost_scales_per_step_not_per_length(self, qlm, rng):

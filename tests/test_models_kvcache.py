@@ -1,6 +1,7 @@
 """Tests for the KV-cached incremental forward path of the transformer.
 
-The contract under test (see the module docstring of
+Every test runs on :meth:`TransformerLM.init_cache`, a paged cache over a
+private page pool.  The contract under test (see the module docstring of
 :mod:`repro.models.transformer`):
 
 * a prefill (``step`` over the whole prompt on an empty cache) is
@@ -18,7 +19,7 @@ import pytest
 
 from repro.models.transformer import (
     DECODE_ATOL,
-    KVCache,
+    PagedKVCache,
     TransformerConfig,
     TransformerLM,
 )
@@ -38,6 +39,7 @@ class TestPrefill:
         tokens = rng.integers(0, VOCAB, size=(3, 10))
         full, _ = model.forward(tokens)
         cache = model.init_cache(3)
+        assert isinstance(cache, PagedKVCache)
         logits = model.step(tokens, cache)
         np.testing.assert_array_equal(logits, full)
         np.testing.assert_array_equal(cache.lengths, [10, 10, 10])
@@ -155,41 +157,6 @@ class TestCacheBookkeeping:
         with pytest.raises(ValueError):
             model.step(rng.integers(0, VOCAB, size=(2, 4)), cache,
                        num_valid=np.array([5, 4]))
-
-    def test_gather_and_concat(self, model, rng):
-        lens = [3, 5, 4]
-        stacked = rng.integers(0, VOCAB, size=(3, 5))
-        cache = model.init_cache(3)
-        model.step(stacked, cache, num_valid=np.array(lens))
-        survivors = cache.gather_rows([0, 2])
-        assert survivors.batch == 2
-        np.testing.assert_array_equal(survivors.lengths, [3, 4])
-        np.testing.assert_array_equal(survivors.k[:, 1], cache.k[:, 2])
-        merged = KVCache.concat([survivors, cache.gather_rows([1])])
-        assert merged.batch == 3
-        np.testing.assert_array_equal(merged.lengths, [3, 4, 5])
-        with pytest.raises(ValueError):
-            KVCache.concat([])
-        with pytest.raises(ValueError):
-            KVCache.concat([survivors, model.init_cache(1, capacity=4)])
-
-    def test_concat_capacity_mismatch_names_the_caches(self, model):
-        with pytest.raises(ValueError, match=r"cache 0 has capacity 16 but "
-                                             r"cache 1 has capacity 4"):
-            KVCache.concat([model.init_cache(1), model.init_cache(1, capacity=4)])
-
-    def test_concat_rejects_dtype_mismatch(self, model):
-        a, b = model.init_cache(1), model.init_cache(1)
-        b.k = b.k.astype(np.float32)
-        with pytest.raises(ValueError, match="float64.* float32"):
-            KVCache.concat([a, b])
-
-    def test_concat_rejects_head_shape_mismatch(self, model):
-        other = TransformerLM(TransformerConfig(
-            vocab_size=VOCAB, max_seq_len=16, d_model=16, n_heads=4,
-            n_layers=2, d_ff=32, seed=3))
-        with pytest.raises(ValueError, match="different models"):
-            KVCache.concat([model.init_cache(1), other.init_cache(1)])
 
     def test_overflow_is_a_dedicated_error_naming_rows(self, model, rng):
         from repro.models import CacheOverflowError

@@ -6,9 +6,10 @@ The contract under test (see :mod:`repro.models.transformer`):
   atomic out-of-pages check, keeps freed-but-registered pages available
   for prefix revival (oldest-freed reused first), and registers completed
   pages under a rolling token-prefix hash chain;
-* :class:`PagedKVCache` drives :meth:`TransformerLM.step` through the
-  same append/attend protocol as the dense cache with **bit-identical**
-  logits — prefill, ragged batches and incremental decode alike;
+* :class:`PagedKVCache` over a shared pool drives
+  :meth:`TransformerLM.step` to the full ``forward``'s logits (within
+  ``DECODE_ATOL``) — ragged prefill and incremental decode alike, with
+  pages shared and split across rows;
 * prefix sharing is copy-on-write without copying: shared pages are
   complete and immutable, appends land in per-row tail pages, and a
   prompt whose prefix is resident skips prefill for the shared portion;
@@ -23,12 +24,14 @@ from repro.models.quantized_model import QuantizationRecipe, QuantizedLM
 from repro.models.transformer import (
     _PAGE_ROOT_KEY,
     _page_chain_key,
+    DECODE_ATOL,
     CacheOverflowError,
     OutOfPagesError,
     PagedKVCache,
     TransformerConfig,
     TransformerLM,
 )
+from repro.serve import CacheConfig, DecodeScheduler
 
 VOCAB = 29
 
@@ -134,31 +137,31 @@ def _fill(model, pool, tokens, num_valid=None, capacity=None):
     return logits, cache
 
 
-class TestPagedBitExact:
-    def test_ragged_prefill_bit_identical_to_dense(self, model, pool, rng):
+class TestPagedMatchesForward:
+    def test_ragged_prefill_matches_forward_rows(self, model, pool, rng):
         lens = np.array([5, 9, 1, 7])
         tokens = rng.integers(0, VOCAB, size=(4, 9))
-        dense_cache = model.init_cache(4)
-        dense = model.step(tokens, dense_cache, num_valid=lens)
         paged, cache = _fill(model, pool, tokens, num_valid=lens)
         for r, n in enumerate(lens):
             # Valid positions only: logits at padded positions are garbage
-            # by contract (and differently-garbage per representation).
-            np.testing.assert_array_equal(paged[r, :n], dense[r, :n])
-        np.testing.assert_array_equal(cache.lengths, dense_cache.lengths)
+            # by contract.
+            full, _ = model.forward(tokens[r:r + 1, :n])
+            np.testing.assert_allclose(paged[r, :n], full[0],
+                                       rtol=0, atol=DECODE_ATOL)
+        np.testing.assert_array_equal(cache.lengths, lens)
 
-    def test_decode_bit_identical_to_dense_at_every_step(self, model, pool, rng):
-        prompts = rng.integers(0, VOCAB, size=(3, 6))
-        dense_cache = model.init_cache(3)
-        model.step(prompts, dense_cache)
-        _, cache = _fill(model, pool, prompts)
+    def test_decode_matches_forward_at_every_step(self, model, pool, rng):
+        seqs = rng.integers(0, VOCAB, size=(3, 6))
+        _, cache = _fill(model, pool, seqs)
         for _ in range(8):
             nxt = rng.integers(0, VOCAB, size=(3, 1))
-            dense = model.step(nxt, dense_cache)
+            seqs = np.concatenate([seqs, nxt], axis=1)
             paged = model.step(nxt, cache)
-            np.testing.assert_array_equal(paged, dense)
+            full, _ = model.forward(seqs)
+            np.testing.assert_allclose(paged[:, 0], full[:, -1],
+                                       rtol=0, atol=DECODE_ATOL)
 
-    def test_generate_matches_dense_with_mixed_per_row_bits(self, rng):
+    def test_small_pages_serve_mixed_per_row_bits_like_forward(self, rng):
         model = TransformerLM(TransformerConfig(
             vocab_size=VOCAB, max_seq_len=16, d_model=16, n_heads=2,
             n_layers=2, d_ff=32, seed=11))
@@ -170,27 +173,45 @@ class TestPagedBitExact:
                                    name: (3 if i % 2 else 2)
                                    for i, name in enumerate(names)}),
             engine="figlut-f")
-        pool = model.make_page_pool(num_pages=16, page_size=4)
-        for length in (3, 6, 10):
-            prompt = rng.integers(0, VOCAB, size=length)
-            dense = qlm.generate(prompt, 6)
-            paged = qlm.generate(prompt, 6, pool=pool)
-            np.testing.assert_array_equal(paged.tokens, dense.tokens)
+        sched = DecodeScheduler(qlm, max_active=3,
+                                cache_config=CacheConfig(page_size=4,
+                                                         num_pages=16))
+        prompts = [rng.integers(0, VOCAB, size=n) for n in (3, 6, 10)]
+        seqs = [sched.submit(p, 6) for p in prompts]
+        sched.run_until_idle()
+        gemm = qlm.prepared_gemm()
+        hook = qlm.matmul_via(lambda name, flat: gemm(name, flat)[0])
+        for seq, prompt in zip(seqs, prompts, strict=True):
+            # Greedy re-forward: the cache-free oracle, token by token.
+            tokens = prompt
+            for _ in range(6):
+                logits, _ = model.forward(tokens[None], matmul=hook)
+                tokens = np.append(tokens, int(np.argmax(logits[0, -1])))
+            np.testing.assert_array_equal(seq.tokens, tokens[prompt.size:])
 
 
 class TestPrefixSharing:
-    def test_shared_prefix_skips_prefill_and_matches(self, model, pool, rng):
+    def test_shared_prefix_skips_prefill_and_matches(self, model, rng):
         qlm = QuantizedLM.build(model, QuantizationRecipe(method="rtn", bits=4))
         sys_prompt = rng.integers(0, VOCAB, size=9)
         p1 = np.concatenate([sys_prompt, rng.integers(0, VOCAB, size=2)])
         p2 = np.concatenate([sys_prompt, rng.integers(0, VOCAB, size=3)])
-        first = qlm.generate(p1, 4, pool=pool)
+        sched = DecodeScheduler(qlm, max_active=1,
+                                cache_config=CacheConfig(page_size=4))
+        first = sched.submit(p1, 4)
+        sched.run_until_idle()
         assert first.shared_tokens == 0
-        second = qlm.generate(p2, 4, pool=pool)
+        second = sched.submit(p2, 4)
+        sched.run_until_idle()
         assert second.shared_tokens == 8  # two full pages of the 9-token prefix
         np.testing.assert_array_equal(second.tokens, qlm.generate(p2, 4).tokens)
-        # Plan-exact prefill stats: only the 4-token suffix ran the engine.
-        assert second.prefill_stats == qlm.model_mpu_stats(batch=4)
+        # Plan-exact stats: only the second prompt's 4-token suffix ran the
+        # engine, then three batch-1 decode steps per request.
+        expected = qlm.model_mpu_stats(batch=p1.size).merge(
+            qlm.model_mpu_stats(batch=4))
+        for _ in range(6):
+            expected = expected.merge(qlm.model_mpu_stats(batch=1))
+        assert sched.metrics.mpu_stats == expected
 
     def test_shared_pages_are_immutable_under_append(self, model, pool, rng):
         prompt = rng.integers(0, VOCAB, size=(1, 8))

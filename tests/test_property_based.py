@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,9 @@ from repro.numerics.prealign import prealign, reconstruct
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed, uniform_to_bcq
 from repro.quant.packing import pack_bitplanes, unpack_bitplanes
 from repro.quant.rtn import RTNConfig, quantize_rtn
-from repro.serve import merge_shard_outputs, shard_plan
+from repro.models.quantized_model import QuantizationRecipe, QuantizedLM
+from repro.models.transformer import TransformerConfig, TransformerLM
+from repro.serve import CacheConfig, DecodeScheduler, merge_shard_outputs, shard_plan
 from repro.serve.sharding import compile_shard_programs
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0,
@@ -287,3 +291,75 @@ class TestPlaneGroupSweep:
             np.testing.assert_array_equal(y_s, y_int)
             assert s_s == s_int
         assert merge_shard_outputs(shards, results)[1] == s_ref
+
+
+_DECODE_VOCAB = 13
+
+
+@functools.cache
+def _decode_qlm() -> QuantizedLM:
+    model = TransformerLM(TransformerConfig(vocab_size=_DECODE_VOCAB,
+                                            max_seq_len=24, d_model=8,
+                                            n_heads=2, n_layers=1, d_ff=16,
+                                            seed=5))
+    return QuantizedLM.build(model, QuantizationRecipe(method="bcq", bits=2,
+                                                       group_size=8))
+
+
+@functools.cache
+def _solo_tokens(prompt: tuple, max_new_tokens: int, eos_token) -> tuple:
+    result = _decode_qlm().generate(np.array(prompt), max_new_tokens,
+                                    eos_token=eos_token)
+    return tuple(int(t) for t in result.tokens)
+
+
+class TestDecodeSchedulerProperties:
+    """Random request streams through one :class:`DecodeScheduler`:
+    prompts share one of two prefixes (prefix hits), the page pool barely
+    fits the largest request (admission backpressure), and random requests
+    are cancelled between steps.  Whatever the interleaving, every request
+    settles exactly once, served tokens equal a solo ``generate`` (a prefix
+    of it when cancelled), and the pool ends audited clean and empty."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_requests_settle_once_and_match_solo(self, data):
+        tokens = st.integers(0, _DECODE_VOCAB - 1)
+        prefixes = [data.draw(st.lists(tokens, min_size=4, max_size=9))
+                    for _ in range(2)]
+        requests = data.draw(st.lists(
+            st.tuples(st.integers(0, 1), st.lists(tokens, min_size=1,
+                                                  max_size=4),
+                      st.integers(1, 6), st.none() | tokens),
+            min_size=1, max_size=6))
+        prompts = [tuple(prefixes[i] + suffix) for i, suffix, _, _ in requests]
+        page_size = 4
+        largest = max(-(-(len(p) + n - 1) // page_size)
+                      for p, (_, _, n, _) in zip(prompts, requests, strict=True))
+        sched = DecodeScheduler(
+            _decode_qlm(), max_active=data.draw(st.integers(1, 4)),
+            cache_config=CacheConfig(page_size=page_size, num_pages=data.draw(
+                st.integers(largest, largest + 3))))
+        calls = [[] for _ in requests]
+        seqs = [sched.submit(np.array(p), n, eos_token=eos,
+                             on_token=lambda s, t, d, c=c: c.append((t, d)))
+                for p, (_, _, n, eos), c in zip(prompts, requests, calls,
+                                                strict=True)]
+        while sched.has_work:
+            if data.draw(st.integers(0, 3)) == 0:
+                sched.cancel(seqs[data.draw(st.integers(0, len(seqs) - 1))])
+            sched.step()
+
+        sched.audit_cache()
+        assert sched.pool.num_free == sched.pool.num_pages
+        for seq, prompt, (_, _, n, eos), c in zip(seqs, prompts, requests,
+                                                  calls, strict=True):
+            assert [done for _, done in c] == [False] * (len(c) - 1) + [True]
+            got = tuple(int(t) for t in seq.tokens)
+            assert [t for t, _ in c if t is not None] == list(got)
+            want = _solo_tokens(prompt, n, eos)
+            if seq.finish_reason == "cancelled":
+                assert got == want[:len(got)]
+            else:
+                assert seq.finish_reason in ("eos", "length")
+                assert got == want

@@ -158,6 +158,64 @@ class TestDecodeScheduler:
         np.testing.assert_array_equal(
             sched.submit(rng.integers(0, VOCAB, size=4), 2).prompt.shape, (4,))
 
+    def test_raising_hook_fails_only_its_request(self, qlm, rng):
+        """A client hook that raises settles its own request as an error;
+        its neighbours keep decoding in step with their caches."""
+        sched = DecodeScheduler(qlm, max_active=3, mpu_config=MPU_CFG)
+        prompts = [rng.integers(0, VOCAB, size=int(n)) for n in (5, 7, 6)]
+        boom = RuntimeError("client hook bug")
+        calls = []
+
+        def bad_hook(seq, token, done):
+            calls.append(token)
+            if len(calls) == 2:
+                raise boom
+
+        seqs = [sched.submit(p, 6, on_token=bad_hook if i == 1 else None)
+                for i, p in enumerate(prompts)]
+        sched.run_until_idle()
+        bad = seqs[1]
+        assert bad.finish_reason == "error" and bad.error is boom
+        assert len(calls) == 2 and len(bad.tokens) == 2  # hook dropped
+        for i in (0, 2):
+            np.testing.assert_array_equal(
+                seqs[i].tokens,
+                qlm.generate(prompts[i], 6, mpu_config=MPU_CFG).tokens)
+        sched.audit_cache()
+        assert sched.pool.num_free == sched.pool.num_pages
+
+    def test_abort_notifies_every_request_despite_a_raising_hook(self, qlm, rng):
+        sched = DecodeScheduler(qlm, max_active=2, mpu_config=MPU_CFG)
+        seen = []
+
+        def raising(seq, token, done):
+            raise RuntimeError("client hook bug")
+
+        first = sched.submit(rng.integers(0, VOCAB, size=4), 4,
+                             on_token=raising)
+        second = sched.submit(rng.integers(0, VOCAB, size=4), 4,
+                              on_token=lambda *call: seen.append(call))
+        boom = RuntimeError("worker died")
+        assert sched.abort(boom) == [first, second]
+        assert first.error is boom and second.error is boom
+        assert seen == [(second, None, True)]
+
+    def test_cancel_delivers_one_final_callback(self, qlm, rng):
+        sched = DecodeScheduler(qlm, max_active=1, mpu_config=MPU_CFG)
+        calls = {0: [], 1: []}
+        running, queued = (
+            sched.submit(rng.integers(0, VOCAB, size=4), 8,
+                         on_token=lambda s, t, d, i=i: calls[i].append((t, d)))
+            for i in (0, 1))
+        sched.step()
+        sched.cancel(queued)   # waiting: told at once
+        sched.cancel(running)  # in flight: told when compacted out
+        assert calls[1] == [(None, True)]
+        sched.run_until_idle()
+        sched.cancel(running)  # idempotent
+        assert calls[0][-1] == (None, True)
+        assert [d for _, d in calls[0]].count(True) == 1
+
     def test_submit_validation(self, qlm, rng):
         sched = DecodeScheduler(qlm, max_active=2, mpu_config=MPU_CFG)
         with pytest.raises(ValueError):
@@ -285,19 +343,24 @@ class TestPagedScheduling:
                                        mpu_config=MPU_CFG).tokens)
         assert sched.pool.num_free == sched.pool.num_pages
 
-    def test_paged_and_dense_serve_identical_tokens(self, qlm, rng):
+    def test_small_pages_serve_solo_tokens(self, qlm, rng):
         prompts = [rng.integers(0, VOCAB, size=int(n)) for n in (4, 9, 6, 5)]
-        results = []
-        for cc in (CacheConfig(page_size=4), CacheConfig(paged=False)):
-            sched = DecodeScheduler(qlm, max_active=3, mpu_config=MPU_CFG,
-                                    cache_config=cc)
-            seqs = [sched.submit(p, 7) for p in prompts]
-            sched.run_until_idle()
-            results.append([s.tokens for s in seqs])
-        for paged, dense, p in zip(results[0], results[1], prompts, strict=True):
-            solo = qlm.generate(p, 7, mpu_config=MPU_CFG)
-            np.testing.assert_array_equal(paged, dense)
-            np.testing.assert_array_equal(paged, solo.tokens)
+        sched = DecodeScheduler(qlm, max_active=3, mpu_config=MPU_CFG,
+                                cache_config=CacheConfig(page_size=4))
+        seqs = [sched.submit(p, 7) for p in prompts]
+        sched.run_until_idle()
+        for seq, p in zip(seqs, prompts, strict=True):
+            np.testing.assert_array_equal(
+                seq.tokens, qlm.generate(p, 7, mpu_config=MPU_CFG).tokens)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"page_size": 0}, {"num_pages": 0}, {"capacity": 0},
+        {"capacity": 25},  # > max_seq_len 24: caught by the scheduler
+    ])
+    def test_bad_cache_config_rejected_up_front(self, qlm, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            DecodeScheduler(qlm, mpu_config=MPU_CFG,
+                            cache_config=CacheConfig(**kwargs))
 
     def test_prefix_sharing_off_still_pages(self, qlm, rng):
         prompt = rng.integers(0, VOCAB, size=7)
