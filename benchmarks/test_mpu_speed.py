@@ -17,6 +17,7 @@ import numpy as np
 from benchmarks.conftest import record_bench, run_once
 from repro.core.gemm import figlut_gemm, prepare_weights
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
+from repro.core.program import compile_plan
 from repro.eval.tables import format_table
 
 
@@ -88,117 +89,68 @@ def test_mpu_batched_speedup_vs_scalar_reference(benchmark):
     assert speedup > 10.0
 
 
-def test_mpu_compiled_speedup_vs_interpreted(benchmark):
-    """Compiled program vs the interpreted plan walk on a serving slice.
+def test_mpu_large_shape_auto_vs_fused(benchmark):
+    """Auto-selected blocked tier vs the forced fused tier on a large
+    prefill shape.
 
-    Batch-1 is the shape the plan compiler targets: the interpreted
-    executor's per-(segment, plane, µ-group) Python dispatch dominates when
-    each NumPy op touches little data, while the compiled program replays
-    the plan from flat buffers in a handful of fused calls.  Outputs and
-    stats must stay bit-identical (the compilation contract); the floor is
-    conservative (measured ~2.5x; large-batch, large-shape GEMMs amortise
-    the interpreter loop and the two paths converge).
-    """
-    rng = np.random.default_rng(3)
-    w = rng.standard_normal((256, 512)) * 0.05
-    x = rng.standard_normal((512, 1))
-    packed = prepare_weights(w, bits=4, method="bcq", group_size=128)
-    mpu = MatrixProcessingUnit(MPUConfig())
-    prepared = mpu.prepare(packed.weights if hasattr(packed, "weights")
-                           else packed)
-
-    mpu.gemm(prepared, x, accumulate_dtype=np.float32)  # warm both paths
-    mpu.gemm(prepared, x, accumulate_dtype=np.float32, executor="interpreted")
-    y, stats = run_once(benchmark, mpu.gemm, prepared, x,
-                        accumulate_dtype=np.float32)
-
-    best_compiled = best_interp = 1e9
-    for _ in range(7):
-        start = time.perf_counter()
-        mpu.gemm(prepared, x, accumulate_dtype=np.float32)
-        best_compiled = min(best_compiled, time.perf_counter() - start)
-        start = time.perf_counter()
-        y_int, stats_int = mpu.gemm(prepared, x, accumulate_dtype=np.float32,
-                                    executor="interpreted")
-        best_interp = min(best_interp, time.perf_counter() - start)
-    speedup = best_interp / best_compiled
-
-    rows = [["interpreted executor", best_interp * 1e3, 1.0],
-            ["compiled program", best_compiled * 1e3, speedup]]
-    print("\n[MPU speed] 256x512 @ batch 1 / 4-bit / fp32 accumulators\n"
-          + format_table(["Path", "Time (ms)", "Speedup"], rows))
-
-    np.testing.assert_array_equal(y, y_int)
-    assert stats == stats_int
-    record_bench("mpu_speed::compiled_vs_interpreted", "speedup_x",
-                 speedup, floor=1.5)
-    # Conservative floor (measured ~2.5x); catches the compiled path
-    # silently falling back to the plan walk.
-    assert speedup > 1.5
-
-
-def test_mpu_large_shape_compiled_vs_interpreted(benchmark):
-    """Auto-tier compiled vs interpreted on a large prefill shape.
-
-    1024×1024 at batch 8/32 is where the fused one-big-gather loses to the
-    interpreted walk — its (slots × rows × batch) intermediate stops
-    fitting cache — and exactly what the blocked lowering tier exists for:
-    ``tier="auto"`` must lower this shape blocked, and the compiled
-    program must never run slower than the interpreted executor (floor
-    1.0x, target 1.3x) while staying bit-identical, outputs and stats.
+    1024×1024 at batch 32 is where the fused one-big-gather's (slots ×
+    rows × batch) intermediate stops fitting cache — exactly what the
+    blocked lowering tier exists for: ``tier="auto"`` must lower this shape
+    blocked, and the blocked program must never run slower than the fused
+    one at batch 32 (floor 1.0x) while staying bit-identical, outputs and
+    stats.  Batch 8 is reported only: the two tiers tie there.
     """
     rng = np.random.default_rng(5)
     w = rng.standard_normal((1024, 1024)) * 0.05
     packed = prepare_weights(w, bits=3, method="bcq", group_size=128)
+    tensor = packed.weights if hasattr(packed, "weights") else packed
     mpu = MatrixProcessingUnit(MPUConfig())
-    prepared = mpu.prepare(packed.weights if hasattr(packed, "weights")
-                           else packed)
+    prepared = mpu.prepare(tensor)
     assert prepared.tier == "blocked", \
         "auto tier selection must lower this working set blocked"
+    fused = compile_plan(prepared.plan, tensor, mpu.config, tier="fused")
+    auto = prepared.program
 
     x8 = rng.standard_normal((1024, 8))
-    run_once(benchmark, mpu.gemm, prepared, x8, accumulate_dtype=np.float32)
+    run_once(benchmark, auto.execute, x8, accumulate_dtype=np.float32)
 
-    rows, worst = [], float("inf")
+    rows, speedups = [], {}
     for batch in (8, 32):
         x = x8 if batch == 8 else rng.standard_normal((1024, batch))
-        y_c, s_c = mpu.gemm(prepared, x, accumulate_dtype=np.float32)  # warm
-        y_i, s_i = mpu.gemm(prepared, x, accumulate_dtype=np.float32,
-                            executor="interpreted")
-        np.testing.assert_array_equal(y_c, y_i)
-        assert s_c == s_i
+        y_a, s_a = auto.execute(x, accumulate_dtype=np.float32)  # warm
+        y_f, s_f = fused.execute(x, accumulate_dtype=np.float32)
+        np.testing.assert_array_equal(y_a, y_f)
+        assert s_a == s_f
         # Median of paired per-round ratios (like the telemetry-overhead
-        # benchmark): both paths run back-to-back each round, so ambient
+        # benchmark): both tiers run back-to-back each round, so ambient
         # machine load cancels out of the ratio instead of skewing a
         # best-of comparison.
-        ratios, med_c, med_i = [], [], []
+        ratios, med_a, med_f = [], [], []
         for _ in range(11):
             start = time.perf_counter()
-            mpu.gemm(prepared, x, accumulate_dtype=np.float32)
-            t_compiled = time.perf_counter() - start
+            auto.execute(x, accumulate_dtype=np.float32)
+            t_auto = time.perf_counter() - start
             start = time.perf_counter()
-            mpu.gemm(prepared, x, accumulate_dtype=np.float32,
-                     executor="interpreted")
-            t_interp = time.perf_counter() - start
-            ratios.append(t_interp / t_compiled)
-            med_c.append(t_compiled)
-            med_i.append(t_interp)
-        speedup = sorted(ratios)[len(ratios) // 2]
-        worst = min(worst, speedup)
+            fused.execute(x, accumulate_dtype=np.float32)
+            t_fused = time.perf_counter() - start
+            ratios.append(t_fused / t_auto)
+            med_a.append(t_auto)
+            med_f.append(t_fused)
+        speedups[batch] = sorted(ratios)[len(ratios) // 2]
         rows.append([f"batch {batch}",
-                     sorted(med_i)[len(med_i) // 2] * 1e3,
-                     sorted(med_c)[len(med_c) // 2] * 1e3, speedup])
+                     sorted(med_f)[len(med_f) // 2] * 1e3,
+                     sorted(med_a)[len(med_a) // 2] * 1e3, speedups[batch]])
 
     print("\n[MPU speed] 1024x1024 / 3-bit / fp32 accumulators "
-          f"(blocked tier, budget {prepared.program.gather_budget})\n"
-          + format_table(["Shape", "Interpreted (ms)", "Compiled (ms)",
+          f"(blocked budget {auto.gather_budget})\n"
+          + format_table(["Shape", "Fused (ms)", "Auto/blocked (ms)",
                           "Speedup"], rows))
-    record_bench("mpu_speed::large_shape_compiled_vs_interpreted",
-                 "speedup_x", worst, floor=1.0)
-    # Floor 1.0x: the blocked tier replays the interpreted update order
-    # from flat buffers, so it must never lose to the interpreter it
-    # mirrors (target 1.3x; measured above that on the reference machine).
-    assert worst > 1.0
+    record_bench("mpu_speed::large_shape_auto_vs_fused", "speedup_x",
+                 speedups[32], floor=1.0)
+    # Floor 1.0x at batch 32: the tier auto selects for a large working
+    # set must not lose to the tier it replaced (~2.6x measured on a
+    # 2-vCPU Xeon VM).
+    assert speedups[32] > 1.0
 
 
 def test_mpu_detailed_api_full_stack(benchmark):

@@ -22,10 +22,10 @@ rate and time-to-first-token of each run (see ``docs/serving.md``).
 Every GEMM here runs the **compiled executor**: each layer's tile plan is
 lowered once into a flat :class:`repro.core.program.CompiledProgram`
 (preconcatenated LUT-key buffers + a short instruction list) that the
-workers pin and replay — bit-identical to the interpreted plan walk
-(pass ``executor="interpreted"`` to :class:`repro.serve.InferenceServer`
-to compare), but without per-segment Python dispatch on the batch-1
-decode path. See ``docs/compilation.md``.
+workers pin and replay — bit-identical to the scalar
+``MatrixProcessingUnit.gemm_reference`` walk of the same plan, but
+without per-segment Python dispatch on the batch-1 decode path. See
+``docs/compilation.md``.
 
 Run:  python examples/generate_quickstart.py
 """
@@ -68,7 +68,6 @@ def build_server() -> InferenceServer:
         policy=BatchPolicy(max_batch=8, max_wait_us=500),
         mpu_config=MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4),
         backend="thread",
-        executor="compiled",                           # flat plan programs
         decode_max_active=8,                           # in-flight sequences
     )
 

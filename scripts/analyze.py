@@ -100,8 +100,8 @@ def _plan_family_sweep() -> int:
                        plan=plan, config=tiny)
         checked += 1
 
-        prepared = mpu.prepare(bcq, plan)
-        verify_program(compile_plan(plan, prepared, config),
+        # The program prepare() embeds (what serving pools pin).
+        verify_program(mpu.prepare(bcq, plan).program,
                        plan=plan, config=config)
         checked += 1
 

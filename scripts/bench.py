@@ -39,15 +39,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # value makes every run emit the complete floor set, so trajectory
 # consumers see "not measured" instead of a silently absent floor.
 KNOWN_FLOORS: dict[str, tuple[str, float]] = {
-    "decode_throughput::compiled_step_speedup": ("speedup_x", 2.0),
     "decode_throughput::continuous_batching_speedup": ("speedup_x", 3.0),
     "mpu_speed::batched_vs_scalar": ("speedup_x", 10.0),
-    "mpu_speed::compiled_vs_interpreted": ("speedup_x", 1.5),
-    "mpu_speed::large_shape_compiled_vs_interpreted": ("speedup_x", 1.0),
+    "mpu_speed::large_shape_auto_vs_fused": ("speedup_x", 1.0),
     "prefix_cache::ttft_ratio": ("ttft_ratio_x", 2.0),
     "quantize_speed::vectorized_vs_scalar": ("speedup_x", 5.0),
     "serve_throughput::batched_vs_sequential": ("speedup_x", 1.3),
-    "telemetry_overhead::disabled_compiled_speedup": ("speedup_x", 1.9),
     # (1 / 1.15) * 0.95 — see benchmarks/test_telemetry_overhead.py.
     "telemetry_overhead::enabled_step_ratio": ("ratio", 0.8260869565217391),
 }

@@ -1,12 +1,12 @@
 """A small repo-specific AST lint framework.
 
-Generic linters cannot see this repo's contracts: that the compiled and
-interpreted executors promise *bitwise* equality (so a ``@``/``einsum``
-lowering that re-associates a float reduction is a correctness bug, not a
-style choice), or that :mod:`repro.serve` mixes ``threading`` locks with
-asyncio (so holding a lock across an ``await`` stalls the event loop).
-This module provides the scaffolding those checks share; the checks
-themselves live in :mod:`repro.analysis.rules`.
+Generic linters cannot see this repo's contracts: that the compiled
+executor and the scalar reference promise *bitwise* equality (so a
+``@``/``einsum`` lowering that re-associates a float reduction is a
+correctness bug, not a style choice), or that :mod:`repro.serve` mixes
+``threading`` locks with asyncio (so holding a lock across an ``await``
+stalls the event loop).  This module provides the scaffolding those checks
+share; the checks themselves live in :mod:`repro.analysis.rules`.
 
 Markers
 -------

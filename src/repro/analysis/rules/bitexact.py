@@ -1,15 +1,15 @@
 """Rules guarding the bit-exactness contract.
 
-The compiled, interpreted, and reference executors promise *bitwise*
-identical outputs and stats.  Float addition is not associative, so any
-lowering that hands the reduction order to a BLAS kernel (``@``,
-``np.dot``, ``einsum``, ``tensordot``) or collapses an accumulation axis
-with ``sum`` can silently change results between executors, BLAS builds,
-or thread counts.  Inside ``# repro: bit-exact`` regions these must be
-replaced with an explicit sequential accumulation loop (see
+The compiled executor promises outputs and stats *bitwise* identical to
+the scalar reference (compiled == reference).  Float addition is not
+associative, so any lowering that hands the reduction order to a BLAS
+kernel (``@``, ``np.dot``, ``einsum``, ``tensordot``) or collapses an
+accumulation axis with ``sum`` can silently change results between the
+two, BLAS builds, or thread counts.  Inside ``# repro: bit-exact`` regions
+these must be replaced with an explicit sequential accumulation loop (see
 ``build_lut_tables``) — or individually justified with
-``# repro: noqa reassociating-reduction`` when every executor shares the
-*same* reduction (consistent-by-construction).
+``# repro: noqa reassociating-reduction`` when the executor and the
+reference share the *same* reduction (consistent-by-construction).
 
 Accumulator dtypes are a contract input too: ``MPUConfig`` decides the
 accumulation precision, so a ``dtype=np.float32`` literal inside a

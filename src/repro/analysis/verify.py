@@ -61,7 +61,7 @@ Program (:func:`verify_program`):
                             walk is non-empty, ascending, contiguous, and
                             covers ``[0, num_segments)`` exactly — every
                             segment's partial is produced once, in the
-                            interpreter's segment order.
+                            reference's segment order.
 ``affine-stats``            baked ``(intercept, slope)`` integer pairs,
                             non-negative — and equal to the analytic
                             ``stats_from_plan``/``shard_stats`` at a
@@ -245,12 +245,12 @@ def _check_instructions(program: CompiledProgram) -> None:
 
     A fused program is exactly LUTs, one ``("plane", g)`` per plane group,
     the single ``("scale",)`` stage (which replays the (segment, plane)
-    updates in the interpreter's order), offsets.  A blocked
+    updates in the reference's order), offsets.  A blocked
     program walks one shared segment-range sequence — boundaries depend on
     the compile-time gather budget, so the verifier first checks their
     *coverage* (non-empty, ascending, contiguous, complete), then pins the
     whole interleaved list: each range emits every plane's ``("plane_block",
-    p, lo, hi)`` followed by that range's scale ops in the interpreter's
+    p, lo, hi)`` followed by that range's scale ops in the reference's
     order.
     """
     num_planes = len(program.passes)

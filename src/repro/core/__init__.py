@@ -10,12 +10,13 @@ This package implements the paper's primary contribution:
   the processing element (one shared LUT + k RACs).
 * :mod:`repro.core.dataflow`, :mod:`repro.core.mpu` — weight-stationary
   tiling with bit-plane-innermost ordering, the scale-group-aligned tile
-  execution planner, and the batched MPU executor with its retained scalar
-  reference.
+  execution planner, and the MPU with its scalar reference walk (the
+  oracle).
 * :mod:`repro.core.program` — the plan compiler: lowers a tile-execution
   plan to a flat :class:`~repro.core.program.CompiledProgram` (concatenated
-  LUT-key/scale buffers plus a short instruction list) that the MPU's
-  default executor replays bit-identically to the interpreter.
+  LUT-key/scale buffers plus a short instruction list), the MPU's one
+  executor, which replays the plan bit-identically to the scalar
+  reference.
 * :mod:`repro.core.engines` — functional GEMM engines with the numerics of
   FPE, iFPU, FIGNA, FIGLUT-F and FIGLUT-I.
 * :mod:`repro.core.gemm` — the high-level ``prepare_weights`` /

@@ -22,7 +22,7 @@ most significant key bit.
 """
 
 # repro: bit-exact — LUT construction is the numerical root of the
-# compiled == interpreted == reference contract: tables accumulate
+# compiled == reference contract: tables accumulate
 # sequentially over µ, never via a reassociating reduction.
 
 from __future__ import annotations

@@ -21,40 +21,35 @@ The simulation is split into a *planner* and an *executor*:
   scale-group boundary, so every partial sum goes through the LUT-entry /
   accumulator numerics and ``accumulate_dtype`` is honoured everywhere (the
   seed's multi-group tiles silently fell back to a float64 matmul);
-* the executor (:meth:`MatrixProcessingUnit.gemm`) walks the plan as a
-  batched NumPy pass — LUT tables built once per column segment and reused
+* the executor (:meth:`MatrixProcessingUnit.gemm`) lowers the plan once into
+  a flat :class:`~repro.core.program.CompiledProgram`
+  (:func:`~repro.core.program.compile_plan`) and replays it with a handful
+  of fused NumPy calls — LUT tables built once per column segment and reused
   across bit planes and row tiles, lookups gathered for all rows and batch
   columns at once — while the stats counters (LUT generations, LUT reads,
   accumulations, generator additions, cycles) are derived analytically from
   the plan.
 
-:meth:`MatrixProcessingUnit.gemm` actually runs one of three executors
-(``executor=``): the default **compiled** path lowers the plan once into a
-flat :class:`~repro.core.program.CompiledProgram`
-(:func:`~repro.core.program.compile_plan`) and replays it with a handful of
-fused NumPy calls; the **interpreted** path is the per-segment walk
-described above; and :meth:`MatrixProcessingUnit.gemm_reference` retains
-the scalar per-(batch, group) walk of the *same* plan, incrementing every
-counter as the loops run.  All three are bit-exact against each other
-(outputs *and* counters), which the equivalence tests pin down.
-:meth:`MatrixProcessingUnit.plan_stats` returns the counters alone, without
-touching any activation data.
+:meth:`MatrixProcessingUnit.gemm_reference` is the independent oracle: the
+scalar per-(batch, group) walk of the *same* plan (or of one shard of it),
+incrementing every counter as the loops run.  The compiled executor is
+bit-exact against it (outputs *and* counters), which the equivalence tests
+pin down.  :meth:`MatrixProcessingUnit.plan_stats` returns the counters
+alone, without touching any activation data.
 
 Mixed precision (``BCQTensor.per_row_bits``) is honoured end to end: the
 plan's :class:`~repro.core.dataflow.RowBand` entries carry per-band plane
-counts, both executors walk only each band's planes (a row whose planes are
-exhausted is gated — it reads no LUT entry, accumulates nothing, and its
-remaining scales are never touched), and every counter is a plan-weighted
-sum, so a Q2.4-style model costs ``mean(per_row_bits)`` passes rather than
-``bitplanes.shape[0]``.
+counts, the executor and the reference walk only each band's planes (a
+row whose planes are exhausted is gated — it reads no LUT entry,
+accumulates nothing, and its remaining scales are never touched), and every
+counter is a plan-weighted sum, so a Q2.4-style model costs
+``mean(per_row_bits)`` passes rather than ``bitplanes.shape[0]``.
 
 Two serving-oriented extensions sit on top (used by :mod:`repro.serve`):
 
-* :meth:`MatrixProcessingUnit.prepare` precomputes the per-(segment, bit
-  plane) RAC key matrices once — they depend only on the weights, which a
-  serving worker keeps stationary — so repeated :meth:`gemm` calls skip the
-  key packing entirely (keys are integers, so the prepared path is
-  bit-identical to the unprepared one);
+* :meth:`MatrixProcessingUnit.prepare` plans and compiles a tensor once —
+  the program depends only on the weights, which a serving worker keeps
+  stationary — so repeated :meth:`gemm` calls only touch activations;
 * :meth:`gemm` can execute a :class:`~repro.core.dataflow.PlanShard`
   (``shard=``): row-axis shards run the shard's row bands only (bit-exact
   against the same rows of an unsharded run), segment-axis shards run a
@@ -63,12 +58,13 @@ Two serving-oriented extensions sit on top (used by :mod:`repro.serve`):
   a shard partition sum exactly to the unsharded run's.
 """
 
-# repro: bit-exact — every executor path in this module is bound by the
-# bitwise compiled == interpreted == reference contract (docs/analysis.md).
+# repro: bit-exact — the executor and the reference in this module are
+# bound by the bitwise compiled == reference contract (docs/analysis.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -78,10 +74,13 @@ from repro.core.dataflow import (
     TilingConfig,
     plan_bcq_tile_execution,
 )
-from repro.core.lut import build_lut_tables, build_lut_values
+from repro.core.lut import build_lut_values
 from repro.core.lut_generator import generator_addition_count
 from repro.quant.bcq import BCQTensor
 from repro.telemetry import get_telemetry
+
+if TYPE_CHECKING:
+    from repro.core.program import CompiledProgram
 
 __all__ = ["MPUConfig", "MPURunStats", "MatrixProcessingUnit", "PreparedWeights"]
 
@@ -90,11 +89,11 @@ def _normalize_activations(activations: np.ndarray,
                            expected_rows: int) -> tuple[np.ndarray, bool]:
     """Normalize ``(N,)`` / ``(N, batch)`` activations to float64 2-D.
 
-    The single input-handling path shared by every executor — the batched
-    ``gemm``, the scalar ``gemm_reference`` and the compiled
-    :meth:`~repro.core.program.CompiledProgram.execute` — so the three
-    cannot drift on shape or dtype handling.  Returns ``(x, squeeze)``
-    where ``squeeze`` records that the caller should return a vector.
+    The single input-handling path shared by the compiled
+    :meth:`~repro.core.program.CompiledProgram.execute` and the scalar
+    ``gemm_reference``, so the two cannot drift on shape or dtype handling.
+    Returns ``(x, squeeze)`` where ``squeeze`` records that the caller
+    should return a vector.
     """
     x = np.asarray(activations, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -193,46 +192,33 @@ class MPURunStats:
 class PreparedWeights:
     """Weight-stationary state of one BCQ tensor, precomputed for serving.
 
-    The RAC key matrices depend only on the weight bit-planes and the plan's
-    segment geometry — exactly the state a weight-stationary worker keeps
-    resident — so a serving pool packs them once per (worker, layer) and
-    every subsequent GEMM skips the key computation.  Keys are integers, so
-    :meth:`MatrixProcessingUnit.gemm` on a prepared tensor is bit-identical
-    to running the raw tensor.
+    The plan and its compiled program depend only on the weights — exactly
+    the state a weight-stationary worker keeps resident — so a serving pool
+    builds them once per (worker, layer) and every subsequent GEMM only
+    touches activations.  :meth:`MatrixProcessingUnit.gemm` on a prepared
+    tensor is bit-identical to running the raw tensor.
 
     Attributes
     ----------
     weights, plan:
         The tensor and its tile-execution plan (plan construction is also
         amortised away).
-    keys:
-        ``keys[segment_index][plane]`` is the ``(rows, lut_groups)`` int32
-        key matrix of that segment's bit plane; for mixed tensors the rows
-        are the plane's *active* rows only.
-    active_rows:
-        Per-plane active-row indices (``None`` for uniform tensors),
-        derived once at prepare time — the per-call path never recomputes
-        the mixed-precision row gating.
-    max_planes:
-        Planes the executor walks (``max(per_row_bits)``).
     program:
         The plan lowered to a flat :class:`~repro.core.program.
-        CompiledProgram` (reusing these key matrices), the default executor
-        for every :meth:`MatrixProcessingUnit.gemm` on prepared weights.
-    tier:
-        The lowering tier the embedded program was compiled to
-        (``"fused"`` or ``"blocked"``) — what
-        :meth:`MatrixProcessingUnit.prepare` resolved ``tier="auto"`` to,
-        recorded so serving layers can report which kernel a layer runs.
+        CompiledProgram` (its RAC key matrices packed once), which every
+        :meth:`MatrixProcessingUnit.gemm` on prepared weights executes.
     """
 
     weights: BCQTensor
     plan: TileExecutionPlan
-    keys: tuple[tuple[np.ndarray, ...], ...]
-    active_rows: tuple[np.ndarray, ...] | None
-    max_planes: int
-    program: object | None = None
-    tier: str = "fused"
+    program: CompiledProgram
+
+    @property
+    def tier(self) -> str:
+        """The lowering tier of the program (``"fused"`` or ``"blocked"``):
+        what :meth:`MatrixProcessingUnit.prepare` resolved ``tier="auto"``
+        to, so serving layers can report which kernel a layer runs."""
+        return self.program.tier
 
 
 class MatrixProcessingUnit:
@@ -351,76 +337,35 @@ class MatrixProcessingUnit:
         # Integer sum over µ key bits: exact in any order.
         return (((patt + 1) // 2) * powers[None, None, :]).sum(axis=2)  # repro: noqa reassociating-reduction
 
-    def _add_offset_terms(self, weights: BCQTensor, x: np.ndarray,
-                          y: np.ndarray,
-                          groups: tuple[int, ...] | None = None) -> None:
-        """y += z_rg · Σ(x over group g), once per output (shared by both paths).
-
-        ``groups`` restricts the sum to a shard's owned scale groups (always
-        walked in ascending group order, like the unsharded loop).
-        """
-        owned = None if groups is None else set(groups)
-        for g, sl in enumerate(weights.column_groups()):
-            if owned is not None and g not in owned:
-                continue
-            # Every executor (and the compiled offset stage) reduces the
-            # group with this same call, so the order is consistent by
-            # construction across the contract's three paths.
-            group_sum = x[sl, :].sum(axis=0, keepdims=True)  # repro: noqa reassociating-reduction
-            y += weights.offsets[:, g][:, None] * group_sum
-
     # -- weight-stationary preparation -------------------------------------
     def prepare(self, weights: BCQTensor,
                 plan: TileExecutionPlan | None = None,
                 tier: str = "auto", batch_hint: int | None = None) -> PreparedWeights:
-        """Precompute the per-(segment, plane) RAC key matrices for serving.
+        """Plan and compile ``weights`` once for serving.
 
         A weight-stationary worker latches the weight tile's µ-bit patterns
-        into the RAC key registers once; this models that by packing every
-        segment's keys (and the plan itself) up front so repeated
-        :meth:`gemm` calls only touch activations.  Bit-identical to the
-        unprepared path — keys are integers.  ``plan`` lets a caller that
-        already planned the tensor (e.g. the :class:`~repro.models.
+        into the RAC key registers once; this models that by lowering the
+        plan to a :class:`~repro.core.program.CompiledProgram` (keys packed
+        into its flat buffers) up front, so repeated :meth:`gemm` calls
+        only touch activations.  ``plan`` lets a caller that already
+        planned the tensor (e.g. the :class:`~repro.models.
         quantized_model.QuantizedLM` plan memo) skip re-planning.
-
-        The prepared state also embeds the plan lowered to a flat
-        :class:`~repro.core.program.CompiledProgram` (reusing the packed
-        keys), which :meth:`gemm` executes by default, and hoists the
-        per-plane active-row derivation of mixed tensors out of the
-        per-call path.  ``tier`` / ``batch_hint`` pass through to
-        :func:`~repro.core.program.compile_plan`'s
-        working-set-aware lowering selection; the resolved tier is recorded
-        in :attr:`PreparedWeights.tier`.
+        ``tier`` / ``batch_hint`` pass through to
+        :func:`~repro.core.program.compile_plan`'s working-set-aware
+        lowering selection; the resolved tier is reported by
+        :attr:`PreparedWeights.tier`.
         """
-        cfg = self.config
-        plan = plan if plan is not None else self.plan(weights)
-        powers = 1 << np.arange(cfg.mu - 1, -1, -1, dtype=np.int64)
-        max_planes, active_list = weights.plane_activity()
-        active = None if active_list is None else tuple(active_list)
-        keys: list[tuple[np.ndarray, ...]] = []
-        for seg in plan.segments:
-            per_plane = []
-            for plane in range(max_planes):
-                plane_w = weights.bitplanes[plane][:, seg.col_slice]
-                if active is not None:
-                    plane_w = plane_w[active[plane]]
-                per_plane.append(self._segment_keys(
-                    plane_w.astype(np.int64), seg, cfg.mu,
-                    powers).astype(np.int32))
-            keys.append(tuple(per_plane))
-        prepared = PreparedWeights(weights=weights, plan=plan, keys=tuple(keys),
-                                   active_rows=active, max_planes=max_planes)
         from repro.core.program import compile_plan  # mpu ↔ program cycle
-        program = compile_plan(plan, prepared, cfg, tier=tier,
+        plan = plan if plan is not None else self.plan(weights)
+        program = compile_plan(plan, weights, self.config, tier=tier,
                                batch_hint=batch_hint)
-        return replace(prepared, program=program, tier=program.tier)
+        return PreparedWeights(weights=weights, plan=plan, program=program)
 
-    # -- batched executor --------------------------------------------------
+    # -- executor ------------------------------------------------------------
     def gemm(self, weights: BCQTensor | PreparedWeights,
              activations: np.ndarray,
              accumulate_dtype: np.dtype | type = np.float64,
-             shard: PlanShard | None = None,
-             executor: str = "compiled") -> tuple[np.ndarray, MPURunStats]:
+             shard: PlanShard | None = None) -> tuple[np.ndarray, MPURunStats]:
         """Compute ``Y = W X`` where ``W`` is BCQ-quantized.
 
         Parameters
@@ -428,7 +373,7 @@ class MatrixProcessingUnit:
         weights:
             BCQ weight tensor of logical shape ``(M, N)``, or the
             :class:`PreparedWeights` from :meth:`prepare` (bit-identical,
-            skips plan/key construction).
+            skips planning and compilation).
         activations:
             Activation matrix of shape ``(N,)`` or ``(N, batch)``.
         accumulate_dtype:
@@ -445,15 +390,10 @@ class MatrixProcessingUnit:
             segment-axis shard returns a dense ``(M, batch)`` partial
             covering its column segments plus its owned offset terms.
             Either way ``stats`` is the shard's exact additive share.
-        executor:
-            ``"compiled"`` (default) runs the plan lowered to a flat
-            :class:`~repro.core.program.CompiledProgram` (embedded in
-            :class:`PreparedWeights`, compiled on the fly otherwise);
-            ``"interpreted"`` walks the plan segment by segment; and
-            ``"reference"`` delegates to the scalar
-            :meth:`gemm_reference` (unsharded raw tensors only).  All
-            three are bit-identical — outputs *and* stats — which the
-            equivalence suite pins on every plan family.
+
+        Every call runs a :class:`~repro.core.program.CompiledProgram`: the
+        one embedded in :class:`PreparedWeights`, or one compiled on the
+        fly for a raw tensor or a shard.
 
         Returns
         -------
@@ -465,37 +405,29 @@ class MatrixProcessingUnit:
         tel = get_telemetry()
         if not tel.enabled:
             return self._gemm_impl(weights, activations, accumulate_dtype,
-                                   shard, executor)
+                                   shard)
         w = weights.weights if isinstance(weights, PreparedWeights) else weights
         with tel.trace.span("mpu.gemm", m=w.shape[0], n=w.shape[1],
-                            executor=executor, sharded=shard is not None,
+                            sharded=shard is not None,
                             prepared=w is not weights):
             return self._gemm_impl(weights, activations, accumulate_dtype,
-                                   shard, executor)
+                                   shard)
 
     def _gemm_impl(self, weights: BCQTensor | PreparedWeights,
                    activations: np.ndarray,
-                   accumulate_dtype: np.dtype | type = np.float64,
-                   shard: PlanShard | None = None,
-                   executor: str = "compiled") -> tuple[np.ndarray, MPURunStats]:
-        # The executor body of gemm() (the public wrapper only adds the
-        # telemetry span; values are never touched either way).
-        if executor not in ("compiled", "interpreted", "reference"):
-            raise ValueError(
-                "executor must be 'compiled', 'interpreted' or 'reference'")
-        prepared: PreparedWeights | None = None
+                   accumulate_dtype: np.dtype | type,
+                   shard: PlanShard | None) -> tuple[np.ndarray, MPURunStats]:
+        # The body of gemm() (the public wrapper only adds the telemetry
+        # span; values are never touched either way).
         if isinstance(weights, PreparedWeights):
-            prepared, weights = weights, weights.weights
-        if executor == "reference":
-            if shard is not None:
-                raise ValueError("the scalar reference does not execute shards")
-            return self.gemm_reference(weights, activations,
-                                       accumulate_dtype=accumulate_dtype)
-        x, squeeze = _normalize_activations(activations, weights.shape[1])
-        m, _ = weights.shape
-        batch = x.shape[1]
-        acc_dtype = np.dtype(accumulate_dtype)
-
+            if shard is None:
+                return weights.program.execute(
+                    activations, accumulate_dtype=accumulate_dtype)
+            if shard.axis == "rows":
+                raise ValueError(
+                    "row-axis shards execute a row-sliced tensor; "
+                    "prepare() the slice held by the worker instead")
+            weights = weights.weights
         if shard is not None:
             if (shard.plan.m, shard.plan.n) != weights.shape:
                 raise ValueError(
@@ -506,144 +438,64 @@ class MatrixProcessingUnit:
                 # tensor (bands are independent), so execute that: the
                 # per-element addition sequences — and hence the bits — are
                 # identical to the same rows of an unsharded run.
-                if prepared is not None:
-                    raise ValueError(
-                        "row-axis shards execute a row-sliced tensor; "
-                        "prepare() the slice held by the worker instead")
-                y, stats = self.gemm(weights.take_rows(shard.row_indices), x,
-                                     accumulate_dtype=accumulate_dtype,
-                                     executor=executor)
-                return (y[:, 0], stats) if squeeze else (y, stats)
-            if executor == "compiled":
-                from repro.core.program import compile_plan
-                program = compile_plan(
-                    shard.plan, prepared if prepared is not None else weights,
-                    self.config, shard=shard)
-                y, stats = program.execute(x, accumulate_dtype=acc_dtype)
-                return (y[:, 0], stats) if squeeze else (y, stats)
-            stats = self.shard_stats(shard, batch)
-            segments = shard.segments
-            segment_indices = shard.segment_indices
-            offset_groups: tuple[int, ...] | None = shard.owned_scale_groups
-        else:
-            plan = prepared.plan if prepared is not None else self.plan(weights)
-            if executor == "compiled":
-                program = prepared.program if prepared is not None else None
-                if program is None:
-                    from repro.core.program import compile_plan
-                    program = compile_plan(
-                        plan, prepared if prepared is not None else weights,
-                        self.config)
-                y, stats = program.execute(x, accumulate_dtype=acc_dtype)
-                return (y[:, 0], stats) if squeeze else (y, stats)
-            stats = self.stats_from_plan(plan, batch)
-            segments = plan.segments
-            segment_indices = tuple(range(len(plan.segments)))
-            offset_groups = None
+                weights, shard = weights.take_rows(shard.row_indices), None
+        from repro.core.program import compile_plan  # mpu ↔ program cycle
+        plan = shard.plan if shard is not None else self.plan(weights)
+        program = compile_plan(plan, weights, self.config, shard=shard)
+        return program.execute(activations, accumulate_dtype=accumulate_dtype)
 
-        y = np.zeros((m, batch), dtype=np.float64)
-        self._execute_segments(weights, x, segments, segment_indices,
-                               acc_dtype, y, prepared)
-        self._add_offset_terms(weights, x, y, groups=offset_groups)
-
-        if squeeze:
-            return y[:, 0], stats
-        return y, stats
-
-    def _execute_segments(self, weights: BCQTensor, x: np.ndarray,
-                          segments, segment_indices, acc_dtype: np.dtype,
-                          y: np.ndarray,
-                          prepared: PreparedWeights | None) -> None:
-        """Accumulate the given column segments' contributions into ``y``.
-
-        Shared by the full executor and the segment-shard path; the segment
-        order (ascending columns) and every elementwise operation match the
-        scalar reference, so per-element results depend only on *which*
-        segments run, not on how they were dispatched.
-        """
-        cfg = self.config
-        batch = x.shape[1]
-        powers = 1 << np.arange(cfg.mu - 1, -1, -1, dtype=np.int64)
-
-        # Per-plane active rows: in a mixed-precision tensor a row sits out
-        # every plane at or beyond its own bit count.  Uniform tensors take
-        # the unmasked path (no fancy indexing on the hot loop).
-        if prepared is not None:
-            max_planes, active_rows = prepared.max_planes, prepared.active_rows
-        else:
-            max_planes, active_rows = weights.plane_activity()
-        uniform = active_rows is None
-
-        for seg_pos, seg in zip(segment_indices, segments, strict=True):
-            # One LUT table per (µ-group, batch column), built once for the
-            # segment and reused by every bit plane and every row tile (the
-            # table contents depend only on the activations; the hardware
-            # regenerates them per pass, which the counters reflect).
-            xg = self._segment_groups(x, seg, cfg.mu)          # (G, µ, B)
-            luts = build_lut_tables(xg.transpose(0, 2, 1), dtype=acc_dtype)
-            # luts: (G, B, 2^µ)
-            for plane in range(max_planes):
-                if prepared is not None:
-                    keys = prepared.keys[seg_pos][plane]       # (rows, G)
-                elif uniform:
-                    plane_w = weights.bitplanes[plane][:, seg.col_slice].astype(np.int64)
-                    keys = self._segment_keys(plane_w, seg, cfg.mu, powers)
-                else:
-                    rows_idx = active_rows[plane]
-                    # Column-slice first (a view), then gather the active
-                    # rows, so only the segment's width is ever copied.
-                    plane_w = weights.bitplanes[plane][:, seg.col_slice][rows_idx].astype(np.int64)
-                    keys = self._segment_keys(plane_w, seg, cfg.mu, powers)
-                partial = np.zeros((batch, keys.shape[0]), dtype=acc_dtype)
-                for g in range(seg.lut_groups):
-                    # Gather the RAC reads for every (batch, row) pair and
-                    # accumulate in the accumulator dtype; the group order
-                    # matches the scalar reference's inner loop.
-                    partial += np.take(luts[g], keys[:, g], axis=1)
-                if uniform:
-                    alpha = weights.scales[plane][:, seg.scale_group]  # (m,)
-                    y += alpha[:, None] * partial.T.astype(np.float64)
-                else:
-                    rows_idx = active_rows[plane]
-                    alpha = weights.scales[plane][rows_idx, seg.scale_group]
-                    y[rows_idx] += alpha[:, None] * partial.T.astype(np.float64)
-
-    # -- retained scalar reference ----------------------------------------
+    # -- scalar reference ----------------------------------------------------
     def gemm_reference(self, weights: BCQTensor, activations: np.ndarray,
-                       accumulate_dtype: np.dtype | type = np.float64
+                       accumulate_dtype: np.dtype | type = np.float64,
+                       shard: PlanShard | None = None
                        ) -> tuple[np.ndarray, MPURunStats]:
         """Scalar per-(batch, group) walk of the execution plan.
 
-        This is the retained reference the batched :meth:`gemm` is verified
+        This is the independent oracle the compiled :meth:`gemm` is verified
         against bit-for-bit: one :func:`build_lut_values` call per (step,
         batch column, µ-group), counters incremented as the loops run.
-        Orders of magnitude slower — use only for equivalence testing.
+        ``shard`` walks one :class:`~repro.core.dataflow.PlanShard` the way
+        :meth:`gemm` executes it: a row-axis shard runs the row-sliced
+        tensor, a segment-axis shard skips the steps of every other segment
+        and adds only its owned scale groups' offsets.  Orders of magnitude
+        slower than :meth:`gemm` — use only for equivalence testing.
         """
         cfg = self.config
+        if shard is not None and shard.axis == "rows":
+            return self.gemm_reference(weights.take_rows(shard.row_indices),
+                                       activations, accumulate_dtype)
         x, squeeze = _normalize_activations(activations, weights.shape[1])
         m, _ = weights.shape
         batch = x.shape[1]
         acc_dtype = np.dtype(accumulate_dtype)
 
         plan = self.plan(weights)
+        groups = range(plan.num_scale_groups)
+        # Segments are disjoint column runs, so the first column names one.
+        starts = None
+        if shard is not None:
+            groups = shard.owned_scale_groups
+            starts = {seg.col_slice.start for seg in shard.segments}
         stats = MPURunStats()
         y = np.zeros((m, batch), dtype=np.float64)
         powers = 1 << np.arange(cfg.mu - 1, -1, -1, dtype=np.int64)
         row_bits = np.asarray(weights.per_row_bits, dtype=np.int64)
 
         seen_tiles: set[int] = set()
+        seen_passes: set[tuple[int, int]] = set()
         for step in plan.steps():
             seg = step.segment
             rsl = step.row_slice
+            if starts is not None and seg.col_slice.start not in starts:
+                continue
             if step.tile_index not in seen_tiles:
                 seen_tiles.add(step.tile_index)
                 stats.tiles += 1
             # The segments of one geometric tile stream through the array in
             # a single systolic pass per bit plane; charge the pass when the
-            # plane enters the tile's first segment.
-            first_segment_of_band = (
-                seg.col_slice.start == seg.band_index * plan.tiling.tile_n)
-            if first_segment_of_band:
+            # plane enters the tile's first executed segment.
+            if (step.tile_index, step.bit_plane) not in seen_passes:
+                seen_passes.add((step.tile_index, step.bit_plane))
                 stats.bit_planes_processed += 1
                 stats.cycles += batch + cfg.pe_rows + cfg.pe_cols
 
@@ -670,8 +522,14 @@ class MatrixProcessingUnit:
             y[active, :] += alpha[:, None] * tile_partial.astype(np.float64)
             stats.scale_multiplications += rows * batch
 
-        self._add_offset_terms(weights, x, y)
-        stats.offset_additions = m * batch * plan.num_scale_groups
+        # y += z_rg · Σ(x over group g), once per output, ascending groups.
+        col_groups = weights.column_groups()
+        for g in groups:
+            # The compiled offset stage reduces the group with this same
+            # call, so the order is consistent by construction.
+            group_sum = x[col_groups[g], :].sum(axis=0, keepdims=True)  # repro: noqa reassociating-reduction
+            y += weights.offsets[:, g][:, None] * group_sum
+            stats.offset_additions += m * batch
 
         # Each LUT generation uses the shared-partial-sum generator.
         stats.generator_additions = stats.lut_generations * generator_addition_count(cfg.mu)

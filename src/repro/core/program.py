@@ -1,15 +1,16 @@
 """Plan compilation: lower a tile-execution plan to a flat executable program.
 
-The interpreted executor (:meth:`repro.core.mpu.MatrixProcessingUnit.gemm`
-with ``executor="interpreted"``) walks the
-:class:`~repro.core.dataflow.TileExecutionPlan` on every call: a Python loop
-over column segments × bit planes × LUT groups with one ``np.take`` per
-group.  The plan and the weights are immutable per layer, so all of that
-control flow can be resolved **once**.  :func:`compile_plan` lowers a plan
-into a :class:`CompiledProgram` — flat buffers plus a short instruction
-list — and :meth:`CompiledProgram.execute` replays it with a small, fixed
-number of fused NumPy calls per GEMM (the Exo ``LoopIR_compiler`` shape: IR
-in, flat program out).
+Walking a :class:`~repro.core.dataflow.TileExecutionPlan` directly means a
+Python loop over column segments × bit planes × LUT groups on every call.
+The plan and the weights are immutable per layer, so all of that control
+flow can be resolved **once**.  :func:`compile_plan` lowers a plan into a
+:class:`CompiledProgram` — flat buffers plus a short instruction list — and
+:meth:`CompiledProgram.execute` replays it with a small, fixed number of
+fused NumPy calls per GEMM (the Exo ``LoopIR_compiler`` shape: IR in, flat
+program out).  It is the only executor
+:meth:`repro.core.mpu.MatrixProcessingUnit.gemm` runs; the scalar
+:meth:`~repro.core.mpu.MatrixProcessingUnit.gemm_reference` walk of the
+same plan is its oracle.
 
 Buffer layout
 -------------
@@ -40,7 +41,7 @@ compiled segments) slots each, so every per-slot buffer is a dense matrix:
     ``(num_segments, Σrows)`` α matrix.
 ``offsets`` / ``offset_slices``
     The owned scale groups' offset columns and column spans, walked in
-    ascending group order exactly like the interpreted offset stage.
+    ascending group order exactly like the reference offset stage.
 
 Lowering tiers
 --------------
@@ -62,35 +63,35 @@ working_set_bytes`) at a compile-time ``batch_hint``:
     Segment-blocked gathers: ``("plane_block", p, lo, hi)`` instructions
     stream segment ranges ``[lo, hi)`` through a fixed reusable
     ``(rows, batch)`` scratch buffer, one ``np.take`` per (segment,
-    µ-group) — the interpreter's exact per-group update order, so the tier
-    stays **bitwise** identical to interpreted/reference on outputs and
-    stats while never materialising the fused tier's ``(slots × rows ×
+    µ-group) in the reference's per-group update order, so the tier stays
+    **bitwise** identical to the fused tier and the reference on outputs
+    and stats while never materialising the fused tier's ``(slots × rows ×
     batch)`` intermediate.  Selected automatically when the fused working
     set at ``batch_hint`` exceeds ``_BLOCKED_THRESHOLD_BYTES``.
 
 Bit-exactness contract
 ----------------------
 Compiled output and :class:`~repro.core.mpu.MPURunStats` are **identical**
-to the interpreted executor — not merely close.  Any lowering that would
-re-associate a float summation is rejected:
+to the scalar ``gemm_reference`` — not merely close — on both tiers.  Any
+lowering that would re-associate a float summation is rejected:
 
 * LUT tables are built by the same sequential-over-µ accumulation
   (:func:`~repro.core.lut.build_lut_tables`) — stacking segments adds
   batching, not reordering;
 * per-plane partials accumulate group-position-by-group-position in the
-  accumulator dtype, matching the interpreted ascending group order; the
+  accumulator dtype, matching the reference's ascending group order; the
   padded tail slots add ``+0.0``, which is value-preserving in IEEE-754
   round-to-nearest (including for ``±inf``/NaN partials under fp16
   overflow).  Stacking planes along the row axis adds batching, not
   reordering: every (segment, row, column) partial still sums its own
   µ-groups in ascending order;
-* the α multiply is elementwise (float64, as in the interpreter), so one
+* the α multiply is elementwise (float64, as in the reference), so one
   multiply over a stacked partial is value-identical to one per
-  (segment, plane); the ``y`` updates then replay the interpreted order
+  (segment, plane); the ``y`` updates then replay the reference order
   exactly — segments ascending, bit planes innermost — and the offset
   stage reuses the same per-group ops.
 
-No einsum/tensordot/pairwise-``np.sum`` over a reduction the interpreter
+No einsum/tensordot/pairwise-``np.sum`` over a reduction the reference
 performs sequentially appears anywhere in :meth:`CompiledProgram.execute`.
 
 Stats are attached at compile time: every counter of
@@ -107,8 +108,8 @@ process-backend serving pool ship a compiled program through shared memory
 and execute zero-copy views in the worker.
 """
 
-# repro: bit-exact — the compiled executor must replay the interpreted
-# executor's float operations exactly (see "Bit-exactness contract" above).
+# repro: bit-exact — the compiled executor must replay the scalar
+# reference's float operations exactly (see "Bit-exactness contract" above).
 
 from __future__ import annotations
 
@@ -124,7 +125,6 @@ from repro.core.mpu import (
     MatrixProcessingUnit,
     MPUConfig,
     MPURunStats,
-    PreparedWeights,
     _normalize_activations,
 )
 from repro.quant.bcq import BCQTensor
@@ -153,7 +153,7 @@ _GATHER_BUDGET = 1 << 23
 # batch hint) above which tier="auto" lowers to segment-blocked gathers.
 # 16 MiB ~ the point where the fused gather's (slots × rows × batch)
 # intermediate stops fitting cache and measured throughput falls behind
-# the interpreted walk on the reference machine.
+# the per-segment walk on the reference machine.
 _BLOCKED_THRESHOLD_BYTES = 1 << 24
 
 # Cache-residency target for the blocked tier's live float64 partial
@@ -161,15 +161,15 @@ _BLOCKED_THRESHOLD_BYTES = 1 << 24
 # partial under this many bytes so the α-scale updates that immediately
 # follow the block re-read partials that are still cache-hot.  Measured on
 # the reference machine: small blocks (1-4 segments at 1024²/batch 8) beat
-# the interpreted walk at every batch, whole-plan blocks lose at batch 32;
-# 512 KiB lands at 2 segments per block on that shape.
+# a plain per-segment walk at every batch, whole-plan blocks lose at batch
+# 32; 512 KiB lands at 2 segments per block on that shape.
 _BLOCKED_PARTIAL_BYTES = 1 << 19
 
 # Batch the tier selection optimises for when the caller gives no hint: a
 # serving layer's program runs batch-1 decode *and* batched prefill, and
-# the blocked tier replays the interpreted core (never slower than
-# interpreted at any batch) while small working sets keep the fused
-# decode-floor win, so a moderate prefill-side hint is safe at both ends.
+# the blocked tier is cache-sized at any batch while small working sets
+# keep the fused decode win, so a moderate prefill-side hint is safe at
+# both ends.
 _DEFAULT_BATCH_HINT = 8
 
 _TIERS = ("fused", "blocked")
@@ -235,7 +235,7 @@ class CompiledProgram:
     fused tier, ``("plane", g)`` gathers and accumulates plane group ``g``'s
     partials and a single ``("scale",)`` applies every group's α multiply
     and the (segment, plane) ``y`` updates — segments-ascending,
-    planes-innermost, the interpreted executor's exact order.  On the
+    planes-innermost, the reference's exact order.  On the
     blocked tier, ``("plane_block", p, lo, hi)`` accumulates segments
     ``[lo, hi)`` of plane ``p`` through a reusable scratch buffer and
     ``("scale", s, p)`` applies one (segment, plane) α update; each segment
@@ -286,9 +286,9 @@ class CompiledProgram:
                 ) -> tuple[np.ndarray, MPURunStats]:
         """Run the program: ``Y = W X`` plus the plan-exact counters.
 
-        Bit-identical to the interpreted executor on the same plan (and to
-        ``gemm_reference``): same LUT entries, same accumulator dtype
-        footprint, same float addition order per output element.
+        Bit-identical to ``gemm_reference`` on the same plan: same LUT
+        entries, same accumulator dtype footprint, same float addition
+        order per output element.
         """
         x, squeeze = _normalize_activations(activations, self.n)
         batch = x.shape[1]
@@ -350,8 +350,8 @@ class CompiledProgram:
                     scratch = np.empty((rows, batch), dtype=acc_dtype)
                     scratch_by_rows[rows] = scratch
                 for s in range(lo, hi):
-                    # The interpreted per-segment core verbatim: zero the
-                    # scratch, then one np.take per µ-group accumulated
+                    # One segment's partial: zero the scratch, then one
+                    # np.take per µ-group accumulated
                     # ascending in the accumulator dtype (padded tail slots
                     # read key 0 of an all-zero LUT and add exactly +0.0).
                     scratch[:] = 0
@@ -360,7 +360,7 @@ class CompiledProgram:
                         scratch += np.take(luts[base + g], pp.keys[base + g],
                                            axis=0)
                     # float64 conversion happens on assignment — the same
-                    # value-exact cast as the interpreter's astype.
+                    # value-exact cast as the reference's astype.
                     part[s - lo] = scratch
             elif kind == "scale":
                 if len(op) == 1:
@@ -375,8 +375,8 @@ class CompiledProgram:
                         y[pp.rows] += term
             else:  # "offset"
                 start, stop = self.offset_slices[op[1]]
-                # Same reduction call as _add_offset_terms: the one shared
-                # group-sum op of all three executors.
+                # Same reduction call as gemm_reference's offset loop: the
+                # one group-sum op both paths share.
                 group_sum = x[start:stop, :].sum(axis=0, keepdims=True)  # repro: noqa reassociating-reduction
                 y += self.offsets[:, op[1]][:, None] * group_sum
             if prof is not None:
@@ -499,7 +499,7 @@ class CompiledProgram:
         width 1); each gather is further chunked over batch columns by the
         gather budget.  Every (segment, row, column) partial then sums its
         µ-groups in ascending order, in the accumulator dtype, exactly like
-        the interpreted per-group loop (padded tail slots add +0.0).
+        the reference's per-group loop (padded tail slots add +0.0).
         """
         num_segments, gmax = self.num_segments, self.slots_per_segment
         batch = luts.shape[2]
@@ -530,11 +530,11 @@ class CompiledProgram:
         """The fused scale stage: α-scale every group, then update ``y``.
 
         The α multiply is float64 and elementwise, so it equals the
-        interpreter's per-(segment, plane) ``alpha * partial`` however it
+        reference's per-(segment, plane) ``alpha * partial`` however it
         is batched: one multiply over a group's whole stacked partial while
         that fits ``_PLANE_GROUP_ELEMENTS``, else one per (segment, plane),
         right before its update reads it (cache-hot at large batch).  The
-        ``y`` updates replay the interpreter's order: segments ascending,
+        ``y`` updates replay the reference's order: segments ascending,
         planes innermost, ``y[rows] +=`` for masked planes.
         """
         groups = []
@@ -661,19 +661,13 @@ def _plane_groups(passes: list[PlanePass], num_slots: int,
 
 
 def compile_plan(plan: TileExecutionPlan,
-                 weights: BCQTensor | PreparedWeights,
+                 weights: BCQTensor,
                  config: MPUConfig | None = None,
                  shard: PlanShard | None = None,
                  tier: str = "auto",
                  batch_hint: int | None = None) -> CompiledProgram:
     """Lower a tile-execution plan (or one segment-axis shard of it) into a
     :class:`CompiledProgram`.
-
-    ``weights`` may be the raw :class:`~repro.quant.bcq.BCQTensor` or the
-    :class:`~repro.core.mpu.PreparedWeights` from
-    :meth:`~repro.core.mpu.MatrixProcessingUnit.prepare` — prepared key
-    matrices are reused verbatim (keys are integers either way, so the
-    compiled output is identical).
 
     ``shard`` compiles a segment-axis sub-program: only the shard's
     segments and *owned* scale groups are lowered, and the baked stats are
@@ -691,9 +685,6 @@ def compile_plan(plan: TileExecutionPlan,
     """
     config = config or MPUConfig()
     mpu = MatrixProcessingUnit(config)
-    prepared: PreparedWeights | None = None
-    if isinstance(weights, PreparedWeights):
-        prepared, weights = weights, weights.weights
     if (plan.m, plan.n) != weights.shape:
         raise ValueError(f"plan shape ({plan.m}, {plan.n}) does not match "
                          f"weights {weights.shape}")
@@ -713,12 +704,10 @@ def compile_plan(plan: TileExecutionPlan,
         if shard.plan is not plan and shard.plan != plan:
             raise ValueError("shard was cut from a different plan")
         segments = shard.segments
-        segment_indices = shard.segment_indices
         owned_groups = tuple(sorted(shard.owned_scale_groups))
         stats_fn = lambda b: mpu.shard_stats(shard, b)  # noqa: E731
     else:
         segments = plan.segments
-        segment_indices = tuple(range(len(plan.segments)))
         owned_groups = tuple(range(plan.num_scale_groups))
         stats_fn = lambda b: mpu.stats_from_plan(plan, b)  # noqa: E731
 
@@ -753,10 +742,7 @@ def compile_plan(plan: TileExecutionPlan,
         lut_cols[si * gmax: si * gmax + seg.lut_groups] = \
             span.reshape(seg.lut_groups, mu)
 
-    if prepared is not None:
-        max_planes, active = prepared.max_planes, prepared.active_rows
-    else:
-        max_planes, active = weights.plane_activity()
+    max_planes, active = weights.plane_activity()
     powers = 1 << np.arange(mu - 1, -1, -1, dtype=np.int64)
 
     passes: list[PlanePass] = []
@@ -767,15 +753,12 @@ def compile_plan(plan: TileExecutionPlan,
         keys = np.zeros((num_slots, num_rows), dtype=np.int32)
         scales = np.empty((num_segments, num_rows),
                           dtype=weights.scales.dtype)
-        for si, (seg_pos, seg) in enumerate(zip(segment_indices, segments, strict=True)):
-            if prepared is not None:
-                seg_keys = prepared.keys[seg_pos][p]       # (rows, G)
-            else:
-                plane_w = weights.bitplanes[p][:, seg.col_slice]
-                if rows is not None:
-                    plane_w = plane_w[rows]
-                seg_keys = mpu._segment_keys(
-                    plane_w.astype(np.int64), seg, mu, powers).astype(np.int32)
+        for si, seg in enumerate(segments):
+            plane_w = weights.bitplanes[p][:, seg.col_slice]
+            if rows is not None:
+                plane_w = plane_w[rows]
+            seg_keys = mpu._segment_keys(
+                plane_w.astype(np.int64), seg, mu, powers)    # (rows, G)
             keys[si * gmax: si * gmax + seg.lut_groups] = seg_keys.T
             alpha = weights.scales[p][:, seg.scale_group]
             scales[si] = alpha if rows is None else alpha[rows]
@@ -798,9 +781,9 @@ def compile_plan(plan: TileExecutionPlan,
             # Blocked: one shared ascending, contiguous segment-range walk.
             # Each range emits every plane's ("plane_block", p, lo, hi)
             # followed immediately by the range's α updates (segments
-            # ascending, planes innermost — the interpreted executor's y
-            # order), so the scale ops consume float64 partial slices that
-            # are still cache-hot.  The range width is the smaller of the
+            # ascending, planes innermost — the reference's y order), so
+            # the scale ops consume float64 partial slices that are still
+            # cache-hot.  The range width is the smaller of the
             # gather budget (widest plane's slots × rows × batch_hint per
             # block) and the partial-residency target; at least one segment.
             hint = max(batch_hint, 1)

@@ -309,12 +309,12 @@ class QuantizedLM:
                          ) -> dict[str, PreparedWeights]:
         """Every layer's :class:`~repro.core.mpu.PreparedWeights`, memoised.
 
-        This is the weight-stationary state (tile plan + packed RAC keys) a
+        This is the weight-stationary state (tile plan + compiled program) a
         serving worker keeps resident.  It is memoised per MPU geometry so
         the standalone decode path, repeated :meth:`generate` calls, and a
         single-shard serving pool (:class:`repro.serve.workers.
         ShardedMPUPool` with ``shared_prepared=``) all share one prepared
-        copy instead of re-planning and re-packing keys per call.
+        copy instead of re-planning and re-compiling per call.
         """
         cfg = mpu_config or MPUConfig()
         cached = self._prepared.get(cfg)
@@ -326,27 +326,23 @@ class QuantizedLM:
             self._prepared[cfg] = cached
         return cached
 
-    def prepared_gemm(self, mpu_config: MPUConfig | None = None,
-                      executor: str = "compiled"):
+    def prepared_gemm(self, mpu_config: MPUConfig | None = None):
         """``gemm(name, flat) -> (y, stats)`` over the prepared weights.
 
         The standalone (unsharded) twin of a serving pool's ``gemm``
         dispatch: activations of shape ``(in_features, batch)`` run on one
         :class:`~repro.core.mpu.MatrixProcessingUnit` against the memoised
         :meth:`prepared_weights`, returning the output and the plan-exact
-        :class:`~repro.core.mpu.MPURunStats`.  Bit-identical to a row-axis
-        sharded pool run of the same layer.  ``executor="compiled"``
-        (default) runs each layer's memoised
-        :class:`~repro.core.program.CompiledProgram` flat buffers;
-        ``"interpreted"`` walks the tile plan per call — same bits, the
-        oracle the compiled path is pinned against.
+        :class:`~repro.core.mpu.MPURunStats`, by running each layer's
+        memoised :class:`~repro.core.program.CompiledProgram`.
+        Bit-identical to a row-axis sharded pool run of the same layer.
         """
         cfg = mpu_config or MPUConfig()
         prepared = self.prepared_weights(cfg)
         mpu = MatrixProcessingUnit(cfg)
 
         def gemm(name: str, flat: np.ndarray):
-            return mpu.gemm(prepared[name], flat, executor=executor)
+            return mpu.gemm(prepared[name], flat)
 
         return gemm
 

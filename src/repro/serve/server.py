@@ -142,15 +142,14 @@ class InferenceServer:
     qlm:
         The quantized model; its BCQ weight views are pinned across the
         pool's workers, its transformer runs the forward pass.
-    num_shards, mpu_config, backend, accumulate_dtype, pin_keys, axis, executor:
-        Forwarded to :class:`~repro.serve.workers.ShardedMPUPool`.  With a
-        single shard on the default row axis the pool pins the model's own
-        memoised :meth:`~repro.models.quantized_model.QuantizedLM.
-        prepared_weights` instead of re-packing keys, so the served path and
-        any standalone ``qlm`` decode share one prepared copy (including its
-        embedded compiled program).  ``executor="compiled"`` (default) runs
-        every shard's flat :class:`~repro.core.program.CompiledProgram`;
-        ``"interpreted"`` keeps the plan-walking oracle.
+    num_shards, mpu_config, backend, accumulate_dtype, axis:
+        Forwarded to :class:`~repro.serve.workers.ShardedMPUPool`, which
+        runs every shard's flat :class:`~repro.core.program.
+        CompiledProgram`.  With a single shard on the default row axis the
+        pool pins the programs of the model's own memoised
+        :meth:`~repro.models.quantized_model.QuantizedLM.prepared_weights`
+        instead of compiling its own, so the served path and any
+        standalone ``qlm`` decode share one compiled copy.
     policy:
         Micro-batching policy (:class:`~repro.serve.batching.BatchPolicy`).
         ``max_wait_us`` doubles as the decode scheduler's admission window:
@@ -168,8 +167,7 @@ class InferenceServer:
                  policy: BatchPolicy | None = None,
                  mpu_config: MPUConfig | None = None, backend: str = "thread",
                  accumulate_dtype: np.dtype | type = np.float64,
-                 pin_keys: bool = True, axis: str = "rows",
-                 executor: str = "compiled",
+                 axis: str = "rows",
                  decode_max_active: int = 8,
                  cache_config: CacheConfig | None = None) -> None:
         self.qlm = qlm
@@ -177,16 +175,16 @@ class InferenceServer:
         # where the shard layout allows it (one row shard = the full plan);
         # the pool always reuses the model's memoised layer plans.
         shared_prepared = (qlm.prepared_weights(mpu_config)
-                           if num_shards == 1 and pin_keys and axis == "rows"
+                           if num_shards == 1 and axis == "rows"
                            and backend != "process" else None)
         views = qlm.bcq_views()
         plans = {name: qlm.layer_plan(name, mpu_config) for name in views}
         self.pool = ShardedMPUPool(views, num_shards=num_shards,
                                    mpu_config=mpu_config, backend=backend,
                                    accumulate_dtype=accumulate_dtype,
-                                   pin_keys=pin_keys, axis=axis,
+                                   axis=axis,
                                    shared_prepared=shared_prepared,
-                                   plans=plans, executor=executor)
+                                   plans=plans)
         self.metrics = ServerMetrics()
         self.batcher = AsyncBatcher(self._run_batch, policy)
         self.scheduler = DecodeScheduler(qlm, gemm=self._metered_gemm,
@@ -415,8 +413,8 @@ class InferenceServer:
         The sequential baseline the throughput benchmark compares against;
         returns logits ``(seq, vocab)`` bit-identical to what the same
         request receives from :meth:`submit` inside any micro-batch.  Runs
-        over the pool's pinned shards (their ``PreparedWeights`` RAC keys
-        included), so the standalone path re-plans and re-packs nothing.
+        over the pool's pinned shard programs, so the standalone path
+        re-plans and re-compiles nothing.
         Updates only the modelled GEMM counters, not the request metrics.
         """
         arr = self._check_request(tokens)

@@ -47,6 +47,7 @@ import numpy as np
 from repro.core.dataflow import PlanShard, TileExecutionPlan
 from repro.core.mpu import MPUConfig, MPURunStats
 from repro.core.program import CompiledProgram, compile_plan
+from repro.quant.bcq import BCQTensor
 
 __all__ = ["shard_plan", "compile_shard_programs", "merge_shard_outputs",
            "pool_shard_costs"]
@@ -114,7 +115,7 @@ def shard_plan(plan: TileExecutionPlan, num_shards: int,
     raise ValueError("axis must be 'rows' or 'segments'")
 
 
-def compile_shard_programs(shards: Sequence[PlanShard], weights,
+def compile_shard_programs(shards: Sequence[PlanShard], weights: BCQTensor,
                            config: MPUConfig | None = None,
                            tier: str = "auto",
                            batch_hint: int | None = None
@@ -128,15 +129,14 @@ def compile_shard_programs(shards: Sequence[PlanShard], weights,
     exactly additive.  Row-axis shards compile the row-sliced tensor's own
     full plan (bands are independent; the slice's program is bit-exact
     against the same rows of the unsharded one).  ``weights`` is the full
-    tensor (or its :class:`~repro.core.mpu.PreparedWeights`, whose packed
-    keys segment-axis sub-programs reuse).
+    tensor the shards' plan was built from.
 
     ``tier`` / ``batch_hint`` pass through to the compiler's
     working-set-aware lowering selection — ``tier="auto"`` sizes each
     shard's tier from that shard's own working-set share, so a wide plan
     can lower some shards blocked and others fused.
     """
-    from repro.core.mpu import MatrixProcessingUnit, PreparedWeights
+    from repro.core.mpu import MatrixProcessingUnit
 
     programs: list[CompiledProgram] = []
     mpu = MatrixProcessingUnit(config)
@@ -146,10 +146,8 @@ def compile_shard_programs(shards: Sequence[PlanShard], weights,
                 shard.plan, weights, mpu.config, shard=shard, tier=tier,
                 batch_hint=batch_hint))
         else:
-            tensor = (weights.weights if isinstance(weights, PreparedWeights)
-                      else weights)
             programs.append(mpu.prepare(
-                tensor.take_rows(shard.row_indices), tier=tier,
+                weights.take_rows(shard.row_indices), tier=tier,
                 batch_hint=batch_hint).program)
     return programs
 

@@ -1,17 +1,19 @@
-"""Sharded MPU worker pool: pinned per-worker weights, concurrent shards.
+"""Sharded MPU worker pool: pinned per-worker programs, concurrent shards.
 
 A :class:`ShardedMPUPool` turns the single-process
 :class:`~repro.core.mpu.MatrixProcessingUnit` into a scale-out executor:
 every layer's tile-execution plan is cut into balanced
 :class:`~repro.core.dataflow.PlanShard` slices (:func:`repro.serve.sharding.
-shard_plan`) and each worker *pins* its slice of every layer — the
-row-sliced BCQ tensor plus, by default, the
-:class:`~repro.core.mpu.PreparedWeights` key matrices, the weight-stationary
-state a real accelerator would keep latched in its RAC key registers.  A
-``gemm(name, x)`` call broadcasts the activations, executes the shards
-concurrently, and reduces with :func:`repro.serve.sharding.
-merge_shard_outputs` — bit-exact against the unsharded MPU on the default
-row axis, with exactly additive :class:`~repro.core.mpu.MPURunStats`.
+shard_plan`) and each worker *pins* its slice of every layer as a
+:class:`~repro.core.program.CompiledProgram` (:func:`repro.serve.sharding.
+compile_shard_programs`) — the weight-stationary state a real accelerator
+would keep latched in its RAC key registers.  Row-axis workers hold their
+row slice's own full program, segment-axis workers the sub-program over
+their segments and owned scale groups.  A ``gemm(name, x)`` call
+broadcasts the activations, executes the shards concurrently, and reduces
+with :func:`repro.serve.sharding.merge_shard_outputs` — bit-exact against
+the unsharded MPU on the default row axis, with exactly additive
+:class:`~repro.core.mpu.MPURunStats`.
 
 Backends
 --------
@@ -23,21 +25,13 @@ Backends
     In-line loop over the shards; deterministic and dependency-free, the
     baseline the equivalence tests compare against.
 ``"process"``
-    Opt-in :mod:`multiprocessing` workers holding their pinned state in
-    :mod:`multiprocessing.shared_memory` buffers (one copy per worker
-    slice, zero-copy view inside the worker).  Row axis only; activations
-    travel by pickle per request.  With the default compiled executor the
-    parent compiles each worker's slice once and ships the **compiled
-    program buffers** — flat key/scale/index matrices — so workers execute
+    Opt-in :mod:`multiprocessing` workers.  Row axis only; activations
+    travel by pickle per request.  The parent compiles each worker's slice
+    once and ships the **compiled program buffers** — flat key/scale/index
+    matrices — through :mod:`multiprocessing.shared_memory` (one copy per
+    worker slice); workers execute
     :meth:`~repro.core.program.CompiledProgram.execute` directly over
-    shared-memory views without re-planning or re-packing keys.
-
-Every backend runs the compiled executor by default (``executor=
-"compiled"``): row-axis workers execute their slice's embedded
-:class:`~repro.core.program.CompiledProgram`, segment-axis workers pin the
-per-shard sub-programs from :func:`repro.serve.sharding.
-compile_shard_programs`.  ``executor="interpreted"`` keeps the plan-walking
-oracle path; results are bit-identical either way.
+    zero-copy shared-memory views without re-planning or re-packing keys.
 """
 
 from __future__ import annotations
@@ -46,15 +40,14 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.dataflow import PlanShard, TileExecutionPlan
 from repro.core.mpu import MatrixProcessingUnit, MPUConfig, MPURunStats, PreparedWeights
-from repro.core.program import CompiledProgram, compile_plan
+from repro.core.program import CompiledProgram
 from repro.quant.bcq import BCQTensor
-from repro.serve.sharding import merge_shard_outputs, shard_plan
+from repro.serve.sharding import compile_shard_programs, merge_shard_outputs, shard_plan
 from repro.telemetry import get_telemetry
 
 __all__ = ["ShardedMPUPool"]
@@ -62,88 +55,30 @@ __all__ = ["ShardedMPUPool"]
 _PROCESS_TIMEOUT_S = 120.0
 
 
-@dataclass
-class _PinnedShard:
-    """One worker's resident state for one layer (thread/serial backends).
+def _process_worker_main(conn, layer_specs, acc_dtype_name) -> None:
+    """Worker-process loop: attach pinned programs, serve GEMM requests.
 
-    ``program`` holds the shard's pinned
-    :class:`~repro.core.program.CompiledProgram` when the pool runs the
-    compiled executor with pinned keys — for segment-axis shards this is
-    the sub-program over the shard's segments and owned scale groups, so
-    repeated calls skip the per-call sub-program compilation.
-    """
-
-    shard: PlanShard
-    weights: BCQTensor | PreparedWeights
-    program: CompiledProgram | None = None
-
-    def run(self, mpu: MatrixProcessingUnit, x: np.ndarray,
-            accumulate_dtype, executor: str = "compiled"
-            ) -> tuple[np.ndarray, MPURunStats]:
-        if self.program is not None and executor == "compiled":
-            return self.program.execute(x, accumulate_dtype=accumulate_dtype)
-        if self.shard.axis == "rows":
-            # The pinned tensor is already the row slice; run it directly.
-            return mpu.gemm(self.weights, x, accumulate_dtype=accumulate_dtype,
-                            executor=executor)
-        return mpu.gemm(self.weights, x, accumulate_dtype=accumulate_dtype,
-                        shard=self.shard, executor=executor)
-
-
-def _shm_arrays(tensor: BCQTensor):
-    """The arrays a worker process needs to rebuild a BCQTensor."""
-    return {
-        "bitplanes": np.ascontiguousarray(tensor.bitplanes),
-        "scales": np.ascontiguousarray(tensor.scales),
-        "offsets": np.ascontiguousarray(tensor.offsets),
-        "per_row_bits": np.ascontiguousarray(
-            np.asarray(tensor.per_row_bits, dtype=np.int64)),
-    }
-
-
-def _process_worker_main(conn, layer_specs, mpu_config, acc_dtype_name,
-                         pin_keys, executor) -> None:
-    """Worker-process loop: attach pinned slices, serve GEMM requests.
-
-    ``layer_specs`` maps layer name to ``(kind, meta, array_specs)`` where
-    each array spec is ``(shm_name, shape, dtype_str)``.  ``kind ==
-    "program"`` rebuilds a parent-compiled
-    :class:`~repro.core.program.CompiledProgram` as zero-copy views over
-    the shared buffers (``meta`` is its picklable spec); ``kind ==
-    "tensor"`` rebuilds the BCQ slice (``meta`` is ``(group_size, shape)``)
-    and runs the requested interpreted executor.  The worker owns no
-    shared-memory lifetime — the parent unlinks on close.
+    ``layer_specs`` maps layer name to ``(spec, array_specs)``: a
+    parent-compiled :class:`~repro.core.program.CompiledProgram`'s picklable
+    :meth:`~repro.core.program.CompiledProgram.spec` and, per buffer,
+    ``(shm_name, shape, dtype_str)``.  Each program is rebuilt as zero-copy
+    views over the shared buffers.  The worker owns no shared-memory
+    lifetime — the parent unlinks on close.
     """
     from multiprocessing import shared_memory
 
     blocks = []
     try:
-        mpu = MatrixProcessingUnit(mpu_config)
         acc_dtype = np.dtype(acc_dtype_name)
-        run: dict[str, object] = {}
-        for name, (kind, meta, array_specs) in layer_specs.items():
+        programs: dict[str, CompiledProgram] = {}
+        for name, (spec, array_specs) in layer_specs.items():
             arrays = {}
             for field_name, (shm_name, arr_shape, dtype_str) in array_specs.items():
                 shm = shared_memory.SharedMemory(name=shm_name)
                 blocks.append(shm)
                 arrays[field_name] = np.ndarray(arr_shape, dtype=np.dtype(dtype_str),
                                                 buffer=shm.buf)
-            if kind == "program":
-                program = CompiledProgram.from_buffers(meta, arrays)
-                run[name] = program.execute
-            else:
-                group_size, shape = meta
-                tensor = BCQTensor(
-                    bitplanes=arrays["bitplanes"], scales=arrays["scales"],
-                    offsets=arrays["offsets"], group_size=group_size,
-                    shape=tuple(shape), per_row_bits=arrays["per_row_bits"])
-                pinned = mpu.prepare(tensor) if pin_keys else tensor
-
-                def gemm(x, accumulate_dtype, _pinned=pinned):
-                    return mpu.gemm(_pinned, x,
-                                    accumulate_dtype=accumulate_dtype,
-                                    executor=executor)
-                run[name] = gemm
+            programs[name] = CompiledProgram.from_buffers(spec, arrays)
         conn.send("ready")
         while True:
             msg = conn.recv()
@@ -151,7 +86,7 @@ def _process_worker_main(conn, layer_specs, mpu_config, acc_dtype_name,
                 break
             name, x = msg
             try:
-                conn.send(run[name](x, accumulate_dtype=acc_dtype))
+                conn.send(programs[name].execute(x, accumulate_dtype=acc_dtype))
             except Exception as exc:  # surface worker errors to the parent
                 conn.send(exc)
     finally:
@@ -163,22 +98,20 @@ def _process_worker_main(conn, layer_specs, mpu_config, acc_dtype_name,
 class _ProcessWorker:
     """Parent-side handle of one pinned worker process.
 
-    ``payloads`` maps layer name to ``(kind, meta, arrays)``: the worker's
-    resident state as flat buffers — compiled-program buffers
-    (``kind="program"``) or raw BCQ slice arrays (``kind="tensor"``) —
-    copied once into shared memory here and viewed zero-copy in the worker.
+    ``programs`` maps layer name to the worker's compiled program; its flat
+    buffers are copied once into shared memory here and viewed zero-copy in
+    the worker.
     """
 
-    def __init__(self, ctx, payloads: dict[str, tuple],
-                 mpu_config: MPUConfig, acc_dtype: np.dtype, pin_keys: bool,
-                 executor: str) -> None:
+    def __init__(self, ctx, programs: dict[str, CompiledProgram],
+                 acc_dtype: np.dtype) -> None:
         from multiprocessing import shared_memory
 
         self._shm: list = []
         layer_specs = {}
-        for name, (kind, meta, arrays) in payloads.items():
+        for name, program in programs.items():
             array_specs = {}
-            for field_name, arr in arrays.items():
+            for field_name, arr in program.buffers().items():
                 arr = np.ascontiguousarray(arr)
                 shm = shared_memory.SharedMemory(create=True,
                                                  size=max(arr.nbytes, 1))
@@ -186,12 +119,11 @@ class _ProcessWorker:
                 view[...] = arr
                 self._shm.append(shm)
                 array_specs[field_name] = (shm.name, arr.shape, arr.dtype.str)
-            layer_specs[name] = (kind, meta, array_specs)
+            layer_specs[name] = (program.spec(), array_specs)
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_process_worker_main,
-            args=(child_conn, layer_specs, mpu_config, acc_dtype.name,
-                  pin_keys, executor),
+            args=(child_conn, layer_specs, acc_dtype.name),
             daemon=True)
         self._proc.start()
         child_conn.close()
@@ -251,21 +183,9 @@ class ShardedMPUPool:
         MPU geometry shared by all workers.
     backend:
         ``"thread"`` (default), ``"serial"``, or ``"process"`` (opt-in,
-        shared-memory weight buffers, row axis only).
+        shared-memory program buffers, row axis only).
     accumulate_dtype:
-        Accumulator dtype forwarded to every worker's
-        :meth:`~repro.core.mpu.MatrixProcessingUnit.gemm`.
-    pin_keys:
-        Precompute each worker's RAC key matrices
-        (:meth:`~repro.core.mpu.MatrixProcessingUnit.prepare`) — and, with
-        the compiled executor, the per-shard compiled programs; identical
-        results, repeated calls skip planning, key packing, and
-        sub-program compilation.
-    executor:
-        ``"compiled"`` (default) executes each shard's pinned
-        :class:`~repro.core.program.CompiledProgram`;
-        ``"interpreted"`` walks the plan per call (the oracle path).
-        Bit-identical outputs and stats either way.
+        Accumulator dtype every worker's program executes with.
     axis:
         Shard axis, ``"rows"`` (bit-exact merge, default) or
         ``"segments"`` (summing merge; thread/serial backends only).
@@ -273,8 +193,8 @@ class ShardedMPUPool:
         Optional externally-owned full-plan
         :class:`~repro.core.mpu.PreparedWeights` per layer (e.g.
         ``QuantizedLM.prepared_weights()``).  A layer whose row-axis shard
-        covers the whole plan (single shard) pins this shared state instead
-        of slicing and re-packing its own copy, so the solo and served
+        covers the whole plan (single shard) pins this shared state's
+        program instead of compiling its own copy, so the solo and served
         paths hold one set of RAC keys.  Ignored for multi-shard layers and
         the process backend.
     plans:
@@ -283,19 +203,19 @@ class ShardedMPUPool:
         MPU geometry; layers present here skip re-planning.
     """
 
+    # Every shard runs its pinned CompiledProgram; reported by benchmarks.
+    executor = "compiled"
+
     def __init__(self, weights: dict[str, BCQTensor], num_shards: int = 2,
                  mpu_config: MPUConfig | None = None, backend: str = "thread",
                  accumulate_dtype: np.dtype | type = np.float64,
-                 pin_keys: bool = True, axis: str = "rows",
+                 axis: str = "rows",
                  shared_prepared: dict[str, PreparedWeights] | None = None,
-                 plans: dict[str, TileExecutionPlan] | None = None,
-                 executor: str = "compiled") -> None:
+                 plans: dict[str, TileExecutionPlan] | None = None) -> None:
         if backend not in ("serial", "thread", "process"):
             raise ValueError("backend must be 'serial', 'thread' or 'process'")
         if axis not in ("rows", "segments"):
             raise ValueError("axis must be 'rows' or 'segments'")
-        if executor not in ("compiled", "interpreted"):
-            raise ValueError("executor must be 'compiled' or 'interpreted'")
         if backend == "process" and axis != "rows":
             raise ValueError("the process backend pins row slices; use axis='rows'")
         if not weights:
@@ -303,7 +223,6 @@ class ShardedMPUPool:
         self.mpu = MatrixProcessingUnit(mpu_config)
         self.backend = backend
         self.axis = axis
-        self.executor = executor
         self.accumulate_dtype = np.dtype(accumulate_dtype)
         plans = plans or {}
         self.plans: dict[str, TileExecutionPlan] = {
@@ -314,62 +233,23 @@ class ShardedMPUPool:
             for name, plan in self.plans.items()}
         self.num_workers = max(len(s) for s in self.shards.values())
 
-        # Worker w pins shard w of every layer that has one.  On the
-        # segments axis the prepared full-plan keys are read-only and every
-        # worker indexes its own segment subset, so one prep is shared.
-        shared_full: dict[str, BCQTensor | PreparedWeights] = {}
-        if axis == "segments":
-            shared_full = {name: (self.mpu.prepare(t) if pin_keys else t)
-                           for name, t in weights.items()}
-        self._pinned: list[dict[str, _PinnedShard]] = []
-        worker_payloads: list[dict[str, tuple]] = []
-        for w in range(self.num_workers):
-            resident: dict[str, _PinnedShard] = {}
-            payloads: dict[str, tuple] = {}
-            for name, tensor in weights.items():
-                if w >= len(self.shards[name]):
-                    continue
-                shard = self.shards[name][w]
-                program: CompiledProgram | None = None
-                if axis == "rows":
-                    if (len(self.shards[name]) == 1 and pin_keys
-                            and backend != "process" and shared_prepared
-                            and name in shared_prepared):
-                        # The single shard is the whole plan: pin the
-                        # caller's shared prepared state (identical keys,
-                        # one resident copy for solo and served paths).
-                        pinned_weights: BCQTensor | PreparedWeights = \
-                            shared_prepared[name]
-                    else:
-                        sliced = tensor.take_rows(shard.row_indices)
-                        if backend == "process":
-                            if executor == "compiled":
-                                # Compile here, ship only the flat buffers.
-                                prog = self.mpu.prepare(sliced).program
-                                payloads[name] = ("program", prog.spec(),
-                                                  prog.buffers())
-                            else:
-                                payloads[name] = (
-                                    "tensor",
-                                    (sliced.group_size, sliced.shape),
-                                    _shm_arrays(sliced))
-                            pinned_weights = sliced
-                        elif pin_keys:
-                            pinned_weights = self.mpu.prepare(sliced)
-                        else:
-                            pinned_weights = sliced
-                    # A row shard executes the row slice's own full program.
-                    program = getattr(pinned_weights, "program", None)
-                else:
-                    pinned_weights = shared_full[name]
-                    if pin_keys and executor == "compiled":
-                        program = compile_plan(shard.plan, pinned_weights,
-                                               self.mpu.config, shard=shard)
-                resident[name] = _PinnedShard(shard=shard,
-                                              weights=pinned_weights,
-                                              program=program)
-            self._pinned.append(resident)
-            worker_payloads.append(payloads)
+        # Worker w pins shard w's program of every layer that has one.  A
+        # single row shard is the whole plan: pin the caller's shared
+        # prepared program (identical bits, one resident copy for the solo
+        # and served paths).
+        self._programs: list[dict[str, CompiledProgram]] = [
+            {} for _ in range(self.num_workers)]
+        shared_prepared = shared_prepared if backend != "process" else None
+        for name, tensor in weights.items():
+            shards = self.shards[name]
+            if (axis == "rows" and len(shards) == 1 and shared_prepared
+                    and name in shared_prepared):
+                programs = [shared_prepared[name].program]
+            else:
+                programs = compile_shard_programs(shards, tensor,
+                                                  self.mpu.config)
+            for w, program in enumerate(programs):
+                self._programs[w][name] = program
 
         self._executor: ThreadPoolExecutor | None = None
         self._procs: list[_ProcessWorker] = []
@@ -386,10 +266,9 @@ class ShardedMPUPool:
                       else "spawn")
             ctx = multiprocessing.get_context(method)
             try:
-                for w in range(self.num_workers):
+                for programs in self._programs:
                     self._procs.append(_ProcessWorker(
-                        ctx, worker_payloads[w], self.mpu.config,
-                        self.accumulate_dtype, pin_keys, executor))
+                        ctx, programs, self.accumulate_dtype))
             except Exception:
                 self.close()
                 raise
@@ -427,9 +306,16 @@ class ShardedMPUPool:
             with self._proc_lock:
                 for w in range(len(shards)):
                     self._procs[w].submit(name, activations)
-                results = []
+                # Drain every dispatched worker's reply before raising the
+                # first error: a reply left unread in its pipe would be
+                # taken as the answer to the next call.
+                results, error = [], None
                 for w in range(len(shards)):
-                    results.append(self._procs[w].collect())
+                    try:
+                        results.append(self._procs[w].collect())
+                    except Exception as exc:
+                        error = error or exc
+                        continue
                     if tel.enabled:
                         # Round-trip as the parent sees it: fan-out submit
                         # to this worker's collect (the child runs in its
@@ -438,6 +324,8 @@ class ShardedMPUPool:
                                          time.perf_counter_ns(),
                                          layer=name, shard=w,
                                          backend="process")
+            if error is not None:
+                raise error
             return results
         if self.backend == "thread":
             futures = [
@@ -449,16 +337,16 @@ class ShardedMPUPool:
 
     def _run_shard(self, w: int, name: str, activations: np.ndarray
                    ) -> tuple[np.ndarray, MPURunStats]:
-        """One worker's pinned-shard execution (serial/thread backends)."""
-        pinned = self._pinned[w][name]
+        """One worker's pinned-program execution (serial/thread backends)."""
+        program = self._programs[w][name]
         tel = get_telemetry()
         if not tel.enabled:
-            return pinned.run(self.mpu, activations, self.accumulate_dtype,
-                              self.executor)
+            return program.execute(activations,
+                                   accumulate_dtype=self.accumulate_dtype)
         with tel.trace.span("pool.shard", layer=name, shard=w,
-                            axis=pinned.shard.axis, backend=self.backend):
-            return pinned.run(self.mpu, activations, self.accumulate_dtype,
-                              self.executor)
+                            axis=self.axis, backend=self.backend):
+            return program.execute(activations,
+                                   accumulate_dtype=self.accumulate_dtype)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

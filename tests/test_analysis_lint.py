@@ -364,7 +364,7 @@ class TestRepoLintState:
         assert suppressed == [
             ("mpu.py", "reassociating-reduction"),
             ("mpu.py", "reassociating-reduction"),
-            # The offset group-sum (shared with the interpreter).
+            # The offset group-sum (shared with the reference).
             ("program.py", "reassociating-reduction"),
             ("workers.py", "unlocked-shared-state"),
         ]

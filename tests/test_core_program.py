@@ -1,14 +1,13 @@
-"""Plan-compiler tests: compiled programs vs the interpreted/scalar oracles.
+"""Plan-compiler tests: compiled programs vs the scalar reference oracle.
 
 The compilation contract (``docs/compilation.md``): for every plan family —
 uniform, ragged, mixed per-row precision — and every accumulator dtype, the
 :class:`~repro.core.program.CompiledProgram` produced by
-:func:`~repro.core.program.compile_plan` is **bit-identical** to the
-interpreted executor and to the scalar ``gemm_reference``, outputs *and*
-:class:`~repro.core.mpu.MPURunStats`.  Segment-axis sub-programs match the
-interpreted shard path bitwise and merge exactly; the shared-memory
-``spec()``/``buffers()``/``from_buffers()`` roundtrip preserves execution;
-batch chunking never changes a bit.
+:func:`~repro.core.program.compile_plan` is **bit-identical** to the scalar
+``gemm_reference``, outputs *and* :class:`~repro.core.mpu.MPURunStats`.
+Shard sub-programs match the reference's walk of the same shard bitwise and
+merge exactly; the shared-memory ``spec()``/``buffers()``/``from_buffers()``
+roundtrip preserves execution; batch chunking never changes a bit.
 """
 
 import pickle
@@ -55,14 +54,11 @@ def _assert_same(lhs, rhs):
 class TestCompiledEquivalence:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("acc", [np.float16, np.float32, np.float64])
-    def test_compiled_matches_interpreted_and_reference(self, rng, kind, acc):
+    def test_compiled_matches_reference(self, rng, kind, acc):
         tensor, x = _case(rng, kind)
         mpu = MatrixProcessingUnit(MPU_CFG)
-        compiled = mpu.gemm(tensor, x, accumulate_dtype=acc)
-        _assert_same(compiled, mpu.gemm(tensor, x, accumulate_dtype=acc,
-                                        executor="interpreted"))
-        _assert_same(compiled, mpu.gemm(tensor, x, accumulate_dtype=acc,
-                                        executor="reference"))
+        _assert_same(mpu.gemm(tensor, x, accumulate_dtype=acc),
+                     mpu.gemm_reference(tensor, x, accumulate_dtype=acc))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_prepare_embeds_program_and_runs_it(self, rng, kind):
@@ -81,7 +77,7 @@ class TestCompiledEquivalence:
         mpu = MatrixProcessingUnit(MPU_CFG)
         y, stats = mpu.gemm(tensor, x[:, 0])
         assert y.shape == (tensor.shape[0],)
-        y2, stats2 = mpu.gemm(tensor, x[:, 0], executor="interpreted")
+        y2, stats2 = mpu.gemm_reference(tensor, x[:, 0])
         _assert_same((y, stats), (y2, stats2))
 
     def test_batch_chunking_is_exact(self, rng):
@@ -167,7 +163,7 @@ class TestProgramStructure:
         assert prog.num_segments == n_seg
         assert prog.num_slots == n_seg * prog.slots_per_segment
         # A small program stacks every plane into one group: LUTs, one
-        # gather, one scale stage (which replays the interpreter's
+        # gather, one scale stage (which replays the reference's
         # segments-ascending / planes-innermost y order), the offsets.
         assert [(g.lo, g.hi) for g in prog.groups] == [(0, n_planes)]
         assert prog.instructions == (
@@ -217,8 +213,8 @@ class TestProgramStructure:
 class TestShardPrograms:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("num_shards", [2, 7])
-    def test_segment_subprograms_match_interpreted_shards(self, rng, kind,
-                                                          num_shards):
+    def test_segment_subprograms_match_reference_shards(self, rng, kind,
+                                                        num_shards):
         tensor, x = _case(rng, kind)
         mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
@@ -227,8 +223,8 @@ class TestShardPrograms:
         results = []
         for shard, prog in zip(shards, programs, strict=True):
             compiled = prog.execute(x)
-            _assert_same(compiled, mpu.gemm(tensor, x, shard=shard,
-                                            executor="interpreted"))
+            _assert_same(compiled, mpu.gemm_reference(tensor, x,
+                                                      shard=shard))
             results.append(compiled)
         y, stats = merge_shard_outputs(shards, results)
         y_full, stats_full = mpu.gemm(tensor, x)
@@ -243,8 +239,24 @@ class TestShardPrograms:
         shards = shard_plan(plan, num_shards, axis="rows")
         programs = compile_shard_programs(shards, tensor, MPU_CFG)
         results = [prog.execute(x) for prog in programs]
+        for shard, result in zip(shards, results, strict=True):
+            _assert_same(result, mpu.gemm_reference(tensor, x, shard=shard))
         merged = merge_shard_outputs(shards, results)
         _assert_same(merged, mpu.gemm(tensor, x))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reference_counts_interleaved_shard_stats(self, rng, kind):
+        # A cut that splits column bands: the reference's loop-counted
+        # stats still equal the analytic shard_stats (and the sub-program's
+        # baked stats), one systolic pass per (tile, plane) the shard runs.
+        tensor, x = _case(rng, kind)
+        mpu = MatrixProcessingUnit(MPU_CFG)
+        plan = mpu.plan(tensor)
+        for w in range(3):
+            shard = plan.shard_segments(range(w, len(plan.segments), 3), w, 3)
+            y_ref, s_ref = mpu.gemm_reference(tensor, x, shard=shard)
+            assert s_ref == mpu.shard_stats(shard, x.shape[1])
+            _assert_same(mpu.gemm(tensor, x, shard=shard), (y_ref, s_ref))
 
 
 class TestProgramErrors:
@@ -277,11 +289,6 @@ class TestProgramErrors:
         shard = shard_plan(other_plan, 2, axis="segments")[0]
         with pytest.raises(ValueError, match="different plan"):
             compile_plan(plan, tensor, MPU_CFG, shard=shard)
-
-    def test_unknown_executor_name(self, rng):
-        tensor, x = _case(rng, "uniform")
-        with pytest.raises(ValueError, match="executor"):
-            MatrixProcessingUnit(MPU_CFG).gemm(tensor, x, executor="jit")
 
     @pytest.mark.parametrize("group_elements", [1, program_mod._PLANE_GROUP_ELEMENTS])
     @pytest.mark.parametrize("batch", [1, 9])

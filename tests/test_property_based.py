@@ -177,25 +177,21 @@ def _random_case(seed):
 
 class TestExecutorEquivalenceSweep:
     """Randomized sweep over shapes × groupings × precisions × geometries:
-    the compiled executor, the interpreted executor, and the scalar
-    reference agree bitwise — outputs and stats — and sharded compiled
-    programs merge exactly like interpreted shards."""
+    the compiled executor and the scalar reference agree bitwise — outputs
+    and stats — and every compiled shard program equals the reference's
+    walk of the same shard, so sharded programs merge exactly."""
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_compiled_interpreted_reference_identical(self, seed):
+    def test_compiled_reference_identical(self, seed):
         mpu, tensor, x, acc = _random_case(seed)
         y_c, s_c = mpu.gemm(tensor, x, accumulate_dtype=acc)
-        y_i, s_i = mpu.gemm(tensor, x, accumulate_dtype=acc,
-                            executor="interpreted")
-        y_r, s_r = mpu.gemm(tensor, x, accumulate_dtype=acc,
-                            executor="reference")
-        np.testing.assert_array_equal(y_c, y_i)
+        y_r, s_r = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
         np.testing.assert_array_equal(y_c, y_r)
-        assert s_c == s_i == s_r
+        assert s_c == s_r
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_sharded_compiled_merges_like_interpreted(self, seed, num_shards):
+    def test_sharded_compiled_merges_like_reference(self, seed, num_shards):
         mpu, tensor, x, _ = _random_case(seed)
         plan = mpu.plan(tensor)
         y_full, stats_full = mpu.gemm(tensor, x)
@@ -208,17 +204,16 @@ class TestExecutorEquivalenceSweep:
         np.testing.assert_array_equal(merged, y_full)
         assert stats == stats_full
 
-        # Segment axis: each compiled sub-program is bitwise the interpreted
+        # Segment axis: each compiled sub-program is bitwise the reference
         # shard; the summing merge keeps stats exact and outputs to rounding.
         shards = shard_plan(plan, num_shards, axis="segments")
         programs = compile_shard_programs(shards, tensor, mpu.config)
         results = []
         for shard, prog in zip(shards, programs, strict=True):
             y_s, s_s = prog.execute(x)
-            y_int, s_int = mpu.gemm(tensor, x, shard=shard,
-                                    executor="interpreted")
-            np.testing.assert_array_equal(y_s, y_int)
-            assert s_s == s_int
+            y_ref, s_ref = mpu.gemm_reference(tensor, x, shard=shard)
+            np.testing.assert_array_equal(y_s, y_ref)
+            assert s_s == s_ref
             results.append((y_s, s_s))
         merged, stats = merge_shard_outputs(shards, results)
         assert stats == stats_full
@@ -286,10 +281,10 @@ class TestPlaneGroupSweep:
         np.testing.assert_array_equal(y, y_ref)
         assert stats == s_ref
         for shard, (y_s, s_s) in zip(shards, results, strict=True):
-            y_int, s_int = mpu.gemm(tensor, x, accumulate_dtype=acc,
-                                    shard=shard, executor="interpreted")
-            np.testing.assert_array_equal(y_s, y_int)
-            assert s_s == s_int
+            y_sr, s_sr = mpu.gemm_reference(tensor, x, accumulate_dtype=acc,
+                                            shard=shard)
+            np.testing.assert_array_equal(y_s, y_sr)
+            assert s_s == s_sr
         assert merge_shard_outputs(shards, results)[1] == s_ref
 
 

@@ -26,11 +26,10 @@ def layers(rng):
 
 class TestShardedMPUPool:
     @pytest.mark.parametrize("backend", ["serial", "thread"])
-    @pytest.mark.parametrize("pin_keys", [True, False])
-    def test_bit_exact_vs_unsharded(self, rng, layers, backend, pin_keys):
+    def test_bit_exact_vs_unsharded(self, rng, layers, backend):
         mpu = MatrixProcessingUnit(MPU_CFG)
         with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG,
-                            backend=backend, pin_keys=pin_keys) as pool:
+                            backend=backend) as pool:
             for name, tensor in layers.items():
                 x = rng.standard_normal((tensor.shape[1], 4))
                 y_ref, stats_ref = mpu.gemm(tensor, x)
@@ -59,6 +58,20 @@ class TestShardedMPUPool:
                 y, stats = pool.gemm(name, x)
                 np.testing.assert_array_equal(y, y_ref)
                 assert stats == stats_ref
+
+    def test_process_backend_recovers_after_a_failed_call(self, rng, layers):
+        # Every worker rejects the bad call; all their replies must be read
+        # before the error surfaces, or the next call gets a stale one.
+        tensor = layers["uniform"]
+        x = rng.standard_normal((tensor.shape[1], 3))
+        y_ref, stats_ref = MatrixProcessingUnit(MPU_CFG).gemm(tensor, x)
+        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
+                            backend="process") as pool:
+            with pytest.raises(ValueError, match="activation rows"):
+                pool.gemm("uniform", x[:-1])
+            y, stats = pool.gemm("uniform", x)
+        np.testing.assert_array_equal(y, y_ref)
+        assert stats == stats_ref
 
     def test_process_backend_concurrent_calls(self, rng, layers):
         # Overlapping micro-batches issue pool.gemm from different threads;

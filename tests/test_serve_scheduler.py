@@ -515,8 +515,8 @@ class TestSharedPreparedState:
         server = _server(qlm, num_shards=1)
         with server:
             prepared = qlm.prepared_weights(MPU_CFG)
-            for name, pinned in server.pool._pinned[0].items():
-                assert pinned.weights is prepared[name]
+            for name, program in server.pool._programs[0].items():
+                assert program is prepared[name].program
 
     def test_single_shard_results_unchanged(self, qlm, rng):
         shared = _server(qlm, num_shards=1)

@@ -44,7 +44,7 @@ def _build_server(qlm):
     return InferenceServer(qlm, num_shards=2,
                            policy=BatchPolicy(max_batch=4, max_wait_us=500),
                            mpu_config=MPU_CFG, backend="thread",
-                           executor="compiled", decode_max_active=4,
+                           decode_max_active=4,
                            cache_config=CacheConfig(page_size=4))
 
 
