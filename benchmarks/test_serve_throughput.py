@@ -77,8 +77,8 @@ def _drive() -> dict:
         "batched_s": batched_s,
         "speedup": sequential_s / batched_s,
         "mean_batch": metrics.mean_batch_size,
-        "p50_ms": metrics.p50_latency_s * 1e3,
-        "p99_ms": metrics.p99_latency_s * 1e3,
+        "p50_ms": metrics.request_latency.percentile(50) * 1e3,
+        "p99_ms": metrics.request_latency.percentile(99) * 1e3,
         "tokens_per_s": NUM_REQUESTS * SEQ_LEN / batched_s,
     }
 

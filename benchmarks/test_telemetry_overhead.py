@@ -31,6 +31,13 @@ from repro.telemetry import telemetry_session
 ENABLED_RATIO_FLOOR = (1.0 / 1.15) * 0.95
 VOCAB = 101
 PROMPT_LEN = 8
+# Paired rounds of STEPS decode steps per configuration.  One round's
+# ratio swings by ±0.1-0.2 under host load (CPU steal, a neighbour's
+# BLAS threads), so the median needs enough rounds that a burst spanning
+# a few of them cannot move it: with 6 rounds a loaded 2-vCPU host saw
+# medians as low as 0.64 around a true ratio of ~0.87; with 30 the
+# median stayed within 0.85-0.89.
+STEPS, ROUNDS = 20, 30
 
 
 def _drive() -> dict:
@@ -44,7 +51,6 @@ def _drive() -> dict:
     cfg = MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4)
     rng = np.random.default_rng(7)
     prompt = rng.integers(0, VOCAB, size=PROMPT_LEN)
-    steps, rounds = 20, 6
 
     def one_round() -> tuple[float, list[int]]:
         """One timed batch-1 decode round: ms/step + the emitted tokens."""
@@ -54,11 +60,11 @@ def _drive() -> dict:
         qlm.decode_step(token, cache, gemm=gemm)  # warm
         round_tokens = []
         t0 = time.perf_counter()
-        for _ in range(steps):
+        for _ in range(STEPS):
             logits, _ = qlm.decode_step(token, cache, gemm=gemm)
             token = np.array([[int(np.argmax(logits[0, -1]))]])
             round_tokens.append(int(token[0, 0]))
-        return (time.perf_counter() - t0) / steps * 1e3, round_tokens
+        return (time.perf_counter() - t0) / STEPS * 1e3, round_tokens
 
     # Two configurations, measured in interleaved rounds so ambient
     # machine load biases neither: telemetry disabled (the default), and
@@ -71,7 +77,7 @@ def _drive() -> dict:
     compiled, enabled = [], []
     compiled_tokens = enabled_tokens = None
     traced_events, profile = 0, {}
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         ms, compiled_tokens = one_round()
         compiled.append(ms)
         with telemetry_session(profiling=True) as tel:
@@ -98,7 +104,7 @@ def test_telemetry_overhead_within_budget(benchmark):
     data = run_once(benchmark, _drive)
     print()
     print("telemetry overhead — batch-1 decode step, d_model 128, 2 layers "
-          "(median paired round of 6×20 interleaved steps)")
+          f"(median paired round of {ROUNDS}×{STEPS} interleaved steps)")
     print(f"  compiled, telemetry off : {data['compiled_ms']:6.2f} ms/step")
     print(f"  compiled, telemetry on  : {data['enabled_ms']:6.2f} ms/step   "
           f"({data['overhead_pct']:+5.1f}% — {data['traced_events']} spans, "

@@ -88,7 +88,7 @@ def main() -> None:
     tel = None
     if TELEMETRY_ON:
         tel = Telemetry(enabled=True, profiling=True)
-        set_telemetry(tel)  # InferenceServer auto-binds its metrics adapters
+        set_telemetry(tel)  # InferenceServer auto-binds its metrics
     rng = np.random.default_rng(0)
     server = build_server()
     prompts = [rng.integers(0, VOCAB, size=int(rng.integers(6, 17)))
@@ -109,10 +109,11 @@ def main() -> None:
     print(f"decode loop     : {metrics.iterations} iterations, "
           f"{metrics.admissions} admission waves, "
           f"mean active {metrics.mean_active:.1f}")
-    print(f"token latency   : p50 {metrics.p50_token_latency_s * 1e3:.1f} ms   "
-          f"p99 {metrics.p99_token_latency_s * 1e3:.1f} ms")
-    print(f"request latency : p50 {metrics.request_latency_percentile(50) * 1e3:.1f} ms   "
-          f"p99 {metrics.request_latency_percentile(99) * 1e3:.1f} ms")
+    token, request = metrics.token_latency, metrics.request_latency
+    print(f"token latency   : p50 {token.percentile(50) * 1e3:.1f} ms   "
+          f"p99 {token.percentile(99) * 1e3:.1f} ms")
+    print(f"request latency : p50 {request.percentile(50) * 1e3:.1f} ms   "
+          f"p99 {request.percentile(99) * 1e3:.1f} ms")
     print(f"throughput      : {metrics.tokens_per_second:,.0f} tokens/s "
           f"(decode-loop busy time)")
 

@@ -78,8 +78,9 @@ def main() -> None:
           f"in {elapsed * 1e3:.1f} ms)")
     print(f"micro-batches : {metrics.batches}  "
           f"(mean batch size {metrics.mean_batch_size:.1f})")
-    print(f"latency       : p50 {metrics.p50_latency_s * 1e3:.1f} ms   "
-          f"p99 {metrics.p99_latency_s * 1e3:.1f} ms")
+    latency = metrics.request_latency
+    print(f"latency       : p50 {latency.percentile(50) * 1e3:.1f} ms   "
+          f"p99 {latency.percentile(99) * 1e3:.1f} ms")
     print(f"throughput    : {metrics.tokens_per_second:,.0f} tokens/s")
 
     print()

@@ -1,9 +1,9 @@
 """Timing discipline for the serving and telemetry layers.
 
-Latency spans, percentile windows, and trace timestamps must come from
+Latency spans, latency histograms, and trace timestamps must come from
 the **monotonic** clocks (``time.perf_counter`` / ``perf_counter_ns`` /
 ``time.monotonic``): wall clocks step under NTP corrections and DST, so
-one adjustment mid-request poisons a latency percentile window or
+one adjustment mid-request poisons a latency histogram or
 produces a negative-duration span in an exported trace.  The
 ``wall-clock-in-serve`` rule forbids ``time.time()`` and naive
 ``datetime.now()`` anywhere under ``src/repro/serve/`` and

@@ -133,19 +133,21 @@ def quantize_rtn(weight: np.ndarray, config: RTNConfig | None = None) -> Uniform
         if config.symmetric:
             absmax = float(np.max(np.abs(block)))
             # Symmetric grid centred at zero: levels map to [-absmax, +absmax].
-            scale = (2.0 * absmax / qmax) if absmax > 0 else 1.0
+            # A subnormal absmax can underflow the step to 0; treat it as 0.
+            scale = (2.0 * absmax / qmax) or 1.0
             zero = qmax / 2.0
         else:
             lo = float(np.min(block))
             hi = float(np.max(block))
-            if hi == lo:
-                # Constant block: encode as code 0 with zero_point -lo so the
-                # dequantized value is exactly lo.
+            scale = (hi - lo) / qmax
+            if scale == 0.0:
+                # Constant block (or a subnormal range whose step underflows):
+                # encode as code 0 with zero_point -lo so the dequantized
+                # value is exactly lo.
                 codes[rsl, csl] = 0
                 scales[scope_idx] = 1.0
                 zero_points[scope_idx] = -lo
                 continue
-            scale = (hi - lo) / qmax
             zero = -lo / scale
         q = np.clip(np.rint(block / scale + zero), 0, qmax)
         codes[rsl, csl] = q.astype(np.int64)

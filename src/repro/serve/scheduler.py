@@ -66,15 +66,9 @@ from repro.models.transformer import (
     PagedKVCache,
     PagePool,
 )
-from repro.telemetry import get_telemetry
+from repro.telemetry import Histogram, get_telemetry
 
 __all__ = ["CacheConfig", "DecodeMetrics", "DecodeScheduler", "SequenceState"]
-
-# Sliding-window size for the latency percentile estimates (the server's
-# request metrics import it too): p50/p99 track recent traffic at O(1)
-# memory.
-LATENCY_WINDOW = 4096
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -123,12 +117,15 @@ class CacheConfig:
 class DecodeMetrics:
     """Aggregate accounting of a scheduler's decode traffic.
 
-    ``step_latencies_s`` records the wall-clock duration of each decode
+    ``token_latency`` records the wall-clock duration of each decode
     iteration — every in-flight sequence receives exactly one token per
-    iteration, so these *are* the per-token latencies; ``p50``/``p99``
-    summarise them over a bounded recent window.  ``mpu_stats`` sums the
-    plan-exact counters of every prefill and decode pass the scheduler
-    actually dispatched.
+    iteration, so these *are* the per-token latencies.
+    ``request_latency`` records the submit-to-last-token time of each
+    request the server awaited.  Both are the registry's
+    :class:`~repro.telemetry.metrics.Histogram` (``.percentile(q)``,
+    ``.count()``), so binding telemetry exports these very objects.
+    ``mpu_stats`` sums the plan-exact counters of every prefill and decode
+    pass the scheduler actually dispatched.
     """
 
     requests: int = 0
@@ -142,29 +139,14 @@ class DecodeMetrics:
     prefix_hit_tokens: int = 0
     backpressure_events: int = 0
     busy_s: float = 0.0
-    step_latencies_s: deque[float] = field(
-        default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
-    request_latencies_s: deque[float] = field(
-        default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
+    token_latency: Histogram = field(default_factory=lambda: Histogram(
+        "decode_token_latency_seconds",
+        help="stacked decode-step latency (one token per in-flight "
+             "sequence per step)"))
+    request_latency: Histogram = field(default_factory=lambda: Histogram(
+        "decode_request_latency_seconds",
+        help="submit-to-last-token latency of served generation requests"))
     mpu_stats: MPURunStats = field(default_factory=MPURunStats)
-
-    def latency_percentile(self, q: float) -> float:
-        if not self.step_latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.step_latencies_s), q))
-
-    def request_latency_percentile(self, q: float) -> float:
-        if not self.request_latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.request_latencies_s), q))
-
-    @property
-    def p50_token_latency_s(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p99_token_latency_s(self) -> float:
-        return self.latency_percentile(99.0)
 
     @property
     def tokens_per_second(self) -> float:
@@ -615,14 +597,10 @@ class DecodeScheduler:
                 tel.trace.record("decode.iteration", it0_ns,
                                  time.perf_counter_ns(),
                                  request_ids=[s.request_id for s in active])
-                tel.metrics.histogram(
-                    "decode_token_latency_seconds",
-                    help="stacked decode-step latency (one token per "
-                         "in-flight sequence per step)").observe(step_s)
                 if tel.profiling:
                     tel.profile.record("scheduler.decode", step_s)
+            self.metrics.token_latency.observe(step_s)
             with self._lock:
-                self.metrics.step_latencies_s.append(step_s)
                 self.metrics.mpu_stats = self.metrics.mpu_stats.merge(stats)
                 self.metrics.iterations += 1
                 self.metrics.decode_tokens += len(active)

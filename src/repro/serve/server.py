@@ -39,7 +39,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +46,9 @@ import numpy as np
 from repro.core.mpu import MPUConfig, MPURunStats
 from repro.models.quantized_model import GenerationResult, QuantizedLM
 from repro.serve.batching import AsyncBatcher, BatchPolicy
-from repro.serve.scheduler import LATENCY_WINDOW, CacheConfig, DecodeScheduler
+from repro.serve.scheduler import CacheConfig, DecodeScheduler
 from repro.serve.workers import ShardedMPUPool
-from repro.telemetry import Telemetry, get_telemetry
+from repro.telemetry import Histogram, Telemetry, get_telemetry
 from repro.telemetry.adapters import bind_server
 
 __all__ = ["InferenceResult", "GeneratedSequence", "ServerMetrics",
@@ -82,41 +81,26 @@ class GeneratedSequence:
     latency_s: float
 
 
-# Latency samples retained for the percentile estimates (shared with the
-# decode scheduler's metrics); a bounded window keeps a long-lived server's
-# memory O(1) while p50/p99 track recent traffic.
-
-
 @dataclass
 class ServerMetrics:
     """Aggregate accounting across every request a server handled.
 
-    Counters are exact over the server's lifetime; ``latencies_s`` is a
-    sliding window of the most recent :data:`LATENCY_WINDOW` requests, so
-    the reported percentiles follow current traffic at bounded memory.
+    Counters are exact over the server's lifetime.  ``request_latency``
+    is the registry's :class:`~repro.telemetry.metrics.Histogram` of
+    one-shot submit latencies (``.percentile(q)``, ``.count()``): exact up
+    to its reservoir size, a seeded uniform sample beyond it, at O(1)
+    memory.
     """
 
     requests: int = 0
     batches: int = 0
     tokens: int = 0
-    latencies_s: deque[float] = field(
-        default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
+    request_latency: Histogram = field(default_factory=lambda: Histogram(
+        "server_request_latency_seconds",
+        help="one-shot submit latency"))
     mpu_stats: MPURunStats = field(default_factory=MPURunStats)
     started_at: float | None = None
     finished_at: float | None = None
-
-    def latency_percentile(self, q: float) -> float:
-        if not self.latencies_s:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies_s), q))
-
-    @property
-    def p50_latency_s(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p99_latency_s(self) -> float:
-        return self.latency_percentile(99.0)
 
     @property
     def elapsed_s(self) -> float:
@@ -200,13 +184,16 @@ class InferenceServer:
     def bind_telemetry(self, telemetry: Telemetry | None = None) -> None:
         """Export this stack's live metrics through a telemetry registry.
 
-        Binds callback gauges (queue depth, active/waiting requests,
-        page-pool occupancy, prefix hit rate, per-shard plan-exact
-        utilization, the four struct adapters) into ``telemetry.metrics``
-        — the active handle by default.  Runs automatically at
-        construction when telemetry is already enabled; call it manually
-        after enabling a handle for an existing server.  Idempotent:
-        re-binding replaces the callbacks in place.
+        Registers the server's and the decode scheduler's latency
+        histograms themselves, and binds callback gauges over every
+        counter field of the serving structs plus queue depth,
+        active/waiting requests, page-pool occupancy, prefix hit rates and
+        per-shard plan-exact utilization, into ``telemetry.metrics`` — the
+        active handle by default.  Runs automatically at construction when
+        telemetry is already enabled; call it manually after enabling a
+        handle for an existing server.  Idempotent: re-binding replaces
+        every family in place, so a registry exports the server bound
+        last.  Private schedulers (:meth:`generate_solo`) are never bound.
         """
         tel = telemetry if telemetry is not None else get_telemetry()
         bind_server(tel.metrics, self)
@@ -276,9 +263,9 @@ class InferenceServer:
             tel.trace.record("server.submit", t0_ns, time.perf_counter_ns(),
                              request_id=request_id, batch_size=batch_size,
                              tokens=arr.size)
+        self.metrics.request_latency.observe(latency)
         with self._lock:
             self.metrics.requests += 1
-            self.metrics.latencies_s.append(latency)
             self.metrics.finished_at = time.perf_counter()
         return InferenceResult(request_id=request_id, logits=logits,
                                latency_s=latency, batch_size=batch_size)
@@ -287,8 +274,9 @@ class InferenceServer:
     @property
     def decode_metrics(self):
         """The decode scheduler's :class:`~repro.serve.scheduler.
-        DecodeMetrics`: per-token p50/p99 latency, decode tokens/s, and the
-        plan-exact counters of every prefill/decode pass it dispatched."""
+        DecodeMetrics`: per-token and per-request latency, decode
+        tokens/s, and the plan-exact counters of every prefill/decode pass
+        it dispatched."""
         return self.scheduler.metrics
 
     def _ensure_pump(self) -> None:
@@ -358,7 +346,7 @@ class InferenceServer:
                              request_id=finished.request_id,
                              finish_reason=finished.finish_reason,
                              generated_tokens=len(finished.generated))
-        self.scheduler.metrics.request_latencies_s.append(latency)
+        self.scheduler.metrics.request_latency.observe(latency)
         return GeneratedSequence(request_id=finished.request_id, prompt=arr,
                                  tokens=finished.tokens,
                                  finish_reason=finished.finish_reason,
@@ -403,7 +391,7 @@ class InferenceServer:
                              time.perf_counter_ns(),
                              request_id=seq.request_id,
                              finish_reason=seq.finish_reason)
-        self.scheduler.metrics.request_latencies_s.append(
+        self.scheduler.metrics.request_latency.observe(
             time.perf_counter() - t0)
 
     # -- baselines / lifecycle --------------------------------------------

@@ -9,10 +9,10 @@ Three layers behind one :class:`Telemetry` handle:
    (``mpu.gemm``, per-shard ``pool.shard`` dispatch / ``pool.merge``).
    Export with :meth:`Telemetry.export_chrome` and open in Perfetto.
 2. **Metrics** (:mod:`repro.telemetry.metrics`): Counter/Gauge/Histogram
-   families with label sets and O(1) streaming percentile reservoirs;
-   :mod:`repro.telemetry.adapters` re-exports the existing structs
-   (``MPURunStats``, ``DecodeMetrics``, ``ServerMetrics``,
-   ``PagePoolCounters``) as live callback gauges.  Collect with
+   families with label sets and O(1) streaming percentile reservoirs.
+   The serving structs own their latency histograms and count in plain
+   ``int`` fields; :func:`bind_server` registers those histograms and
+   exports every counter field as a live callback gauge.  Collect with
    :meth:`Telemetry.snapshot` (JSON) or
    :meth:`Telemetry.render_prometheus` (text exposition).
 3. **Profiling** (:mod:`repro.telemetry.profiling`): opt-in
@@ -42,15 +42,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.telemetry.adapters import (
-    bind_batcher,
-    bind_mpu_stats,
-    bind_page_pool,
-    bind_pool_utilization,
-    bind_scheduler,
-    bind_server,
-    bind_server_metrics,
-)
+from repro.telemetry.adapters import bind_server
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -71,13 +63,7 @@ __all__ = [
     "SpanEvent",
     "Telemetry",
     "TraceRecorder",
-    "bind_batcher",
-    "bind_mpu_stats",
-    "bind_page_pool",
-    "bind_pool_utilization",
-    "bind_scheduler",
     "bind_server",
-    "bind_server_metrics",
     "get_telemetry",
     "set_telemetry",
     "telemetry_session",

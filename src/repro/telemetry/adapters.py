@@ -1,15 +1,17 @@
-"""Registry adapters re-exporting the serving structs' counters.
+"""Bind a serving stack's live metrics into a registry.
 
-The four ad-hoc observability structs (``MPURunStats``,
-``DecodeMetrics``, ``ServerMetrics``, ``PagePoolCounters``) keep their
-dataclass APIs untouched; these helpers bind *callback gauges* that read
-them live at scrape time, so a ``registry.snapshot()`` or
-``render_prometheus()`` always reflects the current state without the
-hot paths copying anything.
+The serving structs (``DecodeMetrics``, ``ServerMetrics``,
+``BatcherStats``, ``PagePoolCounters``, ``MPURunStats``) are the one
+store of what they count.  :func:`bind_server` exports them without
+copying anything on the hot paths: every ``int`` field becomes a
+*callback gauge* read live at scrape time, and the structs' latency
+:class:`~repro.telemetry.metrics.Histogram` objects are registered
+themselves, so a ``registry.snapshot()`` or ``render_prometheus()``
+always reflects the current state.
 
 Deliberately duck-typed: nothing here imports ``repro.serve`` or
 ``repro.models`` at module scope, so the telemetry package stays
-import-light and dependency-free (``bind_pool_utilization`` pulls the
+import-light and dependency-free (the per-shard utilization pulls the
 plan-exact cost helper from ``repro.serve.sharding`` lazily).
 """
 
@@ -19,65 +21,51 @@ from dataclasses import fields as _dataclass_fields
 
 from repro.telemetry.metrics import MetricsRegistry
 
-__all__ = [
-    "bind_batcher",
-    "bind_mpu_stats",
-    "bind_page_pool",
-    "bind_pool_utilization",
-    "bind_scheduler",
-    "bind_server",
-    "bind_server_metrics",
-]
-
-_SCHED_COUNTERS = (
-    "requests", "finished", "admissions", "iterations", "prefill_tokens",
-    "decode_tokens", "generated_tokens", "prefix_hit_requests",
-    "prefix_hit_tokens", "backpressure_events",
-)
+__all__ = ["bind_server"]
 
 
-def bind_mpu_stats(registry: MetricsRegistry, stats_fn, source: str) -> None:
-    """Gauges ``mpu_<field>{source=...}`` over a live ``MPURunStats``.
+def _bind_fields(registry: MetricsRegistry, prefix: str, struct_fn,
+                 **labels) -> None:
+    """Gauges ``<prefix>_<field>`` over every ``int`` field of a struct.
 
-    ``stats_fn`` returns the *current* stats object (the structs are
+    ``struct_fn`` returns the *current* struct (``MPURunStats`` is
     replaced wholesale on merge, so the callback must re-fetch).
     """
-    for f in _dataclass_fields(stats_fn()):
-        gauge = registry.gauge(
-            f"mpu_{f.name}",
-            help="plan-exact modelled MPU counter (MPURunStats field)")
-        gauge.set_function(
-            lambda name=f.name: float(getattr(stats_fn(), name)),
-            source=source)
+    struct = struct_fn()
+    for f in _dataclass_fields(struct):
+        if isinstance(getattr(struct, f.name), int):
+            registry.gauge(
+                f"{prefix}_{f.name}",
+                help=f"{type(struct).__name__}.{f.name}",
+            ).set_function(
+                lambda name=f.name: float(getattr(struct_fn(), name)),
+                **labels)
 
 
-def bind_page_pool(registry: MetricsRegistry, pool) -> None:
-    """Occupancy, registry size, hit rate, and raw ``PagePoolCounters``."""
-    pages = registry.gauge("page_pool_pages",
-                           help="physical KV pages by state")
-    pages.set_function(lambda: float(pool.num_free), state="free")
-    pages.set_function(lambda: float(pool.num_pages - pool.num_free),
-                       state="used")
+def bind_server(registry: MetricsRegistry, server) -> MetricsRegistry:
+    """Bind an ``InferenceServer`` stack's metrics into ``registry``.
+
+    Re-binding (this or another server) replaces every family in place:
+    callback gauges are re-pointed and the latency histograms re-registered,
+    so the registry always exports the server bound last.
+    """
+    scheduler, batcher, pages = server.scheduler, server.batcher, server.scheduler.pool
+    registry.register(server.metrics.request_latency)
+    registry.register(scheduler.metrics.token_latency)
+    registry.register(scheduler.metrics.request_latency)
+    _bind_fields(registry, "server", lambda: server.metrics)
+    _bind_fields(registry, "batcher", lambda: batcher.stats)
+    _bind_fields(registry, "decode", lambda: scheduler.metrics)
+    _bind_fields(registry, "page_pool", lambda: pages.counters)
+    _bind_fields(registry, "mpu", lambda: server.metrics.mpu_stats,
+                 source="server")
+    _bind_fields(registry, "mpu", lambda: scheduler.metrics.mpu_stats,
+                 source="scheduler")
+
     registry.gauge(
-        "page_pool_occupancy",
-        help="fraction of physical pages holding live references",
-    ).set_function(lambda: 1.0 - pool.num_free / pool.num_pages)
-    registry.gauge(
-        "page_pool_registered_pages",
-        help="completed pages registered for prefix sharing",
-    ).set_function(lambda: float(pool.num_registered))
-    registry.gauge(
-        "page_pool_prefix_hit_rate",
-        help="page-registry hit rate of prefix-walk lookups",
-    ).set_function(lambda: float(pool.counters.prefix_hit_rate))
-    for f in _dataclass_fields(pool.counters):
-        registry.gauge(
-            f"page_pool_{f.name}", help="PagePoolCounters field",
-        ).set_function(lambda name=f.name: float(getattr(pool.counters, name)))
-
-
-def bind_scheduler(registry: MetricsRegistry, scheduler) -> None:
-    """Waiting/active depth, DecodeMetrics counters, and the page pool."""
+        "batcher_queue_depth",
+        help="requests waiting for micro-batch dispatch",
+    ).set_function(lambda: float(batcher.pending))
     registry.gauge(
         "decode_waiting_requests",
         help="requests queued for admission",
@@ -86,69 +74,36 @@ def bind_scheduler(registry: MetricsRegistry, scheduler) -> None:
         "decode_active_requests",
         help="sequences currently decoding",
     ).set_function(lambda: float(scheduler.num_active))
-    for name in _SCHED_COUNTERS:
-        registry.gauge(
-            f"decode_{name}", help="DecodeMetrics counter",
-        ).set_function(lambda n=name: float(getattr(scheduler.metrics, n)))
     registry.gauge(
         "decode_prefix_hit_rate",
         help="fraction of prompt tokens served from shared prefix pages",
     ).set_function(lambda: float(scheduler.metrics.prefix_hit_rate))
-    bind_mpu_stats(registry, lambda: scheduler.metrics.mpu_stats,
-                   source="scheduler")
-    if getattr(scheduler, "pool", None) is not None:
-        bind_page_pool(registry, scheduler.pool)
 
+    page_states = registry.gauge("page_pool_pages",
+                                 help="physical KV pages by state")
+    page_states.set_function(lambda: float(pages.num_free), state="free")
+    page_states.set_function(lambda: float(pages.num_pages - pages.num_free),
+                             state="used")
+    registry.gauge(
+        "page_pool_occupancy",
+        help="fraction of physical pages holding live references",
+    ).set_function(lambda: 1.0 - pages.num_free / pages.num_pages)
+    registry.gauge(
+        "page_pool_registered_pages",
+        help="completed pages registered for prefix sharing",
+    ).set_function(lambda: float(pages.num_registered))
+    registry.gauge(
+        "page_pool_prefix_hit_rate",
+        help="page-registry hit rate of prefix-walk lookups",
+    ).set_function(lambda: float(pages.counters.prefix_hit_rate))
 
-def bind_batcher(registry: MetricsRegistry, batcher) -> None:
-    """Queue depth and dispatch counters of an ``AsyncBatcher``."""
-    registry.gauge(
-        "batcher_queue_depth",
-        help="requests waiting for micro-batch dispatch",
-    ).set_function(lambda: float(batcher.pending))
-    registry.gauge(
-        "batcher_requests", help="requests accepted by the batcher",
-    ).set_function(lambda: float(batcher.stats.requests))
-    registry.gauge(
-        "batcher_batches", help="micro-batches dispatched",
-    ).set_function(lambda: float(batcher.stats.batches))
-    registry.gauge(
-        "batcher_max_batch_size", help="largest micro-batch dispatched",
-    ).set_function(lambda: float(batcher.stats.max_batch_size))
-
-
-def bind_server_metrics(registry: MetricsRegistry, server) -> None:
-    """``ServerMetrics`` counters and recent-window latency quantiles."""
-    registry.gauge(
-        "server_requests", help="one-shot requests served",
-    ).set_function(lambda: float(server.metrics.requests))
-    registry.gauge(
-        "server_batches", help="micro-batches executed",
-    ).set_function(lambda: float(server.metrics.batches))
-    registry.gauge(
-        "server_tokens", help="input tokens processed by one-shot requests",
-    ).set_function(lambda: float(server.metrics.tokens))
-    latency = registry.gauge(
-        "server_request_latency_seconds",
-        help="one-shot submit latency quantiles over the recent window")
-    for q in (50.0, 90.0, 99.0):
-        latency.set_function(
-            lambda q=q: float(server.metrics.latency_percentile(q)),
-            quantile=repr(q / 100.0))
-    bind_mpu_stats(registry, lambda: server.metrics.mpu_stats,
-                   source="server")
-
-
-def bind_pool_utilization(registry: MetricsRegistry, pool) -> None:
-    """Per-shard plan-exact utilization of a ``ShardedMPUPool``.
-
-    Each worker's cost is its modelled batch-1 cycles summed across every
-    layer shard it pins (exactly what LPT balanced); utilization is that
-    cost normalised by the busiest worker.  Static per pool — derived
-    from the plans, not from runtime sampling.
-    """
+    # Per-shard plan-exact utilization of the ShardedMPUPool: each
+    # worker's modelled batch-1 cycles summed across every layer shard it
+    # pins (exactly what LPT balanced), normalised by the busiest worker.
+    # Static per pool — derived from the plans, not from runtime sampling.
     from repro.serve.sharding import pool_shard_costs
 
+    pool = server.pool
     costs = pool_shard_costs(pool.shards, pool.mpu, pool.num_workers)
     peak = max(costs) if costs and max(costs) > 0 else 1.0
     cycles = registry.gauge(
@@ -160,12 +115,4 @@ def bind_pool_utilization(registry: MetricsRegistry, pool) -> None:
     for w, cost in enumerate(costs):
         cycles.set(cost, shard=str(w))
         utilization.set(cost / peak, shard=str(w))
-
-
-def bind_server(registry: MetricsRegistry, server) -> MetricsRegistry:
-    """Bind every adapter of an ``InferenceServer`` stack at once."""
-    bind_server_metrics(registry, server)
-    bind_batcher(registry, server.batcher)
-    bind_scheduler(registry, server.scheduler)
-    bind_pool_utilization(registry, server.pool)
     return registry

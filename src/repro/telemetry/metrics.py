@@ -6,11 +6,12 @@ by an O(1) streaming :class:`PercentileReservoir` rather than fixed
 buckets, so it renders as a Prometheus ``summary`` (quantile labels plus
 ``_count``/``_sum`` series).  ``Gauge`` additionally accepts callback
 bindings (:meth:`Gauge.set_function`) evaluated lazily at collection
-time — this is how the adapters re-export the live serving structs
-without copying values on every mutation.
+time — this is how the adapters re-export the live serving structs'
+counters without copying values on every mutation.
 
 A :class:`MetricsRegistry` owns the families (get-or-create, type
-checked) and exposes two collection formats:
+checked, or :meth:`MetricsRegistry.register` for a family an object
+already owns) and exposes two collection formats:
 
 * :meth:`MetricsRegistry.snapshot` — a plain JSON-able dict;
 * :meth:`MetricsRegistry.render_prometheus` — the text exposition format
@@ -267,6 +268,7 @@ class MetricsRegistry:
     ``counter/gauge/histogram`` return the existing family when the name
     is already registered (help text of the first registration wins) and
     raise ``TypeError`` if the name is bound to a different kind.
+    :meth:`register` installs a family created elsewhere instead.
     """
 
     def __init__(self) -> None:
@@ -294,6 +296,24 @@ class MetricsRegistry:
                   reservoir_size: int = 1024) -> Histogram:
         return self._get_or_create(Histogram, name, help,
                                    reservoir_size=reservoir_size)
+
+    def register(self, metric: _Metric) -> _Metric:
+        """Export ``metric`` itself under its name; the last one wins.
+
+        For families an object owns and records into directly (a serving
+        struct's latency :class:`Histogram`).  Registering a second family
+        of the same name and kind replaces the first — the rule callback
+        gauges follow when re-bound — so the registry exports whichever
+        object bound last.  A different kind raises ``TypeError``.
+        """
+        with self._lock:
+            current = self._metrics.get(metric.name)
+            if current is not None and type(current) is not type(metric):
+                raise TypeError(
+                    f"metric {metric.name!r} already registered as "
+                    f"{current.kind}")
+            self._metrics[metric.name] = metric
+        return metric
 
     def get(self, name: str) -> _Metric | None:
         with self._lock:

@@ -401,8 +401,9 @@ class TestServerGenerate:
         assert metrics.requests == len(prompts)
         assert metrics.finished == len(prompts)
         assert metrics.mean_active > 1.0  # iteration-level batching happened
-        assert len(metrics.request_latencies_s) == len(prompts)
-        assert 0 < metrics.p50_token_latency_s <= metrics.p99_token_latency_s
+        assert metrics.request_latency.count() == len(prompts)
+        assert (0 < metrics.token_latency.percentile(50)
+                <= metrics.token_latency.percentile(99))
         assert metrics.tokens_per_second > 0
 
     def test_decode_stats_flow_into_server_counters(self, qlm, rng):

@@ -59,8 +59,9 @@ class TestInferenceServer:
         metrics = server.metrics
         assert metrics.requests == 8
         assert metrics.tokens == sum(len(t) for t in requests)
-        assert len(metrics.latencies_s) == 8
-        assert 0 < metrics.p50_latency_s <= metrics.p99_latency_s
+        assert metrics.request_latency.count() == 8
+        assert (0 < metrics.request_latency.percentile(50)
+                <= metrics.request_latency.percentile(99))
         assert metrics.tokens_per_second > 0
         assert metrics.mean_batch_size >= 1.0
         assert all(r.latency_s > 0 for r in results)

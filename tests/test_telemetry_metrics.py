@@ -129,6 +129,18 @@ class TestMetricsRegistry:
         with pytest.raises(TypeError):
             reg.gauge("tokens_total")
 
+    def test_register_exports_the_object_and_last_one_wins(self):
+        reg = MetricsRegistry()
+        first, second = Histogram("lat_seconds"), Histogram("lat_seconds")
+        assert reg.register(first) is first
+        first.observe(1.0)
+        assert reg.snapshot()["lat_seconds"]["samples"][0]["count"] == 1
+        reg.register(second)
+        assert reg.get("lat_seconds") is second
+        assert reg.snapshot()["lat_seconds"]["samples"] == []
+        with pytest.raises(TypeError):
+            reg.register(Gauge("lat_seconds"))
+
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("a_total").inc(5, shard="0")

@@ -11,6 +11,9 @@ Two acceptance pins live here:
   queue → admission (prefill) → decode iterations → departure timeline
   can be rebuilt structurally: request-id correlation, monotonic
   timestamps, and lifecycle containment.
+* **One metrics store** — the registry exports the serving structs' own
+  latency histograms, so private solo schedulers never leak into a
+  server's exported series, and the exposition's family set is pinned.
 """
 
 import asyncio
@@ -23,7 +26,7 @@ from repro.core.mpu import MPUConfig
 from repro.models.quantized_model import QuantizationRecipe, QuantizedLM
 from repro.models.transformer import TransformerConfig, TransformerLM
 from repro.serve import BatchPolicy, CacheConfig, DecodeScheduler, InferenceServer
-from repro.telemetry import get_telemetry, telemetry_session
+from repro.telemetry import MetricsRegistry, bind_server, get_telemetry, telemetry_session
 
 MPU_CFG = MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2)
 VOCAB = 41
@@ -205,3 +208,92 @@ class TestSchedulerBackpressureInstant:
             sched.run_until_idle()
             names = {e.name for e in tel.trace.events()}
         assert "scheduler.backpressure" in names
+
+
+# Every family a bound, driven server exported before the serving structs
+# owned their latency histograms (name -> kind).
+_GAUGE_FAMILIES = (
+    "batcher_batches", "batcher_max_batch_size", "batcher_queue_depth",
+    "batcher_requests", "decode_active_requests", "decode_admissions",
+    "decode_backpressure_events", "decode_decode_tokens", "decode_finished",
+    "decode_generated_tokens", "decode_iterations", "decode_prefill_tokens",
+    "decode_prefix_hit_rate", "decode_prefix_hit_requests",
+    "decode_prefix_hit_tokens", "decode_requests", "decode_waiting_requests",
+    "mpu_accumulations", "mpu_bit_planes_processed", "mpu_cycles",
+    "mpu_generator_additions", "mpu_lut_generations", "mpu_lut_reads",
+    "mpu_offset_additions", "mpu_scale_multiplications", "mpu_tiles",
+    "page_pool_gathered_slots", "page_pool_lookup_hit_pages",
+    "page_pool_lookup_misses", "page_pool_occupancy", "page_pool_pages",
+    "page_pool_pages_allocated", "page_pool_pages_released",
+    "page_pool_pages_revived", "page_pool_pages_shared",
+    "page_pool_prefix_hit_rate", "page_pool_registered_pages",
+    "page_pool_slots_written", "pool_shard_cycles_per_step",
+    "pool_shard_utilization", "server_batches",
+    "server_request_latency_seconds", "server_requests", "server_tokens",
+)
+PREVIOUS_FAMILIES = {name: "gauge" for name in _GAUGE_FAMILIES} | {
+    "decode_token_latency_seconds": "summary"}
+
+
+def _exported_count(tel, name):
+    return sum(row["count"] for row in tel.snapshot()[name]["samples"])
+
+
+def _drive(server, prompts):
+    async def main():
+        await asyncio.gather(*[server.submit(p) for p in prompts],
+                             *[server.submit_generate(p, NEW_TOKENS)
+                               for p in prompts])
+        await server.aclose()
+
+    asyncio.run(main())
+
+
+class TestOneMetricsStore:
+    def test_solo_generation_does_not_leak_into_exported_decode_metrics(
+            self, served_qlm):
+        with telemetry_session() as tel:
+            server = _build_server(served_qlm)
+            server.generate_solo(np.arange(6), NEW_TOKENS)
+            served_qlm.generate(np.arange(6), NEW_TOKENS, mpu_config=MPU_CFG)
+            assert server.scheduler.metrics.iterations == 0
+            assert _exported_count(tel, "decode_token_latency_seconds") == 0
+
+            _generate_all(server, _prompts())
+            iterations = server.scheduler.metrics.iterations
+            assert iterations > 0
+            assert (_exported_count(tel, "decode_token_latency_seconds")
+                    == iterations)
+
+    def test_exposition_families_and_rebinding(self, served_qlm):
+        with telemetry_session() as tel:
+            server = _build_server(served_qlm)
+            _drive(server, _prompts()[:3])
+            snap = tel.snapshot()
+            prom = tel.render_prometheus()
+
+            assert {name: fam["kind"] for name, fam in snap.items()} == (
+                PREVIOUS_FAMILIES | {
+                    "server_request_latency_seconds": "summary",
+                    "decode_request_latency_seconds": "summary"})
+            for q in ("0.5", "0.9", "0.99"):
+                assert f'server_request_latency_seconds{{quantile="{q}"}}' in prom
+
+            # The registry exports the scheduler's own histogram, not a copy.
+            token = server.scheduler.metrics.token_latency
+            exported = tel.metrics.get("decode_token_latency_seconds")
+            assert exported is token
+            (row,) = snap["decode_token_latency_seconds"]["samples"]
+            assert row["count"] == token.count() > 0
+            assert row["quantiles"]["50.0"] == token.percentile(50)
+
+            # Re-binding a second server switches every family to it.
+            second = _build_server(served_qlm)
+            try:
+                second.bind_telemetry(tel)
+                alone = bind_server(MetricsRegistry(), second).snapshot()
+                assert tel.snapshot() == alone
+                assert tel.metrics.get("server_request_latency_seconds") is (
+                    second.metrics.request_latency)
+            finally:
+                second.close()
