@@ -17,7 +17,6 @@ import numpy as np
 from benchmarks.conftest import record_bench, run_once
 from repro.core.gemm import figlut_gemm, prepare_weights
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
-from repro.core.program import compile_plan
 from repro.eval.tables import format_table
 
 
@@ -89,68 +88,47 @@ def test_mpu_batched_speedup_vs_scalar_reference(benchmark):
     assert speedup > 10.0
 
 
-def test_mpu_large_shape_auto_vs_fused(benchmark):
-    """Auto-selected blocked tier vs the forced fused tier on a large
-    prefill shape.
+def test_mpu_native_kernel_large_shape(benchmark):
+    """The native kernel on a large layer: 1024×1024, 3-bit, fp32.
 
-    1024×1024 at batch 32 is where the fused one-big-gather's (slots ×
-    rows × batch) intermediate stops fitting cache — exactly what the
-    blocked lowering tier exists for: ``tier="auto"`` must lower this shape
-    blocked, and the blocked program must never run slower than the fused
-    one at batch 32 (floor 1.0x) while staying bit-identical, outputs and
-    stats.  Batch 8 is reported only: the two tiers tie there.
+    Reports the median ms per call at batch 1, 8 and 32.  Batch 1 is
+    checked bitwise against the scalar reference, and batch 32 on its
+    first 64 rows (a row slice runs bit-identically to the same rows of
+    the whole layer), so the kernel's column tiling is covered too.
+    Measured on a 2-vCPU Xeon VM: ~0.5 / 3 / 6 ms, where the retired
+    NumPy lowering took ~5.8 / 11 / 24 ms.
     """
     rng = np.random.default_rng(5)
     w = rng.standard_normal((1024, 1024)) * 0.05
-    packed = prepare_weights(w, bits=3, method="bcq", group_size=128)
-    tensor = packed.weights if hasattr(packed, "weights") else packed
+    tensor = prepare_weights(w, bits=3, method="bcq", group_size=128)
     mpu = MatrixProcessingUnit(MPUConfig())
-    prepared = mpu.prepare(tensor)
-    assert prepared.tier == "blocked", \
-        "auto tier selection must lower this working set blocked"
-    fused = compile_plan(prepared.plan, tensor, mpu.config, tier="fused")
-    auto = prepared.program
+    program = mpu.prepare(tensor).program
 
-    x8 = rng.standard_normal((1024, 8))
-    run_once(benchmark, auto.execute, x8, accumulate_dtype=np.float32)
+    x = rng.standard_normal((1024, 32))
+    y, stats = run_once(benchmark, program.execute, x,
+                        accumulate_dtype=np.float32)
+    y_ref, s_ref = mpu.gemm_reference(tensor, x[:, :1],
+                                      accumulate_dtype=np.float32)
+    y1, s1 = program.execute(x[:, :1], accumulate_dtype=np.float32)
+    assert y1.tobytes() == y_ref.tobytes() and s1 == s_ref
+    y_rows, _ = mpu.gemm_reference(tensor.take_rows(slice(0, 64)), x,
+                                   accumulate_dtype=np.float32)
+    assert y[:64].tobytes() == y_rows.tobytes()
+    assert stats == mpu.plan_stats(tensor, 32)
 
-    rows, speedups = [], {}
-    for batch in (8, 32):
-        x = x8 if batch == 8 else rng.standard_normal((1024, batch))
-        y_a, s_a = auto.execute(x, accumulate_dtype=np.float32)  # warm
-        y_f, s_f = fused.execute(x, accumulate_dtype=np.float32)
-        np.testing.assert_array_equal(y_a, y_f)
-        assert s_a == s_f
-        # Median of paired per-round ratios (like the telemetry-overhead
-        # benchmark): both tiers run back-to-back each round, so ambient
-        # machine load cancels out of the ratio instead of skewing a
-        # best-of comparison.
-        ratios, med_a, med_f = [], [], []
+    rows = []
+    for batch in (1, 8, 32):
+        times = []
         for _ in range(11):
             start = time.perf_counter()
-            auto.execute(x, accumulate_dtype=np.float32)
-            t_auto = time.perf_counter() - start
-            start = time.perf_counter()
-            fused.execute(x, accumulate_dtype=np.float32)
-            t_fused = time.perf_counter() - start
-            ratios.append(t_fused / t_auto)
-            med_a.append(t_auto)
-            med_f.append(t_fused)
-        speedups[batch] = sorted(ratios)[len(ratios) // 2]
-        rows.append([f"batch {batch}",
-                     sorted(med_f)[len(med_f) // 2] * 1e3,
-                     sorted(med_a)[len(med_a) // 2] * 1e3, speedups[batch]])
-
-    print("\n[MPU speed] 1024x1024 / 3-bit / fp32 accumulators "
-          f"(blocked budget {auto.gather_budget})\n"
-          + format_table(["Shape", "Fused (ms)", "Auto/blocked (ms)",
-                          "Speedup"], rows))
-    record_bench("mpu_speed::large_shape_auto_vs_fused", "speedup_x",
-                 speedups[32], floor=1.0)
-    # Floor 1.0x at batch 32: the tier auto selects for a large working
-    # set must not lose to the tier it replaced (~2.6x measured on a
-    # 2-vCPU Xeon VM).
-    assert speedups[32] > 1.0
+            program.execute(x[:, :batch], accumulate_dtype=np.float32)
+            times.append(time.perf_counter() - start)
+        ms = sorted(times)[len(times) // 2] * 1e3
+        rows.append([f"batch {batch}", ms])
+        record_bench(f"mpu_speed::native_kernel_1024_b{batch}", "ms", ms,
+                     unit="ms")
+    print("\n[MPU speed] native kernel, 1024x1024 / 3-bit / fp32 "
+          "accumulators\n" + format_table(["Shape", "Median (ms)"], rows))
 
 
 def test_mpu_detailed_api_full_stack(benchmark):

@@ -9,9 +9,14 @@ and prefills **only its suffix** — so time-to-first-token drops by roughly
 the shared/unshared prefill ratio, and the plan-exact MPU counters prove
 the shared portion executed exactly once across the whole workload.
 
-The recorded floor is ≥2× lower TTFT for the requests that share (measured
-~15-20× on the development machine with a 96-token shared prefix and
-4-token suffixes).  Run with ``-s`` to see the rows.
+The recorded floor is ≥2× lower TTFT for the requests that share, with a
+96-token shared prefix and 4-token suffixes.  Measured ~3× on a 2-vCPU
+Xeon VM: with the native GEMM kernel a 100-token prefill takes only a few
+milliseconds, so the suffix request's fixed per-step costs (scheduler,
+attention, logits) are a large share of its TTFT.  Each workload runs
+``REPEATS`` times, alternating sharing off and on, and every request keeps
+its best TTFT, so one noisy millisecond window on a shared host cannot
+decide the ratio.  Run with ``-s`` to see the rows.
 """
 
 import time
@@ -27,6 +32,7 @@ from repro.serve import CacheConfig, DecodeScheduler
 
 TTFT_FLOOR = 2.0
 NUM_REQUESTS = 6
+REPEATS = 3
 SHARED_LEN = 96
 SUFFIX_LEN = 4
 NEW_TOKENS = 4
@@ -74,12 +80,25 @@ def _drive() -> dict:
 
     qlm.prefill(prompts[0], gemm=qlm.prepared_gemm(MPU_CFG))  # warm the memos
 
-    t0 = time.perf_counter()
-    ttft_off, tokens_off, metrics_off = _run_workload(qlm, prompts, False)
-    off_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ttft_on, tokens_on, metrics_on = _run_workload(qlm, prompts, True)
-    on_s = time.perf_counter() - t0
+    # Best of REPEATS alternating runs: per request the least TTFT, per
+    # setting the least wall time.
+    off_runs, on_runs, off_s, on_s = [], [], float("inf"), float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        off_runs.append(_run_workload(qlm, prompts, False))
+        off_s = min(off_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        on_runs.append(_run_workload(qlm, prompts, True))
+        on_s = min(on_s, time.perf_counter() - t0)
+    ttft_off = np.min([run[0] for run in off_runs], axis=0)
+    ttft_on = np.min([run[0] for run in on_runs], axis=0)
+    _, tokens_off, metrics_off = off_runs[0]
+    _, tokens_on, metrics_on = on_runs[0]
+    for _, tokens, _ in off_runs[1:] + on_runs[1:]:
+        for a, b in zip(tokens, tokens_off, strict=True):
+            np.testing.assert_array_equal(a, b)
+    for _, _, metrics in on_runs[1:]:
+        assert metrics.mpu_stats == metrics_on.mpu_stats
 
     # Bit-exactness: sharing changes where K/V is read from, not its values.
     for a, b, p in zip(tokens_on, tokens_off, prompts, strict=True):

@@ -91,15 +91,6 @@ def _plan_family_sweep() -> int:
         verify_program(program, plan=plan, config=config)
         checked += 1
 
-        # Both lowering tiers verify on every family: blocked with a tiny
-        # gather budget (many single-segment blocks) alongside the auto
-        # pick above.
-        tiny = MPUConfig(pe_rows=pe_rows, pe_cols=pe_cols, mu=mu, k=k,
-                         gather_budget=1)
-        verify_program(compile_plan(plan, bcq, tiny, tier="blocked"),
-                       plan=plan, config=tiny)
-        checked += 1
-
         # The program prepare() embeds (what serving pools pin).
         verify_program(mpu.prepare(bcq, plan).program,
                        plan=plan, config=config)

@@ -41,7 +41,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 KNOWN_FLOORS: dict[str, tuple[str, float]] = {
     "decode_throughput::continuous_batching_speedup": ("speedup_x", 3.0),
     "mpu_speed::batched_vs_scalar": ("speedup_x", 10.0),
-    "mpu_speed::large_shape_auto_vs_fused": ("speedup_x", 1.0),
     "prefix_cache::ttft_ratio": ("ttft_ratio_x", 2.0),
     "quantize_speed::vectorized_vs_scalar": ("speedup_x", 5.0),
     "serve_throughput::batched_vs_sequential": ("speedup_x", 1.3),

@@ -2,10 +2,10 @@
 
 :func:`verify_plan` and :func:`verify_program` check every invariant the
 executors rely on — buffer geometry, sentinel integrity, scatter
-disjointness, instruction-replay order, baked affine stats, shard
-partitions — without running a single GEMM.  A violated invariant raises
-a :class:`VerificationError` subclass whose ``invariant`` attribute (and
-message prefix) names exactly which contract broke, so a CI failure or a
+disjointness, baked affine stats, shard partitions — without running a
+single GEMM.  A violated invariant raises a :class:`VerificationError`
+subclass whose ``invariant`` attribute (and message prefix) names exactly
+which contract broke, so a CI failure or a
 ``REPRO_VERIFY=1`` compile-time check points at the bug, not at a
 mismatching output matrix three layers later.
 
@@ -24,8 +24,6 @@ Plan (:func:`verify_plan`):
 
 Program (:func:`verify_program`):
 
-``program-tier``            tier is a known lowering;
-                            ``gather_budget >= 1``.
 ``program-geometry``        slot count, buffer shapes, dtypes.
 ``lut-cols-bounds``         gather indices in ``[0, n]`` (``n`` = sentinel).
 ``lut-cols-layout``         per segment block: non-sentinel indices form
@@ -42,26 +40,6 @@ Program (:func:`verify_program`):
 ``scales-shape``            α matrix is ``(num_segments, rows_p)``.
 ``offset-slices``           offset column spans valid, ascending,
                             disjoint; one offset column per span.
-``plane-group-partition``   fused tier only: plane groups are non-empty,
-                            ascending, contiguous and cover every plane
-                            exactly once; other programs carry none.
-``plane-group-buffers``     each group's stacked flat indices equal
-                            ``slot·2^µ + keys`` of its planes (intp,
-                            planes in ascending column order) and its
-                            stacked α equals their ``scales``.
-``instruction-order``       the instruction list is exactly the tier's
-                            replay order: fused = LUTs, ``("plane", g)``
-                            groups ascending, one ``("scale",)`` stage,
-                            offsets; blocked = LUTs, then per segment
-                            range every plane's ``("plane_block", p, lo,
-                            hi)`` followed by that range's scale updates
-                            (segments-ascending / planes-innermost
-                            throughout), offsets ascending.
-``plane-block-coverage``    blocked tier only: the shared segment-range
-                            walk is non-empty, ascending, contiguous, and
-                            covers ``[0, num_segments)`` exactly — every
-                            segment's partial is produced once, in the
-                            reference's segment order.
 ``affine-stats``            baked ``(intercept, slope)`` integer pairs,
                             non-negative — and equal to the analytic
                             ``stats_from_plan``/``shard_stats`` at a
@@ -237,125 +215,6 @@ def verify_plan(plan: TileExecutionPlan) -> None:
 # Programs
 # ---------------------------------------------------------------------------
 
-_PROGRAM_TIERS = ("fused", "blocked")
-
-
-def _check_instructions(program: CompiledProgram) -> None:
-    """Pin the instruction list to the program tier's replay order.
-
-    A fused program is exactly LUTs, one ``("plane", g)`` per plane group,
-    the single ``("scale",)`` stage (which replays the (segment, plane)
-    updates in the reference's order), offsets.  A blocked
-    program walks one shared segment-range sequence — boundaries depend on
-    the compile-time gather budget, so the verifier first checks their
-    *coverage* (non-empty, ascending, contiguous, complete), then pins the
-    whole interleaved list: each range emits every plane's ``("plane_block",
-    p, lo, hi)`` followed by that range's scale ops in the reference's
-    order.
-    """
-    num_planes = len(program.passes)
-    offset_ops = [("offset", k) for k in range(len(program.offset_slices))]
-    ops = list(program.instructions)
-    if not (program.num_slots and program.passes):
-        if ops != offset_ops:
-            _prog_fail("instruction-order",
-                       "an empty-slot program must hold only its offset "
-                       f"instructions; got {ops[:4]}")
-        return
-
-    if program.tier == "fused":
-        expected = [("luts",)]
-        expected += [("plane", g) for g in range(len(program.groups))]
-        expected += [("scale",)]
-        expected += offset_ops
-        if ops != expected:
-            _prog_fail("instruction-order",
-                       "fused instruction list is not the replay order "
-                       "(LUTs, plane groups ascending, one scale stage, "
-                       f"offsets ascending); got {ops[:6]}...")
-        return
-
-    # Blocked: the shared range walk is pinned by plane 0's blocks — they
-    # must be non-empty, ascending, contiguous, covering [0, num_segments)
-    # exactly, so every segment's partial is produced once, in order.
-    bounds = [(op[2], op[3]) for op in ops
-              if op[:2] == ("plane_block", 0) and len(op) == 4]
-    cursor = 0
-    for lo, hi in bounds:
-        if lo != cursor or not lo < hi <= program.num_segments:
-            _prog_fail("plane-block-coverage",
-                       f"block [{lo}, {hi}) breaks the segment walk at "
-                       f"{cursor}: blocks must be non-empty, ascending and "
-                       "contiguous")
-        cursor = hi
-    if cursor != program.num_segments:
-        _prog_fail("plane-block-coverage",
-                   f"plane blocks end at segment {cursor}; they must cover "
-                   f"all {program.num_segments} segments")
-    expected = [("luts",)]
-    for lo, hi in bounds:
-        expected += [("plane_block", p, lo, hi) for p in range(num_planes)]
-        expected += [("scale", s, p) for s in range(lo, hi)
-                     for p in range(num_planes)]
-    expected += offset_ops
-    if ops != expected:
-        _prog_fail("instruction-order",
-                   "blocked instruction list is not the interleaved replay "
-                   "order (LUTs, then per segment range every plane's "
-                   "plane_block followed by the range's scale updates "
-                   "segments-ascending/planes-innermost, offsets "
-                   f"ascending); got {ops[:6]}...")
-
-
-def _check_plane_groups(program: CompiledProgram) -> None:
-    """Pin the fused tier's plane groups to the per-plane buffers.
-
-    Groups must partition the planes in ascending order (every plane
-    gathered exactly once, in the order the scale stage consumes them),
-    and each group's stacked flat indices / α must be exactly its planes'
-    ``slot·2^µ + keys`` / ``scales`` side by side.
-    """
-    groups = program.groups
-    if program.tier != "fused" or not (program.num_slots and program.passes):
-        if groups:
-            _prog_fail("plane-group-partition",
-                       f"only a non-empty fused program carries plane "
-                       f"groups; this {program.tier} program has "
-                       f"{len(groups)}")
-        return
-    cursor = 0
-    for g, group in enumerate(groups):
-        if group.lo != cursor or not group.lo < group.hi <= len(program.passes):
-            _prog_fail("plane-group-partition",
-                       f"group {g} spans planes [{group.lo}, {group.hi}) at "
-                       f"cursor {cursor}: groups must be non-empty, "
-                       "ascending and contiguous")
-        cursor = group.hi
-    if cursor != len(program.passes):
-        _prog_fail("plane-group-partition",
-                   f"plane groups end at plane {cursor}; they must cover "
-                   f"all {len(program.passes)} planes")
-    slot_base = (np.arange(program.num_slots, dtype=np.intp)
-                 << program.mu)[:, None]
-    for g, group in enumerate(groups):
-        planes = program.passes[group.lo:group.hi]
-        index = np.concatenate([slot_base + pp.keys for pp in planes], axis=1)
-        if group.index.dtype != np.intp or \
-                group.index.shape != index.shape or \
-                not np.array_equal(group.index, index):
-            _prog_fail("plane-group-buffers",
-                       f"group {g}: stacked flat indices must equal "
-                       "slot·2^µ + keys of planes "
-                       f"[{group.lo}, {group.hi}) as intp {index.shape}")
-        scales = np.concatenate([pp.scales for pp in planes], axis=1)
-        if group.scales.dtype != scales.dtype or \
-                group.scales.shape != scales.shape or \
-                not np.array_equal(group.scales, scales):
-            _prog_fail("plane-group-buffers",
-                       f"group {g}: stacked α must equal the scales of "
-                       f"planes [{group.lo}, {group.hi}) side by side")
-
-
 def _segment_blocks(program: CompiledProgram):
     """Yield ``(segment_index, block)`` slot blocks of ``lut_cols``."""
     gmax = program.slots_per_segment
@@ -369,7 +228,7 @@ def verify_program(program: CompiledProgram,
                    shard: PlanShard | None = None) -> None:
     """Check the structural invariants of a compiled program.
 
-    Self-contained checks (geometry, sentinel integrity, replay order,
+    Self-contained checks (geometry, sentinel integrity, scatter rows,
     affine-stats shape) always run.  Supplying the ``plan`` the program
     was compiled from (plus ``config``/``shard`` when non-default)
     additionally pins the program against the plan: segment columns,
@@ -379,15 +238,6 @@ def verify_program(program: CompiledProgram,
     Raises :class:`ProgramInvariantError` naming the violated invariant.
     """
     m, n, mu = program.m, program.n, program.mu
-
-    # -- tier --------------------------------------------------------------
-    if program.tier not in _PROGRAM_TIERS:
-        _prog_fail("program-tier",
-                   f"unknown lowering tier {program.tier!r}; expected one "
-                   f"of {_PROGRAM_TIERS}")
-    if program.gather_budget < 1:
-        _prog_fail("program-tier",
-                   f"gather_budget must be >= 1, got {program.gather_budget}")
 
     # -- geometry ----------------------------------------------------------
     if m < 0 or n < 0 or mu < 1:
@@ -502,10 +352,6 @@ def verify_program(program: CompiledProgram,
                        f"non-empty, inside [0, n={n}], and start at or "
                        f"after the previous span's stop {prev_stop}")
         prev_stop = stop
-
-    # -- plane groups + instruction list -----------------------------------
-    _check_plane_groups(program)
-    _check_instructions(program)
 
     # -- affine stats ------------------------------------------------------
     num_counters = len(fields(MPURunStats))

@@ -262,29 +262,6 @@ class TileExecutionPlan:
         """Row-averaged plane count (the "Q2.4" in FIGLUT-Q2.4)."""
         return self.plane_bits_total / self.m if self.m else float(self.bits)
 
-    def working_set_bytes(self, batch: int, acc_itemsize: int = 8) -> int:
-        """Transient bytes of the fused one-big-gather lowering at ``batch``.
-
-        The analytic estimate the plan compiler's tier selection keys on
-        (:func:`~repro.core.program.compile_plan`): the fused tier
-        materialises, per bit plane, a ``(slots × rows × batch)`` gathered
-        value tensor in the accumulator dtype, plus every slot's LUT table
-        and a float64 per-segment partial.  Plane 0 activates every row, so
-        ``m`` rows is the peak.  The estimate is geometric — no weight or
-        activation data — and deliberately ignores the gather-budget batch
-        chunking: chunking bounds *peak allocation*, not the bytes a plane
-        pass streams through cache, which is what makes the fused layout
-        lose to segment-blocked gathers on large shapes.
-        """
-        if batch < 0:
-            raise ValueError("batch must be >= 0")
-        gmax = max((seg.lut_groups for seg in self.segments), default=0)
-        num_slots = len(self.segments) * gmax
-        gathered = num_slots * self.m * batch * acc_itemsize
-        luts = num_slots * batch * (1 << self.mu) * acc_itemsize
-        partials = len(self.segments) * self.m * batch * 8
-        return gathered + luts + partials
-
     def steps(self) -> Iterator[TileStep]:
         """Plan steps in execution order: row bands outermost, then column
         segments (ascending columns), then bit planes innermost (Fig. 5b);

@@ -1,0 +1,351 @@
+/*
+ * Native executor of a compiled FIGLUT GEMM program (repro.core.program).
+ *
+ * figlut_execute() runs the LUT datapath of one CompiledProgram for a batch
+ * of activation columns: the LUT build, the plane gather-accumulate and the
+ * alpha-scaled y updates.  The offset stage stays in NumPy, where it shares
+ * its reduction with gemm_reference.  Every float operation replays the
+ * scalar reference's order, so the output is bitwise identical to it:
+ *
+ *  - a LUT entry is ((0.0 + s_0*x_0) + s_1*x_1) + ... summed in double, with
+ *    s_i = +-1.0 multiplied (not negated), then converted once, directly, to
+ *    the accumulator type (double -> half for fp16, never through float);
+ *  - a partial starts at +0.0 and adds its mu-groups in ascending order in
+ *    the accumulator type; an fp16 add is a float add of the two widened
+ *    halves rounded to nearest-even half, as NumPy's half loop does;
+ *  - y[row][col] += (double)alpha * (double)partial, segments ascending and
+ *    bit planes innermost, with the plane's scatter rows for masked planes.
+ *
+ * The batch is walked in COL_TILE-column tiles; no reduction crosses a
+ * column, so the tiling never changes a bit.  Build with -ffp-contract=off:
+ * a fused multiply-add would round once where the reference rounds twice.
+ */
+
+#define _POSIX_C_SOURCE 199309L
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
+
+/* Activation columns per tile: one segment's tables (slots x 2^mu x tile)
+ * and a tile of every output row stay cache-resident while the segment's
+ * planes stream through them. */
+#define COL_TILE 16
+
+typedef struct {
+    int64_t m, n, mu, num_segments, slots_per_segment, num_planes;
+    const int64_t *lut_cols;      /* (num_slots, mu); n = zero sentinel row */
+    const int64_t *plane_rows;    /* active rows of each plane */
+    const int32_t *const *keys;   /* per plane: (num_slots, rows_p) */
+    const int64_t *const *rows;   /* per plane: scatter rows, NULL = all */
+    const double *const *scales;  /* per plane: (num_segments, rows_p) */
+} figlut_program;
+
+/* -1.0 read through a volatile, so the compiler cannot fold -1.0 * x into
+ * a sign flip: for a NaN x the multiply keeps its sign bit (as NumPy's
+ * multiply does), the flip would not. */
+static const volatile double NEG_ONE = -1.0;
+
+/* -- IEEE binary16, round to nearest even (NumPy's conversions) ---------- */
+
+static inline float bits_to_float(uint32_t bits)
+{
+    float f;
+    memcpy(&f, &bits, sizeof f);
+    return f;
+}
+
+static inline uint32_t float_to_bits(float f)
+{
+    uint32_t bits;
+    memcpy(&bits, &f, sizeof bits);
+    return bits;
+}
+
+static inline float half_to_float(uint16_t h)
+{
+    uint32_t bits = (uint32_t)(h & 0x7fffu) << 13;
+    const uint32_t exp = bits & 0x0f800000u;
+    bits += (127u - 15u) << 23;                 /* rebias the exponent */
+    if (exp == 0x0f800000u) {
+        bits += (128u - 16u) << 23;             /* inf / NaN */
+    } else if (!exp) {                          /* zero / subnormal: exact */
+        bits = float_to_bits(bits_to_float(bits + (1u << 23))
+                             - bits_to_float(113u << 23));
+    }
+    return bits_to_float(bits | (uint32_t)(h & 0x8000u) << 16);
+}
+
+static inline uint16_t half_from_float(float value)
+{
+    uint32_t bits = float_to_bits(value);
+    const uint32_t sign = (bits >> 16) & 0x8000u;
+    bits &= 0x7fffffffu;
+    if (bits >= (127u + 16u) << 23) {           /* overflow, inf, NaN */
+        if (bits <= 0x7f800000u)
+            return (uint16_t)(sign | 0x7c00u);
+        const uint32_t payload = (bits & 0x7fffffu) >> 13;
+        return (uint16_t)(sign | 0x7c00u | (payload ? payload : 1u));
+    }
+    if (bits < 113u << 23) {                    /* subnormal or zero */
+        /* Adding 0.5 aligns the half's subnormal grid with the float's
+         * last bit, so the FPU's own nearest-even rounding does the rest. */
+        const float magic = bits_to_float(126u << 23);
+        return (uint16_t)(sign | (float_to_bits(bits_to_float(bits) + magic)
+                                  - (126u << 23)));
+    }
+    const uint32_t odd = (bits >> 13) & 1u;     /* ties to even */
+    bits += ((uint32_t)(15 - 127) << 23) + 0xfffu + odd;
+    return (uint16_t)(sign | (bits >> 13));
+}
+
+static inline uint16_t half_from_double(double d)
+{
+    uint64_t bits;
+    memcpy(&bits, &d, sizeof bits);
+    uint16_t sign = (uint16_t)((bits >> 48) & 0x8000u);
+    int e = (int)((bits >> 52) & 0x7ffu);
+    uint64_t mant = bits & 0xfffffffffffffull;
+    if (e == 0x7ff) {                       /* inf / NaN: keep payload top */
+        uint16_t payload = (uint16_t)(mant >> 42);
+        return (uint16_t)(sign | 0x7c00u | (mant && !payload ? 1u : payload));
+    }
+    e -= 1023;
+    if (e > 15)
+        return (uint16_t)(sign | 0x7c00u);  /* overflow */
+    if (e < -25)
+        return sign;                        /* rounds to zero */
+    uint64_t sig = mant | (1ull << 52);
+    int shift = e >= -14 ? 42 : 28 - e;     /* normal: keep 11 bits */
+    uint64_t h = (e >= -14 ? (uint64_t)(e + 14) << 10 : 0) + (sig >> shift);
+    uint64_t rem = sig & ((1ull << shift) - 1), halfway = 1ull << (shift - 1);
+    if (rem > halfway || (rem == halfway && (h & 1u)))
+        h++;                                /* a carry bumps the exponent */
+    return (uint16_t)(sign | h);
+}
+
+/* -- per-accumulator stages ---------------------------------------------- */
+
+typedef uint16_t half;
+
+#define F64_CVT(v) (v)
+#define F64_ADD(a, b) ((a) + (b))
+#define F64_WIDEN(v) (v)
+#define F32_CVT(v) ((float)(v))
+#define F32_ADD(a, b) ((a) + (b))
+#define F32_WIDEN(v) ((double)(v))
+#define F16_CVT(v) half_from_double(v)
+#define F16_ADD(a, b) half_from_float(half_to_float(a) + half_to_float(b))
+#define F16_WIDEN(v) ((double)half_to_float(v))
+
+/*
+ * lut_T: the tables of one segment for columns [c0, c0 + w): tab[(g * 2^mu +
+ * key) * w + c].  Entries share their prefix sums: after input i, prefix p
+ * holds the sum over the top i + 1 key bits, built with the same adds in the
+ * same order as the reference's per-entry sum.
+ *
+ * plane_T: part[r * w + c] = +0.0 + tab[g][key(g, r)][c] over g ascending.
+ *
+ * scale_T: ytile[row(r) * w + c] += alpha[r] * part[r * w + c], where ytile
+ * holds the column tile of y row-contiguously.
+ */
+#define DEFINE_STAGES(S, T, CVT, ADD, WIDEN)                                  \
+static void lut_##S(const double *restrict x, int64_t batch, int64_t c0,     \
+                    int64_t w, const int64_t *restrict cols, int64_t gmax,    \
+                    int64_t mu, int64_t n, void *out, double *restrict sums)  \
+{                                                                             \
+    T *restrict tab = out;                                                    \
+    const int64_t entries = (int64_t)1 << mu;                                 \
+    const double neg = NEG_ONE;                                               \
+    double pos[COL_TILE], negx[COL_TILE];                                     \
+    for (int64_t g = 0; g < gmax; g++) {                                      \
+        double *restrict cur = sums, *restrict next = sums + entries * w;     \
+        for (int64_t c = 0; c < w; c++)                                       \
+            cur[c] = 0.0;                                                     \
+        for (int64_t i = 0, width = 1; i < mu; i++, width <<= 1) {            \
+            const int64_t col = cols[g * mu + i];                             \
+            for (int64_t c = 0; c < w; c++) {                                 \
+                const double xi = col < n ? x[col * batch + c0 + c] : 0.0;    \
+                pos[c] = 1.0 * xi;                                            \
+                negx[c] = neg * xi;                                           \
+            }                                                                 \
+            for (int64_t p = 0; p < width; p++)                               \
+                for (int64_t c = 0; c < w; c++) {                             \
+                    next[(2 * p + 1) * w + c] = cur[p * w + c] + pos[c];      \
+                    next[2 * p * w + c] = cur[p * w + c] + negx[c];           \
+                }                                                             \
+            double *restrict swap = cur;                                      \
+            cur = next;                                                       \
+            next = swap;                                                      \
+        }                                                                     \
+        T *restrict entry = tab + g * entries * w;                            \
+        for (int64_t k = 0; k < entries * w; k++)                             \
+            entry[k] = CVT(cur[k]);                                           \
+    }                                                                         \
+}                                                                             \
+                                                                              \
+static inline __attribute__((always_inline)) void                            \
+rows_##S(const T *tab, int64_t entries, int64_t w, const int32_t *keys,       \
+         int64_t rows, int64_t gmax, int64_t nb, T *part)                     \
+{                                                                             \
+    T acc[COL_TILE];                                                          \
+    const T zero = CVT(0.0);                                                  \
+    for (int64_t i = 0; i < nb * w; i++)                                      \
+        acc[i] = zero;                                                        \
+    for (int64_t g = 0; g < gmax; g++) {                                      \
+        const T *tg = tab + g * entries * w;                                  \
+        const int32_t *kg = keys + g * rows;                                  \
+        for (int64_t j = 0; j < nb; j++) {                                    \
+            const T *t = tg + (int64_t)kg[j] * w;                             \
+            for (int64_t c = 0; c < w; c++)                                   \
+                acc[j * w + c] = ADD(acc[j * w + c], t[c]);                   \
+        }                                                                     \
+    }                                                                         \
+    for (int64_t i = 0; i < nb * w; i++)                                      \
+        part[i] = acc[i];                                                     \
+}                                                                             \
+                                                                              \
+static void plane_##S(const void *table, int64_t entries, int64_t w,          \
+                      const int32_t *keys, int64_t rows, int64_t gmax,        \
+                      void *out)                                              \
+{                                                                             \
+    const T *tab = table;                                                     \
+    T *part = out;                                                            \
+    const int64_t block = COL_TILE / w;                                       \
+    int64_t r = 0;                                                            \
+    if (w == COL_TILE)                                                        \
+        for (; r < rows; r++)                                                 \
+            rows_##S(tab, entries, COL_TILE, keys + r, rows, gmax, 1,         \
+                     part + r * COL_TILE);                                    \
+    else if (w == 1)                                                          \
+        for (; r + COL_TILE <= rows; r += COL_TILE)                           \
+            rows_##S(tab, entries, 1, keys + r, rows, gmax, COL_TILE,         \
+                     part + r);                                               \
+    for (; r < rows; r += block)                                              \
+        rows_##S(tab, entries, w, keys + r, rows, gmax,                       \
+                 rows - r < block ? rows - r : block, part + r * w);          \
+}                                                                             \
+                                                                              \
+static void scale_##S(const void *partial, int64_t rows, int64_t w,           \
+                      const double *alpha, const int64_t *scatter,            \
+                      double *ytile)                                          \
+{                                                                             \
+    const T *restrict part = partial;                                         \
+    for (int64_t r = 0; r < rows; r++) {                                      \
+        const double a = alpha[r];                                            \
+        double *restrict yr = ytile + (scatter ? scatter[r] : r) * w;         \
+        const T *restrict pr = part + r * w;                                  \
+        for (int64_t c = 0; c < w; c++)                                       \
+            yr[c] = yr[c] + a * WIDEN(pr[c]);                                 \
+    }                                                                         \
+}
+
+DEFINE_STAGES(f64, double, F64_CVT, F64_ADD, F64_WIDEN)
+DEFINE_STAGES(f32, float, F32_CVT, F32_ADD, F32_WIDEN)
+DEFINE_STAGES(f16, half, F16_CVT, F16_ADD, F16_WIDEN)
+
+typedef struct {
+    size_t itemsize;
+    void (*lut)(const double *, int64_t, int64_t, int64_t, const int64_t *,
+                int64_t, int64_t, int64_t, void *, double *);
+    void (*plane)(const void *, int64_t, int64_t, const int32_t *, int64_t,
+                  int64_t, void *);
+    void (*scale)(const void *, int64_t, int64_t, const double *,
+                  const int64_t *, double *);
+} stages;
+
+/* Indexed by the accumulator code: 0 = float64, 1 = float32, 2 = float16. */
+static const stages STAGES[] = {
+    {sizeof(double), lut_f64, plane_f64, scale_f64},
+    {sizeof(float), lut_f32, plane_f32, scale_f32},
+    {sizeof(half), lut_f16, plane_f16, scale_f16},
+};
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* Adds the time since *t to stage_ns[stage] and restarts *t (profiling). */
+static void lap(int64_t *stage_ns, int stage, int64_t *t)
+{
+    if (!stage_ns)
+        return;
+    const int64_t now = now_ns();
+    stage_ns[stage] += now - *t;
+    *t = now;
+}
+
+/*
+ * y (m, batch) += the LUT datapath of program p over x (n, batch); both are
+ * row-major float64.  stage_ns, when not NULL, accumulates nanoseconds spent
+ * in the LUT build [0], plane gathers [1] and y updates [2].
+ * Returns 0, 1 for an unknown accumulator code, 2 when out of memory.
+ */
+int figlut_execute(const figlut_program *p, int acc, const double *x,
+                   int64_t batch, double *y, int64_t *stage_ns)
+{
+    if (acc < 0 || acc > 2)
+        return 1;
+    const stages *st = &STAGES[acc];
+    const int64_t gmax = p->slots_per_segment, entries = (int64_t)1 << p->mu;
+    if (!p->num_segments || !gmax || !p->num_planes || !batch)
+        return 0;
+    const int64_t tile = batch < COL_TILE ? batch : COL_TILE;
+    int64_t max_rows = 0;
+    for (int64_t pl = 0; pl < p->num_planes; pl++)
+        if (p->plane_rows[pl] > max_rows)
+            max_rows = p->plane_rows[pl];
+    void *tab = malloc((size_t)(gmax * entries * tile) * st->itemsize);
+    void *part = malloc((size_t)(max_rows * tile + 1) * st->itemsize);
+    double *sums = malloc((size_t)(2 * entries * tile) * sizeof(double));
+    /* y's column tile, copied row-contiguous so the updates stream through
+     * it; y itself is that layout when one tile spans the batch. */
+    double *ytile = tile == batch ? y : malloc((size_t)(p->m * tile) *
+                                               sizeof(double));
+    if (!tab || !part || !sums || !ytile) {
+        free(tab);
+        free(part);
+        free(sums);
+        if (ytile != y)
+            free(ytile);
+        return 2;
+    }
+    int64_t t = stage_ns ? now_ns() : 0;
+    for (int64_t c0 = 0; c0 < batch; c0 += tile) {
+        const int64_t w = batch - c0 < tile ? batch - c0 : tile;
+        if (ytile != y)
+            for (int64_t r = 0; r < p->m; r++)
+                memcpy(ytile + r * w, y + r * batch + c0,
+                       (size_t)w * sizeof(double));
+        for (int64_t s = 0; s < p->num_segments; s++) {
+            st->lut(x, batch, c0, w, p->lut_cols + s * gmax * p->mu, gmax,
+                    p->mu, p->n, tab, sums);
+            lap(stage_ns, 0, &t);
+            for (int64_t pl = 0; pl < p->num_planes; pl++) {
+                const int64_t rows = p->plane_rows[pl];
+                st->plane(tab, entries, w, p->keys[pl] + s * gmax * rows,
+                          rows, gmax, part);
+                lap(stage_ns, 1, &t);
+                st->scale(part, rows, w, p->scales[pl] + s * rows,
+                          p->rows[pl], ytile);
+                lap(stage_ns, 2, &t);
+            }
+        }
+        if (ytile != y) {
+            for (int64_t r = 0; r < p->m; r++)
+                memcpy(y + r * batch + c0, ytile + r * w,
+                       (size_t)w * sizeof(double));
+            lap(stage_ns, 2, &t);
+        }
+    }
+    free(tab);
+    free(part);
+    free(sums);
+    if (ytile != y)
+        free(ytile);
+    return 0;
+}

@@ -23,12 +23,11 @@ The simulation is split into a *planner* and an *executor*:
   seed's multi-group tiles silently fell back to a float64 matmul);
 * the executor (:meth:`MatrixProcessingUnit.gemm`) lowers the plan once into
   a flat :class:`~repro.core.program.CompiledProgram`
-  (:func:`~repro.core.program.compile_plan`) and replays it with a handful
-  of fused NumPy calls — LUT tables built once per column segment and reused
-  across bit planes and row tiles, lookups gathered for all rows and batch
-  columns at once — while the stats counters (LUT generations, LUT reads,
-  accumulations, generator additions, cycles) are derived analytically from
-  the plan.
+  (:func:`~repro.core.program.compile_plan`) and runs it as one native
+  kernel call — LUT tables built once per column segment and reused
+  across bit planes and row tiles — while the stats counters (LUT
+  generations, LUT reads, accumulations, generator additions, cycles) are
+  derived analytically from the plan.
 
 :meth:`MatrixProcessingUnit.gemm_reference` is the independent oracle: the
 scalar per-(batch, group) walk of the *same* plan (or of one shard of it),
@@ -121,13 +120,6 @@ class MPUConfig:
         RACs per PE; each PE column produces k output channels.
     use_half_lut:
         Model the hFFLUT (half-size LUT + sign-flip decoder).
-    gather_budget:
-        Elements per gather buffer before the compiled executor chunks its
-        work (batch columns on the fused tier, segment blocks on the
-        blocked tier).  ``None`` defers to the ``REPRO_GATHER_BUDGET``
-        environment variable, then to the compiler default
-        (:data:`repro.core.program._GATHER_BUDGET`).  Chunking is exact —
-        the budget bounds peak memory, never the numerics.
     """
 
     pe_rows: int = 16
@@ -135,14 +127,11 @@ class MPUConfig:
     mu: int = 4
     k: int = 32
     use_half_lut: bool = True
-    gather_budget: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("pe_rows", "pe_cols", "mu", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.gather_budget is not None and self.gather_budget < 1:
-            raise ValueError("gather_budget must be >= 1")
 
     @property
     def tile_n(self) -> int:
@@ -212,13 +201,6 @@ class PreparedWeights:
     weights: BCQTensor
     plan: TileExecutionPlan
     program: CompiledProgram
-
-    @property
-    def tier(self) -> str:
-        """The lowering tier of the program (``"fused"`` or ``"blocked"``):
-        what :meth:`MatrixProcessingUnit.prepare` resolved ``tier="auto"``
-        to, so serving layers can report which kernel a layer runs."""
-        return self.program.tier
 
 
 class MatrixProcessingUnit:
@@ -339,8 +321,7 @@ class MatrixProcessingUnit:
 
     # -- weight-stationary preparation -------------------------------------
     def prepare(self, weights: BCQTensor,
-                plan: TileExecutionPlan | None = None,
-                tier: str = "auto", batch_hint: int | None = None) -> PreparedWeights:
+                plan: TileExecutionPlan | None = None) -> PreparedWeights:
         """Plan and compile ``weights`` once for serving.
 
         A weight-stationary worker latches the weight tile's µ-bit patterns
@@ -350,15 +331,10 @@ class MatrixProcessingUnit:
         only touch activations.  ``plan`` lets a caller that already
         planned the tensor (e.g. the :class:`~repro.models.
         quantized_model.QuantizedLM` plan memo) skip re-planning.
-        ``tier`` / ``batch_hint`` pass through to
-        :func:`~repro.core.program.compile_plan`'s working-set-aware
-        lowering selection; the resolved tier is reported by
-        :attr:`PreparedWeights.tier`.
         """
         from repro.core.program import compile_plan  # mpu ↔ program cycle
         plan = plan if plan is not None else self.plan(weights)
-        program = compile_plan(plan, weights, self.config, tier=tier,
-                               batch_hint=batch_hint)
+        program = compile_plan(plan, weights, self.config)
         return PreparedWeights(weights=weights, plan=plan, program=program)
 
     # -- executor ------------------------------------------------------------
@@ -378,10 +354,10 @@ class MatrixProcessingUnit:
             Activation matrix of shape ``(N,)`` or ``(N, batch)``.
         accumulate_dtype:
             Dtype of the LUT entries *and* of the per-segment RAC
-            accumulators (float32 models the FP32 accumulators the paper
-            uses; float64 gives a reference result).  The α scaling and the
-            cross-tile/offset accumulation stay in float64, as in the seed
-            model.
+            accumulators: float16, float32 (the FP32 accumulators the
+            paper uses) or float64 (a reference result).  The α scaling
+            and the cross-tile/offset accumulation stay in float64, as in
+            the seed model.
         shard:
             Optional :class:`~repro.core.dataflow.PlanShard` restricting
             execution to one worker's slice of the plan.  A row-axis shard

@@ -116,9 +116,7 @@ def shard_plan(plan: TileExecutionPlan, num_shards: int,
 
 
 def compile_shard_programs(shards: Sequence[PlanShard], weights: BCQTensor,
-                           config: MPUConfig | None = None,
-                           tier: str = "auto",
-                           batch_hint: int | None = None
+                           config: MPUConfig | None = None
                            ) -> list[CompiledProgram]:
     """Lower each shard of one plan to its executable sub-program.
 
@@ -130,11 +128,6 @@ def compile_shard_programs(shards: Sequence[PlanShard], weights: BCQTensor,
     full plan (bands are independent; the slice's program is bit-exact
     against the same rows of the unsharded one).  ``weights`` is the full
     tensor the shards' plan was built from.
-
-    ``tier`` / ``batch_hint`` pass through to the compiler's
-    working-set-aware lowering selection — ``tier="auto"`` sizes each
-    shard's tier from that shard's own working-set share, so a wide plan
-    can lower some shards blocked and others fused.
     """
     from repro.core.mpu import MatrixProcessingUnit
 
@@ -143,12 +136,10 @@ def compile_shard_programs(shards: Sequence[PlanShard], weights: BCQTensor,
     for shard in shards:
         if shard.axis == "segments":
             programs.append(compile_plan(
-                shard.plan, weights, mpu.config, shard=shard, tier=tier,
-                batch_hint=batch_hint))
+                shard.plan, weights, mpu.config, shard=shard))
         else:
             programs.append(mpu.prepare(
-                weights.take_rows(shard.row_indices), tier=tier,
-                batch_hint=batch_hint).program)
+                weights.take_rows(shard.row_indices)).program)
     return programs
 
 

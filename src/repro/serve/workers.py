@@ -19,8 +19,9 @@ Backends
 --------
 ``"thread"`` (default)
     A persistent :class:`concurrent.futures.ThreadPoolExecutor`, one worker
-    per shard.  The executor is NumPy-bound and the heavy kernels release
-    the GIL, so threads add concurrency without copying the activations.
+    per shard.  Each shard's program runs its LUT datapath as one native
+    kernel call that releases the GIL, so the shards execute in parallel
+    without copying the activations.
 ``"serial"``
     In-line loop over the shards; deterministic and dependency-free, the
     baseline the equivalence tests compare against.

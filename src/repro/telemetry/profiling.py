@@ -1,18 +1,15 @@
 """Opt-in profiling rollups: cumulative (count, seconds, bytes) per op.
 
 This is the third telemetry layer: when ``Telemetry.profiling`` is on,
-the compiled executor rolls up per-instruction opcode timings keyed by
-lowering tier — ``program.<tier>.<op>``, e.g. ``program.fused.luts`` /
-``program.fused.plane`` / ``program.blocked.plane_block`` plus the
-shared ``scale`` / ``offset`` ops,
-with bytes-touched estimates — and the scheduler rolls up per-phase
-timings (``scheduler.admit`` / ``scheduler.decode``).  The tier prefix
-separates the kernel families, so a mixed fleet (decode layers fused,
-prefill-heavy layers blocked) shows where each lowering spends its time.
+the compiled executor rolls up per-stage timings of its native kernel —
+``program.fused.luts`` / ``program.fused.plane`` / ``program.fused.scale``
+plus the NumPy ``program.fused.offset`` stage — with bytes-touched
+estimates, and the scheduler rolls up per-phase timings
+(``scheduler.admit`` / ``scheduler.decode``).
 
-Hot loops accumulate into a *local* dict and merge once per call via
-:meth:`Profile.update`, so the lock is taken once per program execution,
-not once per instruction.
+Hot loops accumulate locally and merge once per call via
+:meth:`Profile.add_timed`, so the lock is taken once per program
+execution, not once per stage.
 """
 
 from __future__ import annotations
@@ -41,17 +38,18 @@ class Profile:
             entry[1] += seconds
             entry[2] += nbytes
 
-    def update(self, rollups: dict[str, tuple[int, float, int]]) -> None:
-        """Merge locally accumulated (count, seconds, bytes) triples under
-        one lock acquisition — the hot-loop exit path."""
+    def add_timed(self, rows, clock_ns) -> None:
+        """Merge ``(op, count, bytes, slot)`` rows timed by ``clock_ns[slot]``
+        nanoseconds under one lock acquisition — the compiled executor's
+        per-call path, with ``rows`` cached per program and batch."""
         with self._lock:
-            for op, (count, seconds, nbytes) in rollups.items():
+            for op, count, nbytes, slot in rows:
                 entry = self._ops.get(op)
                 if entry is None:
                     entry = [0, 0.0, 0]
                     self._ops[op] = entry
                 entry[0] += count
-                entry[1] += seconds
+                entry[1] += clock_ns[slot] / 1e9
                 entry[2] += nbytes
 
     def snapshot(self) -> dict[str, dict]:

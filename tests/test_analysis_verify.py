@@ -19,24 +19,11 @@ from repro.analysis import (
     verify_shard_programs,
 )
 from repro.core.mpu import MatrixProcessingUnit, MPUConfig
-import repro.core.program as program_mod
 from repro.core.program import compile_plan
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
 from repro.serve.sharding import shard_plan
 
 CFG = MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4)
-
-
-def _rebake_fused(program):
-    """A fused program with its plane groups and replay order rebuilt for
-    its (possibly edited) passes."""
-    groups = program_mod._plane_groups(list(program.passes),
-                                       program.num_slots, program.mu)
-    ops = [("luts",)]
-    ops += [("plane", g) for g in range(len(groups))]
-    ops += [("scale",)]
-    ops += [("offset", k) for k in range(len(program.offset_slices))]
-    return corrupt(program, groups=groups, instructions=tuple(ops))
 
 
 def build(m=24, n=40, bits=3, group_size=16, config=CFG, mixed=False, seed=7):
@@ -68,27 +55,6 @@ def ragged():
     # the widest one, so the program has fully padded sentinel slots.
     cfg = MPUConfig(pe_rows=8, pe_cols=1, mu=2, k=8)
     return build(m=16, n=30, bits=3, group_size=7, config=cfg)
-
-
-@pytest.fixture(scope="module")
-def blocked(uniform):
-    # gather_budget=1 forces one segment per block, so every plane streams
-    # through multiple plane_block instructions.
-    plan, bcq, _, _ = uniform
-    cfg = MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4, gather_budget=1)
-    return plan, bcq, compile_plan(plan, bcq, cfg, tier="blocked"), cfg
-
-
-@pytest.fixture(scope="module")
-def grouped(uniform):
-    # A one-element plane-group budget puts every plane in its own group,
-    # so the fused program carries several ("plane", g) gathers.
-    plan, bcq, _, _ = uniform
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(program_mod, "_PLANE_GROUP_ELEMENTS", 1)
-        program = compile_plan(plan, bcq, CFG)
-    assert len(program.groups) == len(program.passes) > 1
-    return plan, bcq, program, CFG
 
 
 def corrupt(program, **replacements):
@@ -222,18 +188,6 @@ class TestProgramMutations:
         expect("offset-slices", verify_program,
                corrupt(program, offset_slices=tuple(slices)))
 
-    def test_instruction_replay_order_broken(self, uniform):
-        _, _, program, _ = uniform
-        instructions = list(program.instructions)
-        instructions[0], instructions[1] = instructions[1], instructions[0]
-        expect("instruction-order", verify_program,
-               corrupt(program, instructions=tuple(instructions)))
-
-    def test_dropped_instruction(self, uniform):
-        _, _, program, _ = uniform
-        expect("instruction-order", verify_program,
-               corrupt(program, instructions=program.instructions[:-1]))
-
     def test_negative_affine_slope(self, uniform):
         _, _, program, _ = uniform
         slope = list(program.stats_slope)
@@ -250,11 +204,10 @@ class TestProgramMutations:
 
     def test_dropped_plane_pass_vs_plan(self, uniform):
         plan, _, program, _ = uniform
-        # Keep the self-contained checks clean so the plan comparison is
-        # what fires: rebake the groups and instruction list for the
-        # truncated passes.
-        bad = _rebake_fused(corrupt(program, passes=program.passes[:-1]))
-        expect("plane-mask-active-rows", verify_program, bad,
+        # The truncated program is self-consistent, so the plan comparison
+        # is what fires.
+        expect("plane-mask-active-rows", verify_program,
+               corrupt(program, passes=program.passes[:-1]),
                plan=plan, config=CFG)
 
     def test_shifted_columns_vs_plan(self, uniform):
@@ -333,121 +286,6 @@ class TestShardMutations:
         programs = [compile_plan(plan, bcq, CFG, shard=s) for s in shards]
         with pytest.raises(ProgramInvariantError):
             verify_shard_programs(plan, shards, programs[::-1], CFG)
-
-
-class TestTierMutations:
-    """The tier invariants: ``program-tier``, ``plane-block-coverage``,
-    the fused tier's ``plane-group-partition`` / ``plane-group-buffers``,
-    and the tier-aware ``instruction-order``."""
-
-    def test_sound_blocked_and_grouped_verify(self, uniform, blocked,
-                                              grouped):
-        plan, _, _, _ = uniform
-        for _, _, program, cfg in (blocked, grouped):
-            verify_program(program)
-            verify_program(program, plan=plan, config=cfg)
-
-    def test_unknown_tier(self, uniform):
-        _, _, program, _ = uniform
-        expect("program-tier", verify_program, corrupt(program, tier="turbo"))
-
-    def test_zero_gather_budget(self, uniform):
-        _, _, program, _ = uniform
-        expect("program-tier", verify_program,
-               corrupt(program, gather_budget=0))
-
-    def test_plane_groups_out_of_order(self, grouped):
-        # Swapped groups still cover every plane, but not ascending: the
-        # scale stage would consume partials in the wrong plane order.
-        _, _, program, _ = grouped
-        groups = program.groups
-        expect("plane-group-partition", verify_program,
-               corrupt(program, groups=(groups[1], groups[0], *groups[2:])))
-
-    def test_plane_group_dropped(self, grouped):
-        # A missing group leaves its planes' partials never gathered.
-        _, _, program, _ = grouped
-        expect("plane-group-partition", verify_program,
-               corrupt(program, groups=program.groups[:-1]))
-
-    def test_plane_groups_on_blocked_tier(self, blocked, grouped):
-        _, _, program, _ = blocked
-        expect("plane-group-partition", verify_program,
-               corrupt(program, groups=grouped[2].groups))
-
-    def test_plane_group_index_mismatch(self, uniform):
-        _, _, program, _ = uniform
-        (group,) = program.groups
-        index = group.index.copy()
-        index[0, -1] ^= 1  # another key of the same slot's table
-        expect("plane-group-buffers", verify_program,
-               corrupt(program, groups=(dataclasses.replace(group,
-                                                            index=index),)))
-
-    def test_plane_group_index_wrong_dtype(self, uniform):
-        _, _, program, _ = uniform
-        (group,) = program.groups
-        index = group.index.astype(np.int32)
-        expect("plane-group-buffers", verify_program,
-               corrupt(program, groups=(dataclasses.replace(group,
-                                                            index=index),)))
-
-    def test_plane_group_scales_mismatch(self, mixed):
-        _, _, program, _ = mixed
-        (group,) = program.groups
-        scales = group.scales.copy()
-        scales[-1, -1] *= 2.0
-        expect("plane-group-buffers", verify_program,
-               corrupt(program, groups=(dataclasses.replace(group,
-                                                            scales=scales),)))
-
-    def test_blocked_program_relabelled_fused(self, blocked, uniform):
-        # The body holds plane_block streams, not the fused ("plane", g)
-        # gathers the relabelled tier promises.
-        _, _, program, _ = blocked
-        expect("instruction-order", verify_program,
-               corrupt(program, tier="fused", groups=uniform[2].groups))
-
-    def test_fused_scale_stage_missing(self, uniform):
-        _, _, program, _ = uniform
-        instructions = tuple(op for op in program.instructions
-                             if op != ("scale",))
-        expect("instruction-order", verify_program,
-               corrupt(program, instructions=instructions))
-
-    def test_dropped_plane_block(self, blocked):
-        # The range walk is pinned by plane 0's blocks; dropping one leaves
-        # a segment whose partial is never produced.
-        _, _, program, _ = blocked
-        blocks = [op for op in program.instructions
-                  if op[:2] == ("plane_block", 0)]
-        assert len(blocks) > 1, "fixture must stream multiple blocks"
-        instructions = list(program.instructions)
-        instructions.remove(blocks[-1])
-        expect("plane-block-coverage", verify_program,
-               corrupt(program, instructions=tuple(instructions)))
-
-    def test_gapped_plane_block(self, blocked):
-        _, _, program, _ = blocked
-        blocks = [op for op in program.instructions
-                  if op[:2] == ("plane_block", 0)]
-        assert len(blocks) > 2, "fixture must stream multiple blocks"
-        instructions = list(program.instructions)
-        instructions.remove(blocks[1])  # hole inside the segment walk
-        expect("plane-block-coverage", verify_program,
-               corrupt(program, instructions=tuple(instructions)))
-
-    def test_dropped_secondary_plane_block(self, blocked):
-        # A missing non-zero-plane block leaves plane 0's walk intact, so
-        # it trips the exact interleaved-order pin instead.
-        _, _, program, _ = blocked
-        blocks = [op for op in program.instructions
-                  if op[0] == "plane_block" and op[1] > 0]
-        assert blocks, "fixture must hold multiple planes"
-        instructions = list(program.instructions)
-        instructions.remove(blocks[0])
-        expect("instruction-order", verify_program,
-               corrupt(program, instructions=tuple(instructions)))
 
 
 class TestReproVerifyKnob:

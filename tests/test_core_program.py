@@ -3,19 +3,27 @@
 The compilation contract (``docs/compilation.md``): for every plan family —
 uniform, ragged, mixed per-row precision — and every accumulator dtype, the
 :class:`~repro.core.program.CompiledProgram` produced by
-:func:`~repro.core.program.compile_plan` is **bit-identical** to the scalar
-``gemm_reference``, outputs *and* :class:`~repro.core.mpu.MPURunStats`.
-Shard sub-programs match the reference's walk of the same shard bitwise and
-merge exactly; the shared-memory ``spec()``/``buffers()``/``from_buffers()``
-roundtrip preserves execution; batch chunking never changes a bit.
+:func:`~repro.core.program.compile_plan` and run by the native kernel is
+**bit-identical** to the scalar ``gemm_reference``, outputs *and*
+:class:`~repro.core.mpu.MPURunStats`.  Shard sub-programs match the
+reference's walk of the same shard bitwise and merge exactly; the
+shared-memory ``spec()``/``buffers()``/``from_buffers()`` roundtrip
+preserves execution; the kernel's column tiling never changes a bit; the
+kernel boundary rejects malformed buffers and its build is cached.
 """
 
+import ctypes
+import dataclasses
 import pickle
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-import repro.core.program as program_mod
+from repro.core import native
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.core.program import CompiledProgram, compile_plan
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
@@ -25,8 +33,13 @@ MPU_CFG = MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2)  # tile 4×8
 
 KINDS = ["uniform", "ragged", "mixed"]
 
+# Activation families: plain Gaussians; Gaussians scaled so fp16 LUT
+# entries and partials overflow to ±inf and inf − inf yields NaN; and
+# all-zero columns (+0.0 and −0.0), which take the signed-zero path.
+INPUTS = ["gaussian", "fp16-overflow", "zero-columns"]
 
-def _case(rng, kind):
+
+def _case(rng, kind, inputs="gaussian"):
     """(tensor, activations) exercising one plan family (ragged everything)."""
     if kind == "uniform":
         w = rng.standard_normal((32, 32)) * 0.1
@@ -40,25 +53,37 @@ def _case(rng, kind):
         tensor = quantize_bcq_mixed(w, row_bits,
                                     BCQConfig(group_size=6, iterations=1))
     x = rng.standard_normal((tensor.shape[1], 5))
+    if inputs == "fp16-overflow":
+        x *= 3e4
+    elif inputs == "zero-columns":
+        x[:, 1] = 0.0
+        x[:, 3] = -0.0
     return tensor, x
 
 
 def _assert_same(lhs, rhs):
-    """Outputs and stats bitwise equal (the compilation contract)."""
+    """Outputs bit-for-bit equal — signed zeros and NaN payloads included —
+    and stats equal (the compilation contract)."""
     y_l, s_l = lhs
     y_r, s_r = rhs
-    np.testing.assert_array_equal(y_l, y_r)
+    assert y_l.shape == y_r.shape and y_l.dtype == y_r.dtype
+    assert y_l.tobytes() == y_r.tobytes()
     assert s_l == s_r
 
 
 class TestCompiledEquivalence:
+    @pytest.mark.parametrize("inputs", INPUTS)
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("acc", [np.float16, np.float32, np.float64])
-    def test_compiled_matches_reference(self, rng, kind, acc):
-        tensor, x = _case(rng, kind)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_compiled_matches_reference(self, rng, kind, acc, inputs):
+        tensor, x = _case(rng, kind, inputs)
         mpu = MatrixProcessingUnit(MPU_CFG)
-        _assert_same(mpu.gemm(tensor, x, accumulate_dtype=acc),
-                     mpu.gemm_reference(tensor, x, accumulate_dtype=acc))
+        ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
+        if inputs == "fp16-overflow" and acc is np.float16:
+            assert np.isinf(ref[0]).any() and np.isnan(ref[0]).any()
+        _assert_same(mpu.gemm(tensor, x, accumulate_dtype=acc), ref)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_prepare_embeds_program_and_runs_it(self, rng, kind):
@@ -80,95 +105,58 @@ class TestCompiledEquivalence:
         y2, stats2 = mpu.gemm_reference(tensor, x[:, 0])
         _assert_same((y, stats), (y2, stats2))
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_layer_sized_program_matches_reference(self, mixed):
+        # A serving-layer shape at the default MPU geometry: 256×512, 3-bit,
+        # 128-column scale groups, fp32 accumulators.
+        rng = np.random.default_rng(10 + mixed)
+        w = rng.standard_normal((256, 512)) * 0.05
+        config = BCQConfig(bits=3, group_size=128, iterations=1)
+        tensor = (quantize_bcq_mixed(w, rng.integers(1, 4, size=256), config)
+                  if mixed else quantize_bcq(w, config))
+        x = rng.standard_normal((512, 2))
+        mpu = MatrixProcessingUnit()
+        _assert_same(mpu.gemm(tensor, x, accumulate_dtype=np.float32),
+                     mpu.gemm_reference(tensor, x,
+                                        accumulate_dtype=np.float32))
+
     def test_batch_chunking_is_exact(self, rng):
-        # A one-element gather budget forces a chunk per batch column; the
-        # numerics must not move (no reduction crosses batch columns).
-        tensor, x = _case(rng, "mixed")
-        whole = MatrixProcessingUnit(MPU_CFG).prepare(tensor) \
-            .program.execute(x, accumulate_dtype=np.float32)
-        tiny = MatrixProcessingUnit(_budget_cfg(1)).prepare(tensor).program
-        assert tiny.gather_budget == 1
-        _assert_same(whole, tiny.execute(x, accumulate_dtype=np.float32))
+        # No reduction crosses batch columns, so running the batch in
+        # column chunks must not move a bit.  Chunks keep ≥ 2 columns: at
+        # one column the offset group-sum is NumPy's pairwise sum.
+        tensor, _ = _case(rng, "mixed")
+        x = rng.standard_normal((tensor.shape[1], 12))
+        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
+        y, stats = prog.execute(x, accumulate_dtype=np.float32)
+        chunks = [prog.execute(x[:, lo:hi], accumulate_dtype=np.float32)[0]
+                  for lo, hi in ((0, 5), (5, 7), (7, 12))]
+        _assert_same((np.concatenate(chunks, axis=1), stats), (y, stats))
+        assert stats == prog.stats(12)
 
-
-def _budget_cfg(budget):
-    return MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2, gather_budget=budget)
-
-
-class TestGatherBudget:
-    """The budget knob really changes the chunking — on both tiers — and
-    resolves config field > environment > module default."""
-
-    def test_budget_changes_fused_batch_step(self, rng):
-        tensor, x = _case(rng, "uniform")
-        default = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-        tiny = MatrixProcessingUnit(_budget_cfg(1)).prepare(tensor).program
-        rows = default.passes[0].keys.shape[1]
-        assert default.batch_step(rows) >= x.shape[1]  # one whole-batch chunk
-        assert tiny.batch_step(rows) == 1              # one column at a time
-        _assert_same(default.execute(x), tiny.execute(x))
-
-    def test_budget_changes_blocked_block_count(self, rng):
-        tensor, x = _case(rng, "uniform")
+    @pytest.mark.parametrize("acc", [np.float16, np.float32, np.float64])
+    def test_column_tiling_is_exact(self, rng, acc):
+        # 37 columns span two full kernel column tiles plus a ragged one.
+        tensor, _ = _case(rng, "mixed")
+        x = rng.standard_normal((tensor.shape[1], 37))
         mpu = MatrixProcessingUnit(MPU_CFG)
-        plan = mpu.plan(tensor)
-        coarse = compile_plan(plan, tensor, MPU_CFG, tier="blocked")
-        fine = compile_plan(plan, tensor, _budget_cfg(1), tier="blocked")
-
-        def blocks(prog):
-            return [op for op in prog.instructions if op[0] == "plane_block"]
-
-        assert len(blocks(coarse)) == len(coarse.passes)  # 1 block per plane
-        assert len(blocks(fine)) == len(fine.passes) * fine.num_segments
-        _assert_same(coarse.execute(x), fine.execute(x))
-
-    def test_env_budget_applies(self, rng, monkeypatch):
-        tensor, _ = _case(rng, "uniform")
-        monkeypatch.setenv("REPRO_GATHER_BUDGET", "12345")
-        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-        assert prog.gather_budget == 12345
-
-    def test_config_budget_beats_env(self, rng, monkeypatch):
-        tensor, _ = _case(rng, "uniform")
-        monkeypatch.setenv("REPRO_GATHER_BUDGET", "7")
-        prog = MatrixProcessingUnit(_budget_cfg(123)).prepare(tensor).program
-        assert prog.gather_budget == 123
-
-    def test_default_budget_without_overrides(self, rng, monkeypatch):
-        tensor, _ = _case(rng, "uniform")
-        monkeypatch.delenv("REPRO_GATHER_BUDGET", raising=False)
-        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-        assert prog.gather_budget == program_mod._GATHER_BUDGET
-
-    @pytest.mark.parametrize("env", ["zero", "0", "-4"])
-    def test_invalid_env_budget_rejected(self, rng, env, monkeypatch):
-        tensor, _ = _case(rng, "uniform")
-        monkeypatch.setenv("REPRO_GATHER_BUDGET", env)
-        with pytest.raises(ValueError):
-            MatrixProcessingUnit(MPU_CFG).prepare(tensor)
-
-    def test_invalid_config_budget_rejected(self):
-        with pytest.raises(ValueError):
-            _budget_cfg(0)
+        _assert_same(mpu.gemm(tensor, x, accumulate_dtype=acc),
+                     mpu.gemm_reference(tensor, x, accumulate_dtype=acc))
 
 
 class TestProgramStructure:
-    def test_instruction_list_is_complete(self, rng):
+    def test_program_geometry(self, rng):
         tensor, _ = _case(rng, "ragged")
         mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
         prog = compile_plan(plan, tensor, MPU_CFG)
-        n_planes = len(prog.passes)
         n_seg = len(plan.segments)
         assert prog.num_segments == n_seg
         assert prog.num_slots == n_seg * prog.slots_per_segment
-        # A small program stacks every plane into one group: LUTs, one
-        # gather, one scale stage (which replays the reference's
-        # segments-ascending / planes-innermost y order), the offsets.
-        assert [(g.lo, g.hi) for g in prog.groups] == [(0, n_planes)]
-        assert prog.instructions == (
-            ("luts",), ("plane", 0), ("scale",),
-            *(("offset", k) for k in range(plan.num_scale_groups)))
+        assert len(prog.passes) == tensor.bits
+        assert len(prog.offset_slices) == plan.num_scale_groups
+        for pp in prog.passes:
+            assert pp.keys.shape == (prog.num_slots, tensor.shape[0])
+            assert pp.scales.dtype == np.float64
 
     @pytest.mark.parametrize("batch", [0, 1, 3, 17])
     def test_stats_affine_in_batch(self, rng, batch):
@@ -185,27 +173,17 @@ class TestProgramStructure:
             prog.stats(-1)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("group_elements",
-                             [1, program_mod._PLANE_GROUP_ELEMENTS])
-    def test_buffers_spec_roundtrip(self, rng, monkeypatch, kind,
-                                    group_elements):
+    def test_buffers_spec_roundtrip(self, rng, kind):
         # The process-backend shipping path: spec travels by pickle, arrays
-        # as raw buffers; the rebuilt program keeps its plane groups and
-        # executes bit-identically.  A one-element group budget ships one
-        # group per plane.
-        monkeypatch.setattr(program_mod, "_PLANE_GROUP_ELEMENTS",
-                            group_elements)
+        # as raw buffers; the rebuilt program references the same arrays
+        # and executes bit-identically.
         tensor, x = _case(rng, kind)
         prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
         spec = pickle.loads(pickle.dumps(prog.spec()))
         rebuilt = CompiledProgram.from_buffers(spec, prog.buffers())
-        assert len(prog.groups) == (len(prog.passes) if group_elements == 1
-                                    else 1)
-        assert [(g.lo, g.hi) for g in rebuilt.groups] == \
-            [(g.lo, g.hi) for g in prog.groups]
-        for got, want in zip(rebuilt.groups, prog.groups, strict=True):
-            assert got.index is want.index and got.scales is want.scales
-        assert rebuilt.instructions == prog.instructions
+        for got, want in zip(rebuilt.passes, prog.passes, strict=True):
+            assert got.keys is want.keys and got.scales is want.scales
+        assert rebuilt.offset_slices == prog.offset_slices
         _assert_same(prog.execute(x, accumulate_dtype=np.float32),
                      rebuilt.execute(x, accumulate_dtype=np.float32))
 
@@ -290,28 +268,143 @@ class TestProgramErrors:
         with pytest.raises(ValueError, match="different plan"):
             compile_plan(plan, tensor, MPU_CFG, shard=shard)
 
-    @pytest.mark.parametrize("group_elements", [1, program_mod._PLANE_GROUP_ELEMENTS])
     @pytest.mark.parametrize("batch", [1, 9])
-    def test_profile_bytes_match_per_plane_formula(self, rng, monkeypatch,
-                                                   group_elements, batch):
-        # program.<tier>.plane / .scale rollups must count the same bytes
-        # per run however planes are grouped, so bandwidth figures stay
-        # comparable with one-gather-per-plane programs.
-        monkeypatch.setattr(program_mod, "_PLANE_GROUP_ELEMENTS",
-                            group_elements)
+    def test_profile_bytes_match_per_plane_formula(self, rng, batch):
+        # program.fused.plane / .scale rollups count each plane's traffic,
+        # so bandwidth figures stay comparable across program shapes.
         tensor, _ = _case(rng, "mixed")
         prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-        assert len(prog.groups) == (len(prog.passes) if group_elements == 1
-                                    else 1)
         acc = 4
         slots, rows = prog.num_slots, [pp.keys.shape[1] for pp in prog.passes]
-        expected = {
-            "luts": slots * prog.mu * batch * 8
-            + slots * batch * (1 << prog.mu) * acc,
-            "plane": sum(pp.keys.nbytes + 2 * slots * r * batch * acc
-                         for pp, r in zip(prog.passes, rows, strict=True)),
-            "scale": sum(2 * r * batch * 8 for r in rows) * prog.num_segments,
-            "offset": sum((stop - start) * batch * 8 + prog.m * batch * 8
-                          for start, stop in prog.offset_slices),
-        }
+        expected = (
+            slots * prog.mu * batch * 8 + slots * batch * (1 << prog.mu) * acc,
+            sum(pp.keys.nbytes + 2 * slots * r * batch * acc
+                for pp, r in zip(prog.passes, rows, strict=True)),
+            sum(2 * r * batch * 8 for r in rows) * prog.num_segments,
+            sum((stop - start) * batch * 8 + prog.m * batch * 8
+                for start, stop in prog.offset_slices),
+        )
         assert prog._profile_bytes(batch, acc) == expected
+
+
+def _with_pass(program, p, **replacements):
+    """``program`` with plane ``p``'s buffers replaced."""
+    passes = list(program.passes)
+    passes[p] = dataclasses.replace(passes[p], **replacements)
+    return dataclasses.replace(program, passes=tuple(passes))
+
+
+class TestKernelBoundary:
+    """Every buffer is checked before a raw pointer reaches C: a malformed
+    one raises ``ValueError`` instead of reading out of bounds."""
+
+    @pytest.mark.parametrize("breakage", [
+        "keys-dtype", "keys-strided", "keys-shape", "key-out-of-range",
+        "scales-dtype", "scales-shape", "rows-out-of-range",
+        "lut-cols-past-sentinel", "lut-cols-dtype", "mu-too-wide"])
+    def test_bad_program_buffer_raises(self, rng, breakage):
+        tensor, x = _case(rng, "mixed")
+        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
+        keys, scales = prog.passes[1].keys, prog.passes[1].scales
+        bad = {
+            "keys-dtype": lambda: _with_pass(prog, 1, keys=keys.astype(np.int64)),
+            "keys-strided": lambda: _with_pass(
+                prog, 1, keys=np.repeat(keys, 2, axis=1)[:, ::2]),
+            "keys-shape": lambda: _with_pass(prog, 1, keys=keys[:, :-1]),
+            "key-out-of-range": lambda: _with_pass(
+                prog, 1, keys=np.full_like(keys, 1 << prog.mu)),
+            "scales-dtype": lambda: _with_pass(
+                prog, 1, scales=scales.astype(np.float32)),
+            "scales-shape": lambda: _with_pass(prog, 1, scales=scales[:-1]),
+            "rows-out-of-range": lambda: _with_pass(
+                prog, 1, rows=prog.passes[1].rows + prog.m),
+            "lut-cols-past-sentinel": lambda: dataclasses.replace(
+                prog, lut_cols=prog.lut_cols + 1),
+            "lut-cols-dtype": lambda: dataclasses.replace(
+                prog, lut_cols=prog.lut_cols.astype(np.int32)),
+            "mu-too-wide": lambda: dataclasses.replace(prog, mu=17),
+        }[breakage]()
+        with pytest.raises(ValueError):
+            bad.execute(x)
+
+    def test_bad_shared_memory_view_raises(self, rng):
+        # A process-backend worker rebuilds its program over shared-memory
+        # views; a view with the wrong dtype is refused, a correct one runs.
+        tensor, x = _case(rng, "uniform")
+        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
+        blocks, views = [], {}
+        try:
+            for name, arr in prog.buffers().items():
+                shm = shared_memory.SharedMemory(create=True,
+                                                 size=max(arr.nbytes, 1))
+                blocks.append(shm)
+                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+                view[...] = arr
+                views[name] = view
+            _assert_same(CompiledProgram.from_buffers(prog.spec(), views)
+                         .execute(x), prog.execute(x))
+            views["keys0"] = views["keys0"].view(np.uint32)
+            with pytest.raises(ValueError, match="keys0"):
+                CompiledProgram.from_buffers(prog.spec(), views).execute(x)
+        finally:
+            views.clear()
+            for shm in blocks:
+                shm.close()
+                shm.unlink()
+
+    def test_unsupported_accumulator_rejected(self, rng):
+        tensor, x = _case(rng, "uniform")
+        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
+        with pytest.raises(ValueError, match="accumulator"):
+            prog.execute(x, accumulate_dtype=np.int64)
+
+
+class TestKernelConcurrency:
+    def test_kernel_call_releases_the_gil(self):
+        # ctypes drops the GIL around a foreign call unless the function
+        # carries the Python-API flag (ctypes.PyDLL); the serving pool's
+        # thread shards rely on the drop to run their kernels in parallel.
+        execute = native.library().figlut_execute
+        assert not execute._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    def test_concurrent_calls_match_reference(self, rng):
+        # More threads than cores run one program at once — including its
+        # first, lazily bound call — with a short switch interval; every
+        # result must still be the reference's bytes.
+        tensor, x = _case(rng, "mixed")
+        mpu = MatrixProcessingUnit(MPU_CFG)
+        want = mpu.gemm_reference(tensor, x, accumulate_dtype=np.float32)
+        prog = mpu.prepare(tensor).program
+        fresh = CompiledProgram.from_buffers(prog.spec(), prog.buffers())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fresh.execute, x, np.float32)
+                           for _ in range(64)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            _assert_same(got, want)
+
+
+class TestKernelBuild:
+    def test_warm_load_does_not_compile(self, tmp_path, monkeypatch):
+        built = native.build_library(tmp_path)
+        calls = []
+        run = subprocess.run
+
+        def recording_run(argv, *args, **kwargs):
+            calls.append(list(argv))
+            return run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", recording_run)
+        assert native.build_library(tmp_path) == built
+        # Only the compiler's version is queried (it keys the cache).
+        assert calls == [[native.COMPILER, "--version"]]
+        assert [p.name for p in tmp_path.iterdir()] == [built.name]
+
+    def test_missing_compiler_is_named(self, tmp_path):
+        with pytest.raises(RuntimeError, match="repro-no-such-cc"):
+            native.build_library(tmp_path, compiler="repro-no-such-cc")

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.lut import FFLUT, HalfFFLUT, build_lut_values, key_to_pattern, pattern_to_key
 from repro.core.lut_generator import generate_full_lut, generator_addition_count, naive_addition_count
-import repro.core.program as program_mod
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.core.program import compile_plan
 from repro.numerics.fixed import from_twos_complement, to_twos_complement
@@ -220,26 +219,20 @@ class TestExecutorEquivalenceSweep:
         np.testing.assert_allclose(merged, y_full, rtol=0, atol=1e-12)
 
 
-class TestPlaneGroupSweep:
-    """Hypothesis sweep of the fused tier's plane groups: the compiled
-    program equals ``gemm_reference`` bitwise — outputs and stats — with
-    batches on both sides of the group budget, every accumulator dtype,
-    mixed per-row precision (masked planes), and segment-axis shards.
-
-    The budget is patched to a few batch columns of the case's own stacked
-    gather, so "budget ± 1 column" stays cheap for the scalar reference.
-    ``per_plane`` sizes the budget by the widest single plane instead,
-    which also splits the planes into several groups at compile time.
-    """
+class TestNativeKernelSweep:
+    """Hypothesis sweep of the native kernel: the compiled program equals
+    ``gemm_reference`` bit for bit — outputs and stats — over random
+    geometries, every accumulator dtype, mixed per-row precision (masked
+    planes), batches on both sides of the kernel's 16-column tile, and
+    segment-axis shards."""
 
     @given(seed=st.integers(0, 2 ** 16), mixed=st.booleans(),
            acc=st.sampled_from([np.float16, np.float32, np.float64]),
-           per_plane=st.booleans(), cols=st.integers(1, 3),
-           side=st.sampled_from([-1, 0, 1, 6]),
+           batch=st.sampled_from([1, 2, 15, 16, 17, 33]),
            num_shards=st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
-    def test_fused_groups_match_reference(self, seed, mixed, acc, per_plane,
-                                          cols, side, num_shards):
+    def test_kernel_matches_reference(self, seed, mixed, acc, batch,
+                                      num_shards):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(4, 20)), int(rng.integers(5, 24))
         w = rng.standard_normal((m, n)) * 0.1
@@ -258,32 +251,20 @@ class TestPlaneGroupSweep:
                         k=int(rng.integers(1, 4)))
         mpu = MatrixProcessingUnit(cfg)
         plan = mpu.plan(tensor)
-        probe = compile_plan(plan, tensor, cfg, tier="fused")
-        widths = [pp.keys.shape[1] for pp in probe.passes]
-        width = max(widths) if per_plane else sum(widths)
-        budget = probe.num_slots * width * cols
-        batch = max(1, cols + side)
         x = rng.standard_normal((n, batch))
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(program_mod, "_PLANE_GROUP_ELEMENTS", budget)
-            program = compile_plan(plan, tensor, cfg, tier="fused")
-            y, stats = program.execute(x, accumulate_dtype=acc)
-            shards = shard_plan(plan, num_shards, axis="segments")
-            programs = compile_shard_programs(shards, tensor, cfg,
-                                              tier="fused")
-            results = [prog.execute(x, accumulate_dtype=acc)
-                       for prog in programs]
-        if per_plane and len(set(widths)) == 1:
-            # ``cols`` equal-width planes fill each compile-time group.
-            assert len(program.groups) == -(-len(widths) // cols)
+        y, stats = compile_plan(plan, tensor, cfg).execute(
+            x, accumulate_dtype=acc)
+        shards = shard_plan(plan, num_shards, axis="segments")
+        programs = compile_shard_programs(shards, tensor, cfg)
+        results = [prog.execute(x, accumulate_dtype=acc) for prog in programs]
         y_ref, s_ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
-        np.testing.assert_array_equal(y, y_ref)
+        assert y.tobytes() == y_ref.tobytes()
         assert stats == s_ref
         for shard, (y_s, s_s) in zip(shards, results, strict=True):
             y_sr, s_sr = mpu.gemm_reference(tensor, x, accumulate_dtype=acc,
                                             shard=shard)
-            np.testing.assert_array_equal(y_s, y_sr)
+            assert y_s.tobytes() == y_sr.tobytes()
             assert s_s == s_sr
         assert merge_shard_outputs(shards, results)[1] == s_ref
 

@@ -40,6 +40,13 @@ def _case(rng, kind):
     return tensor, x
 
 
+def _assert_bitwise(actual, expected):
+    """Bit-for-bit equal outputs: unlike ``assert_array_equal`` this tells
+    ``-0.0`` from ``+0.0`` and one NaN payload from another."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
 class TestShardPlan:
     def test_row_shards_partition_bands(self, rng):
         tensor, _ = _case(rng, "mixed")
@@ -107,7 +114,7 @@ class TestShardedExecutionEquivalence:
         shards = shard_plan(mpu.plan(tensor), num_shards, axis="rows")
         results = [mpu.gemm(tensor, x, shard=s) for s in shards]
         y, stats = merge_shard_outputs(shards, results)
-        np.testing.assert_array_equal(y, y_ref)
+        _assert_bitwise(y, y_ref)
         assert stats == stats_ref
 
     @pytest.mark.parametrize("kind", ["uniform", "ragged", "mixed"])
@@ -136,7 +143,7 @@ class TestShardedExecutionEquivalence:
         y_ref, _ = mpu.gemm(tensor, x)
         [_, shard] = shard_plan(mpu.plan(tensor), 2, axis="rows")[:2]
         y_shard, _ = mpu.gemm(tensor, x, shard=shard)
-        np.testing.assert_array_equal(y_shard, y_ref[shard.row_indices])
+        _assert_bitwise(y_shard, y_ref[shard.row_indices])
 
     def test_vector_activations_squeeze(self, rng):
         tensor, x = _case(rng, "uniform")
@@ -146,7 +153,7 @@ class TestShardedExecutionEquivalence:
         results = [mpu.gemm(tensor, x[:, 0], shard=s) for s in shards]
         y, _ = merge_shard_outputs(shards, results)
         assert y.shape == y_ref.shape == (tensor.shape[0],)
-        np.testing.assert_array_equal(y, y_ref)
+        _assert_bitwise(y, y_ref)
 
     def test_shard_of_wrong_tensor_raises(self, rng):
         tensor, x = _case(rng, "uniform")
@@ -173,7 +180,7 @@ class TestPreparedWeights:
         y_ref, stats_ref = mpu.gemm(tensor, x)
         prepared = mpu.prepare(tensor)
         y, stats = mpu.gemm(prepared, x)
-        np.testing.assert_array_equal(y, y_ref)
+        _assert_bitwise(y, y_ref)
         assert stats == stats_ref
 
     def test_prepared_segment_shard(self, rng):
@@ -184,7 +191,7 @@ class TestPreparedWeights:
         raw = [mpu.gemm(tensor, x, shard=s) for s in shards]
         prep = [mpu.gemm(prepared, x, shard=s) for s in shards]
         for (y_r, s_r), (y_p, s_p) in zip(raw, prep, strict=True):
-            np.testing.assert_array_equal(y_p, y_r)
+            _assert_bitwise(y_p, y_r)
             assert s_p == s_r
 
     def test_prepared_rejects_row_shards(self, rng):
