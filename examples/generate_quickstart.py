@@ -6,7 +6,7 @@ Builds a small transformer, quantizes its weight GEMMs to BCQ, and stands
 up an :class:`repro.serve.InferenceServer`; N concurrent clients then each
 ask for a multi-token greedy generation.  The server's decode scheduler
 keeps every in-flight sequence in one shared KV cache, runs one stacked
-single-position decode step per iteration across the sharded worker pool,
+single-position decode step per iteration through the worker pool,
 and admits newly arrived requests between iterations — so each emitted
 token costs one plan execution at flat batch = #active instead of a full
 re-prefill of the growing sequence.
@@ -64,7 +64,7 @@ def build_server() -> InferenceServer:
     qlm = QuantizedLM.build(model, recipe, engine="figlut-f")
     return InferenceServer(
         qlm,
-        num_shards=2,                                  # pinned worker shards
+        num_shards=2,                    # workers for column fan-out of large GEMMs
         policy=BatchPolicy(max_batch=8, max_wait_us=500),
         mpu_config=MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4),
         backend="thread",

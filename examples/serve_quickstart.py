@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Serve quickstart: sharded, async-batched inference over a quantized LM.
+"""Serve quickstart: pooled, async-batched inference over a quantized LM.
 
 Builds a small transformer, quantizes its weight GEMMs to BCQ, and stands up
-an :class:`repro.serve.InferenceServer`: every layer's tile-execution plan is
-sharded across a pinned worker pool and an async micro-batcher coalesces
-concurrent requests into shared engine passes.  An async client fires N
+an :class:`repro.serve.InferenceServer`: every layer's compiled program is
+pinned once in a worker pool (large GEMMs split their activation columns
+across the workers) and an async micro-batcher coalesces concurrent
+requests into shared engine passes.  An async client fires N
 concurrent requests, then the script prints per-request p50/p99 latency,
 tokens/s, the batching profile, and the plan-exact modelled MPU counters —
 and verifies that a batched request's logits are bit-identical to a solo run.
@@ -40,7 +41,7 @@ def build_server() -> InferenceServer:
     qlm = QuantizedLM.build(model, recipe, engine="figlut-f")
     return InferenceServer(
         qlm,
-        num_shards=2,                                  # pinned worker shards
+        num_shards=2,                    # workers for column fan-out of large GEMMs
         policy=BatchPolicy(max_batch=8, max_wait_us=500),
         mpu_config=MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4),
         backend="thread",
@@ -65,7 +66,7 @@ def main() -> None:
                 for _ in range(NUM_REQUESTS)]
 
     print("=" * 72)
-    print(f"1. Fire {NUM_REQUESTS} concurrent requests at the sharded server")
+    print(f"1. Fire {NUM_REQUESTS} concurrent requests at the pooled server")
     print("=" * 72)
     solo_reference = server.run_solo(requests[0])  # also warms the workers
     t0 = time.perf_counter()
@@ -85,7 +86,7 @@ def main() -> None:
 
     print()
     print("=" * 72)
-    print("2. Batched == solo, bit for bit (row-shard merge + per-column LUTs)")
+    print("2. Batched == solo, bit for bit (per-column LUTs and offset sums)")
     print("=" * 72)
     result0 = next(r for r, _ in results if r.request_id == 0)
     exact = np.array_equal(result0.logits, solo_reference)
@@ -94,7 +95,7 @@ def main() -> None:
 
     print()
     print("=" * 72)
-    print("3. Plan-exact modelled counters, aggregated across shards")
+    print("3. Plan-exact modelled counters, aggregated across calls")
     print("=" * 72)
     stats = metrics.mpu_stats
     print(f"modelled cycles : {stats.cycles:,}")

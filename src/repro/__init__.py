@@ -12,7 +12,7 @@ FP-INT GEMM Using Look-Up Tables"* (HPCA 2025), including:
   transformer for accuracy experiments (:mod:`repro.models`),
 * evaluation drivers that regenerate every table and figure of the paper
   (:mod:`repro.eval`),
-* a sharded, async-batched inference serving subsystem over the
+* an async-batched inference serving subsystem over the
   tile-execution core (:mod:`repro.serve`).
 
 Quickstart::

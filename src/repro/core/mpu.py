@@ -86,11 +86,17 @@ __all__ = ["MPUConfig", "MPURunStats", "MatrixProcessingUnit", "PreparedWeights"
 
 def _normalize_activations(activations: np.ndarray,
                            expected_rows: int) -> tuple[np.ndarray, bool]:
-    """Normalize ``(N,)`` / ``(N, batch)`` activations to float64 2-D.
+    """Normalize ``(N,)`` / ``(N, batch)`` activations to float64 2-D,
+    column-contiguous.
 
     The single input-handling path shared by the compiled
     :meth:`~repro.core.program.CompiledProgram.execute` and the scalar
-    ``gemm_reference``, so the two cannot drift on shape or dtype handling.
+    ``gemm_reference``, so the two cannot drift on shape, dtype or layout
+    handling.  The layout is part of the numerics: NumPy reduces a
+    column-contiguous group with its pairwise sum but walks a C-order one
+    row by row, so the offset stage's bits would otherwise depend on how
+    the caller's array is laid out.  Column-contiguous, every column is
+    summed alone and the same way at any batch width or column chunking.
     Returns ``(x, squeeze)`` where ``squeeze`` records that the caller
     should return a vector.
     """
@@ -98,6 +104,7 @@ def _normalize_activations(activations: np.ndarray,
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]
+    x = np.asfortranarray(x)
     if x.shape[0] != expected_rows:
         raise ValueError(
             f"activation rows {x.shape[0]} != weight cols {expected_rows}")
@@ -183,8 +190,8 @@ class PreparedWeights:
 
     The plan and its compiled program depend only on the weights — exactly
     the state a weight-stationary worker keeps resident — so a serving pool
-    builds them once per (worker, layer) and every subsequent GEMM only
-    touches activations.  :meth:`MatrixProcessingUnit.gemm` on a prepared
+    builds them once per layer and every subsequent GEMM only touches
+    activations.  :meth:`MatrixProcessingUnit.gemm` on a prepared
     tensor is bit-identical to running the raw tensor.
 
     Attributes

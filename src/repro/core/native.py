@@ -3,7 +3,7 @@
 :meth:`~repro.core.program.CompiledProgram.execute` runs the LUT datapath
 of every GEMM — LUT build, plane gather-accumulate, α-scaled ``y``
 updates — in one C call through :mod:`ctypes`, which releases the GIL for
-the call, so the serving pool's thread shards run truly in parallel.
+the call, so the serving pool's column chunks run truly in parallel.
 
 The kernel is compiled on first use with the system C compiler (``cc``)
 into a per-user cache directory, ``$XDG_CACHE_HOME/repro-figlut`` (default

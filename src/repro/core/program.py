@@ -406,7 +406,7 @@ def compile_plan(plan: TileExecutionPlan,
         offset_slices=offset_slices, stats_base=base, stats_slope=slope)
     if os.environ.get("REPRO_VERIFY"):
         # Structural verification of every freshly compiled program
-        # (including prepare() and the serving pools' shard sub-programs).
+        # (including prepare() and segment-shard sub-programs).
         # Lazy import: analysis depends on this module.
         from repro.analysis.verify import verify_program
         verify_program(program, plan=plan, config=config, shard=shard)

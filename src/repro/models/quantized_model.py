@@ -311,10 +311,10 @@ class QuantizedLM:
 
         This is the weight-stationary state (tile plan + compiled program) a
         serving worker keeps resident.  It is memoised per MPU geometry so
-        the standalone decode path, repeated :meth:`generate` calls, and a
-        single-shard serving pool (:class:`repro.serve.workers.
-        ShardedMPUPool` with ``shared_prepared=``) all share one prepared
-        copy instead of re-planning and re-compiling per call.
+        the standalone decode path, repeated :meth:`generate` calls, and
+        the serving pool (:class:`repro.serve.workers.ShardedMPUPool`, at
+        any worker count) all share one prepared copy instead of
+        re-planning and re-compiling per call.
         """
         cfg = mpu_config or MPUConfig()
         cached = self._prepared.get(cfg)
@@ -329,13 +329,14 @@ class QuantizedLM:
     def prepared_gemm(self, mpu_config: MPUConfig | None = None):
         """``gemm(name, flat) -> (y, stats)`` over the prepared weights.
 
-        The standalone (unsharded) twin of a serving pool's ``gemm``
+        The standalone (single-thread) twin of a serving pool's ``gemm``
         dispatch: activations of shape ``(in_features, batch)`` run on one
         :class:`~repro.core.mpu.MatrixProcessingUnit` against the memoised
         :meth:`prepared_weights`, returning the output and the plan-exact
         :class:`~repro.core.mpu.MPURunStats`, by running each layer's
         memoised :class:`~repro.core.program.CompiledProgram`.
-        Bit-identical to a row-axis sharded pool run of the same layer.
+        Bit-identical to a pool run of the same layer, inline or fanned
+        out.
         """
         cfg = mpu_config or MPUConfig()
         prepared = self.prepared_weights(cfg)
@@ -453,10 +454,9 @@ class QuantizedLM:
     def bcq_views(self) -> dict[str, BCQTensor]:
         """BCQ view of every quantized weight matrix, keyed by layer name.
 
-        This is the weight set a sharded serving pool
-        (:class:`repro.serve.workers.ShardedMPUPool`) pins across its
-        workers; uniform tensors are converted at most once through the
-        shared :meth:`_bcq_view` memo.
+        The BCQ tensors :meth:`prepared_weights` and :meth:`layer_plan`
+        prepare and plan; uniform tensors are converted at most once
+        through the shared :meth:`_bcq_view` memo.
         """
         return {name: self._bcq_view(name) for name in self.quantized_weights}
 
@@ -465,9 +465,9 @@ class QuantizedLM:
 
         ``gemm(name, flat)`` receives the layer name and activations of
         shape ``(in_features, batch)`` and returns ``(out_features,
-        batch)`` — e.g. a sharded pool dispatch.  Matrices that were not
+        batch)`` — e.g. a serving pool dispatch.  Matrices that were not
         quantized fall back to the dense product, exactly like
-        :meth:`matmul`.  This is the sharded forward path: ``model.forward
+        :meth:`matmul`.  This is the pooled forward path: ``model.forward
         (tokens, matmul=qlm.matmul_via(pool_gemm))``.
         """
         def hook(name: str, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -483,7 +483,7 @@ class QuantizedLM:
         """Forward-pass logits ``(batch, seq, vocab)`` through the engine.
 
         ``matmul`` overrides the GEMM hook (defaults to :meth:`matmul`),
-        letting a serving front-end route the same model through a sharded
+        letting a serving front-end route the same model through a worker
         pool via :meth:`matmul_via`.
         """
         logits, _ = self.model.forward(np.asarray(tokens, dtype=np.int64),

@@ -194,8 +194,8 @@ class BCQTensor:
         scales, offsets and ``per_row_bits`` all slice along it without
         touching the column/group structure — so a row slice quantizes,
         dequantizes and executes exactly like the same rows inside the full
-        tensor.  Sliced arrays are materialised contiguously: this is the
-        per-worker weight pinning primitive of the sharded serving pool.
+        tensor.  Sliced arrays are materialised contiguously: this is what
+        a row-axis plan shard executes.
         """
         if isinstance(rows, slice):
             rows = np.arange(*rows.indices(self.shape[0]), dtype=np.int64)

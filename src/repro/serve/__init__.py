@@ -1,16 +1,17 @@
-"""Sharded, async-batched inference serving over the tile-execution core.
+"""Async-batched inference serving over the tile-execution core.
 
 The scale-out leg of the reproduction: the functional FIGLUT model becomes a
-servable engine by (1) partitioning each layer's tile-execution plan into
-balanced per-worker shards (:mod:`repro.serve.sharding`), (2) pinning the
-sharded weights — and their weight-stationary RAC keys — in a concurrent
-worker pool (:mod:`repro.serve.workers`), (3) coalescing single-request
-traffic into micro-batches that share one engine pass
-(:mod:`repro.serve.batching`), (4) continuous (iteration-level) batching of
-multi-token generation over a shared **paged** KV cache — fixed-size K/V
-pages with per-sequence page tables and cross-request prefix sharing,
-stacked single-position decode steps with admission between iterations
-(:mod:`repro.serve.scheduler`) — and (5) gluing it together over a
+servable engine by (1) pinning one compiled program per layer — its
+weight-stationary RAC keys — in a worker pool that runs small GEMMs inline
+and splits large ones' activation columns across its workers
+(:mod:`repro.serve.workers`; :mod:`repro.serve.sharding` keeps the plan-shard
+partitioner), (2) coalescing single-request traffic into micro-batches that
+share one engine pass (:mod:`repro.serve.batching`), (3) continuous
+(iteration-level) batching of multi-token generation over a shared
+**paged** KV cache — fixed-size K/V pages with per-sequence page tables
+and cross-request prefix sharing, stacked single-position decode steps
+with admission between iterations (:mod:`repro.serve.scheduler`) — and
+(4) gluing it together over a
 :class:`~repro.models.quantized_model.QuantizedLM` with per-request latency
 and plan-exact modelled-cycle accounting (:mod:`repro.serve.server`).
 
@@ -44,12 +45,8 @@ from repro.serve.server import (
     InferenceServer,
     ServerMetrics,
 )
-from repro.serve.sharding import (
-    compile_shard_programs,
-    merge_shard_outputs,
-    shard_plan,
-)
-from repro.serve.workers import ShardedMPUPool
+from repro.serve.sharding import merge_shard_outputs, shard_plan
+from repro.serve.workers import PoolCounters, ShardedMPUPool
 
 __all__ = [
     "AsyncBatcher",
@@ -63,8 +60,8 @@ __all__ = [
     "InferenceServer",
     "SequenceState",
     "ServerMetrics",
+    "PoolCounters",
     "ShardedMPUPool",
-    "compile_shard_programs",
     "merge_shard_outputs",
     "shard_plan",
 ]

@@ -28,7 +28,7 @@ LLM inference engines use (Orca-style iteration-level batching):
   counts the stalls).
 
 Every weight GEMM goes through a pluggable ``gemm(name, flat) -> (y,
-stats)`` — the sharded pool dispatch of a server, or the model's own
+stats)`` — the pool dispatch of a server, or the model's own
 memoised :meth:`~repro.models.quantized_model.QuantizedLM.prepared_gemm` —
 so decode cost accounting stays plan-exact: :class:`DecodeMetrics` sums the
 :class:`~repro.core.mpu.MPURunStats` of exactly the passes that ran.
@@ -245,9 +245,9 @@ class DecodeScheduler:
         prepared_gemm` is the default engine dispatch.
     gemm:
         Optional ``gemm(name, flat) -> (y, stats)`` override — e.g. an
-        :class:`~repro.serve.server.InferenceServer`'s sharded pool
-        dispatch.  Row-axis pool dispatch is bit-exact against the default,
-        so served generations match solo ones token for token.
+        :class:`~repro.serve.server.InferenceServer`'s pool dispatch,
+        which is bit-exact against the default (inline or fanned out over
+        columns), so served generations match solo ones token for token.
     max_active:
         In-flight sequence cap: waiting requests are admitted between
         iterations only while the pool holds fewer than this many.

@@ -1,25 +1,27 @@
-"""Sharded, async-batched inference serving over a quantized LM.
+"""Async-batched inference serving over a quantized LM.
 
 :class:`InferenceServer` is the top of the serving stack: requests (token
 sequences) are coalesced by an :class:`~repro.serve.batching.AsyncBatcher`
 into micro-batches, each micro-batch runs one transformer forward pass
-whose weight GEMMs are dispatched — layer by layer — across the pinned
-workers of a :class:`~repro.serve.workers.ShardedMPUPool`, and the
-per-request logits fan back out with per-request latency recorded.
+whose weight GEMMs are dispatched — layer by layer — through a
+:class:`~repro.serve.workers.ShardedMPUPool` (one pinned program per
+layer; small GEMMs run inline, large ones fan their activation columns out
+across the workers), and the per-request logits fan back out with
+per-request latency recorded.
 
-The pipeline ``submit → batch → per-layer sharded GEMM → de-batch`` is
-bit-transparent on the default row shard axis: the MPU executor is
-batch-column-independent and the transformer's elementwise/attention ops
-are per-sequence, so the logits a request receives are identical whether it
-rode a micro-batch or ran alone (:meth:`InferenceServer.run_solo`), and
-identical to an unsharded single-process run.
+The pipeline ``submit → batch → per-layer pooled GEMM → de-batch`` is
+bit-transparent: the MPU program is batch-column-independent, the pool's
+column chunks are concatenated unchanged, and the transformer's
+elementwise/attention ops are per-sequence, so the logits a request
+receives are identical whether it rode a micro-batch or ran alone
+(:meth:`InferenceServer.run_solo`), and identical to a single-process run
+of the model's prepared programs.
 
 Accounting reuses the analytic plan counters: every pooled GEMM returns its
-merged (exactly additive) :class:`~repro.core.mpu.MPURunStats`, so the
-server's aggregate modelled cycles equal the unsharded
-``QuantizedLM.model_mpu_stats`` totals for the batches it actually ran —
-plan-exact under sharding — alongside the measured wall-clock latency
-percentiles and throughput.
+plan-exact :class:`~repro.core.mpu.MPURunStats` for the whole call, so the
+server's aggregate modelled cycles equal the ``QuantizedLM.model_mpu_stats``
+totals for the batches it actually ran, alongside the measured wall-clock
+latency percentiles and throughput.
 
 Multi-token generation does **not** go through the one-shot pipeline:
 :meth:`InferenceServer.submit_generate` (and the streaming
@@ -27,10 +29,10 @@ Multi-token generation does **not** go through the one-shot pipeline:
 :class:`~repro.serve.scheduler.DecodeScheduler` that keeps a pool of
 in-flight sequences over one shared paged KV cache, admits new requests
 between decode iterations, and drives one stacked single-position decode
-step per iteration through the same sharded pool — so each emitted token
-costs one plan execution at flat batch = #active instead of a full
-re-prefill.  :meth:`InferenceServer.generate_solo` runs one request through
-a private scheduler of the same kind, so a request's served tokens are
+step per iteration through the same pool — so each emitted token costs one
+plan execution at flat batch = #active instead of a full re-prefill.
+:meth:`InferenceServer.generate_solo` runs one request through a private
+scheduler of the same kind, so a request's served tokens are
 bit-identical to its solo run.
 """
 
@@ -119,21 +121,19 @@ class ServerMetrics:
 
 
 class InferenceServer:
-    """Async-batched, sharded inference over a :class:`QuantizedLM`.
+    """Async-batched, pooled inference over a :class:`QuantizedLM`.
 
     Parameters
     ----------
     qlm:
-        The quantized model; its BCQ weight views are pinned across the
-        pool's workers, its transformer runs the forward pass.
-    num_shards, mpu_config, backend, accumulate_dtype, axis:
+        The quantized model; its prepared programs are pinned in the pool,
+        its transformer runs the forward pass.
+    num_shards, mpu_config, backend, accumulate_dtype:
         Forwarded to :class:`~repro.serve.workers.ShardedMPUPool`, which
-        runs every shard's flat :class:`~repro.core.program.
-        CompiledProgram`.  With a single shard on the default row axis the
-        pool pins the programs of the model's own memoised
+        pins the model's own memoised
         :meth:`~repro.models.quantized_model.QuantizedLM.prepared_weights`
-        instead of compiling its own, so the served path and any
-        standalone ``qlm`` decode share one compiled copy.
+        programs, so the served path and any standalone ``qlm`` decode
+        share one compiled copy.
     policy:
         Micro-batching policy (:class:`~repro.serve.batching.BatchPolicy`).
         ``max_wait_us`` doubles as the decode scheduler's admission window:
@@ -151,24 +151,13 @@ class InferenceServer:
                  policy: BatchPolicy | None = None,
                  mpu_config: MPUConfig | None = None, backend: str = "thread",
                  accumulate_dtype: np.dtype | type = np.float64,
-                 axis: str = "rows",
                  decode_max_active: int = 8,
                  cache_config: CacheConfig | None = None) -> None:
         self.qlm = qlm
-        # Solo and served execution share prepared weight-stationary state
-        # where the shard layout allows it (one row shard = the full plan);
-        # the pool always reuses the model's memoised layer plans.
-        shared_prepared = (qlm.prepared_weights(mpu_config)
-                           if num_shards == 1 and axis == "rows"
-                           and backend != "process" else None)
-        views = qlm.bcq_views()
-        plans = {name: qlm.layer_plan(name, mpu_config) for name in views}
-        self.pool = ShardedMPUPool(views, num_shards=num_shards,
+        self.pool = ShardedMPUPool(qlm.prepared_weights(mpu_config),
+                                   num_shards=num_shards,
                                    mpu_config=mpu_config, backend=backend,
-                                   accumulate_dtype=accumulate_dtype,
-                                   axis=axis,
-                                   shared_prepared=shared_prepared,
-                                   plans=plans)
+                                   accumulate_dtype=accumulate_dtype)
         self.metrics = ServerMetrics()
         self.batcher = AsyncBatcher(self._run_batch, policy)
         self.scheduler = DecodeScheduler(qlm, gemm=self._metered_gemm,
@@ -188,17 +177,17 @@ class InferenceServer:
         histograms themselves, and binds callback gauges over every
         counter field of the serving structs plus queue depth,
         active/waiting requests, page-pool occupancy, prefix hit rates and
-        per-shard plan-exact utilization, into ``telemetry.metrics`` — the
-        active handle by default.  Runs automatically at construction when
-        telemetry is already enabled; call it manually after enabling a
-        handle for an existing server.  Idempotent: re-binding replaces
+        the pool's inline/fan-out call counts, into ``telemetry.metrics``
+        — the active handle by default.  Runs automatically at
+        construction when telemetry is already enabled; call it manually
+        after enabling a handle for an existing server.  Idempotent: re-binding replaces
         every family in place, so a registry exports the server bound
         last.  Private schedulers (:meth:`generate_solo`) are never bound.
         """
         tel = telemetry if telemetry is not None else get_telemetry()
         bind_server(tel.metrics, self)
 
-    # -- the sharded forward path -----------------------------------------
+    # -- the pooled forward path ------------------------------------------
     def _metered_gemm(self, name: str,
                       flat: np.ndarray) -> tuple[np.ndarray, MPURunStats]:
         """Pool dispatch that also feeds the server-wide counters."""
@@ -212,7 +201,7 @@ class InferenceServer:
         return y
 
     def forward(self, tokens: np.ndarray) -> np.ndarray:
-        """Logits ``(batch, seq, vocab)`` with every weight GEMM sharded."""
+        """Logits ``(batch, seq, vocab)`` with every weight GEMM pooled."""
         return self.qlm.logits(tokens, matmul=self._hook)
 
     # -- batching ----------------------------------------------------------
@@ -313,7 +302,7 @@ class InferenceServer:
         iteration boundary and leaves on EOS or budget exhaustion.  Its
         token sequence is bit-identical to a solo :meth:`generate_solo` run
         of the same prompt — row-independent stacked decode over the same
-        sharded pool.  Cancelling the awaiting task abandons the request
+        pool.  Cancelling the awaiting task abandons the request
         (it is compacted out of the decode pool at the next iteration);
         a fatal decode error is re-raised here.
         """
@@ -396,12 +385,12 @@ class InferenceServer:
 
     # -- baselines / lifecycle --------------------------------------------
     def run_solo(self, tokens: np.ndarray) -> np.ndarray:
-        """One request through the same sharded pool, no batching.
+        """One request through the same pool, no batching.
 
         The sequential baseline the throughput benchmark compares against;
         returns logits ``(seq, vocab)`` bit-identical to what the same
         request receives from :meth:`submit` inside any micro-batch.  Runs
-        over the pool's pinned shard programs, so the standalone path
+        over the pool's pinned programs, so the standalone path
         re-plans and re-compiles nothing.
         Updates only the modelled GEMM counters, not the request metrics.
         """
@@ -410,7 +399,7 @@ class InferenceServer:
 
     def generate_solo(self, tokens: np.ndarray, max_new_tokens: int = 16,
                       eos_token: int | None = None) -> GenerationResult:
-        """One KV-cached greedy generation through the same sharded pool.
+        """One KV-cached greedy generation through the same pool.
 
         The sequential baseline for :meth:`submit_generate` — identical
         tokens, no iteration-level batching, same pinned prepared state:

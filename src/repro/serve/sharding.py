@@ -1,4 +1,4 @@
-"""Partitioning a tile-execution plan across serving workers.
+"""Partitioning a tile-execution plan into worker shards.
 
 The FIGLUT tile plan is embarrassingly parallel: every
 :class:`~repro.core.dataflow.ColumnSegment` of every
@@ -14,10 +14,8 @@ Two shard axes exist, with different reduction semantics:
   rows are disjoint across bands, so the merge is a pure scatter —
   **bit-exact** against the unsharded
   :meth:`~repro.core.mpu.MatrixProcessingUnit.gemm` (each output element
-  sees the identical floating-point addition sequence).  This mirrors how
-  real serving deployments shard a layer: each worker owns a slice of the
-  output channels (Megatron-style column parallelism) and pins only its
-  slice of the weights.
+  sees the identical floating-point addition sequence): each shard owns a
+  slice of the output channels.
 * ``axis="segments"`` partitions the column bands (segments grouped by
   their geometric ``tile_n`` band, so the modelled systolic passes stay
   additive).  Every worker then produces a dense partial output that the
@@ -32,10 +30,12 @@ per-unit plane-pass cost (systolic passes × µ-groups per pass), which is
 what the modelled cycles count; shards that would receive no work are
 dropped, so ``shard_plan(plan, k)`` returns at most ``k`` shards.
 
-:func:`compile_shard_programs` lowers each shard to its executable
-:class:`~repro.core.program.CompiledProgram` sub-program (what the worker
-pool pins), with the same merge semantics: scatter-exact on rows, summing
-with exactly additive stats on segments.
+A shard executes through :meth:`~repro.core.mpu.MatrixProcessingUnit.gemm`
+with ``shard=`` (a segment shard is its own
+:func:`~repro.core.program.compile_plan` sub-program, a row shard the
+row-sliced tensor's program).  The serving pool does not shard plans: it
+runs one whole program per layer and splits activation columns instead
+(:mod:`repro.serve.workers`).
 """
 
 from __future__ import annotations
@@ -45,12 +45,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.dataflow import PlanShard, TileExecutionPlan
-from repro.core.mpu import MPUConfig, MPURunStats
-from repro.core.program import CompiledProgram, compile_plan
-from repro.quant.bcq import BCQTensor
+from repro.core.mpu import MPURunStats
 
-__all__ = ["shard_plan", "compile_shard_programs", "merge_shard_outputs",
-           "pool_shard_costs"]
+__all__ = ["shard_plan", "merge_shard_outputs"]
 
 
 def _lpt_partition(costs: Sequence[int], num_shards: int) -> list[list[int]]:
@@ -113,34 +110,6 @@ def shard_plan(plan: TileExecutionPlan, num_shards: int,
                                               count=len(assignments)))
         return shards
     raise ValueError("axis must be 'rows' or 'segments'")
-
-
-def compile_shard_programs(shards: Sequence[PlanShard], weights: BCQTensor,
-                           config: MPUConfig | None = None
-                           ) -> list[CompiledProgram]:
-    """Lower each shard of one plan to its executable sub-program.
-
-    Segment-axis shards compile to true sub-programs — only the shard's
-    segments and owned scale groups are lowered
-    (:func:`~repro.core.program.compile_plan` with ``shard=``), so the
-    merged outputs sum to the unsharded program's and the baked stats are
-    exactly additive.  Row-axis shards compile the row-sliced tensor's own
-    full plan (bands are independent; the slice's program is bit-exact
-    against the same rows of the unsharded one).  ``weights`` is the full
-    tensor the shards' plan was built from.
-    """
-    from repro.core.mpu import MatrixProcessingUnit
-
-    programs: list[CompiledProgram] = []
-    mpu = MatrixProcessingUnit(config)
-    for shard in shards:
-        if shard.axis == "segments":
-            programs.append(compile_plan(
-                shard.plan, weights, mpu.config, shard=shard))
-        else:
-            programs.append(mpu.prepare(
-                weights.take_rows(shard.row_indices)).program)
-    return programs
 
 
 def _validate_partition(shards: Sequence[PlanShard]) -> tuple[TileExecutionPlan, str]:
@@ -209,22 +178,3 @@ def merge_shard_outputs(shards: Sequence[PlanShard],
             raise ValueError("segment shard outputs disagree on shape")
         y += out
     return y, stats
-
-
-def pool_shard_costs(shards_by_layer: dict[str, Sequence[PlanShard]],
-                     mpu, num_workers: int) -> list[float]:
-    """Plan-exact modelled cost per worker of a sharded pool.
-
-    Worker ``w``'s cost is its analytic batch-1
-    :meth:`~repro.core.mpu.MatrixProcessingUnit.shard_stats` cycles summed
-    across every layer shard it pins — exactly the quantity the LPT
-    partition balanced, so ``costs[w] / max(costs)`` is the worker's
-    plan-exact utilization (what the telemetry adapter exports as
-    ``pool_shard_utilization``).  Workers beyond a layer's shard count
-    simply contribute nothing for that layer.
-    """
-    costs = [0.0] * num_workers
-    for shards in shards_by_layer.values():
-        for w, shard in enumerate(shards):
-            costs[w] += float(mpu.shard_stats(shard, 1).cycles)
-    return costs

@@ -1,38 +1,42 @@
-"""Sharded MPU worker pool: pinned per-worker programs, concurrent shards.
+"""Serving worker pool: one pinned program per layer, column fan-out.
 
-A :class:`ShardedMPUPool` turns the single-process
-:class:`~repro.core.mpu.MatrixProcessingUnit` into a scale-out executor:
-every layer's tile-execution plan is cut into balanced
-:class:`~repro.core.dataflow.PlanShard` slices (:func:`repro.serve.sharding.
-shard_plan`) and each worker *pins* its slice of every layer as a
-:class:`~repro.core.program.CompiledProgram` (:func:`repro.serve.sharding.
-compile_shard_programs`) — the weight-stationary state a real accelerator
-would keep latched in its RAC key registers.  Row-axis workers hold their
-row slice's own full program, segment-axis workers the sub-program over
-their segments and owned scale groups.  A ``gemm(name, x)`` call
-broadcasts the activations, executes the shards concurrently, and reduces
-with :func:`repro.serve.sharding.merge_shard_outputs` — bit-exact against
-the unsharded MPU on the default row axis, with exactly additive
-:class:`~repro.core.mpu.MPURunStats`.
+A :class:`ShardedMPUPool` serves every weight GEMM of a model from exactly
+one :class:`~repro.core.program.CompiledProgram` per layer — the
+weight-stationary state (RAC keys, α and offset matrices) a real
+accelerator keeps latched, held once and read by every worker.  FIGLUT
+builds each LUT from a µ-slice of one activation column and every output
+row reads it, so the pool never cuts a layer's rows (each row shard would
+rebuild every table).  It splits the *activation columns* instead, and
+only when the call carries enough work to pay for the hop:
+
+* below ``_FANOUT_LUT_READS`` LUT reads — the plan's work at that column
+  count, ``program.stats(batch).lut_reads`` — the call runs inline on the
+  calling thread: at batch 1 a thread hop costs more than the kernel;
+* at or above it, the columns are cut into ``num_workers`` contiguous
+  chunks that run concurrently and are concatenated in order.
+
+The program never mixes columns (the native kernel keeps them apart and
+the offset stage sums each column alone, see ``docs/compilation.md``), so
+both paths are bit-identical to one ``execute`` of the whole batch and to
+``gemm_reference``; the :class:`~repro.core.mpu.MPURunStats` are the
+program's for the whole batch, computed once per call.
 
 Backends
 --------
 ``"thread"`` (default)
-    A persistent :class:`concurrent.futures.ThreadPoolExecutor`, one worker
-    per shard.  Each shard's program runs its LUT datapath as one native
-    kernel call that releases the GIL, so the shards execute in parallel
-    without copying the activations.
+    The calling thread runs the first chunk and a persistent
+    :class:`concurrent.futures.ThreadPoolExecutor` the others; the kernel
+    releases the GIL, so the chunks execute in parallel over the one
+    shared program.
 ``"serial"``
-    In-line loop over the shards; deterministic and dependency-free, the
-    baseline the equivalence tests compare against.
+    The chunks run one after another on the calling thread; deterministic,
+    the baseline the equivalence tests compare against.
 ``"process"``
-    Opt-in :mod:`multiprocessing` workers.  Row axis only; activations
-    travel by pickle per request.  The parent compiles each worker's slice
-    once and ships the **compiled program buffers** — flat key/scale/index
-    matrices — through :mod:`multiprocessing.shared_memory` (one copy per
-    worker slice); workers execute
-    :meth:`~repro.core.program.CompiledProgram.execute` directly over
-    zero-copy shared-memory views without re-planning or re-packing keys.
+    Opt-in :mod:`multiprocessing` workers.  The parent copies each layer's
+    program buffers once into :mod:`multiprocessing.shared_memory`; every
+    worker rebuilds the programs as zero-copy views of that one copy
+    (:meth:`~repro.core.program.CompiledProgram.from_buffers`) and receives
+    its column chunk by pickle.  Inline calls run in the parent.
 """
 
 from __future__ import annotations
@@ -40,24 +44,30 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dataflow import PlanShard, TileExecutionPlan
+from repro.core.dataflow import TileExecutionPlan
 from repro.core.mpu import MatrixProcessingUnit, MPUConfig, MPURunStats, PreparedWeights
 from repro.core.program import CompiledProgram
 from repro.quant.bcq import BCQTensor
-from repro.serve.sharding import compile_shard_programs, merge_shard_outputs, shard_plan
 from repro.telemetry import get_telemetry
 
-__all__ = ["ShardedMPUPool"]
+__all__ = ["PoolCounters", "ShardedMPUPool"]
 
 _PROCESS_TIMEOUT_S = 120.0
 
+# LUT reads from which a call fans out: the measured inline-vs-split
+# crossover of the bench model on a 2-vCPU host lies between ~3M
+# (``mlp.w2``) and ~6M (``mlp.w1``) reads per call.
+_FANOUT_LUT_READS = 3_000_000
+
 
 def _process_worker_main(conn, layer_specs, acc_dtype_name) -> None:
-    """Worker-process loop: attach pinned programs, serve GEMM requests.
+    """Worker-process loop: attach the shared programs, serve GEMM chunks.
 
     ``layer_specs`` maps layer name to ``(spec, array_specs)``: a
     parent-compiled :class:`~repro.core.program.CompiledProgram`'s picklable
@@ -87,7 +97,7 @@ def _process_worker_main(conn, layer_specs, acc_dtype_name) -> None:
                 break
             name, x = msg
             try:
-                conn.send(programs[name].execute(x, accumulate_dtype=acc_dtype))
+                conn.send(programs[name].execute(x, accumulate_dtype=acc_dtype)[0])
             except Exception as exc:  # surface worker errors to the parent
                 conn.send(exc)
     finally:
@@ -97,30 +107,9 @@ def _process_worker_main(conn, layer_specs, acc_dtype_name) -> None:
 
 
 class _ProcessWorker:
-    """Parent-side handle of one pinned worker process.
+    """Parent-side handle of one worker process over the shared programs."""
 
-    ``programs`` maps layer name to the worker's compiled program; its flat
-    buffers are copied once into shared memory here and viewed zero-copy in
-    the worker.
-    """
-
-    def __init__(self, ctx, programs: dict[str, CompiledProgram],
-                 acc_dtype: np.dtype) -> None:
-        from multiprocessing import shared_memory
-
-        self._shm: list = []
-        layer_specs = {}
-        for name, program in programs.items():
-            array_specs = {}
-            for field_name, arr in program.buffers().items():
-                arr = np.ascontiguousarray(arr)
-                shm = shared_memory.SharedMemory(create=True,
-                                                 size=max(arr.nbytes, 1))
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                view[...] = arr
-                self._shm.append(shm)
-                array_specs[field_name] = (shm.name, arr.shape, arr.dtype.str)
-            layer_specs[name] = (program.spec(), array_specs)
+    def __init__(self, ctx, layer_specs: dict, acc_dtype: np.dtype) -> None:
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_process_worker_main,
@@ -135,14 +124,14 @@ class _ProcessWorker:
             ready = False
         if not ready:
             self.close()
-            raise RuntimeError("shard worker process failed to start")
+            raise RuntimeError("pool worker process failed to start")
 
     def submit(self, name: str, x: np.ndarray) -> None:
         self._conn.send((name, x))
 
-    def collect(self) -> tuple[np.ndarray, MPURunStats]:
+    def collect(self) -> np.ndarray:
         if not self._conn.poll(_PROCESS_TIMEOUT_S):
-            raise RuntimeError("shard worker process timed out")
+            raise RuntimeError("pool worker process timed out")
         result = self._conn.recv()
         if isinstance(result, Exception):
             raise result
@@ -159,161 +148,182 @@ class _ProcessWorker:
         except (OSError, ValueError):  # pragma: no cover - already closed
             pass
         self._conn.close()
-        for shm in self._shm:
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double close
-                pass
-        self._shm.clear()
+
+
+@dataclass
+class PoolCounters:
+    """GEMM calls by path: run inline, or fanned out over column chunks."""
+
+    inline: int = 0
+    fanout: int = 0
 
 
 class ShardedMPUPool:
-    """Execute every layer's GEMM across pinned per-worker plan shards.
+    """Serve every layer's GEMM from one pinned program per layer.
 
     Parameters
     ----------
     weights:
-        Layer name → BCQ tensor (e.g. ``QuantizedLM.bcq_views()``).  Every
-        layer is sharded with the same worker count so one worker serves
-        shard ``i`` of every layer.
+        Layer name → BCQ tensor (e.g. ``QuantizedLM.bcq_views()``), or its
+        :class:`~repro.core.mpu.PreparedWeights` (e.g.
+        ``QuantizedLM.prepared_weights()``), whose program is pinned as is
+        so the solo and served paths hold one set of RAC keys (prepare it
+        for the same ``mpu_config``).  A tensor is prepared here.
     num_shards:
-        Requested worker count; layers with fewer schedulable units get
-        fewer shards (see :func:`~repro.serve.sharding.shard_plan`).
+        Worker count: a fanned-out call splits its activation columns into
+        this many contiguous chunks (fewer when the call has fewer
+        columns).  With one worker every call runs inline.
     mpu_config:
-        MPU geometry shared by all workers.
+        MPU geometry of the plans.
     backend:
         ``"thread"`` (default), ``"serial"``, or ``"process"`` (opt-in,
-        shared-memory program buffers, row axis only).
+        shared-memory program buffers).
     accumulate_dtype:
-        Accumulator dtype every worker's program executes with.
-    axis:
-        Shard axis, ``"rows"`` (bit-exact merge, default) or
-        ``"segments"`` (summing merge; thread/serial backends only).
-    shared_prepared:
-        Optional externally-owned full-plan
-        :class:`~repro.core.mpu.PreparedWeights` per layer (e.g.
-        ``QuantizedLM.prepared_weights()``).  A layer whose row-axis shard
-        covers the whole plan (single shard) pins this shared state's
-        program instead of compiling its own copy, so the solo and served
-        paths hold one set of RAC keys.  Ignored for multi-shard layers and
-        the process backend.
-    plans:
-        Optional pre-built :class:`~repro.core.dataflow.TileExecutionPlan`
-        per layer (e.g. the ``QuantizedLM.layer_plan`` memo) for the same
-        MPU geometry; layers present here skip re-planning.
+        Accumulator dtype every program executes with.
     """
 
-    # Every shard runs its pinned CompiledProgram; reported by benchmarks.
+    # Every call runs the layer's pinned CompiledProgram, fanned out over
+    # activation columns; both are reported by benchmarks.
     executor = "compiled"
+    axis = "columns"
 
-    def __init__(self, weights: dict[str, BCQTensor], num_shards: int = 2,
-                 mpu_config: MPUConfig | None = None, backend: str = "thread",
-                 accumulate_dtype: np.dtype | type = np.float64,
-                 axis: str = "rows",
-                 shared_prepared: dict[str, PreparedWeights] | None = None,
-                 plans: dict[str, TileExecutionPlan] | None = None) -> None:
+    def __init__(self, weights: Mapping[str, BCQTensor | PreparedWeights],
+                 num_shards: int = 2, mpu_config: MPUConfig | None = None,
+                 backend: str = "thread",
+                 accumulate_dtype: np.dtype | type = np.float64) -> None:
         if backend not in ("serial", "thread", "process"):
             raise ValueError("backend must be 'serial', 'thread' or 'process'")
-        if axis not in ("rows", "segments"):
-            raise ValueError("axis must be 'rows' or 'segments'")
-        if backend == "process" and axis != "rows":
-            raise ValueError("the process backend pins row slices; use axis='rows'")
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
         if not weights:
             raise ValueError("pool needs at least one layer")
         self.mpu = MatrixProcessingUnit(mpu_config)
         self.backend = backend
-        self.axis = axis
+        self.num_workers = num_shards
         self.accumulate_dtype = np.dtype(accumulate_dtype)
-        plans = plans or {}
+        prepared = {name: w if isinstance(w, PreparedWeights)
+                    else self.mpu.prepare(w) for name, w in weights.items()}
         self.plans: dict[str, TileExecutionPlan] = {
-            name: plans.get(name) or self.mpu.plan(tensor)
-            for name, tensor in weights.items()}
-        self.shards: dict[str, list[PlanShard]] = {
-            name: shard_plan(plan, num_shards, axis=axis)
-            for name, plan in self.plans.items()}
-        self.num_workers = max(len(s) for s in self.shards.values())
-
-        # Worker w pins shard w's program of every layer that has one.  A
-        # single row shard is the whole plan: pin the caller's shared
-        # prepared program (identical bits, one resident copy for the solo
-        # and served paths).
-        self._programs: list[dict[str, CompiledProgram]] = [
-            {} for _ in range(self.num_workers)]
-        shared_prepared = shared_prepared if backend != "process" else None
-        for name, tensor in weights.items():
-            shards = self.shards[name]
-            if (axis == "rows" and len(shards) == 1 and shared_prepared
-                    and name in shared_prepared):
-                programs = [shared_prepared[name].program]
-            else:
-                programs = compile_shard_programs(shards, tensor,
-                                                  self.mpu.config)
-            for w, program in enumerate(programs):
-                self._programs[w][name] = program
+            name: p.plan for name, p in prepared.items()}
+        self._programs: dict[str, CompiledProgram] = {
+            name: p.program for name, p in prepared.items()}
+        # The first column count whose LUT reads reach the fan-out
+        # threshold (reads are linear in the batch, so a ceiling division
+        # finds it); one column, or one worker, never fans out.
+        self._fanout_cols: dict[str, float] = {}
+        for name, program in self._programs.items():
+            per_col = program.stats(1).lut_reads - program.stats(0).lut_reads
+            self._fanout_cols[name] = (
+                max(2, -(-_FANOUT_LUT_READS // per_col))
+                if per_col > 0 and num_shards > 1 else float("inf"))
+        self.counters = PoolCounters()
+        self._lock = threading.Lock()
 
         self._executor: ThreadPoolExecutor | None = None
         self._procs: list[_ProcessWorker] = []
+        self._shm: list = []
         # Each worker pipe carries one in-flight request; concurrent gemm()
         # calls (e.g. overlapping micro-batches) must not interleave their
         # submit/collect pairs on the shared connections.
         self._proc_lock = threading.Lock()
-        if backend == "thread":
+        if backend == "thread" and num_shards > 1:
             self._executor = ThreadPoolExecutor(
-                max_workers=self.num_workers,
-                thread_name_prefix="mpu-shard")
-        elif backend == "process":
+                max_workers=num_shards - 1, thread_name_prefix="mpu-pool")
+        elif backend == "process" and num_shards > 1:
             method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                       else "spawn")
             ctx = multiprocessing.get_context(method)
             try:
-                for programs in self._programs:
+                layer_specs = self._share_programs()
+                for _ in range(num_shards):
                     self._procs.append(_ProcessWorker(
-                        ctx, programs, self.accumulate_dtype))
+                        ctx, layer_specs, self.accumulate_dtype))
             except Exception:
                 self.close()
                 raise
+
+    def _share_programs(self) -> dict:
+        """Copy every program's buffers once into shared memory; return the
+        per-layer ``(spec, {field: (shm_name, shape, dtype)})`` workers
+        attach to."""
+        from multiprocessing import shared_memory
+
+        layer_specs = {}
+        for name, program in self._programs.items():
+            array_specs = {}
+            for field_name, arr in program.buffers().items():
+                arr = np.ascontiguousarray(arr)
+                shm = shared_memory.SharedMemory(create=True,
+                                                 size=max(arr.nbytes, 1))
+                self._shm.append(shm)
+                np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)[...] = arr
+                array_specs[field_name] = (shm.name, arr.shape, arr.dtype.str)
+            layer_specs[name] = (program.spec(), array_specs)
+        return layer_specs
 
     # -- dispatch ----------------------------------------------------------
     def layer_names(self) -> list[str]:
         return list(self.plans)
 
     def plan_stats(self, name: str, batch: int) -> MPURunStats:
-        """Unsharded analytic counters for one layer (merge-equal to a run)."""
+        """The layer plan's analytic counters (equal to a run's stats)."""
         return self.mpu.stats_from_plan(self.plans[name], batch)
 
     def gemm(self, name: str,
              activations: np.ndarray) -> tuple[np.ndarray, MPURunStats]:
-        """Sharded ``Y = W[name] X`` with exactly merged stats."""
-        if name not in self.plans:
+        """``Y = W[name] X`` with the plan-exact stats, inline or fanned out."""
+        program = self._programs.get(name)
+        if program is None:
             raise KeyError(f"{name!r} is not a pooled layer")
-        shards = self.shards[name]
+        activations = np.asarray(activations)
+        cols = 1 if activations.ndim == 1 else activations.shape[1]
+        fanout = cols >= self._fanout_cols[name]
+        with self._lock:
+            if fanout:
+                self.counters.fanout += 1
+            else:
+                self.counters.inline += 1
         tel = get_telemetry()
         if not tel.enabled:
-            return merge_shard_outputs(
-                shards, self._dispatch(name, shards, activations))
+            return self._run(name, program, activations, fanout)
         with tel.trace.span("pool.gemm", layer=name, backend=self.backend,
-                            shards=len(shards)):
-            results = self._dispatch(name, shards, activations)
-            with tel.trace.span("pool.merge", layer=name):
-                return merge_shard_outputs(shards, results)
+                            cols=cols, fanout=fanout):
+            return self._run(name, program, activations, fanout)
 
-    def _dispatch(self, name: str, shards: list[PlanShard],
-                  activations: np.ndarray) -> list[tuple[np.ndarray, MPURunStats]]:
-        """Run every shard of one layer through the backend, shard order."""
+    def _run(self, name: str, program: CompiledProgram,
+             activations: np.ndarray,
+             fanout: bool) -> tuple[np.ndarray, MPURunStats]:
+        if not fanout:
+            return program.execute(activations,
+                                   accumulate_dtype=self.accumulate_dtype)
+        # Contiguous column chunks, run concurrently, concatenated in order.
+        cols = activations.shape[1]
+        k = min(self.num_workers, cols)
+        edges = [cols * i // k for i in range(k + 1)]
+        chunks = [activations[:, edges[i]:edges[i + 1]] for i in range(k)]
+        outputs = self._dispatch(name, program, chunks)
+        tel = get_telemetry()
+        if not tel.enabled:
+            return np.concatenate(outputs, axis=1), program.stats(cols)
+        with tel.trace.span("pool.merge", layer=name):
+            return np.concatenate(outputs, axis=1), program.stats(cols)
+
+    def _dispatch(self, name: str, program: CompiledProgram,
+                  chunks: list[np.ndarray]) -> list[np.ndarray]:
+        """Every chunk's output through the backend, in chunk order."""
         if self.backend == "process":
             tel = get_telemetry()
             t0 = time.perf_counter_ns() if tel.enabled else 0
             with self._proc_lock:
-                for w in range(len(shards)):
-                    self._procs[w].submit(name, activations)
+                for w, chunk in enumerate(chunks):
+                    self._procs[w].submit(name, chunk)
                 # Drain every dispatched worker's reply before raising the
                 # first error: a reply left unread in its pipe would be
                 # taken as the answer to the next call.
-                results, error = [], None
-                for w in range(len(shards)):
+                outputs, error = [], None
+                for w in range(len(chunks)):
                     try:
-                        results.append(self._procs[w].collect())
+                        outputs.append(self._procs[w].collect())
                     except Exception as exc:
                         error = error or exc
                         continue
@@ -322,32 +332,32 @@ class ShardedMPUPool:
                         # to this worker's collect (the child runs in its
                         # own process with its own disabled telemetry).
                         tel.trace.record("pool.shard", t0,
-                                         time.perf_counter_ns(),
-                                         layer=name, shard=w,
+                                         time.perf_counter_ns(), layer=name,
+                                         shard=w, cols=chunks[w].shape[1],
                                          backend="process")
             if error is not None:
                 raise error
-            return results
+            return outputs
         if self.backend == "thread":
-            futures = [
-                self._executor.submit(self._run_shard, w, name, activations)
-                for w in range(len(shards))]
-            return [f.result() for f in futures]
-        return [self._run_shard(w, name, activations)
-                for w in range(len(shards))]
+            futures = [self._executor.submit(self._run_chunk, name, program,
+                                             w, chunk)
+                       for w, chunk in enumerate(chunks[1:], start=1)]
+            first = self._run_chunk(name, program, 0, chunks[0])
+            return [first] + [f.result() for f in futures]
+        return [self._run_chunk(name, program, w, chunk)
+                for w, chunk in enumerate(chunks)]
 
-    def _run_shard(self, w: int, name: str, activations: np.ndarray
-                   ) -> tuple[np.ndarray, MPURunStats]:
-        """One worker's pinned-program execution (serial/thread backends)."""
-        program = self._programs[w][name]
+    def _run_chunk(self, name: str, program: CompiledProgram, w: int,
+                   chunk: np.ndarray) -> np.ndarray:
+        """One column chunk through the shared program (serial/thread)."""
         tel = get_telemetry()
         if not tel.enabled:
-            return program.execute(activations,
-                                   accumulate_dtype=self.accumulate_dtype)
+            return program.execute(chunk,
+                                   accumulate_dtype=self.accumulate_dtype)[0]
         with tel.trace.span("pool.shard", layer=name, shard=w,
-                            axis=self.axis, backend=self.backend):
-            return program.execute(activations,
-                                   accumulate_dtype=self.accumulate_dtype)
+                            cols=chunk.shape[1], backend=self.backend):
+            return program.execute(chunk,
+                                   accumulate_dtype=self.accumulate_dtype)[0]
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -361,6 +371,13 @@ class ShardedMPUPool:
         for proc in self._procs:
             proc.close()
         self._procs.clear()
+        for shm in self._shm:
+            try:
+                shm.close()
+                shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - double close
+                pass
+        self._shm.clear()
 
     def __enter__(self) -> ShardedMPUPool:
         return self

@@ -1,8 +1,8 @@
 """Bind a serving stack's live metrics into a registry.
 
 The serving structs (``DecodeMetrics``, ``ServerMetrics``,
-``BatcherStats``, ``PagePoolCounters``, ``MPURunStats``) are the one
-store of what they count.  :func:`bind_server` exports them without
+``BatcherStats``, ``PagePoolCounters``, ``PoolCounters``,
+``MPURunStats``) are the one store of what they count.  :func:`bind_server` exports them without
 copying anything on the hot paths: every ``int`` field becomes a
 *callback gauge* read live at scrape time, and the structs' latency
 :class:`~repro.telemetry.metrics.Histogram` objects are registered
@@ -10,9 +10,8 @@ themselves, so a ``registry.snapshot()`` or ``render_prometheus()``
 always reflects the current state.
 
 Deliberately duck-typed: nothing here imports ``repro.serve`` or
-``repro.models`` at module scope, so the telemetry package stays
-import-light and dependency-free (the per-shard utilization pulls the
-plan-exact cost helper from ``repro.serve.sharding`` lazily).
+``repro.models``, so the telemetry package stays import-light and
+dependency-free.
 """
 
 from __future__ import annotations
@@ -97,22 +96,10 @@ def bind_server(registry: MetricsRegistry, server) -> MetricsRegistry:
         help="page-registry hit rate of prefix-walk lookups",
     ).set_function(lambda: float(pages.counters.prefix_hit_rate))
 
-    # Per-shard plan-exact utilization of the ShardedMPUPool: each
-    # worker's modelled batch-1 cycles summed across every layer shard it
-    # pins (exactly what LPT balanced), normalised by the busiest worker.
-    # Static per pool — derived from the plans, not from runtime sampling.
-    from repro.serve.sharding import pool_shard_costs
-
-    pool = server.pool
-    costs = pool_shard_costs(pool.shards, pool.mpu, pool.num_workers)
-    peak = max(costs) if costs and max(costs) > 0 else 1.0
-    cycles = registry.gauge(
-        "pool_shard_cycles_per_step",
-        help="modelled batch-1 cycles per worker across its pinned shards")
-    utilization = registry.gauge(
-        "pool_shard_utilization",
-        help="worker cost share vs the busiest worker (plan-exact)")
-    for w, cost in enumerate(costs):
-        cycles.set(cost, shard=str(w))
-        utilization.set(cost / peak, shard=str(w))
+    calls = registry.gauge("pool_gemm_calls_total",
+                           help="pool GEMM calls by path (inline or fanout)")
+    for path in ("inline", "fanout"):
+        calls.set_function(
+            lambda path=path: float(getattr(server.pool.counters, path)),
+            path=path)
     return registry

@@ -27,7 +27,7 @@ from repro.core import native
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.core.program import CompiledProgram, compile_plan
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
-from repro.serve import compile_shard_programs, merge_shard_outputs, shard_plan
+from repro.serve import merge_shard_outputs, shard_plan
 
 MPU_CFG = MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2)  # tile 4×8
 
@@ -121,17 +121,31 @@ class TestCompiledEquivalence:
                                         accumulate_dtype=np.float32))
 
     def test_batch_chunking_is_exact(self, rng):
-        # No reduction crosses batch columns, so running the batch in
-        # column chunks must not move a bit.  Chunks keep ≥ 2 columns: at
-        # one column the offset group-sum is NumPy's pairwise sum.
-        tensor, _ = _case(rng, "mixed")
-        x = rng.standard_normal((tensor.shape[1], 12))
-        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-        y, stats = prog.execute(x, accumulate_dtype=np.float32)
-        chunks = [prog.execute(x[:, lo:hi], accumulate_dtype=np.float32)[0]
-                  for lo, hi in ((0, 5), (5, 7), (7, 12))]
-        _assert_same((np.concatenate(chunks, axis=1), stats), (y, stats))
-        assert stats == prog.stats(12)
+        # No reduction crosses batch columns — the offset stage sums every
+        # column alone, whatever the caller's memory layout — so running
+        # the batch in column chunks, down to single columns, and from C-
+        # or F-order input, must not move a bit.  The uniform case's
+        # 8-column scale groups are long enough for NumPy's pairwise sum
+        # to differ from a row-by-row one.
+        for kind in ("mixed", "uniform"):
+            tensor, _ = _case(rng, kind)
+            x = rng.standard_normal((tensor.shape[1], 12))
+            prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
+            y, stats = prog.execute(x, accumulate_dtype=np.float32)
+            assert stats == prog.stats(12)
+            for layout in (np.ascontiguousarray(x), np.asfortranarray(x)):
+                _assert_same(prog.execute(layout, accumulate_dtype=np.float32),
+                             (y, stats))
+                for bounds in (((0, 5), (5, 7), (7, 12)),
+                               tuple((i, i + 1) for i in range(12))):
+                    chunks = [prog.execute(layout[:, lo:hi],
+                                           accumulate_dtype=np.float32)[0]
+                              for lo, hi in bounds]
+                    _assert_same((np.concatenate(chunks, axis=1), stats),
+                                 (y, stats))
+                column, _ = prog.execute(layout[:, 4],
+                                         accumulate_dtype=np.float32)
+                assert column.tobytes() == y[:, 4].tobytes()
 
     @pytest.mark.parametrize("acc", [np.float16, np.float32, np.float64])
     def test_column_tiling_is_exact(self, rng, acc):
@@ -197,10 +211,10 @@ class TestShardPrograms:
         mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
         shards = shard_plan(plan, num_shards, axis="segments")
-        programs = compile_shard_programs(shards, tensor, MPU_CFG)
         results = []
-        for shard, prog in zip(shards, programs, strict=True):
-            compiled = prog.execute(x)
+        for shard in shards:
+            compiled = compile_plan(plan, tensor, MPU_CFG,
+                                    shard=shard).execute(x)
             _assert_same(compiled, mpu.gemm_reference(tensor, x,
                                                       shard=shard))
             results.append(compiled)
@@ -215,8 +229,8 @@ class TestShardPrograms:
         mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
         shards = shard_plan(plan, num_shards, axis="rows")
-        programs = compile_shard_programs(shards, tensor, MPU_CFG)
-        results = [prog.execute(x) for prog in programs]
+        results = [mpu.prepare(tensor.take_rows(s.row_indices)).program
+                   .execute(x) for s in shards]
         for shard, result in zip(shards, results, strict=True):
             _assert_same(result, mpu.gemm_reference(tensor, x, shard=shard))
         merged = merge_shard_outputs(shards, results)

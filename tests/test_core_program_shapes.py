@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
-from repro.serve import compile_shard_programs, merge_shard_outputs, shard_plan
+from repro.serve import merge_shard_outputs, shard_plan
 
 CFG = MPUConfig()
 SIZES = {"small": (256, 512), "large": (1024, 1024)}
@@ -86,8 +86,8 @@ class TestLayerShapes:
         mpu = MatrixProcessingUnit(CFG)
         shards = shard_plan(plan, 3, axis="segments")
         assert len(shards) == 3
-        results = [prog.execute(x, accumulate_dtype=np.float32)
-                   for prog in compile_shard_programs(shards, tensor, CFG)]
+        results = [mpu.gemm(tensor, x, accumulate_dtype=np.float32, shard=s)
+                   for s in shards]
         for shard, result in zip(shards, results, strict=True):
             _assert_same(result, mpu.gemm_reference(
                 tensor, x, accumulate_dtype=np.float32, shard=shard))
@@ -100,7 +100,8 @@ class TestLayerShapes:
         x = _x(tensor, 8)
         shards = shard_plan(plan, 3, axis="rows")
         assert len(shards) == 3
-        results = [prog.execute(x, accumulate_dtype=np.float32)
-                   for prog in compile_shard_programs(shards, tensor, CFG)]
+        mpu = MatrixProcessingUnit(CFG)
+        results = [mpu.gemm(tensor, x, accumulate_dtype=np.float32, shard=s)
+                   for s in shards]
         _assert_same(merge_shard_outputs(shards, results),
                      program.execute(x, accumulate_dtype=np.float32))

@@ -21,7 +21,6 @@ from repro.quant.rtn import RTNConfig, quantize_rtn
 from repro.models.quantized_model import QuantizationRecipe, QuantizedLM
 from repro.models.transformer import TransformerConfig, TransformerLM
 from repro.serve import CacheConfig, DecodeScheduler, merge_shard_outputs, shard_plan
-from repro.serve.sharding import compile_shard_programs
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0,
                           allow_nan=False, allow_infinity=False, width=32)
@@ -197,19 +196,17 @@ class TestExecutorEquivalenceSweep:
 
         # Row axis: compiled per-shard programs scatter-merge bit-exactly.
         shards = shard_plan(plan, num_shards, axis="rows")
-        programs = compile_shard_programs(shards, tensor, mpu.config)
         merged, stats = merge_shard_outputs(
-            shards, [prog.execute(x) for prog in programs])
+            shards, [mpu.gemm(tensor, x, shard=s) for s in shards])
         np.testing.assert_array_equal(merged, y_full)
         assert stats == stats_full
 
         # Segment axis: each compiled sub-program is bitwise the reference
         # shard; the summing merge keeps stats exact and outputs to rounding.
         shards = shard_plan(plan, num_shards, axis="segments")
-        programs = compile_shard_programs(shards, tensor, mpu.config)
         results = []
-        for shard, prog in zip(shards, programs, strict=True):
-            y_s, s_s = prog.execute(x)
+        for shard in shards:
+            y_s, s_s = mpu.gemm(tensor, x, shard=shard)
             y_ref, s_ref = mpu.gemm_reference(tensor, x, shard=shard)
             np.testing.assert_array_equal(y_s, y_ref)
             assert s_s == s_ref
@@ -256,8 +253,8 @@ class TestNativeKernelSweep:
         y, stats = compile_plan(plan, tensor, cfg).execute(
             x, accumulate_dtype=acc)
         shards = shard_plan(plan, num_shards, axis="segments")
-        programs = compile_shard_programs(shards, tensor, cfg)
-        results = [prog.execute(x, accumulate_dtype=acc) for prog in programs]
+        results = [compile_plan(plan, tensor, cfg, shard=s).execute(
+            x, accumulate_dtype=acc) for s in shards]
         y_ref, s_ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
         assert y.tobytes() == y_ref.tobytes()
         assert stats == s_ref

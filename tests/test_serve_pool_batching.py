@@ -5,16 +5,24 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
-from repro.serve import AsyncBatcher, BatchPolicy, ShardedMPUPool
+from repro.serve import AsyncBatcher, BatchPolicy, PoolCounters, ShardedMPUPool
+from repro.serve import workers
+from repro.telemetry import telemetry_session
 
 MPU_CFG = MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2)
+BACKENDS = ("serial", "thread", "process")
+ACCUMULATORS = (np.float16, np.float32, np.float64)
+# Fan-out threshold the small-layer pools below run with, in columns of
+# the "uniform" layer: batches 1..9 straddle it.
+FANOUT_COLS = 4
 
 
-@pytest.fixture
-def layers(rng):
+def _layers(rng):
     w1 = rng.standard_normal((24, 32)) * 0.1
     w2 = rng.standard_normal((17, 24)) * 0.1
     return {
@@ -22,6 +30,44 @@ def layers(rng):
         "mixed": quantize_bcq_mixed(w2, rng.choice([1, 2, 3], size=17),
                                     BCQConfig(group_size=7, iterations=1)),
     }
+
+
+@pytest.fixture
+def layers(rng):
+    return _layers(rng)
+
+
+def _fanout_reads(layers):
+    """A fan-out threshold at ``FANOUT_COLS`` columns of the uniform layer."""
+    mpu = MatrixProcessingUnit(MPU_CFG)
+    return FANOUT_COLS * mpu.plan_stats(layers["uniform"], 1).lut_reads
+
+
+@pytest.fixture
+def small_threshold(monkeypatch, layers):
+    """Pools built under this fixture fan out from a few columns on."""
+    monkeypatch.setattr(workers, "_FANOUT_LUT_READS", _fanout_reads(layers))
+
+
+@pytest.fixture(scope="module")
+def fanout_pools():
+    """One 3-worker pool per (backend, accumulator) over the same layers,
+    with the fan-out threshold at ``FANOUT_COLS`` uniform-layer columns."""
+    layers = _layers(np.random.default_rng(5))
+    pools = {}
+    try:
+        # The pools read the threshold once, when they are built.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workers, "_FANOUT_LUT_READS", _fanout_reads(layers))
+            for backend in BACKENDS:
+                for acc in ACCUMULATORS:
+                    pools[backend, np.dtype(acc)] = ShardedMPUPool(
+                        layers, num_shards=3, mpu_config=MPU_CFG,
+                        backend=backend, accumulate_dtype=acc)
+        yield layers, pools
+    finally:
+        for pool in pools.values():
+            pool.close()
 
 
 class TestShardedMPUPool:
@@ -37,73 +83,147 @@ class TestShardedMPUPool:
                 np.testing.assert_array_equal(y, y_ref)
                 assert stats == stats_ref
 
-    def test_segment_axis_pool(self, rng, layers):
-        mpu = MatrixProcessingUnit(MPU_CFG)
-        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
-                            backend="serial", axis="segments") as pool:
-            for name, tensor in layers.items():
-                x = rng.standard_normal((tensor.shape[1], 3))
-                y_ref, stats_ref = mpu.gemm(tensor, x)
-                y, stats = pool.gemm(name, x)
-                assert stats == stats_ref
-                np.testing.assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_and_stats_equal_reference_on_every_path(
+            self, fanout_pools, data):
+        # Across backends, accumulators, memory layouts and batches on both
+        # sides of the fan-out threshold: output bytes equal the scalar
+        # reference's, stats equal the plan's, and the call takes the path
+        # its LUT reads call for.
+        layers, pools = fanout_pools
+        backend = data.draw(st.sampled_from(BACKENDS))
+        acc = np.dtype(data.draw(st.sampled_from(ACCUMULATORS)))
+        name = data.draw(st.sampled_from(sorted(layers)))
+        batch = data.draw(st.integers(1, 9))
+        order = data.draw(st.sampled_from("CF"))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        tensor = layers[name]
+        x = np.random.default_rng(seed).standard_normal(
+            (tensor.shape[1], batch))
+        x = np.asarray(x, order=order)
+        if batch == 1 and data.draw(st.booleans()):
+            x = x[:, 0]
+        pool = pools[backend, acc]
+        before = PoolCounters(**vars(pool.counters))
+        y, stats = pool.gemm(name, x)
+        y_ref, _ = MatrixProcessingUnit(MPU_CFG).gemm_reference(
+            tensor, x, accumulate_dtype=acc)
+        assert y.shape == y_ref.shape
+        assert y.tobytes() == y_ref.tobytes()
+        assert stats == pool.plan_stats(name, batch)
+        fanout = batch >= 2 and stats.lut_reads >= _fanout_reads(layers)
+        assert pool.counters.fanout - before.fanout == int(fanout)
+        assert pool.counters.inline - before.inline == int(not fanout)
 
-    def test_process_backend_bit_exact(self, rng, layers):
+    def test_fanout_starts_at_the_lut_read_threshold(self, rng):
+        # With the real threshold: the last column count below it runs
+        # inline, the first one at it fans out, and both match one
+        # execute of the whole batch.
+        tensor = quantize_bcq(rng.standard_normal((64, 64)) * 0.1,
+                              BCQConfig(bits=3, group_size=32, iterations=1))
+        with ShardedMPUPool({"l": tensor}, num_shards=2) as pool:
+            per_col = pool.plan_stats("l", 1).lut_reads
+            edge = -(-workers._FANOUT_LUT_READS // per_col)
+            assert (pool.plan_stats("l", edge - 1).lut_reads
+                    < workers._FANOUT_LUT_READS
+                    <= pool.plan_stats("l", edge).lut_reads)
+            program = MatrixProcessingUnit().prepare(tensor).program
+            for cols, counts in ((edge - 1, PoolCounters(inline=1)),
+                                 (edge, PoolCounters(inline=1, fanout=1))):
+                x = rng.standard_normal((64, cols))
+                y, stats = pool.gemm("l", x)
+                assert pool.counters == counts
+                want, want_stats = program.execute(x)
+                assert y.tobytes() == want.tobytes()
+                assert stats == want_stats
+
+    def test_single_worker_never_fans_out(self, rng, layers, small_threshold):
+        with ShardedMPUPool(layers, num_shards=1, mpu_config=MPU_CFG) as pool:
+            pool.gemm("uniform", rng.standard_normal((32, 3 * FANOUT_COLS)))
+            assert pool.counters == PoolCounters(inline=1)
+
+    def test_pool_spans_mark_the_path(self, rng, layers, small_threshold):
+        # pool.shard and pool.merge spans appear only on fanned-out calls.
+        with telemetry_session() as tel, ShardedMPUPool(
+                layers, num_shards=2, mpu_config=MPU_CFG) as pool:
+            pool.gemm("uniform", rng.standard_normal((32, 1)))
+            names = [e.name for e in tel.trace.events()]
+            assert names == ["pool.gemm"]
+            pool.gemm("uniform", rng.standard_normal((32, FANOUT_COLS + 1)))
+            events = tel.trace.events()
+        gemms = [e for e in events if e.name == "pool.gemm"]
+        assert [(e.args["cols"], e.args["fanout"]) for e in gemms] == [
+            (1, False), (FANOUT_COLS + 1, True)]
+        shards = [e for e in events if e.name == "pool.shard"]
+        assert sorted(e.args["shard"] for e in shards) == [0, 1]
+        assert sum(e.args["cols"] for e in shards) == FANOUT_COLS + 1
+        assert [e.name for e in events].count("pool.merge") == 1
+
+    def test_process_backend_bit_exact(self, rng, layers, small_threshold):
         mpu = MatrixProcessingUnit(MPU_CFG)
         with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
                             backend="process") as pool:
             for name, tensor in layers.items():
-                x = rng.standard_normal((tensor.shape[1], 3))
-                y_ref, stats_ref = mpu.gemm(tensor, x)
-                y, stats = pool.gemm(name, x)
-                assert y.tobytes() == y_ref.tobytes()
-                assert stats == stats_ref
+                for cols in (3, 2 * FANOUT_COLS):
+                    x = rng.standard_normal((tensor.shape[1], cols))
+                    y_ref, stats_ref = mpu.gemm(tensor, x)
+                    y, stats = pool.gemm(name, x)
+                    assert y.tobytes() == y_ref.tobytes()
+                    assert stats == stats_ref
+            assert pool.counters.inline and pool.counters.fanout
 
-    def test_process_backend_recovers_after_a_failed_call(self, rng, layers):
-        # Every worker rejects the bad call; all their replies must be read
+    def test_process_backend_recovers_after_a_failed_call(
+            self, rng, layers, small_threshold):
+        # Every worker rejects the bad chunk; all their replies must be read
         # before the error surfaces, or the next call gets a stale one.
         tensor = layers["uniform"]
-        x = rng.standard_normal((tensor.shape[1], 3))
+        x = rng.standard_normal((tensor.shape[1], 2 * FANOUT_COLS))
         y_ref, stats_ref = MatrixProcessingUnit(MPU_CFG).gemm(tensor, x)
         with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
                             backend="process") as pool:
             with pytest.raises(ValueError, match="activation rows"):
                 pool.gemm("uniform", x[:-1])
             y, stats = pool.gemm("uniform", x)
+            assert pool.counters.fanout == 2
         np.testing.assert_array_equal(y, y_ref)
         assert stats == stats_ref
 
-    def test_process_backend_concurrent_calls(self, rng, layers):
+    def test_process_backend_concurrent_calls(self, rng, layers,
+                                              small_threshold):
         # Overlapping micro-batches issue pool.gemm from different threads;
         # the worker pipes must not interleave requests across callers.
         from concurrent.futures import ThreadPoolExecutor
 
         mpu = MatrixProcessingUnit(MPU_CFG)
         tensor = layers["uniform"]
-        xs = [rng.standard_normal((tensor.shape[1], 2)) for _ in range(8)]
+        xs = [rng.standard_normal((tensor.shape[1], FANOUT_COLS + i % 3))
+              for i in range(8)]
         refs = [mpu.gemm(tensor, x)[0] for x in xs]
         with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
                             backend="process") as pool:
             with ThreadPoolExecutor(max_workers=4) as executor:
                 outs = list(executor.map(
                     lambda x: pool.gemm("uniform", x)[0], xs))
+            assert pool.counters == PoolCounters(fanout=8)
         for got, want in zip(outs, refs, strict=True):
             np.testing.assert_array_equal(got, want)
 
-    def test_plan_stats_equal_merged_run_stats(self, rng, layers):
+    def test_plan_stats_equal_merged_run_stats(self, rng, layers,
+                                               small_threshold):
         with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG,
                             backend="serial") as pool:
-            x = rng.standard_normal((layers["uniform"].shape[1], 6))
-            _, merged = pool.gemm("uniform", x)
-            assert merged == pool.plan_stats("uniform", batch=6)
+            for cols in (2, 3 * FANOUT_COLS):
+                x = rng.standard_normal((layers["uniform"].shape[1], cols))
+                _, merged = pool.gemm("uniform", x)
+                assert merged == pool.plan_stats("uniform", batch=cols)
+            assert pool.counters == PoolCounters(inline=1, fanout=1)
 
     def test_rejects_bad_configuration(self, layers):
         with pytest.raises(ValueError):
             ShardedMPUPool(layers, backend="gpu")
         with pytest.raises(ValueError):
-            ShardedMPUPool(layers, axis="planes")
-        with pytest.raises(ValueError):
-            ShardedMPUPool(layers, backend="process", axis="segments")
+            ShardedMPUPool(layers, num_shards=0)
         with pytest.raises(ValueError):
             ShardedMPUPool({})
         with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,

@@ -512,12 +512,16 @@ class TestServerGenerate:
 
 
 class TestSharedPreparedState:
-    def test_single_shard_pool_pins_the_model_memo(self, qlm):
-        server = _server(qlm, num_shards=1)
-        with server:
-            prepared = qlm.prepared_weights(MPU_CFG)
-            for name, program in server.pool._programs[0].items():
-                assert program is prepared[name].program
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pool_pins_the_model_memo(self, qlm, backend):
+        # At every worker count and backend the pool holds the model's own
+        # prepared programs: one copy of the RAC keys for solo and served.
+        prepared = qlm.prepared_weights(MPU_CFG)
+        for num_shards in (1, 2):
+            with _server(qlm, num_shards=num_shards, backend=backend) as server:
+                assert server.pool._programs.keys() == prepared.keys()
+                for name, program in server.pool._programs.items():
+                    assert program is prepared[name].program
 
     def test_single_shard_results_unchanged(self, qlm, rng):
         shared = _server(qlm, num_shards=1)

@@ -50,6 +50,20 @@ class TestInferenceServer:
             assert result.logits.shape == (want.shape[0], VOCAB)
             np.testing.assert_array_equal(result.logits, want)
 
+    def test_one_token_requests_identical_to_solo(self, rng, served_qlm):
+        # 1-token requests sharing a micro-batch hand every layer a batch
+        # of a few columns, some C-ordered: the offset stage must still sum
+        # each column exactly as the 1-column solo run does.
+        server = InferenceServer(served_qlm, num_shards=2,
+                                 policy=BatchPolicy(max_batch=4, max_wait_us=20_000),
+                                 mpu_config=MPU_CFG)
+        requests = _requests(rng, 3, lengths=(1,))
+        solo = [server.run_solo(t) for t in requests]
+        results = _serve(server, requests)
+        assert max(r.batch_size for r in results) == 3
+        for result, want in zip(results, solo, strict=True):
+            assert result.logits.tobytes() == want.tobytes()
+
     def test_metrics_and_latency_accounting(self, rng, served_qlm):
         server = InferenceServer(served_qlm, num_shards=2,
                                  policy=BatchPolicy(max_batch=8, max_wait_us=2_000),

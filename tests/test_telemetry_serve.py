@@ -162,8 +162,15 @@ class TestTraceReconstruction:
 
     def test_executor_spans_present(self, trace_doc):
         doc, _, _, _ = trace_doc
-        names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert {"pool.gemm", "pool.shard", "pool.merge"} <= names
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        names = {e["name"] for e in spans}
+        assert "pool.gemm" in names
+        # This model's GEMMs are far below the fan-out threshold: every
+        # call runs inline, so no chunk or merge spans are recorded.
+        gemms = [e for e in spans if e["name"] == "pool.gemm"]
+        assert all(e["args"]["fanout"] is False and e["args"]["cols"] >= 1
+                   for e in gemms)
+        assert not {"pool.shard", "pool.merge"} & names
         cats = {e["cat"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"request", "scheduler", "decode", "pool"} <= cats
 
@@ -177,7 +184,7 @@ class TestTraceReconstruction:
                        "page_pool_prefix_hit_rate",
                        "decode_token_latency_seconds_count",
                        'decode_token_latency_seconds{quantile="0.5"}',
-                       "pool_shard_utilization",
+                       'pool_gemm_calls_total{path="inline"}',
                        "server_request_latency_seconds"):
             assert needle in prom, f"missing {needle} in exposition"
         # Parses line-by-line: every non-comment line is `series value`.
@@ -211,7 +218,8 @@ class TestSchedulerBackpressureInstant:
 
 
 # Every family a bound, driven server exported before the serving structs
-# owned their latency histograms (name -> kind).
+# owned their latency histograms (name -> kind), with the pool's call
+# counters in place of the static per-shard cost gauges.
 _GAUGE_FAMILIES = (
     "batcher_batches", "batcher_max_batch_size", "batcher_queue_depth",
     "batcher_requests", "decode_active_requests", "decode_admissions",
@@ -227,8 +235,7 @@ _GAUGE_FAMILIES = (
     "page_pool_pages_allocated", "page_pool_pages_released",
     "page_pool_pages_revived", "page_pool_pages_shared",
     "page_pool_prefix_hit_rate", "page_pool_registered_pages",
-    "page_pool_slots_written", "pool_shard_cycles_per_step",
-    "pool_shard_utilization", "server_batches",
+    "page_pool_slots_written", "pool_gemm_calls_total", "server_batches",
     "server_request_latency_seconds", "server_requests", "server_tokens",
 )
 PREVIOUS_FAMILIES = {name: "gauge" for name in _GAUGE_FAMILIES} | {
