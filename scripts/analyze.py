@@ -10,10 +10,9 @@ Three passes, all execution-free (no GEMM ever runs):
    concurrency discipline, hygiene) over ``src/`` (or the given paths).
    Unsuppressed findings fail the run; ``# repro: noqa <rule>`` markers
    are listed for auditability.
-2. **verify** — ``verify_plan`` / ``verify_program`` /
-   ``verify_shard_programs`` over a canonical plan-family sweep: uniform
-   and mixed precision, ragged and aligned shapes, several scale-group
-   and µ geometries, plus 2- and 3-way segment-shard partitions.
+2. **verify** — ``verify_plan`` / ``verify_program`` over a canonical
+   plan-family sweep: uniform and mixed precision, ragged and aligned
+   shapes, several scale-group and µ geometries.
 3. **pool** — the :class:`~repro.models.transformer.PagePool` /
    :class:`~repro.models.transformer.PagedKVCache` auditor over an
    allocate/share/release/register/map-prefix lifecycle, checked after
@@ -37,7 +36,6 @@ from repro.analysis import (  # noqa: E402
     lint_paths,
     verify_plan,
     verify_program,
-    verify_shard_programs,
 )
 
 
@@ -56,11 +54,10 @@ def run_lint(paths, show_suppressed: bool) -> int:
 
 
 def _plan_family_sweep() -> int:
-    """Verify plans/programs/shard partitions across canonical families."""
+    """Verify plans and programs across canonical families."""
     from repro.core.mpu import MPUConfig, MatrixProcessingUnit
     from repro.core.program import compile_plan
     from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
-    from repro.serve.sharding import shard_plan
 
     rng = np.random.default_rng(2024)
     checked = 0
@@ -95,24 +92,6 @@ def _plan_family_sweep() -> int:
         verify_program(mpu.prepare(bcq, plan).program,
                        plan=plan, config=config)
         checked += 1
-
-        for ways in (2, 3):
-            partitions = []
-            if plan.num_bands >= ways:
-                # The canonical cut: shard_plan partitions whole column
-                # bands, keeping every counter exactly additive.
-                partitions.append(shard_plan(plan, ways, axis="segments"))
-            if len(plan.segments) >= ways:
-                # An adversarial interleaved cut: splits column bands, so
-                # only the work counters stay additive (the verifier knows).
-                partitions.append([plan.shard_segments(
-                    range(w, len(plan.segments), ways), w, ways)
-                    for w in range(ways)])
-            for shards in partitions:
-                programs = [compile_plan(plan, bcq, config, shard=s)
-                            for s in shards]
-                verify_shard_programs(plan, shards, programs, config)
-                checked += len(programs)
     return checked
 
 

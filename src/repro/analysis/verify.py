@@ -2,12 +2,11 @@
 
 :func:`verify_plan` and :func:`verify_program` check every invariant the
 executors rely on — buffer geometry, sentinel integrity, scatter
-disjointness, baked affine stats, shard partitions — without running a
-single GEMM.  A violated invariant raises a :class:`VerificationError`
-subclass whose ``invariant`` attribute (and message prefix) names exactly
-which contract broke, so a CI failure or a
-``REPRO_VERIFY=1`` compile-time check points at the bug, not at a
-mismatching output matrix three layers later.
+disjointness, baked affine stats — without running a single GEMM.  A
+violated invariant raises a :class:`VerificationError` subclass whose
+``invariant`` attribute (and message prefix) names exactly which contract
+broke, so a CI failure or a ``REPRO_VERIFY=1`` compile-time check points
+at the bug, not at a mismatching output matrix three layers later.
 
 Invariant catalogue
 -------------------
@@ -42,32 +41,13 @@ Program (:func:`verify_program`):
                             disjoint; one offset column per span.
 ``affine-stats``            baked ``(intercept, slope)`` integer pairs,
                             non-negative — and equal to the analytic
-                            ``stats_from_plan``/``shard_stats`` at a
-                            symbolic batch when the plan is supplied
-                            (affine ⇒ checking batches 0 and 1 checks
-                            every batch).
+                            ``stats_from_plan`` at a symbolic batch when
+                            the plan is supplied (affine ⇒ checking
+                            batches 0 and 1 checks every batch).
 ``plane-mask-active-rows``  per-plane scatter rows agree with each band's
                             ``active_rows_per_plane`` (plan required).
 ``segment-cols-match``      each slot block's column run equals its
                             segment's ``col_slice`` (plan required).
-
-Shard partition (:func:`verify_shard_programs`):
-
-``shard-segment-partition`` shard segment indices partition the plan's
-                            segments exactly (disjoint, complete).
-``shard-offset-ownership``  owned scale groups partition the plan's scale
-                            groups exactly.
-``shard-stats-additive``    per-shard affine stats sum to the full plan's.
-                            Work counters (LUT generations/reads,
-                            accumulations, α multiplies, offset adds) must
-                            always sum exactly; the systolic pass counters
-                            (cycles, tiles, bit planes) additionally sum
-                            only when no geometric column band is split
-                            across shards — a split band streams one full
-                            pass *per shard*, which is real extra cost, so
-                            those counters are checked only for
-                            band-respecting partitions (the shape
-                            ``shard_plan`` produces).
 """
 
 from __future__ import annotations
@@ -76,7 +56,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from repro.core.dataflow import PlanShard, TileExecutionPlan
+from repro.core.dataflow import TileExecutionPlan
 from repro.core.mpu import MatrixProcessingUnit, MPUConfig, MPURunStats
 from repro.core.program import CompiledProgram
 
@@ -86,7 +66,6 @@ __all__ = [
     "VerificationError",
     "verify_plan",
     "verify_program",
-    "verify_shard_programs",
 ]
 
 
@@ -224,15 +203,14 @@ def _segment_blocks(program: CompiledProgram):
 
 def verify_program(program: CompiledProgram,
                    plan: TileExecutionPlan | None = None,
-                   config: MPUConfig | None = None,
-                   shard: PlanShard | None = None) -> None:
+                   config: MPUConfig | None = None) -> None:
     """Check the structural invariants of a compiled program.
 
     Self-contained checks (geometry, sentinel integrity, scatter rows,
     affine-stats shape) always run.  Supplying the ``plan`` the program
-    was compiled from (plus ``config``/``shard`` when non-default)
-    additionally pins the program against the plan: segment columns,
-    per-band plane masks, offset ownership, and the baked stats against
+    was compiled from (plus ``config`` when non-default) additionally
+    pins the program against the plan: segment columns, per-band plane
+    masks, offset spans, and the baked stats against
     the analytic counters at a symbolic batch.
 
     Raises :class:`ProgramInvariantError` naming the violated invariant.
@@ -343,7 +321,7 @@ def verify_program(program: CompiledProgram,
             m, len(program.offset_slices)):
         _prog_fail("offset-slices",
                    f"offsets shape {program.offsets.shape} != (m={m}, "
-                   f"num_owned_groups={len(program.offset_slices)})")
+                   f"num_groups={len(program.offset_slices)})")
     prev_stop = 0
     for k, (start, stop) in enumerate(program.offset_slices):
         if not (0 <= start < stop <= n) or start < prev_stop:
@@ -372,21 +350,11 @@ def verify_program(program: CompiledProgram,
         return
     verify_plan(plan)
     cfg = config or MPUConfig()
-    mpu = MatrixProcessingUnit(cfg)
-    if shard is not None:
-        segments = shard.segments
-        stats_fn = lambda b: mpu.shard_stats(shard, b)  # noqa: E731
-        if (m, n) != (plan.m, plan.n):
-            _prog_fail("program-geometry",
-                       f"program is ({m}, {n}) but plan is "
-                       f"({plan.m}, {plan.n})")
-    else:
-        segments = plan.segments
-        stats_fn = lambda b: mpu.stats_from_plan(plan, b)  # noqa: E731
-        if (m, n, mu) != (plan.m, plan.n, plan.mu):
-            _prog_fail("program-geometry",
-                       f"program is ({m}, {n}, µ={mu}) but plan is "
-                       f"({plan.m}, {plan.n}, µ={plan.mu})")
+    if (m, n, mu) != (plan.m, plan.n, plan.mu):
+        _prog_fail("program-geometry",
+                   f"program is ({m}, {n}, µ={mu}) but plan is "
+                   f"({plan.m}, {plan.n}, µ={plan.mu})")
+    segments = plan.segments
 
     if program.num_segments != len(segments):
         _prog_fail("segment-cols-match",
@@ -410,9 +378,8 @@ def verify_program(program: CompiledProgram,
                        f"schedules [{seg.col_slice.start}, "
                        f"{seg.col_slice.stop})")
 
-    # Plane masks against per-band active-row counts.  Row/segment shards
-    # carry the full row-band set, so this check is shard-valid as-is.
-    bands = shard.row_bands if shard is not None else plan.row_bands
+    # Plane masks against per-band active-row counts.
+    bands = plan.row_bands
     max_planes = max((band.planes for band in bands), default=0)
     if len(program.passes) != max_planes:
         _prog_fail("plane-mask-active-rows",
@@ -432,26 +399,23 @@ def verify_program(program: CompiledProgram,
                            f"mask activates {got} rows, the plan says "
                            f"{expected_active}")
 
-    # Offset ownership: spans must be exactly the owned groups' columns.
+    # Offset spans must be exactly the scale groups' columns.
     group_size = plan.group_size
-    owned = tuple(sorted(shard.owned_scale_groups)) if shard is not None \
-        else tuple(range(plan.num_scale_groups))
     expected_slices = tuple(
-        (g * group_size, min((g + 1) * group_size, n)) for g in owned)
+        (g * group_size, min((g + 1) * group_size, n))
+        for g in range(plan.num_scale_groups))
     if program.offset_slices != expected_slices:
         _prog_fail("offset-slices",
                    f"offset spans {program.offset_slices} do not match the "
-                   f"owned scale groups {owned} (group_size={group_size})")
+                   f"plan's {plan.num_scale_groups} scale groups "
+                   f"(group_size={group_size})")
 
-    _check_affine_stats_vs_plan(program, stats_fn)
-
-
-def _check_affine_stats_vs_plan(program: CompiledProgram, stats_fn) -> None:
-    """Baked stats vs the analytic counters at a symbolic batch: both
-    sides are affine in the batch, so agreement at 0 and 1 is agreement
-    at every batch."""
+    # Baked stats vs the analytic counters at a symbolic batch: both sides
+    # are affine in the batch, so agreement at 0 and 1 is agreement at
+    # every batch.
+    mpu = MatrixProcessingUnit(cfg)
     for batch in (0, 1):
-        analytic = stats_fn(batch)
+        analytic = mpu.stats_from_plan(plan, batch)
         baked = program.stats(batch)
         for f in fields(MPURunStats):
             a, b = getattr(analytic, f.name), getattr(baked, f.name)
@@ -459,82 +423,3 @@ def _check_affine_stats_vs_plan(program: CompiledProgram, stats_fn) -> None:
                 _prog_fail("affine-stats",
                            f"counter {f.name} at batch {batch}: baked {b} "
                            f"!= analytic {a}")
-
-
-# ---------------------------------------------------------------------------
-# Shard partitions
-# ---------------------------------------------------------------------------
-
-def verify_shard_programs(plan: TileExecutionPlan,
-                          shards: list[PlanShard] | tuple[PlanShard, ...],
-                          programs: list[CompiledProgram] | tuple[CompiledProgram, ...] | None = None,
-                          config: MPUConfig | None = None) -> None:
-    """Check that segment-axis shards (and their sub-programs) partition
-    the plan exactly.
-
-    ``programs[i]`` (when given) is verified against ``shards[i]`` via
-    :func:`verify_program`; the shard set itself must partition the plan's
-    segments and scale groups disjointly and completely, and the per-shard
-    analytic stats must sum to the full plan's at a symbolic batch.
-    """
-    verify_plan(plan)
-    if programs is not None and len(programs) != len(shards):
-        _prog_fail("shard-segment-partition",
-                   f"{len(programs)} programs for {len(shards)} shards")
-
-    seen_segments: list[int] = []
-    seen_groups: list[int] = []
-    for i, shard in enumerate(shards):
-        if shard.axis != "segments":
-            _prog_fail("shard-segment-partition",
-                       f"shard {i} is cut along '{shard.axis}'; sub-program "
-                       "partitions are segment-axis")
-        seen_segments.extend(shard.segment_indices)
-        seen_groups.extend(shard.owned_scale_groups)
-        if programs is not None:
-            verify_program(programs[i], plan=plan, config=config, shard=shard)
-
-    all_segments = list(range(len(plan.segments)))
-    if sorted(seen_segments) != all_segments or \
-            len(set(seen_segments)) != len(seen_segments):
-        _prog_fail("shard-segment-partition",
-                   f"shard segment indices {sorted(seen_segments)} do not "
-                   f"partition the plan's {len(plan.segments)} segments "
-                   "disjointly and completely")
-    all_groups = list(range(plan.num_scale_groups))
-    if sorted(seen_groups) != all_groups or \
-            len(set(seen_groups)) != len(seen_groups):
-        _prog_fail("shard-offset-ownership",
-                   f"owned scale groups {sorted(seen_groups)} do not "
-                   f"partition the plan's {plan.num_scale_groups} groups "
-                   "disjointly and completely")
-
-    # Pass counters (cycles, tiles, bit planes) duplicate when a geometric
-    # column band is split across shards: each shard streams its own full
-    # systolic pass through the band.  They are exactly additive only for
-    # band-respecting partitions (what shard_plan produces); the work
-    # counters are exactly additive for any partition.
-    band_owner: dict[int, set[int]] = {}
-    for i, shard in enumerate(shards):
-        for seg in shard.segments:
-            band_owner.setdefault(seg.band_index, set()).add(i)
-    bands_respected = all(len(owners) == 1 for owners in band_owner.values())
-    pass_counters = {"cycles", "tiles", "bit_planes_processed"}
-
-    mpu = MatrixProcessingUnit(config or MPUConfig())
-    for batch in (0, 1):
-        total = mpu.stats_from_plan(plan, batch)
-        merged = None
-        for shard in shards:
-            s = mpu.shard_stats(shard, batch)
-            merged = s if merged is None else merged.merge(s)
-        if merged is None:
-            continue
-        for f in fields(MPURunStats):
-            if f.name in pass_counters and not bands_respected:
-                continue
-            a, b = getattr(total, f.name), getattr(merged, f.name)
-            if a != b:
-                _prog_fail("shard-stats-additive",
-                           f"counter {f.name} at batch {batch}: shard sum "
-                           f"{b} != plan total {a}")

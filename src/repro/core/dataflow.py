@@ -51,7 +51,6 @@ __all__ = [
     "RowBand",
     "TileStep",
     "TileExecutionPlan",
-    "PlanShard",
     "plan_bcq_tile_execution",
     "iterate_int_weight_tiles",
     "iterate_bcq_weight_tiles",
@@ -271,141 +270,6 @@ class TileExecutionPlan:
                 tile_index = band.band_index * self.num_bands + seg.band_index
                 for plane in range(band.planes):
                     yield TileStep(band, seg, plane, tile_index)
-
-    # -- shard-aware slicing ----------------------------------------------
-    def shard_rows(self, band_indices: Sequence[int],
-                   index: int = 0, count: int = 1) -> PlanShard:
-        """A :class:`PlanShard` covering a subset of the plan's row bands.
-
-        Output rows partition disjointly across row bands, so row-band
-        shards compose with a concatenation merge that is bit-exact against
-        the unsharded executor (each output element sees exactly the same
-        floating-point addition sequence in both schedules).
-        """
-        idx = sorted(set(int(i) for i in band_indices))
-        if idx and (idx[0] < 0 or idx[-1] >= len(self.row_bands)):
-            raise ValueError(f"row band indices out of range [0, {len(self.row_bands)})")
-        bands = tuple(self.row_bands[i] for i in idx)
-        return PlanShard(plan=self, index=index, count=count, axis="rows",
-                         row_bands=bands, segments=self.segments,
-                         segment_indices=tuple(range(len(self.segments))),
-                         owned_scale_groups=tuple(range(self.num_scale_groups)))
-
-    def shard_segments(self, segment_indices: Sequence[int],
-                       index: int = 0, count: int = 1) -> PlanShard:
-        """A :class:`PlanShard` covering a subset of the plan's column segments.
-
-        Column-segment shards split the LUT-generation work instead of the
-        output rows; every shard produces a dense partial output that the
-        reducer must sum.  The modelled :class:`~repro.core.mpu.MPURunStats`
-        stay exactly additive (each BCQ scale group's offset term is *owned*
-        by the shard holding the group's first segment), but the float
-        partial-sum reduction cannot replay the unsharded executor's
-        addition order, so merged outputs agree to accumulator rounding
-        rather than bit-for-bit — prefer the row axis when exactness
-        matters.
-        """
-        idx = sorted(set(int(i) for i in segment_indices))
-        if idx and (idx[0] < 0 or idx[-1] >= len(self.segments)):
-            raise ValueError(f"segment indices out of range [0, {len(self.segments)})")
-        segs = tuple(self.segments[i] for i in idx)
-        # A scale group is owned by the shard holding its first segment, so
-        # exactly one shard of a partition applies its offset term.
-        first_segment_of_group: dict[int, int] = {}
-        for i, seg in enumerate(self.segments):
-            first_segment_of_group.setdefault(seg.scale_group, i)
-        chosen = set(idx)
-        owned = tuple(sorted(g for g, i in first_segment_of_group.items()
-                             if i in chosen))
-        return PlanShard(plan=self, index=index, count=count, axis="segments",
-                         row_bands=self.row_bands, segments=segs,
-                         segment_indices=tuple(idx), owned_scale_groups=owned)
-
-
-@dataclass(frozen=True)
-class PlanShard:
-    """One worker's slice of a :class:`TileExecutionPlan`.
-
-    A shard restricts the plan along exactly one axis — ``"rows"`` keeps a
-    subset of the row bands (and every column segment), ``"segments"`` keeps
-    a subset of the column segments (and every row band).  The untouched
-    axis is carried in full so a shard is self-describing: the MPU can
-    execute it directly (:meth:`repro.core.mpu.MatrixProcessingUnit.gemm`
-    with ``shard=``) and cost it analytically
-    (:meth:`~repro.core.mpu.MatrixProcessingUnit.shard_stats`), and the
-    per-shard counters of a partition sum exactly to the unsharded run's.
-
-    Attributes
-    ----------
-    plan:
-        The full plan the shard was cut from.
-    index, count:
-        Position of this shard in its partition (``count`` shards total).
-    axis:
-        ``"rows"`` or ``"segments"``.
-    row_bands, segments, segment_indices:
-        The shard's schedule slice (full tuples along the unsharded axis);
-        ``segment_indices`` are positions into ``plan.segments`` so
-        prepared per-segment state can be indexed.
-    owned_scale_groups:
-        Scale groups whose offset term this shard applies (all groups on
-        the rows axis; a disjoint ownership partition on the segments axis).
-    """
-
-    plan: TileExecutionPlan
-    index: int
-    count: int
-    axis: str
-    row_bands: tuple[RowBand, ...]
-    segments: tuple[ColumnSegment, ...]
-    segment_indices: tuple[int, ...]
-    owned_scale_groups: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("rows", "segments"):
-            raise ValueError("axis must be 'rows' or 'segments'")
-
-    @property
-    def rows(self) -> int:
-        """Output rows the shard produces."""
-        return sum(band.rows for band in self.row_bands)
-
-    @property
-    def row_indices(self) -> np.ndarray:
-        """Global output-row indices of the shard's bands (merge scatter)."""
-        if not self.row_bands:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([np.arange(b.row_slice.start, b.row_slice.stop,
-                                         dtype=np.int64) for b in self.row_bands])
-
-    @property
-    def band_indices(self) -> tuple[int, ...]:
-        return tuple(band.band_index for band in self.row_bands)
-
-    @property
-    def plane_passes(self) -> int:
-        """Σ over the shard's row bands of their plane counts."""
-        return sum(band.planes for band in self.row_bands)
-
-    @property
-    def plane_bits_total(self) -> int:
-        """Σ over the shard's rows of their per-row plane counts."""
-        return sum(band.plane_row_total for band in self.row_bands)
-
-    @property
-    def lut_group_total(self) -> int:
-        """Σ over the shard's segments of their µ-group counts."""
-        return sum(seg.lut_groups for seg in self.segments)
-
-    @property
-    def num_column_bands(self) -> int:
-        """Distinct geometric ``tile_n`` bands the shard's segments span."""
-        return len({seg.band_index for seg in self.segments})
-
-    @property
-    def cost(self) -> int:
-        """Plane-pass streaming cost: systolic passes × µ-groups per pass."""
-        return self.plane_passes * self.lut_group_total
 
 
 def plan_bcq_tile_execution(m: int, n: int, bits: int, config: TilingConfig,

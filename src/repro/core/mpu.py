@@ -30,11 +30,11 @@ The simulation is split into a *planner* and an *executor*:
   derived analytically from the plan.
 
 :meth:`MatrixProcessingUnit.gemm_reference` is the independent oracle: the
-scalar per-(batch, group) walk of the *same* plan (or of one shard of it),
-incrementing every counter as the loops run.  The compiled executor is
-bit-exact against it (outputs *and* counters), which the equivalence tests
-pin down.  :meth:`MatrixProcessingUnit.plan_stats` returns the counters
-alone, without touching any activation data.
+scalar per-(batch, group) walk of the *same* plan, incrementing every
+counter as the loops run.  The compiled executor is bit-exact against it
+(outputs *and* counters), which the equivalence tests pin down.
+:meth:`MatrixProcessingUnit.plan_stats` returns the counters alone,
+without touching any activation data.
 
 Mixed precision (``BCQTensor.per_row_bits``) is honoured end to end: the
 plan's :class:`~repro.core.dataflow.RowBand` entries carry per-band plane
@@ -44,17 +44,10 @@ accumulates nothing, and its remaining scales are never touched), and every
 counter is a plan-weighted sum, so a Q2.4-style model costs
 ``mean(per_row_bits)`` passes rather than ``bitplanes.shape[0]``.
 
-Two serving-oriented extensions sit on top (used by :mod:`repro.serve`):
-
-* :meth:`MatrixProcessingUnit.prepare` plans and compiles a tensor once —
-  the program depends only on the weights, which a serving worker keeps
-  stationary — so repeated :meth:`gemm` calls only touch activations;
-* :meth:`gemm` can execute a :class:`~repro.core.dataflow.PlanShard`
-  (``shard=``): row-axis shards run the shard's row bands only (bit-exact
-  against the same rows of an unsharded run), segment-axis shards run a
-  column-segment subset plus the offset terms of the shard's *owned* scale
-  groups.  :meth:`shard_stats` costs a shard analytically; the counters of
-  a shard partition sum exactly to the unsharded run's.
+For serving (:mod:`repro.serve`), :meth:`MatrixProcessingUnit.prepare`
+plans and compiles a tensor once — the program depends only on the
+weights, which a serving worker keeps stationary — so repeated
+:meth:`gemm` calls only touch activations.
 """
 
 # repro: bit-exact — the executor and the reference in this module are
@@ -68,7 +61,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.dataflow import (
-    PlanShard,
     TileExecutionPlan,
     TilingConfig,
     plan_bcq_tile_execution,
@@ -265,35 +257,6 @@ class MatrixProcessingUnit:
             stats.lut_generations * generator_addition_count(cfg.mu))
         return stats
 
-    def shard_stats(self, shard: PlanShard, batch: int) -> MPURunStats:
-        """Analytic run counters for one shard of a plan.
-
-        Every counter is the shard's own share of the unsharded formulas in
-        :meth:`stats_from_plan` — row-axis shards keep their bands' passes
-        and rows, segment-axis shards keep their segments' µ-groups, column
-        bands, and *owned* scale groups — so the counters of any shard
-        partition (either axis) sum exactly to the unsharded run's.
-        """
-        if batch < 0:
-            raise ValueError("batch must be >= 0")
-        cfg = self.config
-        stats = MPURunStats()
-        num_cbands = shard.num_column_bands
-        stats.tiles = len(shard.row_bands) * num_cbands
-        tile_plane_passes = shard.plane_passes * num_cbands
-        stats.bit_planes_processed = tile_plane_passes
-        stats.cycles = tile_plane_passes * (batch + cfg.pe_rows + cfg.pe_cols)
-        groups = shard.lut_group_total
-        row_planes = shard.plane_bits_total
-        stats.lut_generations = batch * shard.plane_passes * groups
-        stats.lut_reads = batch * row_planes * groups
-        stats.accumulations = stats.lut_reads
-        stats.scale_multiplications = batch * row_planes * len(shard.segments)
-        stats.offset_additions = shard.rows * batch * len(shard.owned_scale_groups)
-        stats.generator_additions = (
-            stats.lut_generations * generator_addition_count(cfg.mu))
-        return stats
-
     @staticmethod
     def _segment_groups(x: np.ndarray, seg, mu: int) -> np.ndarray:
         """Zero-pad the segment's activations to whole µ-groups.
@@ -347,8 +310,8 @@ class MatrixProcessingUnit:
     # -- executor ------------------------------------------------------------
     def gemm(self, weights: BCQTensor | PreparedWeights,
              activations: np.ndarray,
-             accumulate_dtype: np.dtype | type = np.float64,
-             shard: PlanShard | None = None) -> tuple[np.ndarray, MPURunStats]:
+             accumulate_dtype: np.dtype | type = np.float64
+             ) -> tuple[np.ndarray, MPURunStats]:
         """Compute ``Y = W X`` where ``W`` is BCQ-quantized.
 
         Parameters
@@ -365,18 +328,10 @@ class MatrixProcessingUnit:
             paper uses) or float64 (a reference result).  The α scaling
             and the cross-tile/offset accumulation stay in float64, as in
             the seed model.
-        shard:
-            Optional :class:`~repro.core.dataflow.PlanShard` restricting
-            execution to one worker's slice of the plan.  A row-axis shard
-            returns the shard's rows only, ``(shard.rows, batch)``,
-            bit-exact against the same rows of the unsharded result; a
-            segment-axis shard returns a dense ``(M, batch)`` partial
-            covering its column segments plus its owned offset terms.
-            Either way ``stats`` is the shard's exact additive share.
 
         Every call runs a :class:`~repro.core.program.CompiledProgram`: the
         one embedded in :class:`PreparedWeights`, or one compiled on the
-        fly for a raw tensor or a shard.
+        fly for a raw tensor.
 
         Returns
         -------
@@ -387,78 +342,44 @@ class MatrixProcessingUnit:
         """
         tel = get_telemetry()
         if not tel.enabled:
-            return self._gemm_impl(weights, activations, accumulate_dtype,
-                                   shard)
+            return self._gemm_impl(weights, activations, accumulate_dtype)
         w = weights.weights if isinstance(weights, PreparedWeights) else weights
         with tel.trace.span("mpu.gemm", m=w.shape[0], n=w.shape[1],
-                            sharded=shard is not None,
                             prepared=w is not weights):
-            return self._gemm_impl(weights, activations, accumulate_dtype,
-                                   shard)
+            return self._gemm_impl(weights, activations, accumulate_dtype)
 
     def _gemm_impl(self, weights: BCQTensor | PreparedWeights,
                    activations: np.ndarray,
-                   accumulate_dtype: np.dtype | type,
-                   shard: PlanShard | None) -> tuple[np.ndarray, MPURunStats]:
+                   accumulate_dtype: np.dtype | type
+                   ) -> tuple[np.ndarray, MPURunStats]:
         # The body of gemm() (the public wrapper only adds the telemetry
         # span; values are never touched either way).
         if isinstance(weights, PreparedWeights):
-            if shard is None:
-                return weights.program.execute(
-                    activations, accumulate_dtype=accumulate_dtype)
-            if shard.axis == "rows":
-                raise ValueError(
-                    "row-axis shards execute a row-sliced tensor; "
-                    "prepare() the slice held by the worker instead")
-            weights = weights.weights
-        if shard is not None:
-            if (shard.plan.m, shard.plan.n) != weights.shape:
-                raise ValueError(
-                    f"shard plan shape ({shard.plan.m}, {shard.plan.n}) does "
-                    f"not match weights {weights.shape}")
-            if shard.axis == "rows":
-                # A row-band shard is exactly the plan of the row-sliced
-                # tensor (bands are independent), so execute that: the
-                # per-element addition sequences — and hence the bits — are
-                # identical to the same rows of an unsharded run.
-                weights, shard = weights.take_rows(shard.row_indices), None
-        from repro.core.program import compile_plan  # mpu ↔ program cycle
-        plan = shard.plan if shard is not None else self.plan(weights)
-        program = compile_plan(plan, weights, self.config, shard=shard)
+            program = weights.program
+        else:
+            from repro.core.program import compile_plan  # mpu ↔ program cycle
+            program = compile_plan(self.plan(weights), weights, self.config)
         return program.execute(activations, accumulate_dtype=accumulate_dtype)
 
     # -- scalar reference ----------------------------------------------------
     def gemm_reference(self, weights: BCQTensor, activations: np.ndarray,
-                       accumulate_dtype: np.dtype | type = np.float64,
-                       shard: PlanShard | None = None
+                       accumulate_dtype: np.dtype | type = np.float64
                        ) -> tuple[np.ndarray, MPURunStats]:
         """Scalar per-(batch, group) walk of the execution plan.
 
         This is the independent oracle the compiled :meth:`gemm` is verified
         against bit-for-bit: one :func:`build_lut_values` call per (step,
         batch column, µ-group), counters incremented as the loops run.
-        ``shard`` walks one :class:`~repro.core.dataflow.PlanShard` the way
-        :meth:`gemm` executes it: a row-axis shard runs the row-sliced
-        tensor, a segment-axis shard skips the steps of every other segment
-        and adds only its owned scale groups' offsets.  Orders of magnitude
-        slower than :meth:`gemm` — use only for equivalence testing.
+        Orders of magnitude slower than :meth:`gemm` — use only for
+        equivalence testing.
         """
         cfg = self.config
-        if shard is not None and shard.axis == "rows":
-            return self.gemm_reference(weights.take_rows(shard.row_indices),
-                                       activations, accumulate_dtype)
         x, squeeze = _normalize_activations(activations, weights.shape[1])
         m, _ = weights.shape
         batch = x.shape[1]
         acc_dtype = np.dtype(accumulate_dtype)
 
         plan = self.plan(weights)
-        groups = range(plan.num_scale_groups)
-        # Segments are disjoint column runs, so the first column names one.
-        starts = None
-        if shard is not None:
-            groups = shard.owned_scale_groups
-            starts = {seg.col_slice.start for seg in shard.segments}
         stats = MPURunStats()
         y = np.zeros((m, batch), dtype=np.float64)
         powers = 1 << np.arange(cfg.mu - 1, -1, -1, dtype=np.int64)
@@ -469,14 +390,12 @@ class MatrixProcessingUnit:
         for step in plan.steps():
             seg = step.segment
             rsl = step.row_slice
-            if starts is not None and seg.col_slice.start not in starts:
-                continue
             if step.tile_index not in seen_tiles:
                 seen_tiles.add(step.tile_index)
                 stats.tiles += 1
             # The segments of one geometric tile stream through the array in
             # a single systolic pass per bit plane; charge the pass when the
-            # plane enters the tile's first executed segment.
+            # plane enters the tile's first segment.
             if (step.tile_index, step.bit_plane) not in seen_passes:
                 seen_passes.add((step.tile_index, step.bit_plane))
                 stats.bit_planes_processed += 1
@@ -507,7 +426,7 @@ class MatrixProcessingUnit:
 
         # y += z_rg · Σ(x over group g), once per output, ascending groups.
         col_groups = weights.column_groups()
-        for g in groups:
+        for g in range(plan.num_scale_groups):
             # The compiled offset stage reduces the group with this same
             # call, so the order is consistent by construction.
             group_sum = x[col_groups[g], :].sum(axis=0, keepdims=True)  # repro: noqa reassociating-reduction

@@ -18,7 +18,7 @@ same plan is its oracle.
 Buffer layout
 -------------
 Segments are laid out in ``slots_per_segment`` (= max LUT groups over the
-compiled segments) slots each, so every per-slot buffer is a dense matrix:
+plan's segments) slots each, so every per-slot buffer is a dense matrix:
 
 ``lut_cols`` — ``(num_slots, µ)`` int64
     Activation rows of each µ-group, padded with the sentinel row index
@@ -33,7 +33,7 @@ compiled segments) slots each, so every per-slot buffer is a dense matrix:
     float64 ``(num_segments, rows_p)`` α matrix — no per-call
     ``plane_activity()`` or scale gathering.
 ``offsets`` / ``offset_slices``
-    The owned scale groups' offset columns and column spans, walked in
+    Every scale group's offset column and column span, walked in
     ascending group order exactly like the reference offset stage.
 
 Bit-exactness contract
@@ -55,11 +55,10 @@ the reference's float operations in the reference's order (see
 * the offset stage is the same NumPy group sum the reference runs.
 
 Stats are attached at compile time: every counter of
-:meth:`~repro.core.mpu.MatrixProcessingUnit.stats_from_plan` (or
-:meth:`~repro.core.mpu.MatrixProcessingUnit.shard_stats` for a sub-program)
-is affine in the batch size, so the program stores the exact integer
-``(intercept, slope)`` pair per counter and :meth:`CompiledProgram.stats`
-reproduces the analytic counters for any batch without touching the plan.
+:meth:`~repro.core.mpu.MatrixProcessingUnit.stats_from_plan` is affine in
+the batch size, so the program stores the exact integer ``(intercept,
+slope)`` pair per counter and :meth:`CompiledProgram.stats` reproduces
+the analytic counters for any batch without touching the plan.
 
 Programs are self-contained — no :class:`~repro.quant.bcq.BCQTensor` or
 plan needed at run time — so :meth:`CompiledProgram.buffers` /
@@ -80,7 +79,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.core import native
-from repro.core.dataflow import PlanShard, TileExecutionPlan
+from repro.core.dataflow import TileExecutionPlan
 from repro.core.mpu import (
     MatrixProcessingUnit,
     MPUConfig,
@@ -127,7 +126,7 @@ class CompiledProgram:
 
     :meth:`execute` runs the LUT build, the plane gathers and the α-scaled
     ``y`` updates of every segment in one native kernel call, then adds
-    the owned scale groups' offset terms (``offset_slices`` ascending).
+    every scale group's offset term (``offset_slices`` ascending).
     """
 
     m: int
@@ -306,8 +305,8 @@ def _affine_stats(stats_fn) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-counter (intercept, slope) of a batch → MPURunStats function.
 
     Every counter in :meth:`~repro.core.mpu.MatrixProcessingUnit.
-    stats_from_plan` / ``shard_stats`` is affine in the batch, so two
-    evaluations pin it exactly — no formula duplication in the compiler.
+    stats_from_plan` is affine in the batch, so two evaluations pin it
+    exactly — no formula duplication in the compiler.
     """
     at0, at1 = stats_fn(0), stats_fn(1)
     base = tuple(getattr(at0, f.name) for f in fields(MPURunStats))
@@ -318,40 +317,21 @@ def _affine_stats(stats_fn) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def compile_plan(plan: TileExecutionPlan,
                  weights: BCQTensor,
-                 config: MPUConfig | None = None,
-                 shard: PlanShard | None = None) -> CompiledProgram:
-    """Lower a tile-execution plan (or one segment-axis shard of it) into a
-    :class:`CompiledProgram`.
+                 config: MPUConfig | None = None) -> CompiledProgram:
+    """Lower a tile-execution plan into a :class:`CompiledProgram`.
 
-    ``shard`` compiles a segment-axis sub-program: only the shard's
-    segments and *owned* scale groups are lowered, and the baked stats are
-    the shard's exactly additive share.  Row-axis shards have no
-    sub-program — they execute the row-sliced tensor's own full program
-    (see :meth:`~repro.core.mpu.MatrixProcessingUnit.gemm`).
-
-    The program's buffers are validated and packed for the native kernel
-    here (building the kernel on the first compile of a process), so no
-    request pays for it.
+    Every column segment and every scale group of the plan is lowered, and
+    the baked stats are the plan's analytic counters.  The program's
+    buffers are validated and packed for the native kernel here (building
+    the kernel on the first compile of a process), so no request pays for
+    it.
     """
     config = config or MPUConfig()
     mpu = MatrixProcessingUnit(config)
     if (plan.m, plan.n) != weights.shape:
         raise ValueError(f"plan shape ({plan.m}, {plan.n}) does not match "
                          f"weights {weights.shape}")
-    if shard is not None:
-        if shard.axis != "segments":
-            raise ValueError(
-                "only segment-axis shards compile to sub-programs; a "
-                "row-axis shard executes the row-sliced tensor's own plan")
-        if shard.plan is not plan and shard.plan != plan:
-            raise ValueError("shard was cut from a different plan")
-        segments = shard.segments
-        owned_groups = tuple(sorted(shard.owned_scale_groups))
-        stats_fn = lambda b: mpu.shard_stats(shard, b)  # noqa: E731
-    else:
-        segments = plan.segments
-        owned_groups = tuple(range(plan.num_scale_groups))
-        stats_fn = lambda b: mpu.stats_from_plan(plan, b)  # noqa: E731
+    segments = plan.segments
 
     m, n = weights.shape
     mu = config.mu
@@ -359,7 +339,7 @@ def compile_plan(plan: TileExecutionPlan,
     gmax = max((seg.lut_groups for seg in segments), default=0)
     num_slots = num_segments * gmax
 
-    base, slope = _affine_stats(stats_fn)
+    base, slope = _affine_stats(lambda b: mpu.stats_from_plan(plan, b))
     # Activation-row index matrix: real columns index x, padded positions
     # (ragged µ-group tails and slots past a segment's group count) hold
     # the sentinel n, which reads as a zero activation.
@@ -396,9 +376,10 @@ def compile_plan(plan: TileExecutionPlan,
         passes.append(PlanePass(keys=keys, rows=rows, scales=scales))
 
     col_groups = weights.column_groups()
+    groups = range(plan.num_scale_groups)
     offset_slices = tuple((col_groups[g].start, col_groups[g].stop)
-                          for g in owned_groups)
-    offsets = np.ascontiguousarray(weights.offsets[:, list(owned_groups)])
+                          for g in groups)
+    offsets = np.ascontiguousarray(weights.offsets[:, list(groups)])
 
     program = CompiledProgram(
         m=m, n=n, mu=mu, num_segments=num_segments, slots_per_segment=gmax,
@@ -406,9 +387,9 @@ def compile_plan(plan: TileExecutionPlan,
         offset_slices=offset_slices, stats_base=base, stats_slope=slope)
     if os.environ.get("REPRO_VERIFY"):
         # Structural verification of every freshly compiled program
-        # (including prepare() and segment-shard sub-programs).
-        # Lazy import: analysis depends on this module.
+        # (including prepare()).  Lazy import: analysis depends on this
+        # module.
         from repro.analysis.verify import verify_program
-        verify_program(program, plan=plan, config=config, shard=shard)
+        verify_program(program, plan=plan, config=config)
     program._kernel_program()
     return program

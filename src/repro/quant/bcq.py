@@ -194,8 +194,9 @@ class BCQTensor:
         scales, offsets and ``per_row_bits`` all slice along it without
         touching the column/group structure — so a row slice quantizes,
         dequantizes and executes exactly like the same rows inside the full
-        tensor.  Sliced arrays are materialised contiguously: this is what
-        a row-axis plan shard executes.
+        tensor.  Sliced arrays are materialised contiguously, so a row
+        slice can be checked against the reference at layer sizes where
+        the whole tensor would take too long.
         """
         if isinstance(rows, slice):
             rows = np.arange(*rows.indices(self.shape[0]), dtype=np.int64)

@@ -4,8 +4,7 @@ The scale-out leg of the reproduction: the functional FIGLUT model becomes a
 servable engine by (1) pinning one compiled program per layer — its
 weight-stationary RAC keys — in a worker pool that runs small GEMMs inline
 and splits large ones' activation columns across its workers
-(:mod:`repro.serve.workers`; :mod:`repro.serve.sharding` keeps the plan-shard
-partitioner), (2) coalescing single-request traffic into micro-batches that
+(:mod:`repro.serve.workers`), (2) coalescing single-request traffic into micro-batches that
 share one engine pass (:mod:`repro.serve.batching`), (3) continuous
 (iteration-level) batching of multi-token generation over a shared
 **paged** KV cache — fixed-size K/V pages with per-sequence page tables
@@ -45,7 +44,6 @@ from repro.serve.server import (
     InferenceServer,
     ServerMetrics,
 )
-from repro.serve.sharding import merge_shard_outputs, shard_plan
 from repro.serve.workers import PoolCounters, ShardedMPUPool
 
 __all__ = [
@@ -62,6 +60,4 @@ __all__ = [
     "ServerMetrics",
     "PoolCounters",
     "ShardedMPUPool",
-    "merge_shard_outputs",
-    "shard_plan",
 ]

@@ -36,7 +36,12 @@ Backends
     program buffers once into :mod:`multiprocessing.shared_memory`; every
     worker rebuilds the programs as zero-copy views of that one copy
     (:meth:`~repro.core.program.CompiledProgram.from_buffers`) and receives
-    its column chunk by pickle.  Inline calls run in the parent.
+    its column chunk by pickle.  Inline calls run in the parent.  A
+    worker that times out, or whose pipe breaks, fails the pool closed:
+    its reply could still be in flight and would answer the next call, so
+    every worker is terminated, the shared memory is unlinked, and every
+    later :meth:`ShardedMPUPool.gemm` raises.  An exception a worker
+    sends back as its reply fails only that call.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dataflow import TileExecutionPlan
+from repro.core.dataflow import TileExecutionPlan, TilingConfig
 from repro.core.mpu import MatrixProcessingUnit, MPUConfig, MPURunStats, PreparedWeights
 from repro.core.program import CompiledProgram
 from repro.quant.bcq import BCQTensor
@@ -106,6 +111,10 @@ def _process_worker_main(conn, layer_specs, acc_dtype_name) -> None:
         conn.close()
 
 
+class _WorkerLost(RuntimeError):
+    """A worker timed out or its pipe broke: its state is unknown."""
+
+
 class _ProcessWorker:
     """Parent-side handle of one worker process over the shared programs."""
 
@@ -127,15 +136,24 @@ class _ProcessWorker:
             raise RuntimeError("pool worker process failed to start")
 
     def submit(self, name: str, x: np.ndarray) -> None:
-        self._conn.send((name, x))
+        try:
+            self._conn.send((name, x))
+        except OSError as exc:
+            raise _WorkerLost(f"pool worker process pipe failed: {exc!r}") from exc
 
-    def collect(self) -> np.ndarray:
-        if not self._conn.poll(_PROCESS_TIMEOUT_S):
-            raise RuntimeError("pool worker process timed out")
-        result = self._conn.recv()
-        if isinstance(result, Exception):
-            raise result
-        return result
+    def collect(self) -> np.ndarray | Exception:
+        """The worker's reply: its output, or the exception it sent back."""
+        try:
+            if not self._conn.poll(_PROCESS_TIMEOUT_S):
+                raise _WorkerLost("pool worker process timed out")
+            return self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise _WorkerLost(f"pool worker process pipe failed: {exc!r}") from exc
+
+    def terminate(self) -> None:
+        """Kill the worker without waiting for its current request."""
+        self._proc.terminate()
+        self._proc.join(timeout=5.0)
 
     def close(self) -> None:
         try:
@@ -167,8 +185,9 @@ class ShardedMPUPool:
         Layer name → BCQ tensor (e.g. ``QuantizedLM.bcq_views()``), or its
         :class:`~repro.core.mpu.PreparedWeights` (e.g.
         ``QuantizedLM.prepared_weights()``), whose program is pinned as is
-        so the solo and served paths hold one set of RAC keys (prepare it
-        for the same ``mpu_config``).  A tensor is prepared here.
+        so the solo and served paths hold one set of RAC keys.  It must be
+        prepared for the same ``mpu_config``: a plan or baked stats from
+        another geometry raise ``ValueError``.  A tensor is prepared here.
     num_shards:
         Worker count: a fanned-out call splits its activation columns into
         this many contiguous chunks (fewer when the call has fewer
@@ -201,8 +220,13 @@ class ShardedMPUPool:
         self.backend = backend
         self.num_workers = num_shards
         self.accumulate_dtype = np.dtype(accumulate_dtype)
-        prepared = {name: w if isinstance(w, PreparedWeights)
-                    else self.mpu.prepare(w) for name, w in weights.items()}
+        prepared = {}
+        for name, w in weights.items():
+            if isinstance(w, PreparedWeights):
+                self._check_prepared(name, w)
+            else:
+                w = self.mpu.prepare(w)
+            prepared[name] = w
         self.plans: dict[str, TileExecutionPlan] = {
             name: p.plan for name, p in prepared.items()}
         self._programs: dict[str, CompiledProgram] = {
@@ -218,6 +242,9 @@ class ShardedMPUPool:
                 if per_col > 0 and num_shards > 1 else float("inf"))
         self.counters = PoolCounters()
         self._lock = threading.Lock()
+        # Set when a process worker timed out or its pipe broke; the pool
+        # is then closed and every later gemm() raises naming it.
+        self._failure: str | None = None
 
         self._executor: ThreadPoolExecutor | None = None
         self._procs: list[_ProcessWorker] = []
@@ -241,6 +268,25 @@ class ShardedMPUPool:
             except Exception:
                 self.close()
                 raise
+
+    def _check_prepared(self, name: str, prepared: PreparedWeights) -> None:
+        """Reject weights planned for another geometry, without re-planning:
+        their program would serve stats that disagree with
+        :meth:`plan_stats`."""
+        cfg = self.mpu.config
+        plan = prepared.plan
+        tiling = TilingConfig(tile_m=cfg.tile_m, tile_n=cfg.tile_n)
+        if (plan.mu, plan.tiling) != (cfg.mu, tiling):
+            raise ValueError(
+                f"layer {name!r} was planned with µ={plan.mu}, {plan.tiling}; "
+                f"the pool's MPUConfig needs µ={cfg.mu}, {tiling}")
+        # Baked stats are affine in the batch: batches 0 and 1 pin them.
+        for batch in (0, 1):
+            if prepared.program.stats(batch) != self.mpu.stats_from_plan(
+                    plan, batch):
+                raise ValueError(
+                    f"layer {name!r}: the prepared program's stats at batch "
+                    f"{batch} disagree with the pool's MPUConfig")
 
     def _share_programs(self) -> dict:
         """Copy every program's buffers once into shared memory; return the
@@ -272,6 +318,8 @@ class ShardedMPUPool:
     def gemm(self, name: str,
              activations: np.ndarray) -> tuple[np.ndarray, MPURunStats]:
         """``Y = W[name] X`` with the plan-exact stats, inline or fanned out."""
+        if self._failure is not None:
+            raise self._closed_error()
         program = self._programs.get(name)
         if program is None:
             raise KeyError(f"{name!r} is not a pooled layer")
@@ -315,29 +363,33 @@ class ShardedMPUPool:
             tel = get_telemetry()
             t0 = time.perf_counter_ns() if tel.enabled else 0
             with self._proc_lock:
-                for w, chunk in enumerate(chunks):
-                    self._procs[w].submit(name, chunk)
-                # Drain every dispatched worker's reply before raising the
-                # first error: a reply left unread in its pipe would be
-                # taken as the answer to the next call.
-                outputs, error = [], None
-                for w in range(len(chunks)):
-                    try:
-                        outputs.append(self._procs[w].collect())
-                    except Exception as exc:
-                        error = error or exc
-                        continue
-                    if tel.enabled:
-                        # Round-trip as the parent sees it: fan-out submit
-                        # to this worker's collect (the child runs in its
-                        # own process with its own disabled telemetry).
-                        tel.trace.record("pool.shard", t0,
-                                         time.perf_counter_ns(), layer=name,
-                                         shard=w, cols=chunks[w].shape[1],
-                                         backend="process")
-            if error is not None:
-                raise error
-            return outputs
+                if self._failure is not None:  # failed while this call waited
+                    raise self._closed_error()
+                try:
+                    for w, chunk in enumerate(chunks):
+                        self._procs[w].submit(name, chunk)
+                    # Drain every dispatched worker's reply before raising
+                    # the first error one sent back: a reply left unread in
+                    # its pipe would be taken as the answer to the next call.
+                    replies = []
+                    for w in range(len(chunks)):
+                        replies.append(self._procs[w].collect())
+                        if tel.enabled and not isinstance(replies[-1], Exception):
+                            # Round-trip as the parent sees it: fan-out
+                            # submit to this worker's collect (the child runs
+                            # in its own process with its own disabled
+                            # telemetry).
+                            tel.trace.record("pool.shard", t0,
+                                             time.perf_counter_ns(), layer=name,
+                                             shard=w, cols=chunks[w].shape[1],
+                                             backend="process")
+                except _WorkerLost as exc:
+                    self._fail_closed(exc)
+                    raise self._closed_error() from exc
+            for reply in replies:
+                if isinstance(reply, Exception):
+                    raise reply
+            return replies
         if self.backend == "thread":
             futures = [self._executor.submit(self._run_chunk, name, program,
                                              w, chunk)
@@ -346,6 +398,20 @@ class ShardedMPUPool:
             return [first] + [f.result() for f in futures]
         return [self._run_chunk(name, program, w, chunk)
                 for w, chunk in enumerate(chunks)]
+
+    def _fail_closed(self, exc: _WorkerLost) -> None:
+        """Terminate every worker and unlink the shared memory: a lost
+        worker's reply may still be in flight, so no later call may read
+        from any pipe.  The caller holds ``_proc_lock``."""
+        with self._lock:
+            self._failure = str(exc)
+        for proc in self._procs:
+            proc.terminate()
+        self.close()
+
+    def _closed_error(self) -> RuntimeError:
+        return RuntimeError(
+            f"pool closed after a worker failure: {self._failure}")
 
     def _run_chunk(self, name: str, program: CompiledProgram, w: int,
                    chunk: np.ndarray) -> np.ndarray:

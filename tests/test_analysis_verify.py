@@ -1,7 +1,7 @@
 """Mutation tests for the execution-free verifiers (repro.analysis.verify).
 
 Each test corrupts one structural aspect of a sound ``CompiledProgram``
-(or plan / shard partition) and asserts the verifier rejects it with the
+(or plan) and asserts the verifier rejects it with the
 *specific* invariant named — a verifier that fails with the wrong
 invariant is as suspect as one that does not fail at all.
 """
@@ -16,12 +16,10 @@ from repro.analysis import (
     ProgramInvariantError,
     verify_plan,
     verify_program,
-    verify_shard_programs,
 )
 from repro.core.mpu import MatrixProcessingUnit, MPUConfig
 from repro.core.program import compile_plan
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
-from repro.serve.sharding import shard_plan
 
 CFG = MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4)
 
@@ -76,11 +74,19 @@ class TestSoundArtifactsPass:
             verify_program(program)
             verify_program(program, plan=plan, config=cfg)
 
-    def test_shard_partition_verifies(self, uniform):
-        plan, bcq, _, _ = uniform
-        shards = shard_plan(plan, 2, axis="segments")
-        programs = [compile_plan(plan, bcq, CFG, shard=s) for s in shards]
-        verify_shard_programs(plan, shards, programs, CFG)
+    @pytest.mark.parametrize("cfg", [
+        MPUConfig(pe_rows=1, pe_cols=1, mu=2, k=1),
+        MPUConfig(pe_rows=3, pe_cols=2, mu=3, k=2),
+        MPUConfig(),
+    ], ids=["1x1-mu2", "3x2-mu3", "default"])
+    def test_programs_verify_across_geometries(self, cfg):
+        # Tile edges, µ-groups and scale groups fall differently under each
+        # geometry; every whole program still pins to its own plan.
+        for mixed in (False, True):
+            plan, _, program, _ = build(m=21, n=37, group_size=12,
+                                        config=cfg, mixed=mixed)
+            verify_plan(plan)
+            verify_program(program, plan=plan, config=cfg)
 
 
 class TestProgramMutations:
@@ -221,8 +227,58 @@ class TestProgramMutations:
         expect("segment-cols-match", verify_program,
                corrupt(program, lut_cols=cols), plan=plan, config=CFG)
 
+    def test_dropped_offset_span_vs_plan(self, uniform):
+        plan, _, program, _ = uniform
+        # Dropping the last scale group's span and offsets column leaves a
+        # self-consistent program; only the plan knows a group is missing.
+        bad = corrupt(program, offset_slices=program.offset_slices[:-1],
+                      offsets=program.offsets[:, :-1])
+        verify_program(bad)
+        expect("offset-slices", verify_program, bad, plan=plan, config=CFG)
+
+    def test_program_pinned_to_another_plan(self, uniform, mixed):
+        # Same shape, segments and scale groups, but the mixed program's
+        # masked planes are not the uniform plan's full-height bands.
+        plan, _, _, _ = uniform
+        _, _, program, _ = mixed
+        verify_program(program)
+        expect("plane-mask-active-rows", verify_program, program,
+               plan=plan, config=CFG)
+
 
 class TestPlanMutations:
+    def test_missing_segment(self, uniform):
+        plan, _, _, _ = uniform
+        with pytest.raises(PlanInvariantError) as err:
+            verify_plan(dataclasses.replace(plan,
+                                            segments=plan.segments[:-1]))
+        assert err.value.invariant == "segment-partition"
+
+    def test_duplicated_segment(self, uniform):
+        plan, _, _, _ = uniform
+        segs = plan.segments
+        with pytest.raises(PlanInvariantError) as err:
+            verify_plan(dataclasses.replace(
+                plan, segments=(segs[0],) + segs))
+        assert err.value.invariant == "segment-partition"
+
+    def test_band_planes_beyond_bits(self, uniform):
+        plan, _, _, _ = uniform
+        bands = list(plan.row_bands)
+        bands[-1] = dataclasses.replace(bands[-1], planes=plan.bits + 1)
+        with pytest.raises(PlanInvariantError) as err:
+            verify_plan(dataclasses.replace(plan, row_bands=tuple(bands)))
+        assert err.value.invariant == "row-band-planes"
+
+    def test_segment_lut_groups_miscounted(self, ragged):
+        plan, _, _, _ = ragged
+        segs = list(plan.segments)
+        segs[0] = dataclasses.replace(segs[0],
+                                      lut_groups=segs[0].lut_groups + 1)
+        with pytest.raises(PlanInvariantError) as err:
+            verify_plan(dataclasses.replace(plan, segments=tuple(segs)))
+        assert err.value.invariant == "segment-lut-groups"
+
     def test_row_band_gap(self, uniform):
         plan, _, _, _ = uniform
         bands = list(plan.row_bands)
@@ -255,37 +311,6 @@ class TestPlanMutations:
                 plan, segments=tuple([merged] + segs[2:])))
         assert err.value.invariant in ("segment-partition",
                                        "segment-scale-group")
-
-
-class TestShardMutations:
-    def test_missing_segment(self, uniform):
-        plan, _, _, _ = uniform
-        n_seg = len(plan.segments)
-        shards = [plan.shard_segments(range(n_seg - 1), 0, 2),
-                  plan.shard_segments([], 1, 2)]
-        expect("shard-segment-partition", verify_shard_programs, plan, shards)
-
-    def test_duplicated_segment(self, uniform):
-        plan, _, _, _ = uniform
-        n_seg = len(plan.segments)
-        shards = [plan.shard_segments(range(n_seg), 0, 2),
-                  plan.shard_segments([0], 1, 2)]
-        expect("shard-segment-partition", verify_shard_programs, plan, shards)
-
-    def test_offset_ownership_not_a_partition(self, uniform):
-        plan, _, _, _ = uniform
-        shards = list(shard_plan(plan, 2, axis="segments"))
-        # Both shards claim shard 0's groups: double-applied offsets.
-        shards[1] = dataclasses.replace(
-            shards[1], owned_scale_groups=shards[0].owned_scale_groups)
-        expect("shard-offset-ownership", verify_shard_programs, plan, shards)
-
-    def test_program_swapped_between_shards(self, uniform):
-        plan, bcq, _, _ = uniform
-        shards = shard_plan(plan, 2, axis="segments")
-        programs = [compile_plan(plan, bcq, CFG, shard=s) for s in shards]
-        with pytest.raises(ProgramInvariantError):
-            verify_shard_programs(plan, shards, programs[::-1], CFG)
 
 
 class TestReproVerifyKnob:

@@ -5,11 +5,11 @@ uniform, ragged, mixed per-row precision — and every accumulator dtype, the
 :class:`~repro.core.program.CompiledProgram` produced by
 :func:`~repro.core.program.compile_plan` and run by the native kernel is
 **bit-identical** to the scalar ``gemm_reference``, outputs *and*
-:class:`~repro.core.mpu.MPURunStats`.  Shard sub-programs match the
-reference's walk of the same shard bitwise and merge exactly; the
-shared-memory ``spec()``/``buffers()``/``from_buffers()`` roundtrip
-preserves execution; the kernel's column tiling never changes a bit; the
-kernel boundary rejects malformed buffers and its build is cached.
+:class:`~repro.core.mpu.MPURunStats`, and a prepared tensor runs
+bit-identically to the raw one; the shared-memory
+``spec()``/``buffers()``/``from_buffers()`` roundtrip preserves execution;
+the kernel's column tiling never changes a bit; the kernel boundary
+rejects malformed buffers and its build is cached.
 """
 
 import ctypes
@@ -27,7 +27,6 @@ from repro.core import native
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.core.program import CompiledProgram, compile_plan
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
-from repro.serve import merge_shard_outputs, shard_plan
 
 MPU_CFG = MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2)  # tile 4×8
 
@@ -96,6 +95,7 @@ class TestCompiledEquivalence:
         _assert_same(mpu.gemm(prepared, x), prepared.program.execute(x))
         fresh = compile_plan(prepared.plan, tensor, MPU_CFG)
         _assert_same(mpu.gemm(prepared, x), fresh.execute(x))
+        _assert_same(mpu.gemm(prepared, x), mpu.gemm(tensor, x))
 
     def test_vector_input_squeezes(self, rng):
         tensor, x = _case(rng, "ragged")
@@ -202,53 +202,55 @@ class TestProgramStructure:
                      rebuilt.execute(x, accumulate_dtype=np.float32))
 
 
-class TestShardPrograms:
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("num_shards", [2, 7])
-    def test_segment_subprograms_match_reference_shards(self, rng, kind,
-                                                        num_shards):
-        tensor, x = _case(rng, kind)
-        mpu = MatrixProcessingUnit(MPU_CFG)
-        plan = mpu.plan(tensor)
-        shards = shard_plan(plan, num_shards, axis="segments")
-        results = []
-        for shard in shards:
-            compiled = compile_plan(plan, tensor, MPU_CFG,
-                                    shard=shard).execute(x)
-            _assert_same(compiled, mpu.gemm_reference(tensor, x,
-                                                      shard=shard))
-            results.append(compiled)
-        y, stats = merge_shard_outputs(shards, results)
-        y_full, stats_full = mpu.gemm(tensor, x)
-        assert stats == stats_full  # counters exactly additive
-        np.testing.assert_allclose(y, y_full, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_row_programs_merge_bit_exact(self, rng, num_shards):
-        tensor, x = _case(rng, "mixed")
-        mpu = MatrixProcessingUnit(MPU_CFG)
-        plan = mpu.plan(tensor)
-        shards = shard_plan(plan, num_shards, axis="rows")
-        results = [mpu.prepare(tensor.take_rows(s.row_indices)).program
-                   .execute(x) for s in shards]
-        for shard, result in zip(shards, results, strict=True):
-            _assert_same(result, mpu.gemm_reference(tensor, x, shard=shard))
-        merged = merge_shard_outputs(shards, results)
-        _assert_same(merged, mpu.gemm(tensor, x))
+class TestSlicedExecution:
+    """A layer's GEMM splits two ways without moving a bit: by weight rows
+    (``take_rows`` runs exactly like the same rows of the whole tensor) and
+    by activation columns (the worker pool's fan-out axis)."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_reference_counts_interleaved_shard_stats(self, rng, kind):
-        # A cut that splits column bands: the reference's loop-counted
-        # stats still equal the analytic shard_stats (and the sub-program's
-        # baked stats), one systolic pass per (tile, plane) the shard runs.
+    @pytest.mark.parametrize("parts", [1, 2, 7])
+    def test_row_slices_concatenate_bit_exact(self, rng, kind, parts):
         tensor, x = _case(rng, kind)
         mpu = MatrixProcessingUnit(MPU_CFG)
+        y_full, _ = mpu.gemm(tensor, x)
+        pieces = []
+        for rows in np.array_split(np.arange(tensor.shape[0]), parts):
+            sliced = tensor.take_rows(slice(rows[0], rows[-1] + 1))
+            result = mpu.gemm(sliced, x)
+            _assert_same(result, mpu.gemm_reference(sliced, x))
+            pieces.append(result[0])
+        merged = np.concatenate(pieces, axis=0)
+        assert merged.shape == y_full.shape
+        assert merged.tobytes() == y_full.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("parts", [1, 2, 7])
+    def test_column_chunks_concatenate_bit_exact(self, rng, kind, parts):
+        tensor, _ = _case(rng, kind)
+        x = rng.standard_normal((tensor.shape[1], 9))
+        mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
-        for w in range(3):
-            shard = plan.shard_segments(range(w, len(plan.segments), 3), w, 3)
-            y_ref, s_ref = mpu.gemm_reference(tensor, x, shard=shard)
-            assert s_ref == mpu.shard_stats(shard, x.shape[1])
-            _assert_same(mpu.gemm(tensor, x, shard=shard), (y_ref, s_ref))
+        prog = compile_plan(plan, tensor, MPU_CFG)
+        y_full, _ = prog.execute(x, accumulate_dtype=np.float32)
+        pieces = []
+        for cols in np.array_split(np.arange(x.shape[1]), parts):
+            y, stats = prog.execute(x[:, cols], accumulate_dtype=np.float32)
+            assert stats == mpu.stats_from_plan(plan, cols.size)
+            pieces.append(y)
+        assert np.concatenate(pieces, axis=1).tobytes() == y_full.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reference_counts_equal_analytic_stats(self, rng, kind):
+        # The oracle increments its counters as its loops run; the plan's
+        # analytic counters never execute anything.  They agree at every
+        # batch width, one systolic pass per (tile, plane) either way.
+        tensor, _ = _case(rng, kind)
+        x = rng.standard_normal((tensor.shape[1], 4))
+        mpu = MatrixProcessingUnit(MPU_CFG)
+        plan = mpu.plan(tensor)
+        for batch in (1, 2, 4):
+            _, counted = mpu.gemm_reference(tensor, x[:, :batch])
+            assert counted == mpu.stats_from_plan(plan, batch)
 
 
 class TestProgramErrors:
@@ -258,29 +260,24 @@ class TestProgramErrors:
         with pytest.raises(ValueError, match="activation rows"):
             prog.execute(x[:-1])
 
+    def test_prepared_gemm_rejects_wrong_activation_rows(self, rng):
+        tensor, x = _case(rng, "mixed")
+        mpu = MatrixProcessingUnit(MPU_CFG)
+        prepared = mpu.prepare(tensor)
+        with pytest.raises(ValueError, match="activation rows"):
+            mpu.gemm(prepared, x[:-1, 0])
+
+    def test_reference_rejects_wrong_activation_rows(self, rng):
+        tensor, x = _case(rng, "ragged")
+        with pytest.raises(ValueError, match="activation rows"):
+            MatrixProcessingUnit(MPU_CFG).gemm_reference(tensor, x[1:])
+
     def test_plan_weights_shape_mismatch(self, rng):
         tensor, _ = _case(rng, "uniform")
         other, _ = _case(rng, "ragged")
         plan = MatrixProcessingUnit(MPU_CFG).plan(tensor)
         with pytest.raises(ValueError, match="does not match"):
             compile_plan(plan, other, MPU_CFG)
-
-    def test_row_axis_shard_has_no_subprogram(self, rng):
-        tensor, _ = _case(rng, "uniform")
-        plan = MatrixProcessingUnit(MPU_CFG).plan(tensor)
-        shard = shard_plan(plan, 2, axis="rows")[0]
-        with pytest.raises(ValueError, match="row-axis"):
-            compile_plan(plan, tensor, MPU_CFG, shard=shard)
-
-    def test_shard_from_other_plan_rejected(self, rng):
-        tensor, _ = _case(rng, "ragged")
-        mpu = MatrixProcessingUnit(MPU_CFG)
-        plan = mpu.plan(tensor)
-        other_plan = MatrixProcessingUnit(MPUConfig(pe_rows=4, pe_cols=2,
-                                                    mu=4, k=2)).plan(tensor)
-        shard = shard_plan(other_plan, 2, axis="segments")[0]
-        with pytest.raises(ValueError, match="different plan"):
-            compile_plan(plan, tensor, MPU_CFG, shard=shard)
 
     @pytest.mark.parametrize("batch", [1, 9])
     def test_profile_bytes_match_per_plane_formula(self, rng, batch):

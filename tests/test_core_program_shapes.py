@@ -6,8 +6,8 @@ precision, batch 1, 8 and 32, run by the native kernel, are bit-identical
 to the scalar ``gemm_reference``.  The reference takes seconds per call at
 these sizes, so it runs on a strided row slice (``take_rows`` executes
 exactly like the same rows of the whole layer); stats are checked whole,
-against the plan's analytic counters.  Segment and row shards of a layer
-keep the contract per shard and merge as documented.
+against the plan's analytic counters.  Row slices and column chunks of a
+layer stack back into the whole program's output bit for bit.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
-from repro.serve import merge_shard_outputs, shard_plan
 
 CFG = MPUConfig()
 SIZES = {"small": (256, 512), "large": (1024, 1024)}
@@ -35,15 +34,13 @@ def _tensor(shape, mixed, seed):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """(size, kind) → (tensor, plan, program) over small/large ×
-    uniform/mixed."""
+    """(size, kind) → (tensor, program) over small/large × uniform/mixed."""
     mpu = MatrixProcessingUnit(CFG)
     out = {}
     for i, (size, shape) in enumerate(SIZES.items()):
         for j, kind in enumerate(("uniform", "mixed")):
             tensor = _tensor(shape, kind == "mixed", seed=10 * i + j)
-            out[size, kind] = (tensor, mpu.plan(tensor),
-                               mpu.prepare(tensor).program)
+            out[size, kind] = (tensor, mpu.prepare(tensor).program)
     return out
 
 
@@ -52,20 +49,12 @@ def _x(tensor, batch, seed=0):
     return rng.standard_normal((tensor.shape[1], batch))
 
 
-def _assert_same(lhs, rhs):
-    y_l, s_l = lhs
-    y_r, s_r = rhs
-    assert y_l.shape == y_r.shape and y_l.dtype == y_r.dtype
-    assert y_l.tobytes() == y_r.tobytes()
-    assert s_l == s_r
-
-
 class TestLayerShapes:
     @pytest.mark.parametrize("size", ["small", "large"])
     @pytest.mark.parametrize("kind", ["uniform", "mixed"])
     @pytest.mark.parametrize("batch", BATCHES)
     def test_program_matches_oracle(self, sweep, size, kind, batch):
-        tensor, _, program = sweep[size, kind]
+        tensor, program = sweep[size, kind]
         x = _x(tensor, batch)
         y, stats = program.execute(x, accumulate_dtype=np.float32)
         mpu = MatrixProcessingUnit(CFG)
@@ -78,30 +67,30 @@ class TestLayerShapes:
                                        accumulate_dtype=np.float32)
         assert y[rows].tobytes() == y_rows.tobytes()
 
-    def test_segment_shards_match_reference(self, sweep):
-        # Each segment sub-program equals the reference's walk of the same
-        # shard; the summing merge keeps the whole program's stats.
-        tensor, plan, program = sweep["small", "mixed"]
+    def test_row_slices_merge_bit_exact(self, sweep):
+        # Three contiguous row slices of the large layer, each compiled on
+        # its own, stack back into exactly the whole program's output.
+        tensor, program = sweep["large", "mixed"]
         x = _x(tensor, 8)
         mpu = MatrixProcessingUnit(CFG)
-        shards = shard_plan(plan, 3, axis="segments")
-        assert len(shards) == 3
-        results = [mpu.gemm(tensor, x, accumulate_dtype=np.float32, shard=s)
-                   for s in shards]
-        for shard, result in zip(shards, results, strict=True):
-            _assert_same(result, mpu.gemm_reference(
-                tensor, x, accumulate_dtype=np.float32, shard=shard))
-        _, stats = merge_shard_outputs(shards, results)
-        assert stats == program.stats(8)
+        pieces = []
+        for rows in np.array_split(np.arange(tensor.shape[0]), 3):
+            sliced = tensor.take_rows(slice(rows[0], rows[-1] + 1))
+            y, stats = mpu.gemm(sliced, x, accumulate_dtype=np.float32)
+            assert stats == mpu.plan_stats(sliced, 8)
+            pieces.append(y)
+        y_full, _ = program.execute(x, accumulate_dtype=np.float32)
+        assert np.concatenate(pieces, axis=0).tobytes() == y_full.tobytes()
 
-    def test_row_shards_merge_bit_exact(self, sweep):
-        # Row shards scatter back into exactly the whole layer's output.
-        tensor, plan, program = sweep["large", "mixed"]
-        x = _x(tensor, 8)
-        shards = shard_plan(plan, 3, axis="rows")
-        assert len(shards) == 3
-        mpu = MatrixProcessingUnit(CFG)
-        results = [mpu.gemm(tensor, x, accumulate_dtype=np.float32, shard=s)
-                   for s in shards]
-        _assert_same(merge_shard_outputs(shards, results),
-                     program.execute(x, accumulate_dtype=np.float32))
+    def test_column_chunks_merge_bit_exact(self, sweep):
+        # Uneven column chunks of a batch-32 call, the pool's fan-out split,
+        # concatenate into exactly the whole call's output.
+        tensor, program = sweep["small", "mixed"]
+        x = _x(tensor, 32)
+        y_full, _ = program.execute(x, accumulate_dtype=np.float32)
+        pieces = []
+        for cols in np.array_split(np.arange(32), 3):
+            y, stats = program.execute(x[:, cols], accumulate_dtype=np.float32)
+            assert stats == program.stats(cols.size)
+            pieces.append(y)
+        assert np.concatenate(pieces, axis=1).tobytes() == y_full.tobytes()

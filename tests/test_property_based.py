@@ -20,7 +20,7 @@ from repro.quant.packing import pack_bitplanes, unpack_bitplanes
 from repro.quant.rtn import RTNConfig, quantize_rtn
 from repro.models.quantized_model import QuantizationRecipe, QuantizedLM
 from repro.models.transformer import TransformerConfig, TransformerLM
-from repro.serve import CacheConfig, DecodeScheduler, merge_shard_outputs, shard_plan
+from repro.serve import CacheConfig, DecodeScheduler
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0,
                           allow_nan=False, allow_infinity=False, width=32)
@@ -176,8 +176,7 @@ def _random_case(seed):
 class TestExecutorEquivalenceSweep:
     """Randomized sweep over shapes × groupings × precisions × geometries:
     the compiled executor and the scalar reference agree bitwise — outputs
-    and stats — and every compiled shard program equals the reference's
-    walk of the same shard, so sharded programs merge exactly."""
+    and stats."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_compiled_reference_identical(self, seed):
@@ -188,48 +187,57 @@ class TestExecutorEquivalenceSweep:
         assert s_c == s_r
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("num_shards", [1, 2, 7])
-    def test_sharded_compiled_merges_like_reference(self, seed, num_shards):
-        mpu, tensor, x, _ = _random_case(seed)
+    @pytest.mark.parametrize("parts", [1, 2, 7])
+    def test_strided_row_slices_run_like_whole_rows(self, seed, parts):
+        # Interleaved row sets cut across every row band: each slice's
+        # program equals the reference on that slice and, bitwise, the
+        # same rows of the whole program's output.
+        mpu, tensor, x, acc = _random_case(seed)
+        y_full, _ = mpu.gemm(tensor, x, accumulate_dtype=acc)
+        covered = np.zeros(tensor.shape[0], dtype=bool)
+        for start in range(min(parts, tensor.shape[0])):
+            rows = np.arange(start, tensor.shape[0], parts)
+            sliced = tensor.take_rows(rows)
+            y_s, s_s = mpu.gemm(sliced, x, accumulate_dtype=acc)
+            y_r, s_r = mpu.gemm_reference(sliced, x, accumulate_dtype=acc)
+            assert y_s.tobytes() == y_r.tobytes()
+            assert s_s == s_r
+            assert y_s.tobytes() == y_full[rows].tobytes()
+            covered[rows] = True
+        assert covered.all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("parts", [1, 2, 7])
+    def test_column_chunks_run_like_whole_batch(self, seed, parts):
+        # The pool's fan-out axis: any split of the activation columns
+        # concatenates back to the whole batch's output bit for bit, and
+        # each chunk's stats are the plan's counters at its own width.
+        mpu, tensor, x, acc = _random_case(seed)
         plan = mpu.plan(tensor)
-        y_full, stats_full = mpu.gemm(tensor, x)
-
-        # Row axis: compiled per-shard programs scatter-merge bit-exactly.
-        shards = shard_plan(plan, num_shards, axis="rows")
-        merged, stats = merge_shard_outputs(
-            shards, [mpu.gemm(tensor, x, shard=s) for s in shards])
-        np.testing.assert_array_equal(merged, y_full)
-        assert stats == stats_full
-
-        # Segment axis: each compiled sub-program is bitwise the reference
-        # shard; the summing merge keeps stats exact and outputs to rounding.
-        shards = shard_plan(plan, num_shards, axis="segments")
-        results = []
-        for shard in shards:
-            y_s, s_s = mpu.gemm(tensor, x, shard=shard)
-            y_ref, s_ref = mpu.gemm_reference(tensor, x, shard=shard)
-            np.testing.assert_array_equal(y_s, y_ref)
-            assert s_s == s_ref
-            results.append((y_s, s_s))
-        merged, stats = merge_shard_outputs(shards, results)
-        assert stats == stats_full
-        np.testing.assert_allclose(merged, y_full, rtol=0, atol=1e-12)
+        y_full, s_full = mpu.gemm(tensor, x, accumulate_dtype=acc)
+        assert s_full == mpu.stats_from_plan(plan, x.shape[1])
+        pieces = []
+        for cols in np.array_split(np.arange(x.shape[1]), parts):
+            if cols.size == 0:
+                continue
+            y_c, s_c = mpu.gemm(tensor, x[:, cols], accumulate_dtype=acc)
+            assert s_c == mpu.stats_from_plan(plan, cols.size)
+            pieces.append(y_c)
+        merged = np.concatenate(pieces, axis=1)
+        assert merged.tobytes() == y_full.tobytes()
 
 
 class TestNativeKernelSweep:
     """Hypothesis sweep of the native kernel: the compiled program equals
     ``gemm_reference`` bit for bit — outputs and stats — over random
     geometries, every accumulator dtype, mixed per-row precision (masked
-    planes), batches on both sides of the kernel's 16-column tile, and
-    segment-axis shards."""
+    planes) and batches on both sides of the kernel's 16-column tile."""
 
     @given(seed=st.integers(0, 2 ** 16), mixed=st.booleans(),
            acc=st.sampled_from([np.float16, np.float32, np.float64]),
-           batch=st.sampled_from([1, 2, 15, 16, 17, 33]),
-           num_shards=st.integers(1, 3))
+           batch=st.sampled_from([1, 2, 15, 16, 17, 33]))
     @settings(max_examples=40, deadline=None)
-    def test_kernel_matches_reference(self, seed, mixed, acc, batch,
-                                      num_shards):
+    def test_kernel_matches_reference(self, seed, mixed, acc, batch):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(4, 20)), int(rng.integers(5, 24))
         w = rng.standard_normal((m, n)) * 0.1
@@ -252,18 +260,9 @@ class TestNativeKernelSweep:
 
         y, stats = compile_plan(plan, tensor, cfg).execute(
             x, accumulate_dtype=acc)
-        shards = shard_plan(plan, num_shards, axis="segments")
-        results = [compile_plan(plan, tensor, cfg, shard=s).execute(
-            x, accumulate_dtype=acc) for s in shards]
         y_ref, s_ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
         assert y.tobytes() == y_ref.tobytes()
         assert stats == s_ref
-        for shard, (y_s, s_s) in zip(shards, results, strict=True):
-            y_sr, s_sr = mpu.gemm_reference(tensor, x, accumulate_dtype=acc,
-                                            shard=shard)
-            assert y_s.tobytes() == y_sr.tobytes()
-            assert s_s == s_sr
-        assert merge_shard_outputs(shards, results)[1] == s_ref
 
 
 _DECODE_VOCAB = 13

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.quant.bcq import BCQConfig, quantize_bcq, uniform_to_bcq
+from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed, uniform_to_bcq
 from repro.quant.rtn import RTNConfig, quantize_rtn
 
 
@@ -97,3 +97,26 @@ class TestUniformToBCQ:
         # alpha_i = s * 2^(q-1-i) / 2, so consecutive planes differ by 2×.
         ratios = bcq.scales[:-1] / np.maximum(bcq.scales[1:], 1e-30)
         np.testing.assert_allclose(ratios, 2.0)
+
+
+class TestTakeRows:
+    def test_slice_matches_full_tensor_rows(self, rng):
+        w = rng.standard_normal((30, 26)) * 0.1
+        tensor = quantize_bcq_mixed(w, rng.choice([1, 2, 3, 4], size=30),
+                                    BCQConfig(group_size=6, iterations=1))
+        rows = np.array([0, 3, 7, 11, 29])
+        sliced = tensor.take_rows(rows)
+        assert sliced.shape == (5, tensor.shape[1])
+        np.testing.assert_array_equal(sliced.dequantize(),
+                                      tensor.dequantize()[rows])
+        np.testing.assert_array_equal(np.asarray(sliced.per_row_bits),
+                                      np.asarray(tensor.per_row_bits)[rows])
+
+    def test_slice_accepts_slice_and_mask(self, rng):
+        w = rng.standard_normal((32, 32)) * 0.1
+        tensor = quantize_bcq(w, BCQConfig(bits=3, group_size=8, iterations=1))
+        a = tensor.take_rows(slice(4, 12))
+        mask = np.zeros(tensor.shape[0], dtype=bool)
+        mask[4:12] = True
+        b = tensor.take_rows(mask)
+        np.testing.assert_array_equal(a.dequantize(), b.dequantize())

@@ -32,6 +32,15 @@ def _layers(rng):
     }
 
 
+def _assert_unlinked(names):
+    """No shared-memory segment of these names is left behind."""
+    from multiprocessing import shared_memory
+
+    for name in names:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+
 @pytest.fixture
 def layers(rng):
     return _layers(rng)
@@ -82,6 +91,24 @@ class TestShardedMPUPool:
                 y, stats = pool.gemm(name, x)
                 np.testing.assert_array_equal(y, y_ref)
                 assert stats == stats_ref
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("num_shards", [2, 7])
+    def test_fanout_bit_exact_for_any_worker_count(
+            self, rng, layers, small_threshold, backend, num_shards):
+        # An uneven column split across two or seven workers merges into
+        # exactly the reference's output bytes and the plan's stats.
+        cols = 2 * FANOUT_COLS + 1
+        mpu = MatrixProcessingUnit(MPU_CFG)
+        with ShardedMPUPool(layers, num_shards=num_shards, mpu_config=MPU_CFG,
+                            backend=backend) as pool:
+            for name, tensor in layers.items():
+                x = rng.standard_normal((tensor.shape[1], cols))
+                y, stats = pool.gemm(name, x)
+                y_ref, _ = mpu.gemm_reference(tensor, x)
+                assert y.tobytes() == y_ref.tobytes()
+                assert stats == pool.plan_stats(name, cols)
+            assert pool.counters == PoolCounters(fanout=len(layers))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -188,6 +215,63 @@ class TestShardedMPUPool:
             assert pool.counters.fanout == 2
         np.testing.assert_array_equal(y, y_ref)
         assert stats == stats_ref
+
+    def test_process_backend_fails_closed_after_a_timeout(self, monkeypatch):
+        # A timed-out worker's reply is still in flight: the next call must
+        # raise, not read that reply as its own answer.
+        rng = np.random.default_rng(3)
+        tensor = quantize_bcq(rng.standard_normal((256, 512)) * 0.05,
+                              BCQConfig(bits=3, group_size=128, iterations=1))
+        monkeypatch.setattr(workers, "_FANOUT_LUT_READS", 1)
+        with ShardedMPUPool({"w": tensor}, num_shards=2,
+                            backend="process") as pool:
+            names = [shm.name for shm in pool._shm]
+            procs = [worker._proc for worker in pool._procs]
+            timeout = workers._PROCESS_TIMEOUT_S
+            monkeypatch.setattr(workers, "_PROCESS_TIMEOUT_S", 0.0)
+            with pytest.raises(RuntimeError, match="timed out"):
+                pool.gemm("w", rng.standard_normal((512, 64)))
+            monkeypatch.setattr(workers, "_PROCESS_TIMEOUT_S", timeout)
+            for cols in (4, 1):  # fanned out, then inline
+                with pytest.raises(RuntimeError, match="timed out"):
+                    pool.gemm("w", rng.standard_normal((512, cols)))
+            assert not any(proc.is_alive() for proc in procs)
+            _assert_unlinked(names)
+
+    def test_process_backend_fails_closed_when_a_worker_dies(
+            self, rng, layers, small_threshold):
+        tensor = layers["uniform"]
+        x = rng.standard_normal((tensor.shape[1], 2 * FANOUT_COLS))
+        pool = ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
+                              backend="process")
+        try:
+            names = [shm.name for shm in pool._shm]
+            procs = [worker._proc for worker in pool._procs]
+            procs[1].kill()
+            procs[1].join()
+            for cols in (x.shape[1], 1):  # fanned out, then inline
+                with pytest.raises(RuntimeError, match="pipe failed"):
+                    pool.gemm("uniform", x[:, :cols])
+            assert not any(proc.is_alive() for proc in procs)
+        finally:
+            pool.close()
+        _assert_unlinked(names)
+
+    def test_rejects_prepared_weights_from_another_geometry(self, layers):
+        # Another tiling and µ, then the pool's tiling and µ with another
+        # PE-array shape (pe_cols sets the cycle count).
+        for cfg in (MPUConfig(pe_rows=4, pe_cols=2, mu=2),
+                    MPUConfig(pe_rows=2, pe_cols=1, mu=4, k=4)):
+            mpu = MatrixProcessingUnit(cfg)
+            prepared = {name: mpu.prepare(t) for name, t in layers.items()}
+            with pytest.raises(ValueError, match="'uniform'"):
+                ShardedMPUPool(prepared, mpu_config=MPU_CFG, backend="serial")
+        mpu = MatrixProcessingUnit(MPU_CFG)
+        prepared = {name: mpu.prepare(t) for name, t in layers.items()}
+        with ShardedMPUPool(prepared, mpu_config=MPU_CFG,
+                            backend="serial") as pool:
+            x = np.ones((layers["uniform"].shape[1], 3))
+            assert pool.gemm("uniform", x)[1] == pool.plan_stats("uniform", 3)
 
     def test_process_backend_concurrent_calls(self, rng, layers,
                                               small_threshold):
