@@ -33,6 +33,7 @@ NUM_REQUESTS = 8
 PROMPT_LEN = 8
 NEW_TOKENS = 16
 VOCAB = 101
+ROUNDS = 3
 
 
 def _build_server() -> InferenceServer:
@@ -63,13 +64,12 @@ def _naive_reprefill(server: InferenceServer, prompt: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def _drive() -> dict:
-    server = _build_server()
-    rng = np.random.default_rng(5)
+def _round(server: InferenceServer, rng: np.random.Generator) -> tuple[float, float]:
+    """Time both legs once on a fresh prompt set; returns ``(naive_s,
+    batched_s)``.  Fresh prompts keep the prefix cache from serving a
+    later round's prefill out of an earlier one's pages."""
     requests = [rng.integers(0, VOCAB, size=PROMPT_LEN)
                 for _ in range(NUM_REQUESTS)]
-
-    server.run_solo(requests[0])  # warm the pinned workers
 
     t0 = time.perf_counter()
     naive = [_naive_reprefill(server, tokens) for tokens in requests]
@@ -89,7 +89,20 @@ def _drive() -> dict:
         np.testing.assert_array_equal(result.tokens, want)
         np.testing.assert_array_equal(
             result.tokens, server.generate_solo(tokens, NEW_TOKENS).tokens)
+    return naive_s, batched_s
+
+
+def _drive() -> dict:
+    server = _build_server()
+    rng = np.random.default_rng(5)
+    # One untimed round warms both legs (pool threads, page pool, first-call
+    # paths); a cold first round alone read well under the steady ratio on a
+    # 2-vCPU host.  Each leg then keeps its best of ROUNDS timed rounds.
+    _round(server, rng)
+    timings = [_round(server, rng) for _ in range(ROUNDS)]
     asyncio.run(server.aclose())
+    naive_s = min(naive for naive, _ in timings)
+    batched_s = min(batched for _, batched in timings)
 
     metrics = server.decode_metrics
     total_tokens = NUM_REQUESTS * NEW_TOKENS
@@ -160,7 +173,7 @@ def test_continuous_batching_decode_beats_reprefill(benchmark):
     data = run_once(benchmark, _drive)
     print()
     print(f"decode throughput — {NUM_REQUESTS} requests × {NEW_TOKENS} new "
-          f"tokens (prompt {PROMPT_LEN}), 2 shards")
+          f"tokens (prompt {PROMPT_LEN}), 2 shards, best of {ROUNDS} warm rounds")
     print(f"  naive re-prefill    : {data['naive_s'] * 1e3:8.1f} ms")
     print(f"  continuous batching : {data['batched_s'] * 1e3:8.1f} ms   "
           f"({data['iterations']} iterations, "

@@ -13,7 +13,8 @@ the *numerics* of the corresponding hardware, so the accuracy experiments
   mantissas by the INT weight codes, accumulate in integer, then apply the
   FP scale / zero-point.
 * :class:`FIGLUTFloatEngine` (FIGLUT-F) — LUT-based BCQ GEMM with FP LUT
-  entries and FP32 accumulation (no pre-alignment).
+  entries and FP32 accumulation (no pre-alignment), run as the layer's
+  compiled LUT program on :class:`~repro.core.mpu.MatrixProcessingUnit`.
 * :class:`FIGLUTIntEngine` (FIGLUT-I) — LUT-based BCQ GEMM on pre-aligned
   integer mantissas with integer accumulation.
 
@@ -23,18 +24,20 @@ other format convert via :func:`repro.quant.bcq.uniform_to_bcq` (BCQ engines
 given uniform weights) or reject BCQ (INT-only engines, mirroring Table I's
 "BCQ support" column).
 
-The heavy lifting is vectorised NumPy so a small LLM can be evaluated
-end-to-end; exact LUT indexing (rather than an algebraically equivalent
-matmul) is exercised by :class:`repro.core.mpu.MatrixProcessingUnit` and the
-unit tests, which confirm that both paths agree bit-for-bit.
+FIGLUT-F is the MPU's own datapath: the same compiled program (and native
+kernel) that the decode stack and the serving pool run, so its output is
+bit-identical to :meth:`~repro.core.mpu.MatrixProcessingUnit.gemm` on the
+cast activations.  The other engines, FIGLUT-I included, are vectorised
+NumPy models of their hardware's arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.mpu import MatrixProcessingUnit, MPUConfig, PreparedWeights
 from repro.numerics.floats import FloatFormat, cast_to_format, get_format
 from repro.numerics.prealign import prealign_grouped
 from repro.quant.bcq import BCQTensor, uniform_to_bcq
@@ -380,44 +383,35 @@ class _FIGLUTBase(GEMMEngine):
 
 
 class FIGLUTFloatEngine(_FIGLUTBase):
-    """FIGLUT-F: LUT entries and accumulation in floating point (no pre-alignment)."""
+    """FIGLUT-F: LUT entries and accumulation in floating point (no pre-alignment).
+
+    Runs the MPU's compiled LUT program (µ = ``mu``) on the activations cast
+    to ``activation_format``, LUT entries and accumulators in the
+    ``accumulator`` dtype; ``weights`` may be
+    :class:`~repro.core.mpu.PreparedWeights`, whose program runs as is.
+    """
 
     name = "figlut-f"
 
-    def gemm(self, weights: UniformQuantizedTensor | BCQTensor,
+    def gemm(self, weights: UniformQuantizedTensor | BCQTensor | PreparedWeights,
              activations: np.ndarray) -> np.ndarray:
-        bcq = _as_bcq(weights)
+        if isinstance(weights, PreparedWeights):
+            if weights.program.mu != self.mu:
+                raise ValueError(f"weights prepared at µ={weights.program.mu}, engine µ={self.mu}")
+            bcq, program_weights = weights.weights, weights
+        else:
+            bcq = program_weights = _as_bcq(weights)
         m, n = bcq.shape
         x, squeeze = _activation_2d(activations, n)
         x = self._quantize_activations(x)
         batch = x.shape[1]
-        acc = self._acc_dtype()
-        y = np.zeros((m, batch), dtype=np.float64)
+        y, _ = MatrixProcessingUnit(MPUConfig(mu=self.mu)).gemm(
+            program_weights, x, accumulate_dtype=self._acc_dtype())
 
-        max_planes, active_rows = bcq.plane_activity()
-        group_slices = bcq.column_groups()
-        for g, sl in enumerate(group_slices):
-            xg = x[sl, :].astype(acc)
-            for plane in range(max_planes):
-                # The LUT read + accumulate path is algebraically B_plane @ x
-                # accumulated in `acc` precision; LUT indexing is bit-exact
-                # with this (verified against MatrixProcessingUnit in tests).
-                # Mixed tensors restrict the product to the plane's active
-                # rows — padded rows would add an exact 0 · acc.
-                if active_rows is None:
-                    signs = bcq.bitplanes[plane][:, sl].astype(acc)
-                    partial = (signs @ xg).astype(np.float64)
-                    y += (bcq.scales[plane][:, g][:, None] * partial)
-                else:
-                    idx = active_rows[plane]
-                    signs = bcq.bitplanes[plane][:, sl][idx].astype(acc)
-                    partial = (signs @ xg).astype(np.float64)
-                    y[idx] += (bcq.scales[plane][idx, g][:, None] * partial)
-            y += bcq.offsets[:, g][:, None] * x[sl, :].sum(axis=0, keepdims=True).astype(np.float64)
         row_planes = int(np.sum(bcq.per_row_bits))
         self._count_lut_ops(m, n, batch, bcq.bits, row_planes)
-        self.stats.fp_multiplications += row_planes * batch * len(group_slices)
-        self.stats.fp_additions += (row_planes + m) * batch * len(group_slices)
+        self.stats.fp_multiplications += row_planes * batch * bcq.n_groups
+        self.stats.fp_additions += (row_planes + m) * batch * bcq.n_groups
         return y[:, 0] if squeeze else y
 
 

@@ -9,20 +9,23 @@ then run FP-INT GEMMs against it with the FIGLUT numerics::
     y = figlut_gemm(packed, activations)            # fast functional path
     y, stats = figlut_gemm(packed, activations, detailed=True)   # MPU model
 
-The ``detailed`` path routes through the cycle/operation-counting
-:class:`~repro.core.mpu.MatrixProcessingUnit`; the default path uses the
-vectorised :class:`~repro.core.engines.FIGLUTFloatEngine` /
-:class:`~repro.core.engines.FIGLUTIntEngine`.  Since the MPU became a
-batched executor over the scale-group-aligned tile plan, ``detailed=True``
-is usable on full LLM layer shapes (4096×4096 at batch 32 runs in seconds).
+Both paths of ``variant="figlut-f"`` run the compiled LUT program of
+:class:`~repro.core.mpu.MatrixProcessingUnit`: the default one through
+:class:`~repro.core.engines.FIGLUTFloatEngine` (activations cast to
+``activation_format``), the ``detailed`` one directly, also returning the
+plan-exact :class:`~repro.core.mpu.MPURunStats`.  ``variant="figlut-i"``
+runs the pre-aligned integer model of
+:class:`~repro.core.engines.FIGLUTIntEngine`.  The native executor makes
+``detailed=True`` usable on full LLM layer shapes (4096×4096 at batch 32
+runs in seconds).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engines import FIGLUTFloatEngine, FIGLUTIntEngine
-from repro.core.mpu import MPUConfig, MPURunStats, MatrixProcessingUnit
+from repro.core.engines import make_engine
+from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.quant.bcq import BCQConfig, BCQTensor, quantize_bcq, uniform_to_bcq
 from repro.quant.rtn import RTNConfig, quantize_rtn
 
@@ -75,32 +78,27 @@ def figlut_gemm(weights: BCQTensor, activations: np.ndarray, *,
     detailed:
         If True, simulate the MPU tile-by-tile and return
         ``(Y, MPURunStats)`` instead of just ``Y``.  Only supported for
-        ``variant="figlut-f"`` (the datapath the MPU models); the
-        ``accumulator`` precision is honoured as the LUT/accumulate dtype.
+        ``variant="figlut-f"`` (the datapath the MPU models).  This path
+        runs at ``mpu_config`` (default: µ = ``mu``) on the activations as
+        given, *not* cast to ``activation_format``; the ``accumulator``
+        precision is honoured as the LUT/accumulate dtype.
     """
     if not isinstance(weights, BCQTensor):
         raise TypeError("weights must be a BCQTensor; use prepare_weights()")
-    if detailed:
+    if detailed and variant != "figlut-f":
         # The MPU models the FIGLUT-F datapath (FP LUT entries, no
         # pre-alignment); other variants have no detailed model, so reject
         # them instead of silently running FIGLUT-F numerics.
-        if variant != "figlut-f":
-            raise ValueError(
-                f"detailed=True models only variant='figlut-f', got {variant!r}")
-        acc_dtypes = {"fp16": np.float16, "fp32": np.float32, "fp64": np.float64}
-        if accumulator not in acc_dtypes:
-            raise ValueError("accumulator must be 'fp16', 'fp32' or 'fp64'")
+        raise ValueError(
+            f"detailed=True models only variant='figlut-f', got {variant!r}")
+    if variant not in ("figlut-f", "figlut-i"):
+        raise ValueError("variant must be 'figlut-f' or 'figlut-i'")
+    engine = make_engine(variant, activation_format=activation_format,
+                         accumulator=accumulator, mu=mu)
+    if detailed:
         mpu = MatrixProcessingUnit(mpu_config or MPUConfig(mu=mu))
         return mpu.gemm(weights, activations,
-                        accumulate_dtype=acc_dtypes[accumulator])
-    if variant == "figlut-f":
-        engine = FIGLUTFloatEngine(activation_format=activation_format,
-                                   accumulator=accumulator, mu=mu)
-    elif variant == "figlut-i":
-        engine = FIGLUTIntEngine(activation_format=activation_format,
-                                 accumulator=accumulator, mu=mu)
-    else:
-        raise ValueError("variant must be 'figlut-f' or 'figlut-i'")
+                        accumulate_dtype=engine._acc_dtype())
     return engine.gemm(weights, activations)
 
 

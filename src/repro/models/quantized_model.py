@@ -5,7 +5,9 @@ This is the glue between the accuracy substrate and the datapath models: a
 :class:`~repro.models.transformer.TransformerLM`, a quantized representation
 (uniform or BCQ, possibly with per-layer mixed precision) and a functional
 GEMM engine, and exposes a ``matmul`` hook that the transformer's forward
-pass calls instead of ``x @ W.T``.
+pass calls instead of ``x @ W.T``.  Under the FIGLUT-F engine that hook runs
+each layer's memoised compiled LUT program — the one the decode stack and
+the serving pool run — at the engine's activation and accumulator formats.
 
 Running the model through different engines with the same quantized weights
 reproduces Table IV (engine numerics); running it with different quantizers /
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engines import GEMMEngine, make_engine
+from repro.core.engines import FIGLUTFloatEngine, GEMMEngine, make_engine
 from repro.core.mpu import (
     MatrixProcessingUnit,
     MPUConfig,
@@ -215,7 +217,6 @@ class QuantizedLM:
     model: TransformerLM
     quantized_weights: dict[str, UniformQuantizedTensor | BCQTensor]
     engine: GEMMEngine
-    _converted: dict[str, object] = field(default_factory=dict)
     _bcq_converted: dict[str, BCQTensor] = field(default_factory=dict)
     _plans: dict[MPUConfig, dict[str, object]] = field(default_factory=dict,
                                                          repr=False)
@@ -248,16 +249,21 @@ class QuantizedLM:
         return cached
 
     def _weights_for_engine(self, name: str):
-        """Convert the stored tensor to the format the engine consumes, cached."""
-        if name in self._converted:
-            return self._converted[name]
+        """The layer's weights in the form the engine consumes.
+
+        FIGLUT-F runs the layer's memoised :meth:`prepared_weights` program
+        (at the default µ, the very one a serving pool pins); the other BCQ
+        engines get the :meth:`_bcq_view`; INT-only engines the uniform
+        tensor.
+        """
+        if isinstance(self.engine, FIGLUTFloatEngine):
+            return self.prepared_weights(MPUConfig(mu=self.engine.mu))[name]
+        if self.engine.supports_bcq:
+            return self._bcq_view(name)
         tensor = self.quantized_weights[name]
-        if self.engine.supports_bcq and isinstance(tensor, UniformQuantizedTensor):
-            tensor = self._bcq_view(name)
-        if not self.engine.supports_bcq and isinstance(tensor, BCQTensor):
+        if isinstance(tensor, BCQTensor):
             raise TypeError(
                 f"engine {self.engine.name!r} cannot consume BCQ weights for {name!r}")
-        self._converted[name] = tensor
         return tensor
 
     def layer_mpu_stats(self, name: str, batch: int,
@@ -465,9 +471,9 @@ class QuantizedLM:
 
         ``gemm(name, flat)`` receives the layer name and activations of
         shape ``(in_features, batch)`` and returns ``(out_features,
-        batch)`` — e.g. a serving pool dispatch.  Matrices that were not
-        quantized fall back to the dense product, exactly like
-        :meth:`matmul`.  This is the pooled forward path: ``model.forward
+        batch)`` — e.g. a serving pool dispatch, or the engine's GEMM in
+        :meth:`matmul`.  Matrices that were not quantized fall back to the
+        dense product.  This is the pooled forward path: ``model.forward
         (tokens, matmul=qlm.matmul_via(pool_gemm))``.
         """
         def hook(name: str, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -493,16 +499,13 @@ class QuantizedLM:
     def matmul(self, name: str, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """The transformer forward hook: ``x @ W.T`` through the engine.
 
-        Falls back to the dense weight for matrices that were not quantized
-        (embeddings are never quantized in weight-only quantization).
+        :meth:`matmul_via` over the engine's GEMM, so matrices that were
+        not quantized (embeddings) fall back to the dense weight.
         """
-        if name not in self.quantized_weights:
-            return x @ weight.T
-        tensor = self._weights_for_engine(name)
-        lead_shape = x.shape[:-1]
-        flat = x.reshape(-1, x.shape[-1]).T  # (in_features, batch*seq)
-        out = self.engine.gemm(tensor, flat)  # (out_features, batch*seq)
-        return out.T.reshape(*lead_shape, -1)
+        return self.matmul_via(self._engine_gemm)(name, x, weight)
+
+    def _engine_gemm(self, name: str, flat: np.ndarray) -> np.ndarray:
+        return self.engine.gemm(self._weights_for_engine(name), flat)
 
     def evaluate_loss(self, tokens: np.ndarray, targets: np.ndarray) -> float:
         """Mean cross-entropy of the quantized model on one batch."""

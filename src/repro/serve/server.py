@@ -128,12 +128,14 @@ class InferenceServer:
     qlm:
         The quantized model; its prepared programs are pinned in the pool,
         its transformer runs the forward pass.
-    num_shards, mpu_config, backend, accumulate_dtype:
+    num_shards, mpu_config, backend:
         Forwarded to :class:`~repro.serve.workers.ShardedMPUPool`, which
         pins the model's own memoised
         :meth:`~repro.models.quantized_model.QuantizedLM.prepared_weights`
         programs, so the served path and any standalone ``qlm`` decode
-        share one compiled copy.
+        share one compiled copy.  The pool runs them with float64 LUT
+        entries and accumulators on uncast activations (see "Numerics" in
+        ``docs/serving.md``).
     policy:
         Micro-batching policy (:class:`~repro.serve.batching.BatchPolicy`).
         ``max_wait_us`` doubles as the decode scheduler's admission window:
@@ -150,14 +152,12 @@ class InferenceServer:
     def __init__(self, qlm: QuantizedLM, num_shards: int = 2,
                  policy: BatchPolicy | None = None,
                  mpu_config: MPUConfig | None = None, backend: str = "thread",
-                 accumulate_dtype: np.dtype | type = np.float64,
                  decode_max_active: int = 8,
                  cache_config: CacheConfig | None = None) -> None:
         self.qlm = qlm
         self.pool = ShardedMPUPool(qlm.prepared_weights(mpu_config),
                                    num_shards=num_shards,
-                                   mpu_config=mpu_config, backend=backend,
-                                   accumulate_dtype=accumulate_dtype)
+                                   mpu_config=mpu_config, backend=backend)
         self.metrics = ServerMetrics()
         self.batcher = AsyncBatcher(self._run_batch, policy)
         self.scheduler = DecodeScheduler(qlm, gemm=self._metered_gemm,

@@ -151,6 +151,16 @@ class TestEngines:
         y = FIGLUTFloatEngine(activation_format="fp32").gemm(bcq_weights, x)
         assert y.shape == (bcq_weights.shape[0],)
 
+    def test_figlut_f_runs_prepared_weights_at_its_mu(self, bcq_weights,
+                                                       small_activations):
+        engine = FIGLUTFloatEngine(activation_format="fp16")
+        prepared = MatrixProcessingUnit(MPUConfig(mu=4)).prepare(bcq_weights)
+        np.testing.assert_array_equal(engine.gemm(prepared, small_activations),
+                                      engine.gemm(bcq_weights, small_activations))
+        other_mu = MatrixProcessingUnit(MPUConfig(mu=2)).prepare(bcq_weights)
+        with pytest.raises(ValueError, match="µ=2"):
+            engine.gemm(other_mu, small_activations)
+
 
 class TestMixedPrecisionEngines:
     """Functional engines skip zero-scale (padded) planes per row.

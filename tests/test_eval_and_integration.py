@@ -121,17 +121,92 @@ class TestEndToEndIntegration:
         assert result.total_energy_pj > 0
         assert result.tops_per_watt > 0
 
-    def test_mpu_and_engine_paths_agree(self, rng):
-        """The tile-level MPU simulation and the vectorised engine agree up to the
-        engine's fp32 activation cast."""
+    @pytest.mark.parametrize("kind", ["bcq", "rtn-uniform", "ragged-group", "mixed"])
+    @pytest.mark.parametrize("acc", ["fp16", "fp32", "fp64"])
+    @pytest.mark.parametrize("fmt", ["fp16", "bf16", "fp32"])
+    def test_mpu_and_engine_paths_agree(self, rng, fmt, acc, kind):
+        """FIGLUT-F is the MPU's compiled LUT program on cast activations,
+        bit for bit, and agrees with the small-geometry MPU on uncast ones."""
         from repro.core import MPUConfig, MatrixProcessingUnit
         from repro.core.engines import FIGLUTFloatEngine
-        from repro.quant.bcq import BCQConfig, quantize_bcq
+        from repro.numerics.floats import cast_to_format
+        from repro.quant.bcq import (BCQConfig, quantize_bcq, quantize_bcq_mixed,
+                                     uniform_to_bcq)
+        from repro.quant.rtn import RTNConfig, quantize_rtn
 
         weight = rng.standard_normal((20, 28)) * 0.1
         x = rng.standard_normal((28, 3))
-        packed = quantize_bcq(weight, BCQConfig(bits=2, iterations=2))
+        if kind == "bcq":
+            w = packed = quantize_bcq(weight, BCQConfig(bits=2, iterations=2))
+        elif kind == "rtn-uniform":
+            w = quantize_rtn(weight, RTNConfig(bits=3, granularity="group",
+                                               group_size=8))
+            packed = uniform_to_bcq(w)
+        elif kind == "ragged-group":
+            w = packed = quantize_bcq(weight, BCQConfig(bits=3, group_size=12,
+                                                        iterations=2))
+        else:
+            row_bits = np.resize([1, 2, 3, 4], 20)
+            w = packed = quantize_bcq_mixed(weight, row_bits,
+                                            BCQConfig(group_size=8, iterations=2))
+        acc_dtype = {"fp16": np.float16, "fp32": np.float32, "fp64": np.float64}[acc]
+
+        engine_out = FIGLUTFloatEngine(activation_format=fmt, accumulator=acc).gemm(w, x)
+        program_out, _ = MatrixProcessingUnit(MPUConfig(mu=4)).gemm(
+            packed, cast_to_format(x, fmt), accumulate_dtype=acc_dtype)
+        np.testing.assert_array_equal(engine_out, program_out)
+
         mpu_out, _ = MatrixProcessingUnit(MPUConfig(pe_rows=2, pe_cols=1, mu=4, k=8)).gemm(
             packed, x, accumulate_dtype=np.float64)
-        engine_out = FIGLUTFloatEngine(activation_format="fp32", accumulator="fp64").gemm(packed, x)
-        np.testing.assert_allclose(mpu_out, engine_out, rtol=1e-5, atol=1e-7)
+        fp32_out = FIGLUTFloatEngine(activation_format="fp32", accumulator="fp64").gemm(w, x)
+        np.testing.assert_allclose(mpu_out, fp32_out, rtol=1e-5, atol=1e-7)
+
+    def test_logits_run_the_served_programs(self, rng, monkeypatch):
+        """Perplexity logits come from the programs the server pins: a forward
+        through the prepared programs at FP16 activations and FP32
+        accumulators reproduces ``qlm.logits`` bit for bit (bench-sized
+        model)."""
+        from repro.core import MPUConfig, MatrixProcessingUnit
+        from repro.core.program import CompiledProgram
+        from repro.models.quantized_model import QuantizationRecipe, QuantizedLM
+        from repro.models.transformer import TransformerConfig, TransformerLM
+        from repro.numerics.floats import cast_to_format
+        from repro.serve import InferenceServer
+
+        model = TransformerLM(TransformerConfig(
+            vocab_size=512, max_seq_len=256, d_model=128, n_heads=4,
+            n_layers=4, d_ff=512, seed=1))
+        qlm = QuantizedLM.build(model, QuantizationRecipe("bcq", bits=3,
+                                                          group_size=128),
+                                engine="figlut-f")
+        tokens = rng.integers(0, 512, size=(2, 16))
+        prepared = qlm.prepared_weights()
+        mpu = MatrixProcessingUnit(MPUConfig())
+
+        def program_gemm(name, flat):
+            y, _ = mpu.gemm(prepared[name], cast_to_format(flat, "fp16"),
+                            accumulate_dtype=np.float32)
+            return y
+
+        want = qlm.logits(tokens, matmul=qlm.matmul_via(program_gemm))
+
+        ran = []
+        execute = CompiledProgram.execute
+
+        def recording_execute(program, *args, **kwargs):
+            ran.append(program)
+            return execute(program, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledProgram, "execute", recording_execute)
+        got = qlm.logits(tokens)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, want)
+
+        server = InferenceServer(qlm, num_shards=1, backend="serial")
+        try:
+            pinned = server.pool._programs
+            assert len(ran) == len(pinned) == len(qlm.quantized_weights)
+            for name, program in zip(qlm.quantized_weights, ran, strict=True):
+                assert program is pinned[name]
+        finally:
+            server.close()
