@@ -48,7 +48,6 @@ def _build_server() -> InferenceServer:
                            policy=BatchPolicy(max_batch=8, max_wait_us=200),
                            mpu_config=MPUConfig(pe_rows=4, pe_cols=2,
                                                 mu=4, k=4),
-                           backend="thread",
                            decode_max_active=NUM_REQUESTS)
 
 

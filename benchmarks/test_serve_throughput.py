@@ -43,8 +43,7 @@ def _build_server() -> tuple[InferenceServer, QuantizedLM]:
     server = InferenceServer(qlm, num_shards=2,
                              policy=BatchPolicy(max_batch=8, max_wait_us=200),
                              mpu_config=MPUConfig(pe_rows=4, pe_cols=2,
-                                                  mu=4, k=4),
-                             backend="thread")
+                                                  mu=4, k=4))
     return server, qlm
 
 

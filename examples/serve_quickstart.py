@@ -44,7 +44,6 @@ def build_server() -> InferenceServer:
         num_shards=2,                    # workers for column fan-out of large GEMMs
         policy=BatchPolicy(max_batch=8, max_wait_us=500),
         mpu_config=MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4),
-        backend="thread",
     )
 
 

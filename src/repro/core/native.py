@@ -10,7 +10,7 @@ into a per-user cache directory, ``$XDG_CACHE_HOME/repro-figlut`` (default
 ``~/.cache/repro-figlut``), under a name derived from the sha256 of the
 kernel source, the compiler's ``--version`` output and the flags.  A
 build is written to a temporary file and published with :func:`os.replace`,
-so concurrent test runs or forked serving workers never load a partial
+so concurrent processes (parallel test runs, say) never load a partial
 library.  Without a compiler, :func:`library` raises :class:`RuntimeError`
 naming the compiler it tried.
 

@@ -61,10 +61,8 @@ slope)`` pair per counter and :meth:`CompiledProgram.stats` reproduces
 the analytic counters for any batch without touching the plan.
 
 Programs are self-contained — no :class:`~repro.quant.bcq.BCQTensor` or
-plan needed at run time — so :meth:`CompiledProgram.buffers` /
-:meth:`CompiledProgram.spec` / :meth:`CompiledProgram.from_buffers` let the
-process-backend serving pool ship a compiled program through shared memory
-and execute zero-copy views in the worker.
+plan needed at run time — and never written while they run, so the
+serving pool's threads all execute one shared program per layer.
 """
 
 # repro: bit-exact — the compiled executor must replay the scalar
@@ -252,53 +250,6 @@ class CompiledProgram:
         for start, stop in self.offset_slices:
             offset += (stop - start) * batch * 8 + self.m * batch * 8
         return luts, plane, scale, offset
-
-    # -- shared-memory shipping -------------------------------------------
-    def buffers(self) -> dict[str, np.ndarray]:
-        """The program's array buffers, keyed for :meth:`from_buffers`."""
-        out = {"lut_cols": self.lut_cols, "offsets": self.offsets}
-        for p, pp in enumerate(self.passes):
-            out[f"keys{p}"] = pp.keys
-            out[f"scales{p}"] = pp.scales
-            if pp.rows is not None:
-                out[f"rows{p}"] = pp.rows
-        return out
-
-    def spec(self) -> dict:
-        """Picklable non-array metadata; pairs with :meth:`buffers`."""
-        return {
-            "m": self.m, "n": self.n, "mu": self.mu,
-            "num_segments": self.num_segments,
-            "slots_per_segment": self.slots_per_segment,
-            "masked": [pp.rows is not None for pp in self.passes],
-            "offset_slices": [list(sl) for sl in self.offset_slices],
-            "stats_base": list(self.stats_base),
-            "stats_slope": list(self.stats_slope),
-        }
-
-    @classmethod
-    def from_buffers(cls, spec: dict,
-                     arrays: dict[str, np.ndarray]) -> CompiledProgram:
-        """Rebuild a program from :meth:`spec` metadata and buffer views.
-
-        Arrays are referenced, not copied, so a worker process can execute
-        directly over shared-memory views of the parent's buffers (the
-        kernel validates them before its first run).
-        """
-        passes = tuple(
-            PlanePass(keys=arrays[f"keys{p}"],
-                      rows=arrays[f"rows{p}"] if masked else None,
-                      scales=arrays[f"scales{p}"])
-            for p, masked in enumerate(spec["masked"]))
-        return cls(
-            m=spec["m"], n=spec["n"], mu=spec["mu"],
-            num_segments=spec["num_segments"],
-            slots_per_segment=spec["slots_per_segment"],
-            lut_cols=arrays["lut_cols"], passes=passes,
-            offsets=arrays["offsets"],
-            offset_slices=tuple(tuple(sl) for sl in spec["offset_slices"]),
-            stats_base=tuple(spec["stats_base"]),
-            stats_slope=tuple(spec["stats_slope"]))
 
 
 def _affine_stats(stats_fn) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -128,7 +128,7 @@ class InferenceServer:
     qlm:
         The quantized model; its prepared programs are pinned in the pool,
         its transformer runs the forward pass.
-    num_shards, mpu_config, backend:
+    num_shards, mpu_config:
         Forwarded to :class:`~repro.serve.workers.ShardedMPUPool`, which
         pins the model's own memoised
         :meth:`~repro.models.quantized_model.QuantizedLM.prepared_weights`
@@ -151,13 +151,13 @@ class InferenceServer:
 
     def __init__(self, qlm: QuantizedLM, num_shards: int = 2,
                  policy: BatchPolicy | None = None,
-                 mpu_config: MPUConfig | None = None, backend: str = "thread",
+                 mpu_config: MPUConfig | None = None,
                  decode_max_active: int = 8,
                  cache_config: CacheConfig | None = None) -> None:
         self.qlm = qlm
         self.pool = ShardedMPUPool(qlm.prepared_weights(mpu_config),
                                    num_shards=num_shards,
-                                   mpu_config=mpu_config, backend=backend)
+                                   mpu_config=mpu_config)
         self.metrics = ServerMetrics()
         self.batcher = AsyncBatcher(self._run_batch, policy)
         self.scheduler = DecodeScheduler(qlm, gemm=self._metered_gemm,

@@ -6,19 +6,15 @@ uniform, ragged, mixed per-row precision — and every accumulator dtype, the
 :func:`~repro.core.program.compile_plan` and run by the native kernel is
 **bit-identical** to the scalar ``gemm_reference``, outputs *and*
 :class:`~repro.core.mpu.MPURunStats`, and a prepared tensor runs
-bit-identically to the raw one; the shared-memory
-``spec()``/``buffers()``/``from_buffers()`` roundtrip preserves execution;
-the kernel's column tiling never changes a bit; the kernel boundary
+bit-identically to the raw one; the kernel's column tiling never changes a bit; the kernel boundary
 rejects malformed buffers and its build is cached.
 """
 
 import ctypes
 import dataclasses
-import pickle
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -186,21 +182,6 @@ class TestProgramStructure:
         with pytest.raises(ValueError, match="batch"):
             prog.stats(-1)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_buffers_spec_roundtrip(self, rng, kind):
-        # The process-backend shipping path: spec travels by pickle, arrays
-        # as raw buffers; the rebuilt program references the same arrays
-        # and executes bit-identically.
-        tensor, x = _case(rng, kind)
-        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-        spec = pickle.loads(pickle.dumps(prog.spec()))
-        rebuilt = CompiledProgram.from_buffers(spec, prog.buffers())
-        for got, want in zip(rebuilt.passes, prog.passes, strict=True):
-            assert got.keys is want.keys and got.scales is want.scales
-        assert rebuilt.offset_slices == prog.offset_slices
-        _assert_same(prog.execute(x, accumulate_dtype=np.float32),
-                     rebuilt.execute(x, accumulate_dtype=np.float32))
-
 
 class TestSlicedExecution:
     """A layer's GEMM splits two ways without moving a bit: by weight rows
@@ -338,31 +319,6 @@ class TestKernelBoundary:
         with pytest.raises(ValueError):
             bad.execute(x)
 
-    def test_bad_shared_memory_view_raises(self, rng):
-        # A process-backend worker rebuilds its program over shared-memory
-        # views; a view with the wrong dtype is refused, a correct one runs.
-        tensor, x = _case(rng, "uniform")
-        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-        blocks, views = [], {}
-        try:
-            for name, arr in prog.buffers().items():
-                shm = shared_memory.SharedMemory(create=True,
-                                                 size=max(arr.nbytes, 1))
-                blocks.append(shm)
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                view[...] = arr
-                views[name] = view
-            _assert_same(CompiledProgram.from_buffers(prog.spec(), views)
-                         .execute(x), prog.execute(x))
-            views["keys0"] = views["keys0"].view(np.uint32)
-            with pytest.raises(ValueError, match="keys0"):
-                CompiledProgram.from_buffers(prog.spec(), views).execute(x)
-        finally:
-            views.clear()
-            for shm in blocks:
-                shm.close()
-                shm.unlink()
-
     def test_unsupported_accumulator_rejected(self, rng):
         tensor, x = _case(rng, "uniform")
         prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
@@ -386,7 +342,7 @@ class TestKernelConcurrency:
         mpu = MatrixProcessingUnit(MPU_CFG)
         want = mpu.gemm_reference(tensor, x, accumulate_dtype=np.float32)
         prog = mpu.prepare(tensor).program
-        fresh = CompiledProgram.from_buffers(prog.spec(), prog.buffers())
+        fresh = dataclasses.replace(prog)  # not yet bound to the kernel
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

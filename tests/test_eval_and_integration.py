@@ -202,7 +202,7 @@ class TestEndToEndIntegration:
         monkeypatch.undo()
         np.testing.assert_array_equal(got, want)
 
-        server = InferenceServer(qlm, num_shards=1, backend="serial")
+        server = InferenceServer(qlm, num_shards=1)
         try:
             pinned = server.pool._programs
             assert len(ran) == len(pinned) == len(qlm.quantized_weights)

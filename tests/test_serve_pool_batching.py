@@ -2,6 +2,8 @@
 
 import asyncio
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from repro.serve import workers
 from repro.telemetry import telemetry_session
 
 MPU_CFG = MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2)
-BACKENDS = ("serial", "thread", "process")
 ACCUMULATORS = (np.float16, np.float32, np.float64)
 # Fan-out threshold the small-layer pools below run with, in columns of
 # the "uniform" layer: batches 1..9 straddle it.
@@ -30,15 +31,6 @@ def _layers(rng):
         "mixed": quantize_bcq_mixed(w2, rng.choice([1, 2, 3], size=17),
                                     BCQConfig(group_size=7, iterations=1)),
     }
-
-
-def _assert_unlinked(names):
-    """No shared-memory segment of these names is left behind."""
-    from multiprocessing import shared_memory
-
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 @pytest.fixture
@@ -60,7 +52,7 @@ def small_threshold(monkeypatch, layers):
 
 @pytest.fixture(scope="module")
 def fanout_pools():
-    """One 3-worker pool per (backend, accumulator) over the same layers,
+    """One 3-worker pool per accumulator over the same layers,
     with the fan-out threshold at ``FANOUT_COLS`` uniform-layer columns."""
     layers = _layers(np.random.default_rng(5))
     pools = {}
@@ -68,11 +60,10 @@ def fanout_pools():
         # The pools read the threshold once, when they are built.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(workers, "_FANOUT_LUT_READS", _fanout_reads(layers))
-            for backend in BACKENDS:
-                for acc in ACCUMULATORS:
-                    pools[backend, np.dtype(acc)] = ShardedMPUPool(
-                        layers, num_shards=3, mpu_config=MPU_CFG,
-                        backend=backend, accumulate_dtype=acc)
+            for acc in ACCUMULATORS:
+                pools[np.dtype(acc)] = ShardedMPUPool(
+                    layers, num_shards=3, mpu_config=MPU_CFG,
+                    accumulate_dtype=acc)
         yield layers, pools
     finally:
         for pool in pools.values():
@@ -80,11 +71,9 @@ def fanout_pools():
 
 
 class TestShardedMPUPool:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_bit_exact_vs_unsharded(self, rng, layers, backend):
+    def test_bit_exact_vs_unsharded(self, rng, layers):
         mpu = MatrixProcessingUnit(MPU_CFG)
-        with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG,
-                            backend=backend) as pool:
+        with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG) as pool:
             for name, tensor in layers.items():
                 x = rng.standard_normal((tensor.shape[1], 4))
                 y_ref, stats_ref = mpu.gemm(tensor, x)
@@ -92,16 +81,15 @@ class TestShardedMPUPool:
                 np.testing.assert_array_equal(y, y_ref)
                 assert stats == stats_ref
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
     @pytest.mark.parametrize("num_shards", [2, 7])
     def test_fanout_bit_exact_for_any_worker_count(
-            self, rng, layers, small_threshold, backend, num_shards):
+            self, rng, layers, small_threshold, num_shards):
         # An uneven column split across two or seven workers merges into
         # exactly the reference's output bytes and the plan's stats.
         cols = 2 * FANOUT_COLS + 1
         mpu = MatrixProcessingUnit(MPU_CFG)
-        with ShardedMPUPool(layers, num_shards=num_shards, mpu_config=MPU_CFG,
-                            backend=backend) as pool:
+        with ShardedMPUPool(layers, num_shards=num_shards,
+                            mpu_config=MPU_CFG) as pool:
             for name, tensor in layers.items():
                 x = rng.standard_normal((tensor.shape[1], cols))
                 y, stats = pool.gemm(name, x)
@@ -114,12 +102,11 @@ class TestShardedMPUPool:
     @settings(max_examples=60, deadline=None)
     def test_outputs_and_stats_equal_reference_on_every_path(
             self, fanout_pools, data):
-        # Across backends, accumulators, memory layouts and batches on both
+        # Across accumulators, memory layouts and batches on both
         # sides of the fan-out threshold: output bytes equal the scalar
         # reference's, stats equal the plan's, and the call takes the path
         # its LUT reads call for.
         layers, pools = fanout_pools
-        backend = data.draw(st.sampled_from(BACKENDS))
         acc = np.dtype(data.draw(st.sampled_from(ACCUMULATORS)))
         name = data.draw(st.sampled_from(sorted(layers)))
         batch = data.draw(st.integers(1, 9))
@@ -131,7 +118,7 @@ class TestShardedMPUPool:
         x = np.asarray(x, order=order)
         if batch == 1 and data.draw(st.booleans()):
             x = x[:, 0]
-        pool = pools[backend, acc]
+        pool = pools[acc]
         before = PoolCounters(**vars(pool.counters))
         y, stats = pool.gemm(name, x)
         y_ref, _ = MatrixProcessingUnit(MPU_CFG).gemm_reference(
@@ -187,76 +174,6 @@ class TestShardedMPUPool:
         assert sum(e.args["cols"] for e in shards) == FANOUT_COLS + 1
         assert [e.name for e in events].count("pool.merge") == 1
 
-    def test_process_backend_bit_exact(self, rng, layers, small_threshold):
-        mpu = MatrixProcessingUnit(MPU_CFG)
-        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
-                            backend="process") as pool:
-            for name, tensor in layers.items():
-                for cols in (3, 2 * FANOUT_COLS):
-                    x = rng.standard_normal((tensor.shape[1], cols))
-                    y_ref, stats_ref = mpu.gemm(tensor, x)
-                    y, stats = pool.gemm(name, x)
-                    assert y.tobytes() == y_ref.tobytes()
-                    assert stats == stats_ref
-            assert pool.counters.inline and pool.counters.fanout
-
-    def test_process_backend_recovers_after_a_failed_call(
-            self, rng, layers, small_threshold):
-        # Every worker rejects the bad chunk; all their replies must be read
-        # before the error surfaces, or the next call gets a stale one.
-        tensor = layers["uniform"]
-        x = rng.standard_normal((tensor.shape[1], 2 * FANOUT_COLS))
-        y_ref, stats_ref = MatrixProcessingUnit(MPU_CFG).gemm(tensor, x)
-        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
-                            backend="process") as pool:
-            with pytest.raises(ValueError, match="activation rows"):
-                pool.gemm("uniform", x[:-1])
-            y, stats = pool.gemm("uniform", x)
-            assert pool.counters.fanout == 2
-        np.testing.assert_array_equal(y, y_ref)
-        assert stats == stats_ref
-
-    def test_process_backend_fails_closed_after_a_timeout(self, monkeypatch):
-        # A timed-out worker's reply is still in flight: the next call must
-        # raise, not read that reply as its own answer.
-        rng = np.random.default_rng(3)
-        tensor = quantize_bcq(rng.standard_normal((256, 512)) * 0.05,
-                              BCQConfig(bits=3, group_size=128, iterations=1))
-        monkeypatch.setattr(workers, "_FANOUT_LUT_READS", 1)
-        with ShardedMPUPool({"w": tensor}, num_shards=2,
-                            backend="process") as pool:
-            names = [shm.name for shm in pool._shm]
-            procs = [worker._proc for worker in pool._procs]
-            timeout = workers._PROCESS_TIMEOUT_S
-            monkeypatch.setattr(workers, "_PROCESS_TIMEOUT_S", 0.0)
-            with pytest.raises(RuntimeError, match="timed out"):
-                pool.gemm("w", rng.standard_normal((512, 64)))
-            monkeypatch.setattr(workers, "_PROCESS_TIMEOUT_S", timeout)
-            for cols in (4, 1):  # fanned out, then inline
-                with pytest.raises(RuntimeError, match="timed out"):
-                    pool.gemm("w", rng.standard_normal((512, cols)))
-            assert not any(proc.is_alive() for proc in procs)
-            _assert_unlinked(names)
-
-    def test_process_backend_fails_closed_when_a_worker_dies(
-            self, rng, layers, small_threshold):
-        tensor = layers["uniform"]
-        x = rng.standard_normal((tensor.shape[1], 2 * FANOUT_COLS))
-        pool = ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
-                              backend="process")
-        try:
-            names = [shm.name for shm in pool._shm]
-            procs = [worker._proc for worker in pool._procs]
-            procs[1].kill()
-            procs[1].join()
-            for cols in (x.shape[1], 1):  # fanned out, then inline
-                with pytest.raises(RuntimeError, match="pipe failed"):
-                    pool.gemm("uniform", x[:, :cols])
-            assert not any(proc.is_alive() for proc in procs)
-        finally:
-            pool.close()
-        _assert_unlinked(names)
-
     def test_rejects_prepared_weights_from_another_geometry(self, layers):
         # Another tiling and µ, then the pool's tiling and µ with another
         # PE-array shape (pe_cols sets the cycle count).
@@ -265,27 +182,22 @@ class TestShardedMPUPool:
             mpu = MatrixProcessingUnit(cfg)
             prepared = {name: mpu.prepare(t) for name, t in layers.items()}
             with pytest.raises(ValueError, match="'uniform'"):
-                ShardedMPUPool(prepared, mpu_config=MPU_CFG, backend="serial")
+                ShardedMPUPool(prepared, mpu_config=MPU_CFG)
         mpu = MatrixProcessingUnit(MPU_CFG)
         prepared = {name: mpu.prepare(t) for name, t in layers.items()}
-        with ShardedMPUPool(prepared, mpu_config=MPU_CFG,
-                            backend="serial") as pool:
+        with ShardedMPUPool(prepared, mpu_config=MPU_CFG) as pool:
             x = np.ones((layers["uniform"].shape[1], 3))
             assert pool.gemm("uniform", x)[1] == pool.plan_stats("uniform", 3)
 
-    def test_process_backend_concurrent_calls(self, rng, layers,
-                                              small_threshold):
+    def test_concurrent_calls(self, rng, layers, small_threshold):
         # Overlapping micro-batches issue pool.gemm from different threads;
-        # the worker pipes must not interleave requests across callers.
-        from concurrent.futures import ThreadPoolExecutor
-
+        # their chunks share the workers and must not mix across callers.
         mpu = MatrixProcessingUnit(MPU_CFG)
         tensor = layers["uniform"]
         xs = [rng.standard_normal((tensor.shape[1], FANOUT_COLS + i % 3))
               for i in range(8)]
         refs = [mpu.gemm(tensor, x)[0] for x in xs]
-        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
-                            backend="process") as pool:
+        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG) as pool:
             with ThreadPoolExecutor(max_workers=4) as executor:
                 outs = list(executor.map(
                     lambda x: pool.gemm("uniform", x)[0], xs))
@@ -293,10 +205,139 @@ class TestShardedMPUPool:
         for got, want in zip(outs, refs, strict=True):
             np.testing.assert_array_equal(got, want)
 
+    def test_recovers_after_a_failed_call(self, rng, layers, small_threshold):
+        # Every chunk rejects the wrong-row activations; the error fails
+        # that call only, and the next fanned-out call is exact.
+        tensor = layers["uniform"]
+        x = rng.standard_normal((tensor.shape[1], 2 * FANOUT_COLS))
+        y_ref, stats_ref = MatrixProcessingUnit(MPU_CFG).gemm_reference(
+            tensor, x)
+        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG) as pool:
+            with pytest.raises(ValueError, match="activation rows"):
+                pool.gemm("uniform", x[:-1])
+            y, stats = pool.gemm("uniform", x)
+            assert pool.counters == PoolCounters(fanout=2)
+        assert y.tobytes() == y_ref.tobytes()
+        assert stats == stats_ref
+
+    def test_failed_calls_leave_concurrent_calls_exact(
+            self, rng, layers, small_threshold):
+        # Wrong-row calls interleaved with good ones from several threads:
+        # each bad call raises, and every good one returns the reference's
+        # bytes.
+        mpu = MatrixProcessingUnit(MPU_CFG)
+        tensor = layers["uniform"]
+        xs = [rng.standard_normal((tensor.shape[1], FANOUT_COLS + i % 3))
+              for i in range(8)]
+        refs = [mpu.gemm_reference(tensor, x)[0] for x in xs]
+
+        def call(i):
+            x = xs[i // 2]
+            if i % 2 == 0:
+                return pool.gemm("uniform", x)[0]
+            try:
+                pool.gemm("uniform", x[:-1])
+            except ValueError as exc:
+                return exc
+            return None
+
+        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG) as pool:
+            with ThreadPoolExecutor(max_workers=4) as executor:
+                outs = list(executor.map(call, range(16)))
+            assert pool.counters == PoolCounters(fanout=16)
+        for i, out in enumerate(outs):
+            if i % 2:
+                assert isinstance(out, ValueError)
+            else:
+                assert out.tobytes() == refs[i // 2].tobytes()
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_failed_fanout_call_drains_every_chunk(
+            self, rng, layers, small_threshold, failing):
+        # One chunk raises at once while the others are still running; the
+        # call must raise only after they have finished, so none of them
+        # holds a worker the next call would queue behind.
+        tensor = layers["uniform"]
+        x = rng.standard_normal((tensor.shape[1], 3 * FANOUT_COLS))
+        y_ref, _ = MatrixProcessingUnit(MPU_CFG).gemm_reference(tensor, x)
+        finished = []
+        with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG) as pool:
+            real = pool._run_chunk
+
+            def run_chunk(name, program, w, chunk):
+                if w == failing:
+                    raise RuntimeError(f"chunk {w} failed")
+                time.sleep(0.05 * (w + 1))  # the last chunk finishes last
+                out = real(name, program, w, chunk)
+                finished.append(w)
+                return out
+
+            pool._run_chunk = run_chunk
+            with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
+                pool.gemm("uniform", x)
+            assert sorted(finished) == [w for w in range(3) if w != failing]
+            del pool._run_chunk
+            y, _ = pool.gemm("uniform", x)
+        assert y.tobytes() == y_ref.tobytes()
+
+    def test_failed_fanout_call_raises_the_first_error_in_chunk_order(
+            self, rng, layers, small_threshold):
+        # Chunk 2 fails first in time, chunk 1 later: chunk 1's error wins.
+        x = rng.standard_normal((layers["uniform"].shape[1], 3 * FANOUT_COLS))
+        with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG) as pool:
+            real = pool._run_chunk
+
+            def run_chunk(name, program, w, chunk):
+                if w == 0:
+                    return real(name, program, w, chunk)
+                time.sleep(0.05 * (3 - w))
+                raise RuntimeError(f"chunk {w} failed")
+
+            pool._run_chunk = run_chunk
+            with pytest.raises(RuntimeError, match="chunk 1 failed"):
+                pool.gemm("uniform", x)
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_closed_pool_refuses_every_call(self, rng, layers,
+                                            small_threshold, num_shards):
+        # Inline and fanned-out calls alike raise once the pool is closed.
+        pool = ShardedMPUPool(layers, num_shards=num_shards,
+                              mpu_config=MPU_CFG)
+        pool.close()
+        for cols in (1, 2 * FANOUT_COLS):
+            with pytest.raises(RuntimeError, match="pool is closed"):
+                pool.gemm("uniform", rng.standard_normal((32, cols)))
+        assert pool.counters == PoolCounters()
+        pool.close()  # closing twice is harmless
+
+    def test_fanout_runs_on_the_pool_threads(self, rng, layers,
+                                             small_threshold):
+        # Chunk 0 runs on the calling thread, the others on the pool's
+        # worker threads, which close() joins.
+        threads = {}
+        with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG) as pool:
+            real = pool._run_chunk
+
+            def run_chunk(name, program, w, chunk):
+                threads[w] = threading.current_thread()
+                return real(name, program, w, chunk)
+
+            pool._run_chunk = run_chunk
+            pool.gemm("uniform", rng.standard_normal((32, 3 * FANOUT_COLS)))
+        assert sorted(threads) == [0, 1, 2]
+        assert threads[0] is threading.current_thread()
+        pool_threads = [threads[1], threads[2]]
+        assert all(t.name.startswith("mpu-pool") for t in pool_threads)
+        assert not any(t.is_alive() for t in pool_threads)
+
+    def test_backend_is_a_constant(self, layers):
+        assert ShardedMPUPool.backend == "thread"
+        with pytest.raises(TypeError):
+            ShardedMPUPool(layers, backend="thread")
+
     def test_plan_stats_equal_merged_run_stats(self, rng, layers,
                                                small_threshold):
-        with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG,
-                            backend="serial") as pool:
+        with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG) as pool:
             for cols in (2, 3 * FANOUT_COLS):
                 x = rng.standard_normal((layers["uniform"].shape[1], cols))
                 _, merged = pool.gemm("uniform", x)
@@ -305,13 +346,10 @@ class TestShardedMPUPool:
 
     def test_rejects_bad_configuration(self, layers):
         with pytest.raises(ValueError):
-            ShardedMPUPool(layers, backend="gpu")
-        with pytest.raises(ValueError):
             ShardedMPUPool(layers, num_shards=0)
         with pytest.raises(ValueError):
             ShardedMPUPool({})
-        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG,
-                            backend="serial") as pool:
+        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG) as pool:
             with pytest.raises(KeyError):
                 pool.gemm("missing", np.zeros((32, 1)))
 
@@ -417,8 +455,8 @@ class TestAsyncBatcher:
         alone through the sharded pool."""
         tensor = layers["mixed"]
         requests = [rng.standard_normal(tensor.shape[1]) for _ in range(6)]
-        with ShardedMPUPool({"l": tensor}, num_shards=2, mpu_config=MPU_CFG,
-                            backend="serial") as pool:
+        with ShardedMPUPool({"l": tensor}, num_shards=2,
+                            mpu_config=MPU_CFG) as pool:
             solo = [pool.gemm("l", r)[0] for r in requests]
 
             def run_batch(items):

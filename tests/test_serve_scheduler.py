@@ -20,6 +20,7 @@ from repro.models.transformer import (
     TransformerLM,
 )
 from repro.serve import BatchPolicy, CacheConfig, DecodeScheduler, InferenceServer
+from repro.serve import workers
 
 MPU_CFG = MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2)
 VOCAB = 41
@@ -494,31 +495,14 @@ class TestServerGenerate:
         # The request left the pool early instead of decoding out its budget.
         assert server.decode_metrics.generated_tokens < budget
 
-    def test_process_backend_generates(self, qlm, rng):
-        server = _server(qlm, num_shards=2, backend="process")
-        try:
-            prompt = rng.integers(0, VOCAB, size=5)
-            want = server.generate_solo(prompt, 4)
-
-            async def main():
-                result = await server.submit_generate(prompt, 4)
-                await server.aclose()
-                return result
-
-            result = asyncio.run(main())
-            np.testing.assert_array_equal(result.tokens, want.tokens)
-        finally:
-            server.close()
-
 
 class TestSharedPreparedState:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pool_pins_the_model_memo(self, qlm, backend):
-        # At every worker count and backend the pool holds the model's own
-        # prepared programs: one copy of the RAC keys for solo and served.
+    def test_pool_pins_the_model_memo(self, qlm):
+        # At every worker count the pool holds the model's own prepared
+        # programs: one copy of the RAC keys for solo and served.
         prepared = qlm.prepared_weights(MPU_CFG)
         for num_shards in (1, 2):
-            with _server(qlm, num_shards=num_shards, backend=backend) as server:
+            with _server(qlm, num_shards=num_shards) as server:
                 assert server.pool._programs.keys() == prepared.keys()
                 for name, program in server.pool._programs.items():
                     assert program is prepared[name].program
@@ -533,3 +517,51 @@ class TestSharedPreparedState:
             np.testing.assert_array_equal(
                 shared.generate_solo(prompt, 5).tokens,
                 solo.generate_solo(prompt, 5).tokens)
+
+
+class TestServerPool:
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    def test_fanned_out_serving_equals_solo(self, qlm, rng, monkeypatch,
+                                            num_shards):
+        # Every GEMM of two or more columns fans out (the pool reads the
+        # threshold when it is built).  Micro-batched logits and generated
+        # tokens still equal the solo paths' bytes, and the solo logits
+        # equal those of a server that runs every call inline.
+        monkeypatch.setattr(workers, "_FANOUT_LUT_READS", 1)
+        prompts = [rng.integers(0, VOCAB, size=int(n)) for n in (5, 8, 3)]
+        with _server(qlm, num_shards=1) as inline:
+            want_logits = [inline.run_solo(p) for p in prompts]
+        server = _server(qlm, num_shards=num_shards)
+        solo_logits = [server.run_solo(p) for p in prompts]
+        solo_tokens = [server.generate_solo(p, 5).tokens for p in prompts]
+        fanout_before = server.pool.counters.fanout
+
+        async def main():
+            one_shot = await asyncio.gather(
+                *(server.submit(p) for p in prompts))
+            generated = await asyncio.gather(
+                *(server.submit_generate(p, 5) for p in prompts))
+            await server.aclose()
+            return one_shot, generated
+
+        one_shot, generated = asyncio.run(main())
+        assert server.pool.counters.fanout > fanout_before > 0
+        for got, solo, want in zip(one_shot, solo_logits, want_logits,
+                                   strict=True):
+            assert got.logits.tobytes() == solo.tobytes() == want.tobytes()
+        for got, want in zip(generated, solo_tokens, strict=True):
+            np.testing.assert_array_equal(got.tokens, want)
+
+    def test_backend_is_not_a_parameter(self, qlm):
+        with pytest.raises(TypeError):
+            InferenceServer(qlm, backend="thread")
+
+    def test_closed_server_refuses_requests(self, qlm, rng):
+        # close() closes the pool, so a later request raises instead of
+        # running on half of a torn-down pool.
+        server = _server(qlm, num_shards=2)
+        prompt = rng.integers(0, VOCAB, size=5)
+        server.run_solo(prompt)
+        server.close()
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            server.run_solo(prompt)

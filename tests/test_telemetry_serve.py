@@ -46,7 +46,7 @@ def served_qlm():
 def _build_server(qlm):
     return InferenceServer(qlm, num_shards=2,
                            policy=BatchPolicy(max_batch=4, max_wait_us=500),
-                           mpu_config=MPU_CFG, backend="thread",
+                           mpu_config=MPU_CFG,
                            decode_max_active=4,
                            cache_config=CacheConfig(page_size=4))
 
