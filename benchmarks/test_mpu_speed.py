@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import record_bench, run_once
+from repro.core import native
 from repro.core.gemm import figlut_gemm, prepare_weights
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.eval.tables import format_table
@@ -129,6 +130,49 @@ def test_mpu_native_kernel_large_shape(benchmark):
                      unit="ms")
     print("\n[MPU speed] native kernel, 1024x1024 / 3-bit / fp32 "
           "accumulators\n" + format_table(["Shape", "Median (ms)"], rows))
+
+
+def test_native_kernel_width_sweep():
+    """The native kernel's cost at every column-tile width, record-only.
+
+    The bench model's ``mlp.w1`` shape (512×128, 3-bit BCQ, group size
+    128, default MPU, float64 accumulators) at widths 1–17 and 32: best of
+    7×20 µs per ``native.run`` call and ns per LUT read.  Each width has its
+    own constant-width plane and scale body, so the cost should grow with
+    the width instead of jumping from 1 column to 2.  No floor: the rows
+    only carry the per-width curve into the trajectory.  Each width's
+    output equals the same columns of the 32-column output, bit for bit.
+    """
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((512, 128)) * 0.05
+    tensor = prepare_weights(w, bits=3, method="bcq", group_size=128)
+    program = MatrixProcessingUnit(MPUConfig()).prepare(tensor).program
+    struct = native.bind(program)
+    x = rng.standard_normal((128, 32))
+    y32, _ = program.execute(x, accumulate_dtype=np.float64)
+
+    rows = []
+    for width in [*range(1, 18), 32]:
+        xs = np.ascontiguousarray(x[:, :width])
+        y, _ = program.execute(xs, accumulate_dtype=np.float64)
+        assert y.tobytes() == y32[:, :width].tobytes(), width
+        out = np.zeros((512, width))
+        best = float("inf")
+        for _ in range(7):
+            start = time.perf_counter()
+            for _ in range(20):
+                native.run(struct, xs, np.float64, out)
+            best = min(best, (time.perf_counter() - start) / 20)
+        us = best * 1e6
+        ns_per_read = best * 1e9 / program.stats(width).lut_reads
+        rows.append([width, us, ns_per_read])
+        record_bench(f"mpu_speed::kernel_width_w{width}", "us_per_call", us,
+                     unit="us")
+        record_bench(f"mpu_speed::kernel_width_w{width}", "ns_per_lut_read",
+                     ns_per_read, unit="ns")
+    print("\n[MPU speed] native kernel per column width, 512x128 / 3-bit / "
+          "fp64 accumulators\n"
+          + format_table(["Width", "us per call", "ns per LUT read"], rows))
 
 
 def test_mpu_detailed_api_full_stack(benchmark):

@@ -16,9 +16,13 @@
  *  - y[row][col] += (double)alpha * (double)partial, segments ascending and
  *    bit planes innermost, with the plane's scatter rows for masked planes.
  *
- * The batch is walked in COL_TILE-column tiles; no reduction crosses a
- * column, so the tiling never changes a bit.  Build with -ffp-contract=off:
- * a fused multiply-add would round once where the reference rounds twice.
+ * The batch is walked in tiles of w <= COL_TILE columns; one pass over a
+ * plane's keys accumulates a block of COL_TILE / w rows x w columns, with w
+ * a compile-time constant at every width, and the rows left over after the
+ * last whole block take a runtime-width pass.  No reduction crosses a
+ * column, so neither the tiling nor the blocking changes a bit.  Build with
+ * -ffp-contract=off: a fused multiply-add would round once where the
+ * reference rounds twice.
  */
 
 #define _POSIX_C_SOURCE 199309L
@@ -32,6 +36,13 @@
  * and a tile of every output row stay cache-resident while the segment's
  * planes stream through them. */
 #define COL_TILE 16
+
+/* X(S, W) for every tile width W = 1 .. COL_TILE: each width gets its own
+ * constant-width case in plane_T and scale_T, so the compiler unrolls and
+ * vectorises the column loops at every width. */
+#define EACH_WIDTH(X, S)                                                      \
+    X(S, 1) X(S, 2) X(S, 3) X(S, 4) X(S, 5) X(S, 6) X(S, 7) X(S, 8)           \
+    X(S, 9) X(S, 10) X(S, 11) X(S, 12) X(S, 13) X(S, 14) X(S, 15) X(S, 16)
 
 typedef struct {
     int64_t m, n, mu, num_segments, slots_per_segment, num_planes;
@@ -145,11 +156,28 @@ typedef uint16_t half;
  * holds the sum over the top i + 1 key bits, built with the same adds in the
  * same order as the reference's per-entry sum.
  *
- * plane_T: part[r * w + c] = +0.0 + tab[g][key(g, r)][c] over g ascending.
+ * plane_T: part[r * w + c] = +0.0 + tab[g][key(g, r)][c] over g ascending,
+ * COL_TILE / w rows x w columns per pass over the keys, held in registers.
+ * Each width 1 .. COL_TILE runs rows_T with w and the block size as
+ * literals; the rows after the last whole block run it with a runtime w.
  *
  * scale_T: ytile[row(r) * w + c] += alpha[r] * part[r * w + c], where ytile
- * holds the column tile of y row-contiguously.
+ * holds the column tile of y row-contiguously; each width runs scale_rows_T
+ * with a literal w.
+ *
+ * Both switch over w, which figlut_execute keeps in [1, COL_TILE].
  */
+#define PLANE_CASE(S, W)                                                      \
+    case W:                                                                   \
+        for (; r + COL_TILE / W <= rows; r += COL_TILE / W)                   \
+            rows_##S(tab, entries, W, keys + r, rows, gmax, COL_TILE / W,     \
+                     part + r * W);                                           \
+        break;
+#define SCALE_CASE(S, W)                                                      \
+    case W:                                                                   \
+        scale_rows_##S(partial, rows, W, alpha, scatter, ytile);              \
+        break;
+
 #define DEFINE_STAGES(S, T, CVT, ADD, WIDEN)                                  \
 static void lut_##S(const double *restrict x, int64_t batch, int64_t c0,     \
                     int64_t w, const int64_t *restrict cols, int64_t gmax,    \
@@ -212,32 +240,39 @@ static void plane_##S(const void *table, int64_t entries, int64_t w,          \
 {                                                                             \
     const T *tab = table;                                                     \
     T *part = out;                                                            \
-    const int64_t block = COL_TILE / w;                                       \
     int64_t r = 0;                                                            \
-    if (w == COL_TILE)                                                        \
-        for (; r < rows; r++)                                                 \
-            rows_##S(tab, entries, COL_TILE, keys + r, rows, gmax, 1,         \
-                     part + r * COL_TILE);                                    \
-    else if (w == 1)                                                          \
-        for (; r + COL_TILE <= rows; r += COL_TILE)                           \
-            rows_##S(tab, entries, 1, keys + r, rows, gmax, COL_TILE,         \
-                     part + r);                                               \
-    for (; r < rows; r += block)                                              \
-        rows_##S(tab, entries, w, keys + r, rows, gmax,                       \
-                 rows - r < block ? rows - r : block, part + r * w);          \
+    switch (w) {                                                              \
+    EACH_WIDTH(PLANE_CASE, S)                                                 \
+    }                                                                         \
+    if (r < rows)                                                             \
+        rows_##S(tab, entries, w, keys + r, rows, gmax, rows - r,             \
+                 part + r * w);                                               \
+}                                                                             \
+                                                                              \
+static inline __attribute__((always_inline)) void                            \
+scale_rows_##S(const T *restrict part, int64_t rows, int64_t w,               \
+               const double *alpha, const int64_t *scatter,                   \
+               double *restrict ytile)                                        \
+{                                                                             \
+    for (int64_t r = 0; r < rows; r++) {                                      \
+        const double a = alpha[r];                                            \
+        double *yr = ytile + (scatter ? scatter[r] : r) * w;                  \
+        const T *pr = part + r * w;                                           \
+        /* Loads before stores: GCC then vectorises the row, which it        \
+         * will not do through yr's scattered address. */                    \
+        double v[COL_TILE];                                                   \
+        for (int64_t c = 0; c < w; c++)                                       \
+            v[c] = yr[c] + a * WIDEN(pr[c]);                                  \
+        memcpy(yr, v, (size_t)w * sizeof *v);                                 \
+    }                                                                         \
 }                                                                             \
                                                                               \
 static void scale_##S(const void *partial, int64_t rows, int64_t w,           \
                       const double *alpha, const int64_t *scatter,            \
                       double *ytile)                                          \
 {                                                                             \
-    const T *restrict part = partial;                                         \
-    for (int64_t r = 0; r < rows; r++) {                                      \
-        const double a = alpha[r];                                            \
-        double *restrict yr = ytile + (scatter ? scatter[r] : r) * w;         \
-        const T *restrict pr = part + r * w;                                  \
-        for (int64_t c = 0; c < w; c++)                                       \
-            yr[c] = yr[c] + a * WIDEN(pr[c]);                                 \
+    switch (w) {                                                              \
+    EACH_WIDTH(SCALE_CASE, S)                                                 \
     }                                                                         \
 }
 

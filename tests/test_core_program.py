@@ -152,6 +152,35 @@ class TestCompiledEquivalence:
         _assert_same(mpu.gemm(tensor, x, accumulate_dtype=acc),
                      mpu.gemm_reference(tensor, x, accumulate_dtype=acc))
 
+    @pytest.mark.parametrize("kind", ["uniform", "mixed"])
+    def test_every_tile_width_matches_reference(self, kind):
+        # The kernel runs each column width 1..16 through its own
+        # constant-width plane and scale body; widths 17..33 add a second
+        # and third tile.  37 rows is prime, so at every width below 9,
+        # where a block holds 16 / w > 1 rows, the rows after the last
+        # block run on the runtime-width loop, and the mixed
+        # tensor adds masked planes.  A reference column equals the same
+        # column run alone, so one 33-column reference per accumulator
+        # checks every width.
+        rng = np.random.default_rng(37)
+        w = rng.standard_normal((37, 23)) * 0.1
+        if kind == "uniform":
+            tensor = quantize_bcq(w, BCQConfig(bits=3, group_size=6,
+                                               iterations=1))
+        else:
+            tensor = quantize_bcq_mixed(w, rng.integers(1, 5, size=37),
+                                        BCQConfig(group_size=6, iterations=1))
+        x = rng.standard_normal((23, 33))
+        mpu = MatrixProcessingUnit(MPU_CFG)
+        program = mpu.prepare(tensor).program
+        for acc in (np.float16, np.float32, np.float64):
+            y_ref, s_ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
+            assert program.stats(33) == s_ref
+            for width in range(1, 34):
+                y, stats = program.execute(x[:, :width], accumulate_dtype=acc)
+                assert y.tobytes() == y_ref[:, :width].tobytes(), (acc, width)
+                assert stats == mpu.plan_stats(tensor, width)
+
 
 class TestProgramStructure:
     def test_program_geometry(self, rng):
@@ -357,6 +386,16 @@ class TestKernelConcurrency:
 
 
 class TestKernelBuild:
+    def test_kernel_compiles_warning_free(self, tmp_path):
+        # The runtime flags plus -Wall -Wextra -Werror (CI's lint build):
+        # the macro-generated width cases must not hide a fallthrough or
+        # an unused variable.
+        done = subprocess.run(
+            [native.COMPILER, *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "kernel.so"), str(native.SOURCE)],
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_warm_load_does_not_compile(self, tmp_path, monkeypatch):
         built = native.build_library(tmp_path)
         calls = []
