@@ -2,8 +2,9 @@
 
 The scale-out claim of the ``repro.serve`` subsystem, measured: N concurrent
 single-sequence requests fired at an :class:`~repro.serve.server.
-InferenceServer` (async micro-batching over an MPU worker pool with one
-pinned program per layer) must beat the same N requests executed
+InferenceServer` (one scheduler prefilling each admitted wave's
+same-length prompts in one pass, over an MPU worker pool with one pinned
+program per layer) must beat the same N requests executed
 sequentially through the identical pool — LUT tables and per-segment dispatch
 are amortised across every request sharing an engine pass.  The recorded
 floor is conservative (measured ~3× on the development machine at batch 8).
@@ -64,8 +65,8 @@ def _drive() -> dict:
 
     async def warm_then_time():
         # One untimed round warms the batched leg in the loop it is timed
-        # in: the event loop, the first executor thread and the batcher's
-        # first dispatch.
+        # in: the event loop, the first executor thread and the pump's
+        # first step.
         await fire()
         t0 = time.perf_counter()
         results = await fire()
@@ -83,7 +84,8 @@ def _drive() -> dict:
         "sequential_s": sequential_s,
         "batched_s": batched_s,
         "speedup": sequential_s / batched_s,
-        "mean_batch": metrics.mean_batch_size,
+        # Per request: the scoring requests that shared its prefill pass.
+        "mean_batch": float(np.mean([r.batch_size for r in results])),
         "p50_ms": metrics.request_latency.percentile(50) * 1e3,
         "p99_ms": metrics.request_latency.percentile(99) * 1e3,
         "tokens_per_s": NUM_REQUESTS * SEQ_LEN / batched_s,

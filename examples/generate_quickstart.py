@@ -65,7 +65,7 @@ def build_server() -> InferenceServer:
     return InferenceServer(
         qlm,
         num_shards=2,                    # workers for column fan-out of large GEMMs
-        policy=BatchPolicy(max_batch=8, max_wait_us=500),
+        policy=BatchPolicy(max_wait_us=500),
         mpu_config=MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4),
         decode_max_active=8,                           # in-flight sequences
     )

@@ -1,18 +1,19 @@
 #!/usr/bin/env python
-"""Serve quickstart: pooled, async-batched inference over a quantized LM.
+"""Serve quickstart: pooled, batched scoring over a quantized LM.
 
 Builds a small transformer, quantizes its weight GEMMs to BCQ, and stands up
 an :class:`repro.serve.InferenceServer`: every layer's compiled program is
 pinned once in a worker pool (large GEMMs split their activation columns
-across the workers) and an async micro-batcher coalesces concurrent
-requests into shared engine passes.  An async client fires N
-concurrent requests, then the script prints per-request p50/p99 latency,
-tokens/s, the batching profile, and the plan-exact modelled MPU counters —
-and verifies that a batched request's logits are bit-identical to a solo run.
+across the workers), and the server's one scheduler admits concurrent
+scoring requests in waves, prefilling each wave's same-length prompts in
+one shared engine pass.  An async client fires N concurrent requests, then
+the script prints per-request p50/p99 latency, tokens/s, the batching
+profile, and the plan-exact modelled MPU counters — and verifies that a
+batched request's logits are bit-identical to a solo run.
 
 This covers the one-shot logits path; for multi-token generation through
-the continuous-batching decode scheduler (shared KV cache, per-token
-latency), see ``examples/generate_quickstart.py``.
+the same scheduler (shared KV cache, per-token latency), see
+``examples/generate_quickstart.py``.
 
 Run:  python examples/serve_quickstart.py
 """
@@ -42,7 +43,7 @@ def build_server() -> InferenceServer:
     return InferenceServer(
         qlm,
         num_shards=2,                    # workers for column fan-out of large GEMMs
-        policy=BatchPolicy(max_batch=8, max_wait_us=500),
+        policy=BatchPolicy(max_wait_us=500),
         mpu_config=MPUConfig(pe_rows=4, pe_cols=2, mu=4, k=4),
     )
 
@@ -76,8 +77,9 @@ def main() -> None:
     metrics = server.metrics
     print(f"requests      : {metrics.requests}  ({metrics.tokens} tokens "
           f"in {elapsed * 1e3:.1f} ms)")
-    print(f"micro-batches : {metrics.batches}  "
-          f"(mean batch size {metrics.mean_batch_size:.1f})")
+    sizes = [r.batch_size for r, _ in results]
+    print(f"batching      : a request shared its prefill pass with "
+          f"{np.mean(sizes) - 1:.1f} others on average (max {max(sizes) - 1})")
     latency = metrics.request_latency
     print(f"latency       : p50 {latency.percentile(50) * 1e3:.1f} ms   "
           f"p99 {latency.percentile(99) * 1e3:.1f} ms")

@@ -418,7 +418,8 @@ class QuantizedLM:
         The single capacity rule of the decode scheduler (which solo
         :meth:`generate` runs too): a non-empty 1-D prompt
         whose cached length after ``max_new_tokens - 1`` decode steps still
-        fits ``max_seq_len`` (the last token is never fed back).
+        fits ``max_seq_len`` (the last token is never fed back).  A scoring
+        request is checked as a one-token generation: its prompt must fit.
         """
         prompt = np.asarray(tokens, dtype=np.int64)
         if prompt.ndim != 1 or prompt.size == 0:
@@ -447,6 +448,7 @@ class QuantizedLM:
         included in the output).
         """
         from repro.serve.scheduler import DecodeScheduler  # models ↔ serve cycle
+        self.check_generation_request(tokens, max_new_tokens)
         sched = DecodeScheduler(self, gemm=gemm, max_active=1,
                                 mpu_config=mpu_config)
         seq = sched.submit(tokens, max_new_tokens, eos_token=eos_token)

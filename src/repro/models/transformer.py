@@ -23,15 +23,22 @@ Two forward entry points exist:
   substrate the continuous-batching decode scheduler
   (:mod:`repro.serve.scheduler`) drives.
 
-Running ``step`` on an empty cache over the whole prompt executes exactly
-the operations of ``forward`` (same GEMM shapes, same mask, same reduction
-orders), so a prefill is bit-identical to the full pass.  An incremental
-decode (prefill then single-token steps) changes the GEMM *shapes* — each
-matmul reduces over the same axis but BLAS may block it differently — so
-step logits match a full re-forward at every length to tight floating-point
-tolerance rather than bit-for-bit; ``DECODE_ATOL`` documents the bound the
-equivalence tests pin (attention against cached K/V is exact: masked
-positions contribute exact zeros, and adding 0.0 is exact in any order).
+Running ``step`` on an empty cache over the whole prompt computes the
+same values as ``forward`` — same GEMM shapes, same causal mask — but
+attends over K/V gathered from the cache instead of the freshly split
+projections.  BLAS may take a different path for the two memory layouts,
+so a prefill matches the full pass to ``DECODE_ATOL``, not always bit for
+bit (with a quantized GEMM hook at ``d_model=128``, ``n_heads=4``, the
+BLAS build it was measured on differs in the last bit of the attention
+output at prompt lengths 32–37).  Likewise an
+incremental decode (prefill then single-token steps) changes the GEMM
+*shapes*, and a right-padded ragged batch lengthens each short row's key
+axis: masked positions contribute exact zeros, but BLAS may block the
+longer reduction differently, so such rows match their solo run to
+``DECODE_ATOL``.  What does hold bit for bit is row independence at equal
+shapes: an unpadded step over equal-length rows gives each row exactly its
+solo step's logits — the property serving relies on, which is why the
+server scores through ``step`` alone, in unpadded same-length groups.
 
 The K/V cache is one representation: a :class:`PagedKVCache` holds
 per-sequence page tables over a :class:`PagePool` of fixed-size K/V pages,
@@ -55,12 +62,13 @@ __all__ = ["TransformerConfig", "TransformerLM", "PagePool", "PagedKVCache",
            "CacheOverflowError", "OutOfPagesError",
            "cross_entropy", "softmax", "DECODE_ATOL"]
 
-# Absolute logit tolerance for prefill-then-step decoding vs. re-running the
-# full forward at each length.  The incremental path performs the same
-# reductions over identically-valued operands, but with different matrix
-# shapes (t_new=1 GEMMs vs the full-sequence GEMM), so BLAS blocking may
-# reorder the K-loop; observed differences are < 1e-12 on float64 logits of
-# O(1) magnitude and this bound leaves an order-of-magnitude margin.
+# Absolute logit tolerance between the step path and re-running the full
+# forward: a prefill, prefill-then-step decoding, or a right-padded row.
+# Both perform the same reductions over identically-valued operands, but with
+# different matrix shapes (t_new=1 GEMMs vs the full-sequence GEMM, a padded
+# key axis) or memory layouts (cache-gathered K/V), so BLAS may reorder the
+# K-loop; observed differences are < 1e-12 on float64 logits of O(1)
+# magnitude and this bound leaves an order-of-magnitude margin.
 DECODE_ATOL = 1e-9
 
 
@@ -129,13 +137,6 @@ def _layer_norm_backward(dout: np.ndarray, cache):
                           - np.sum(dx_hat, axis=-1, keepdims=True)
                           - x_hat * np.sum(dx_hat * x_hat, axis=-1, keepdims=True))
     return dx, dgamma, dbeta
-
-
-def _linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
-    out = x @ weight.T
-    if bias is not None:
-        out = out + bias
-    return out, (x, weight)
 
 
 def _linear_backward(dout: np.ndarray, cache):
@@ -402,7 +403,9 @@ class PagedKVCache:
     (``plan_append`` → per-layer ``scatter`` / ``attention_view`` →
     ``commit_append``).  The gathered keys/values hold the cached numbers
     at every unmasked slot and masked slots contribute exact zeros, so a
-    prefill's logits are bit-identical to :meth:`TransformerLM.forward`.
+    prefill's logits match :meth:`TransformerLM.forward` to
+    ``DECODE_ATOL`` (see the module docstring for when they differ in the
+    last bit).
 
     Rows only ever *append*; completed pages are immutable, so prefix
     sharing is copy-on-write without ever copying — shared (refcount > 1)
@@ -753,18 +756,15 @@ class TransformerLM:
                                                            mask=causal_mask)
             x1 = x + attn_out
             ln2_out, ln2_cache = _layer_norm_forward(x1, p[prefix + "ln2.gamma"], p[prefix + "ln2.beta"])
-            h_pre, lin1_cache = _linear_forward(ln2_out, p[prefix + "mlp.w1"], p[prefix + "mlp.b1"])
-            h_pre = mm(prefix + "mlp.w1", ln2_out, p[prefix + "mlp.w1"]) + p[prefix + "mlp.b1"] \
-                if matmul is not None else h_pre
+            w1, w2 = p[prefix + "mlp.w1"], p[prefix + "mlp.w2"]
+            h_pre = mm(prefix + "mlp.w1", ln2_out, w1) + p[prefix + "mlp.b1"]
             h_act = np.maximum(h_pre, 0.0)
-            mlp_out, lin2_cache = _linear_forward(h_act, p[prefix + "mlp.w2"], p[prefix + "mlp.b2"])
-            mlp_out = mm(prefix + "mlp.w2", h_act, p[prefix + "mlp.w2"]) + p[prefix + "mlp.b2"] \
-                if matmul is not None else mlp_out
+            mlp_out = mm(prefix + "mlp.w2", h_act, w2) + p[prefix + "mlp.b2"]
             x2 = x1 + mlp_out
             caches["layers"].append({
                 "x_in": x, "ln1": ln1_cache, "attn": attn_cache, "x1": x1,
-                "ln2": ln2_cache, "lin1": lin1_cache, "h_pre": h_pre, "h_act": h_act,
-                "lin2": lin2_cache,
+                "ln2": ln2_cache, "lin1": (ln2_out, w1), "h_pre": h_pre,
+                "h_act": h_act, "lin2": (h_act, w2),
             })
             x = x2
 
@@ -870,9 +870,9 @@ class TransformerLM:
         ----------
         tokens:
             ``(batch, t_new)`` new token ids.  With an empty cache and the
-            whole prompt as ``tokens`` this is a *prefill* (bit-identical to
-            :meth:`forward`); with ``t_new == 1`` it is one decode
-            iteration.
+            whole prompt as ``tokens`` this is a *prefill* (equal to
+            :meth:`forward` to ``DECODE_ATOL``); with ``t_new == 1`` it is
+            one decode iteration.
         cache:
             A :class:`PagedKVCache` from :meth:`init_cache` or
             :meth:`init_paged_cache`; K/V of the valid new positions are

@@ -1,16 +1,16 @@
-"""Async-batched inference serving over the tile-execution core.
+"""Pooled inference serving over the tile-execution core.
 
 The scale-out leg of the reproduction: the functional FIGLUT model becomes a
 servable engine by (1) pinning one compiled program per layer — its
 weight-stationary RAC keys — in a worker pool that runs small GEMMs inline
 and splits large ones' activation columns across its workers
-(:mod:`repro.serve.workers`), (2) coalescing single-request traffic into micro-batches that
-share one engine pass (:mod:`repro.serve.batching`), (3) continuous
-(iteration-level) batching of multi-token generation over a shared
-**paged** KV cache — fixed-size K/V pages with per-sequence page tables
-and cross-request prefix sharing, stacked single-position decode steps
-with admission between iterations (:mod:`repro.serve.scheduler`) — and
-(4) gluing it together over a
+(:mod:`repro.serve.workers`), (2) one continuous (iteration-level)
+scheduler for every request (:mod:`repro.serve.scheduler`): generation
+over a shared **paged** KV cache — fixed-size K/V pages with per-sequence
+page tables and cross-request prefix sharing, stacked single-position
+decode steps with admission between iterations — and scoring as
+prefill-only requests that run in unpadded same-length groups through the
+same admission, and (3) gluing it together over a
 :class:`~repro.models.quantized_model.QuantizedLM` with per-request latency
 and plan-exact modelled-cycle accounting (:mod:`repro.serve.server`).
 
@@ -21,7 +21,7 @@ Quickstart (see ``examples/serve_quickstart.py`` and
     from repro.serve import BatchPolicy, InferenceServer
 
     server = InferenceServer(qlm, num_shards=2,
-                             policy=BatchPolicy(max_batch=8, max_wait_us=500))
+                             policy=BatchPolicy(max_wait_us=500))
 
     async def client(tokens):
         result = await server.submit(tokens)            # one-shot logits
@@ -31,7 +31,6 @@ Quickstart (see ``examples/serve_quickstart.py`` and
     asyncio.run(client(my_tokens))
 """
 
-from repro.serve.batching import AsyncBatcher, BatcherStats, BatchPolicy
 from repro.serve.scheduler import (
     CacheConfig,
     DecodeMetrics,
@@ -39,6 +38,7 @@ from repro.serve.scheduler import (
     SequenceState,
 )
 from repro.serve.server import (
+    BatchPolicy,
     GeneratedSequence,
     InferenceResult,
     InferenceServer,
@@ -47,8 +47,6 @@ from repro.serve.server import (
 from repro.serve.workers import PoolCounters, ShardedMPUPool
 
 __all__ = [
-    "AsyncBatcher",
-    "BatcherStats",
     "BatchPolicy",
     "CacheConfig",
     "DecodeMetrics",

@@ -1,10 +1,9 @@
-"""Continuous (iteration-level) batching for autoregressive decoding.
+"""Continuous (iteration-level) batching: the one queue of all serving.
 
-The one-shot serving path (:class:`~repro.serve.server.InferenceServer.
-submit`) re-runs a full prefill per request, so multi-token generation pays
-O(T²) attention and re-executes every tile plan per emitted token.
-:class:`DecodeScheduler` replaces that with the scheduling discipline real
-LLM inference engines use (Orca-style iteration-level batching):
+Re-running a full prefill per emitted token would pay O(T²) attention and
+re-execute every tile plan per token.  :class:`DecodeScheduler` uses the
+scheduling discipline real LLM inference engines use (Orca-style
+iteration-level batching):
 
 * a pool of *in-flight sequences* shares one **paged KV cache** — a
   :class:`~repro.models.transformer.PagePool` of fixed-size K/V pages with
@@ -42,9 +41,21 @@ via the event loop's executor, and tests/benchmarks drive it inline with
 inline run over a private pool, so solo and served tokens come from the
 same code.
 
+Scoring rides the same queue.  A request submitted with
+``max_new_tokens=0`` is *prefill-only*: it waits in the same FIFO and is
+prefilled through the same
+:meth:`~repro.models.quantized_model.QuantizedLM.prefill`.  Scoring
+requests of one length run as one unpadded group pass (no prefix mapping:
+every position's logits are wanted), get their ``(seq, vocab)`` logits
+attached, settle with ``finish_reason="length"`` and release their pages
+in the same iteration — they never join the decode cache, so they do not
+count against ``max_active`` and only free pages gate them.  Their passes
+run between decode iterations, and :class:`DecodeMetrics` leaves them out.
+
 A failure settles only the requests it concerns: a cache overflow fails
-the rows that overflow, an oversized request fails at admission, and an
-``on_token`` hook that raises fails its own request and is dropped.
+the rows that overflow, a prefill pass that raises fails the requests of
+that pass, an oversized request fails at admission, and an ``on_token``
+hook that raises fails its own request and is dropped.
 """
 
 from __future__ import annotations
@@ -69,6 +80,7 @@ from repro.models.transformer import (
 from repro.telemetry import Histogram, get_telemetry
 
 __all__ = ["CacheConfig", "DecodeMetrics", "DecodeScheduler", "SequenceState"]
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -125,7 +137,9 @@ class DecodeMetrics:
     :class:`~repro.telemetry.metrics.Histogram` (``.percentile(q)``,
     ``.count()``), so binding telemetry exports these very objects.
     ``mpu_stats`` sums the plan-exact counters of every prefill and decode
-    pass the scheduler actually dispatched.
+    pass the scheduler actually dispatched for generation requests.
+    Scoring requests are not counted here: every field, ``busy_s`` and
+    ``mpu_stats`` included, accounts generation traffic only.
     """
 
     requests: int = 0
@@ -167,12 +181,14 @@ class DecodeMetrics:
 
 @dataclass
 class SequenceState:
-    """One generation request as the scheduler tracks it.
+    """One request as the scheduler tracks it: a generation, or a scoring
+    request (``max_new_tokens == 0``) whose prompt logits land in
+    ``logits``.
 
-    ``finish_reason`` settles to ``"eos"``, ``"length"``, ``"cancelled"``
-    (the client abandoned the request), or ``"error"`` (the request failed
-    or its ``on_token`` hook raised — ``error`` then carries the
-    exception).
+    ``finish_reason`` settles to ``"eos"``, ``"length"`` (also every
+    scored request), ``"cancelled"`` (the client abandoned the request),
+    or ``"error"`` (the request failed or its ``on_token`` hook raised —
+    ``error`` then carries the exception).
     """
 
     request_id: int
@@ -184,6 +200,8 @@ class SequenceState:
     finish_reason: str | None = None
     error: BaseException | None = None
     shared_tokens: int = 0               # prompt tokens served from shared pages
+    logits: np.ndarray | None = None     # scoring: (seq, vocab) prompt logits
+    prefill_rows: int = 0                # scoring: rows of its prefill pass
     _max_pages: int = 0                  # worst-case page span (reservation)
     _submitted_ns: int = 0               # perf_counter_ns at submit (telemetry)
 
@@ -192,8 +210,20 @@ class SequenceState:
         return self.finish_reason is not None
 
     @property
+    def scoring(self) -> bool:
+        return self.max_new_tokens == 0
+
+    @property
     def tokens(self) -> np.ndarray:
         return np.asarray(self.generated, dtype=np.int64)
+
+    def _score(self, logits: np.ndarray, rows: int) -> None:
+        """Attach a scoring request's prompt logits and settle it."""
+        self.logits = logits
+        self.prefill_rows = rows
+        if not self.done:  # cancelled mid-iteration: keep the settled reason
+            self.finish_reason = "length"
+        self._notify(None)
 
     def _emit(self, token: int) -> None:
         """Record one generated token and settle the finish state."""
@@ -249,8 +279,9 @@ class DecodeScheduler:
         which is bit-exact against the default (inline or fanned out over
         columns), so served generations match solo ones token for token.
     max_active:
-        In-flight sequence cap: waiting requests are admitted between
-        iterations only while the pool holds fewer than this many.
+        In-flight sequence cap: waiting generation requests are admitted
+        between iterations only while the pool holds fewer than this many
+        (scoring requests never join the pool and do not count).
     mpu_config:
         Geometry for the default ``gemm`` (ignored when ``gemm`` is given).
     cache_config:
@@ -297,10 +328,15 @@ class DecodeScheduler:
     def submit(self, prompt: np.ndarray, max_new_tokens: int,
                eos_token: int | None = None,
                on_token=None) -> SequenceState:
-        """Queue one generation request (thread-safe); admitted at the next
-        iteration boundary.  ``on_token(seq, token, done)`` fires from the
-        decode thread as tokens are produced (streaming hook)."""
-        arr = self.qlm.check_generation_request(prompt, max_new_tokens)
+        """Queue one request (thread-safe); admitted at the next iteration
+        boundary.  ``max_new_tokens=0`` queues a scoring request, which
+        settles with its prompt logits in ``seq.logits``.
+        ``on_token(seq, token, done)`` fires from the decode thread as
+        tokens are produced (streaming hook)."""
+        if max_new_tokens < 0:
+            raise ValueError("max_new_tokens must be >= 0")
+        # A scoring request's prompt must fit as a one-token generation's.
+        arr = self.qlm.check_generation_request(prompt, max(max_new_tokens, 1))
         with self._lock:
             seq = SequenceState(request_id=self._next_id, prompt=arr,
                                 max_new_tokens=max_new_tokens,
@@ -308,7 +344,8 @@ class DecodeScheduler:
                                 _submitted_ns=time.perf_counter_ns())
             self._next_id += 1
             self._waiting.append(seq)
-            self.metrics.requests += 1
+            if not seq.scoring:
+                self.metrics.requests += 1
         return seq
 
     @property
@@ -394,81 +431,145 @@ class DecodeScheduler:
         return sum(seq._max_pages - len(held[i])
                    for i, seq in enumerate(self._active))
 
-    def _admit(self) -> list[SequenceState]:
-        """Prefill waiting requests (up to the pool cap) and join the cache.
+    def _admit(self) -> tuple[list[SequenceState], float]:
+        """Admit waiting requests and prefill them; returns those that
+        finished and the seconds the scoring passes took.
 
-        All admitted prompts run as *one* ragged right-padded stacked pass;
-        each admitted sequence's first token comes from its last valid
-        prefill logit, and its rows join the pool's cache so it participates
-        in the next stacked decode step.
+        The queue is read in FIFO order.  A generation prompt is admitted
+        while the pool holds fewer than ``max_active`` requests; it first
+        maps its longest registered page-chain prefix (those tokens **skip
+        the prefill pass**).  A scoring prompt maps nothing, since every
+        position's logits are wanted, and does not count against
+        ``max_active``.  A generation is admitted only while the pool can
+        cover its worst-case page span plus every in-flight sequence's
+        remaining growth; a scoring prompt's pages are back in the pool
+        before the decode step, so it may borrow the pages held for that
+        growth.  A request that does not fit waits: out-of-pages
+        backpressure instead of a mid-decode failure.  A generation held
+        back (at the cap or for pages) holds back the generations behind it
+        but not the scoring requests, whose pages return before the next
+        admission; a scoring request held back for pages ends the wave.
 
-        Admission maps each prompt's longest registered page-chain
-        prefix first (those tokens **skip the prefill pass**) and admits
-        only while the pool can cover the candidate's worst-case page span
-        plus every in-flight sequence's remaining growth — otherwise the
-        candidate is pushed back (FIFO preserved) and waits:
-        out-of-pages backpressure instead of a mid-decode failure.
+        The admitted generation prompts then prefill as one ragged pass
+        (:meth:`_prefill_wave`) and the scoring prompts as one unpadded
+        pass per length (:meth:`_score_group`).
         """
         pool = self.pool
-        capacity = self.cache_config.capacity
         sharing = self.cache_config.prefix_sharing
         tel = get_telemetry()
         t_adm = time.perf_counter_ns() if tel.enabled else 0
         admitted: list[SequenceState] = []
         rowspecs: list[tuple[list[int], int, int]] = []
-        finished: list[SequenceState] = []
-        while True:
-            with self._lock:
-                if (not self._waiting
-                        or len(self._active) + len(admitted) >= self.max_active):
-                    break
-                seq = self._waiting.popleft()
-                growth = self._outstanding_growth_locked()
-            if seq.done:
-                seq._notify(None)  # cancelled after submit, before admission
-                continue
-            max_pages = pool.pages_for(seq.prompt.size + seq.max_new_tokens - 1)
-            if max_pages > pool.num_pages:
-                seq._fail(OutOfPagesError(
-                    f"request {seq.request_id} spans {max_pages} pages but "
-                    f"the pool only holds {pool.num_pages}; grow num_pages "
-                    f"or page_size"))
-                finished.append(seq)
-                continue
-            if sharing:
-                # Cap the match below the full prompt: the last prompt token
-                # must run through the model to produce the first logit.
-                pages, key, matched = pool.map_prefix(seq.prompt,
-                                                      seq.prompt.size - 1)
-            else:
-                pages, key, matched = [], _PAGE_ROOT_KEY, 0
-            growth += sum(s._max_pages - len(p) for s, (p, _, _)
-                          in zip(admitted, rowspecs, strict=True))
-            if pool.num_free < (max_pages - len(pages)) + growth:
-                pool.release(pages)
-                with self._lock:
-                    self._waiting.appendleft(seq)
+        oversized: list[tuple[SequenceState, int]] = []
+        with self._lock:
+            slots = self.max_active - len(self._active)
+            growth = self._outstanding_growth_locked()
+            reserved = scored = 0  # pages of admitted generations / scoring
+            gens_held = False
+            waiting, self._waiting = self._waiting, deque()
+            while waiting:
+                seq = waiting.popleft()
+                if not seq.scoring and (gens_held or slots == 0):
+                    gens_held = True
+                    self._waiting.append(seq)
+                    continue
+                max_pages = pool.pages_for(
+                    seq.prompt.size + max(seq.max_new_tokens, 1) - 1)
+                if max_pages > pool.num_pages:
+                    oversized.append((seq, max_pages))
+                    continue
+                if sharing and not seq.scoring:
+                    # Cap the match below the full prompt: the last prompt
+                    # token must run through the model to produce the first
+                    # logit.
+                    pages, key, matched = pool.map_prefix(seq.prompt,
+                                                          seq.prompt.size - 1)
+                else:
+                    pages, key, matched = [], _PAGE_ROOT_KEY, 0
+                need = max_pages - len(pages)
+                if seq.scoring:
+                    needed = reserved + max(growth, scored + need)
+                else:
+                    needed = reserved + need + max(growth, scored)
+                if pool.num_free < needed:
+                    pool.release(pages)
+                    self._waiting.append(seq)
+                    if tel.enabled:
+                        tel.instant("scheduler.backpressure",
+                                    request_id=seq.request_id,
+                                    free_pages=pool.num_free,
+                                    needed_pages=needed)
+                    if seq.scoring:
+                        break
                     self.metrics.backpressure_events += 1
-                if tel.enabled:
-                    tel.instant("scheduler.backpressure",
-                                request_id=seq.request_id,
-                                free_pages=pool.num_free,
-                                needed_pages=(max_pages - len(pages)) + growth)
-                break
-            seq._max_pages = max_pages
-            seq.shared_tokens = matched
-            admitted.append(seq)
-            rowspecs.append((pages, key, matched))
+                    gens_held = True
+                    continue
+                seq._max_pages = max_pages
+                seq.shared_tokens = matched
+                if seq.scoring:
+                    scored += need
+                else:
+                    reserved += need
+                    slots -= 1
+                admitted.append(seq)
+                rowspecs.append((pages, key, matched))
+            self._waiting.extend(waiting)
+        finished: list[SequenceState] = []
+        for seq, max_pages in oversized:
+            seq._fail(OutOfPagesError(
+                f"request {seq.request_id} spans {max_pages} pages but "
+                f"the pool only holds {pool.num_pages}; grow num_pages "
+                f"or page_size"))
+            finished.append(seq)
         if not admitted:
-            return finished
+            return finished, 0.0
         if tel.enabled:
             now = time.perf_counter_ns()
             for seq in admitted:
                 tel.trace.record("request.queue", seq._submitted_ns, now,
                                  request_id=seq.request_id)
 
+        wave = [i for i, seq in enumerate(admitted) if not seq.scoring]
+        if wave:
+            finished += self._prefill_wave([admitted[i] for i in wave],
+                                           [rowspecs[i] for i in wave])
+            with self._lock:
+                self.metrics.admissions += 1
+        t_score = time.perf_counter()
+        groups: dict[int, list[SequenceState]] = {}
+        for seq in admitted:
+            if seq.scoring:
+                groups.setdefault(seq.prompt.size, []).append(seq)
+        for _, group in sorted(groups.items()):
+            self._score_group(group)
+            finished += group
+        score_s = time.perf_counter() - t_score
+        if tel.enabled:
+            tel.trace.record(
+                "scheduler.admission", t_adm, time.perf_counter_ns(),
+                request_ids=[s.request_id for s in admitted],
+                prefill_tokens=sum(s.prompt.size - s.shared_tokens
+                                   for s in admitted),
+                prefix_hit_tokens=sum(s.shared_tokens for s in admitted))
+        return finished, score_s
+
+    def _prefill_wave(self, admitted: list[SequenceState],
+                      rowspecs: list[tuple[list[int], int, int]]
+                      ) -> list[SequenceState]:
+        """Prefill admitted generation prompts as *one* ragged
+        right-padded stacked pass and join their rows to the decode cache;
+        returns the requests that finished.
+
+        Each sequence's first token comes from its last valid prefill
+        logit.  A cache overflow fails only the rows that overflow (the
+        rest retry at once); any other error fails the whole wave.
+        """
+        pool = self.pool
+        tel = get_telemetry()
+        finished: list[SequenceState] = []
         while admitted:
-            cache = self.model.init_paged_cache(0, pool, capacity=capacity)
+            cache = self.model.init_paged_cache(
+                0, pool, capacity=self.cache_config.capacity)
             for seq, (pages, key, matched) in zip(admitted, rowspecs, strict=True):
                 pool.acquire(pages)  # the wave cache's own reference
                 cache.add_row(pages, key, matched)
@@ -496,6 +597,12 @@ class DecodeScheduler:
                 admitted = [admitted[i] for i in keep]
                 rowspecs = [rowspecs[i] for i in keep]
                 continue
+            except Exception as err:
+                cache.release()
+                for seq, (pages, _, _) in zip(admitted, rowspecs, strict=True):
+                    seq._fail(err)
+                    pool.release(pages)  # the map_prefix reference
+                return finished + admitted
             if tel.enabled:
                 tel.trace.record("scheduler.prefill", t_pf,
                                  time.perf_counter_ns(),
@@ -510,7 +617,6 @@ class DecodeScheduler:
 
         with self._lock:
             self.metrics.mpu_stats = self.metrics.mpu_stats.merge(stats)
-            self.metrics.admissions += 1
             self.metrics.prefill_tokens += int(suffix.sum())
             self.metrics.prefix_hit_tokens += int(shared.sum())
             self.metrics.prefix_hit_requests += int(np.count_nonzero(shared))
@@ -530,13 +636,37 @@ class DecodeScheduler:
             else:
                 self._cache.extend(cache)
             self._active.extend(survivors)
-        if tel.enabled:
-            tel.trace.record("scheduler.admission", t_adm,
-                             time.perf_counter_ns(),
-                             request_ids=[s.request_id for s in admitted],
-                             prefill_tokens=int(suffix.sum()),
-                             prefix_hit_tokens=int(shared.sum()))
         return finished
+
+    def _score_group(self, group: list[SequenceState]) -> None:
+        """Prefill equal-length scoring prompts as one unpadded pass and
+        settle each with its ``(seq, vocab)`` logits.
+
+        With no padding, every row's logits equal its solo prefill bit for
+        bit.  The group's pages are released before this returns, and a
+        pass that raises fails only this group's requests.
+        """
+        tel = get_telemetry()
+        rows, width = len(group), group[0].prompt.size
+        cache = self.model.init_paged_cache(
+            rows, self.pool, capacity=self.cache_config.capacity)
+        t_pf = time.perf_counter_ns() if tel.enabled else 0
+        try:
+            logits, cache, _ = self.qlm.prefill(
+                np.stack([seq.prompt for seq in group]),
+                num_valid=np.full(rows, width), cache=cache, gemm=self._gemm)
+        except Exception as err:
+            for seq in group:
+                seq._fail(err)
+            return
+        finally:
+            cache.release()
+        if tel.enabled:
+            tel.trace.record("scheduler.prefill", t_pf, time.perf_counter_ns(),
+                             request_ids=[s.request_id for s in group],
+                             prefill_tokens=rows * width, prefix_hit_tokens=0)
+        for i, seq in enumerate(group):
+            seq._score(logits[i], rows)
 
     def audit_cache(self) -> None:
         """Assert the paged pool's bookkeeping invariants.
@@ -561,7 +691,7 @@ class DecodeScheduler:
         """
         tel = get_telemetry()
         t0 = time.perf_counter()
-        finished = self._admit()
+        finished, score_s = self._admit()
         t_admit = time.perf_counter()
 
         # Compact cancelled sequences out before the stacked pass so they
@@ -584,9 +714,7 @@ class DecodeScheduler:
                     active[r]._fail(err)
                     finished.append(active[r])
                 self._compact()
-                with self._lock:
-                    self.metrics.busy_s += time.perf_counter() - t0
-                    self.metrics.finished += len(finished)
+                self._account(t0, score_s, finished)
                 if tel.enabled:
                     self._record_departures(tel, finished)
                 if self.debug_audit:
@@ -611,9 +739,7 @@ class DecodeScheduler:
                     finished.append(seq)
             self._compact()
 
-        with self._lock:
-            self.metrics.busy_s += time.perf_counter() - t0
-            self.metrics.finished += len(finished)
+        self._account(t0, score_s, finished)
         if tel.enabled:
             if tel.profiling:
                 tel.profile.record("scheduler.admit", t_admit - t0)
@@ -621,6 +747,14 @@ class DecodeScheduler:
         if self.debug_audit:
             self.audit_cache()
         return finished
+
+    def _account(self, t0: float, score_s: float,
+                 finished: list[SequenceState]) -> None:
+        """Add an iteration's generation work to the metrics: its time less
+        the scoring passes, and the generation requests it settled."""
+        with self._lock:
+            self.metrics.busy_s += time.perf_counter() - t0 - score_s
+            self.metrics.finished += sum(not seq.scoring for seq in finished)
 
     def _record_departures(self, tel, finished: list[SequenceState]) -> None:
         """Close each finished request's lifecycle span (telemetry only)."""

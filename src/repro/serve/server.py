@@ -1,39 +1,35 @@
-"""Async-batched inference serving over a quantized LM.
+"""Pooled inference serving over a quantized LM.
 
-:class:`InferenceServer` is the top of the serving stack: requests (token
-sequences) are coalesced by an :class:`~repro.serve.batching.AsyncBatcher`
-into micro-batches, each micro-batch runs one transformer forward pass
-whose weight GEMMs are dispatched — layer by layer — through a
+:class:`InferenceServer` is the top of the serving stack.  Every request
+joins one :class:`~repro.serve.scheduler.DecodeScheduler` queue, and one
+pump drives its iterations:
+
+* :meth:`InferenceServer.submit` scores a prompt.  It is a prefill-only
+  scheduler request (``max_new_tokens=0``): admitted from the same FIFO
+  as generation requests but never waiting for a generation slot,
+  prefilled in one unpadded pass with the other
+  admitted scoring prompts of its length, and settled with its ``(seq,
+  vocab)`` logits in the same iteration;
+* :meth:`InferenceServer.submit_generate` (and the streaming
+  :meth:`InferenceServer.stream_generate`) join the pool of in-flight
+  sequences over one shared paged KV cache and receive one token per
+  stacked single-position decode step.
+
+Every weight GEMM is dispatched — layer by layer — through a
 :class:`~repro.serve.workers.ShardedMPUPool` (one pinned program per
-layer; small GEMMs run inline, large ones fan their activation columns out
-across the workers), and the per-request logits fan back out with
-per-request latency recorded.
-
-The pipeline ``submit → batch → per-layer pooled GEMM → de-batch`` is
-bit-transparent: the MPU program is batch-column-independent, the pool's
-column chunks are concatenated unchanged, and the transformer's
-elementwise/attention ops are per-sequence, so the logits a request
-receives are identical whether it rode a micro-batch or ran alone
-(:meth:`InferenceServer.run_solo`), and identical to a single-process run
-of the model's prepared programs.
+layer; small GEMMs run inline, large ones fan their activation columns
+out across the workers).  The MPU program is batch-column-independent and
+the pool's column chunks are concatenated unchanged, so a request's
+output does not depend on what it was batched with: served logits equal
+:meth:`InferenceServer.run_solo`'s bit for bit (both run the cache-aware
+step prefill, the scoring group without padding), and served tokens equal
+:meth:`InferenceServer.generate_solo`'s.
 
 Accounting reuses the analytic plan counters: every pooled GEMM returns its
 plan-exact :class:`~repro.core.mpu.MPURunStats` for the whole call, so the
 server's aggregate modelled cycles equal the ``QuantizedLM.model_mpu_stats``
-totals for the batches it actually ran, alongside the measured wall-clock
+totals for the passes it actually ran, alongside the measured wall-clock
 latency percentiles and throughput.
-
-Multi-token generation does **not** go through the one-shot pipeline:
-:meth:`InferenceServer.submit_generate` (and the streaming
-:meth:`InferenceServer.stream_generate`) hand requests to a
-:class:`~repro.serve.scheduler.DecodeScheduler` that keeps a pool of
-in-flight sequences over one shared paged KV cache, admits new requests
-between decode iterations, and drives one stacked single-position decode
-step per iteration through the same pool — so each emitted token costs one
-plan execution at flat batch = #active instead of a full re-prefill.
-:meth:`InferenceServer.generate_solo` runs one request through a private
-scheduler of the same kind, so a request's served tokens are
-bit-identical to its solo run.
 """
 
 from __future__ import annotations
@@ -47,33 +43,58 @@ import numpy as np
 
 from repro.core.mpu import MPUConfig, MPURunStats
 from repro.models.quantized_model import GenerationResult, QuantizedLM
-from repro.serve.batching import AsyncBatcher, BatchPolicy
-from repro.serve.scheduler import CacheConfig, DecodeScheduler
+from repro.serve.scheduler import CacheConfig, DecodeScheduler, SequenceState
 from repro.serve.workers import ShardedMPUPool
 from repro.telemetry import Histogram, Telemetry, get_telemetry
 from repro.telemetry.adapters import bind_server
 
-__all__ = ["InferenceResult", "GeneratedSequence", "ServerMetrics",
-           "InferenceServer"]
+__all__ = ["BatchPolicy", "InferenceResult", "GeneratedSequence",
+           "ServerMetrics", "InferenceServer"]
+
+
+@dataclass(frozen=True)
+class BatchPolicy:
+    """The server pump's admission window.
+
+    Attributes
+    ----------
+    max_wait_us:
+        A starting pump waits this long (microseconds) so requests
+        submitted together share the first scheduler iteration.  ``0``
+        starts at once.
+    max_batch:
+        Reported with the server's configuration only: the serving path
+        does not read it.  Admission is capped by the scheduler's
+        ``max_active`` (generations) and by free pages.
+    """
+
+    max_batch: int = 8
+    max_wait_us: float = 1000.0
+
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if self.max_wait_us < 0:
+            raise ValueError("max_wait_us must be >= 0")
 
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """One served request: its logits and how the batch treated it."""
+    """One scored request: its logits and the pass that computed them."""
 
     request_id: int
     logits: np.ndarray          # (seq, vocab)
     latency_s: float
-    batch_size: int             # requests sharing the forward pass
+    batch_size: int             # scoring requests sharing the prefill pass
 
 
 @dataclass(frozen=True)
 class GeneratedSequence:
     """One served generation request (continuous-batching decode path).
 
-    ``request_id`` comes from the decode scheduler's id space (independent
-    of the one-shot :class:`InferenceResult` ids); ``latency_s`` is the
-    submit-to-last-token wall time the request observed.
+    ``request_id`` comes from the scheduler's id space, which scoring
+    requests share; ``latency_s`` is the submit-to-last-token wall time the
+    request observed.
     """
 
     request_id: int
@@ -87,15 +108,16 @@ class GeneratedSequence:
 class ServerMetrics:
     """Aggregate accounting across every request a server handled.
 
-    Counters are exact over the server's lifetime.  ``request_latency``
-    is the registry's :class:`~repro.telemetry.metrics.Histogram` of
-    one-shot submit latencies (``.percentile(q)``, ``.count()``): exact up
-    to its reservoir size, a seeded uniform sample beyond it, at O(1)
-    memory.
+    Counters are exact over the server's lifetime: ``requests`` and
+    ``tokens`` count scored requests and their prompt tokens,
+    ``mpu_stats`` every pooled GEMM (scoring, generation and the solo
+    baselines).  ``request_latency`` is the registry's
+    :class:`~repro.telemetry.metrics.Histogram` of scoring latencies
+    (``.percentile(q)``, ``.count()``): exact up to its reservoir size, a
+    seeded uniform sample beyond it, at O(1) memory.
     """
 
     requests: int = 0
-    batches: int = 0
     tokens: int = 0
     request_latency: Histogram = field(default_factory=lambda: Histogram(
         "server_request_latency_seconds",
@@ -115,19 +137,15 @@ class ServerMetrics:
         elapsed = self.elapsed_s
         return self.tokens / elapsed if elapsed > 0 else 0.0
 
-    @property
-    def mean_batch_size(self) -> float:
-        return self.requests / self.batches if self.batches else 0.0
-
 
 class InferenceServer:
-    """Async-batched, pooled inference over a :class:`QuantizedLM`.
+    """Pooled inference over a :class:`QuantizedLM`, one scheduler for all.
 
     Parameters
     ----------
     qlm:
         The quantized model; its prepared programs are pinned in the pool,
-        its transformer runs the forward pass.
+        its transformer runs the cache-aware step passes.
     num_shards, mpu_config:
         Forwarded to :class:`~repro.serve.workers.ShardedMPUPool`, which
         pins the model's own memoised
@@ -137,13 +155,12 @@ class InferenceServer:
         entries and accumulators on uncast activations (see "Numerics" in
         ``docs/serving.md``).
     policy:
-        Micro-batching policy (:class:`~repro.serve.batching.BatchPolicy`).
-        ``max_wait_us`` doubles as the decode scheduler's admission window:
-        generation requests submitted within it join the first iteration.
+        The pump's admission window (:class:`BatchPolicy`): requests
+        submitted within ``max_wait_us`` share the first iteration.
     decode_max_active:
-        In-flight sequence cap of the continuous-batching decode scheduler.
+        In-flight generation cap of the scheduler.
     cache_config:
-        Paged KV-cache knobs for the decode scheduler
+        Paged KV-cache knobs for the scheduler
         (:class:`~repro.serve.scheduler.CacheConfig`): cross-request
         prefix sharing by default; ``page_size`` / ``num_pages`` size the
         page pool.
@@ -158,36 +175,40 @@ class InferenceServer:
         self.pool = ShardedMPUPool(qlm.prepared_weights(mpu_config),
                                    num_shards=num_shards,
                                    mpu_config=mpu_config)
+        self.policy = policy or BatchPolicy()
         self.metrics = ServerMetrics()
-        self.batcher = AsyncBatcher(self._run_batch, policy)
         self.scheduler = DecodeScheduler(qlm, gemm=self._metered_gemm,
                                          max_active=decode_max_active,
                                          cache_config=cache_config)
-        self._hook = qlm.matmul_via(self._pool_gemm)
         self._lock = threading.Lock()
-        self._next_id = 0
         self._pump_task: asyncio.Task | None = None
         if get_telemetry().enabled:
             self.bind_telemetry()
 
+    @property
+    def batcher(self) -> InferenceServer:
+        """This server, under the name ``bench/run.py`` reads the batch
+        policy through (``server.batcher.policy``)."""
+        return self
+
     def bind_telemetry(self, telemetry: Telemetry | None = None) -> None:
         """Export this stack's live metrics through a telemetry registry.
 
-        Registers the server's and the decode scheduler's latency
-        histograms themselves, and binds callback gauges over every
-        counter field of the serving structs plus queue depth,
-        active/waiting requests, page-pool occupancy, prefix hit rates and
-        the pool's inline/fan-out call counts, into ``telemetry.metrics``
-        — the active handle by default.  Runs automatically at
-        construction when telemetry is already enabled; call it manually
-        after enabling a handle for an existing server.  Idempotent: re-binding replaces
-        every family in place, so a registry exports the server bound
-        last.  Private schedulers (:meth:`generate_solo`) are never bound.
+        Registers the server's and the scheduler's latency histograms
+        themselves, and binds callback gauges over every counter field of
+        the serving structs plus active/waiting requests, page-pool
+        occupancy, prefix hit rates and the pool's inline/fan-out call
+        counts, into ``telemetry.metrics`` — the active handle by default.
+        Runs automatically at construction when telemetry is already
+        enabled; call it manually after enabling a handle for an existing
+        server.  Idempotent: re-binding replaces every family in place, so
+        a registry exports the server bound last.  Private schedulers
+        (:meth:`generate_solo`) are never bound.
         """
         tel = telemetry if telemetry is not None else get_telemetry()
         bind_server(tel.metrics, self)
 
-    # -- the pooled forward path ------------------------------------------
+    # -- the pooled GEMM path ---------------------------------------------
     def _metered_gemm(self, name: str,
                       flat: np.ndarray) -> tuple[np.ndarray, MPURunStats]:
         """Pool dispatch that also feeds the server-wide counters."""
@@ -196,82 +217,23 @@ class InferenceServer:
             self.metrics.mpu_stats = self.metrics.mpu_stats.merge(stats)
         return y, stats
 
-    def _pool_gemm(self, name: str, flat: np.ndarray) -> np.ndarray:
-        y, _ = self._metered_gemm(name, flat)
-        return y
-
     def forward(self, tokens: np.ndarray) -> np.ndarray:
-        """Logits ``(batch, seq, vocab)`` with every weight GEMM pooled."""
-        return self.qlm.logits(tokens, matmul=self._hook)
+        """Logits ``(batch, seq, vocab)`` of equal-length prompts.
 
-    # -- batching ----------------------------------------------------------
-    def _run_batch(self, items: list[np.ndarray]) -> list[tuple[np.ndarray, int]]:
-        """One micro-batch: stack same-length requests, forward, de-batch.
-
-        Requests of different lengths fall into separate stacks (the
-        substrate transformer has no padding/attention-mask path), each
-        still amortising one forward per length.
+        The pass a scoring group runs: one unpadded step prefill, here on a
+        private cache, with every weight GEMM pooled.
         """
-        results: list = [None] * len(items)
-        by_length: dict[int, list[int]] = {}
-        for i, tokens in enumerate(items):
-            by_length.setdefault(len(tokens), []).append(i)
-        total_tokens = 0
-        for _, indices in sorted(by_length.items()):
-            stacked = np.stack([items[i] for i in indices])
-            logits = self.forward(stacked)
-            total_tokens += stacked.size
-            for row, i in enumerate(indices):
-                results[i] = (logits[row], len(indices))
-        with self._lock:
-            self.metrics.batches += len(by_length)
-            self.metrics.tokens += total_tokens
-        return results
+        batch, seq = np.shape(tokens)
+        logits, _, _ = self.qlm.prefill(
+            tokens, num_valid=np.full(batch, seq), capacity=seq,
+            gemm=self._metered_gemm)
+        return logits
 
-    @staticmethod
-    def _check_request(tokens) -> np.ndarray:
-        arr = np.asarray(tokens, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("a request is a non-empty 1-D token sequence")
-        return arr
-
-    async def submit(self, tokens: np.ndarray) -> InferenceResult:
-        """Serve one request through the batcher; await its logits."""
-        arr = self._check_request(tokens)
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            if self.metrics.started_at is None:
-                self.metrics.started_at = time.perf_counter()
-        tel = get_telemetry()
-        t0 = time.perf_counter()
-        t0_ns = time.perf_counter_ns() if tel.enabled else 0
-        logits, batch_size = await self.batcher.submit(arr)
-        latency = time.perf_counter() - t0
-        if tel.enabled:
-            tel.trace.record("server.submit", t0_ns, time.perf_counter_ns(),
-                             request_id=request_id, batch_size=batch_size,
-                             tokens=arr.size)
-        self.metrics.request_latency.observe(latency)
-        with self._lock:
-            self.metrics.requests += 1
-            self.metrics.finished_at = time.perf_counter()
-        return InferenceResult(request_id=request_id, logits=logits,
-                               latency_s=latency, batch_size=batch_size)
-
-    # -- continuous-batching generation ------------------------------------
-    @property
-    def decode_metrics(self):
-        """The decode scheduler's :class:`~repro.serve.scheduler.
-        DecodeMetrics`: per-token and per-request latency, decode
-        tokens/s, and the plan-exact counters of every prefill/decode pass
-        it dispatched."""
-        return self.scheduler.metrics
-
+    # -- the one request queue ---------------------------------------------
     def _ensure_pump(self) -> None:
         """Start (or restart) the scheduler pump on the running loop.
 
-        The pump first sleeps the batching policy's admission window so
+        The pump first sleeps the policy's admission window so
         concurrently-submitted requests share the first iteration, then
         drives one scheduler iteration at a time in the executor — between
         iterations the event loop runs, which is exactly when new requests
@@ -284,7 +246,7 @@ class InferenceServer:
 
     async def _pump(self) -> None:
         loop = asyncio.get_running_loop()
-        await asyncio.sleep(self.batcher.policy.max_wait_us / 1e6)
+        await asyncio.sleep(self.policy.max_wait_us / 1e6)
         try:
             while self.scheduler.has_work:
                 await loop.run_in_executor(None, self.scheduler.step)
@@ -292,6 +254,71 @@ class InferenceServer:
             # A fatal driver error (e.g. a dead pool worker) must reach the
             # awaiting clients, not die silently with the pump task.
             self.scheduler.abort(exc)
+
+    async def _settled(self, tokens: np.ndarray, max_new_tokens: int,
+                       eos_token: int | None = None) -> SequenceState:
+        """Queue one request, keep the pump running, await its settlement.
+
+        Cancelling the awaiting task abandons the request; a failure is
+        re-raised here.
+        """
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+
+        def on_token(seq, token, done):
+            if done:
+                loop.call_soon_threadsafe(
+                    lambda: future.done() or future.set_result(seq))
+
+        seq = self.scheduler.submit(tokens, max_new_tokens,
+                                    eos_token=eos_token, on_token=on_token)
+        self._ensure_pump()
+        try:
+            await future
+        except asyncio.CancelledError:
+            self.scheduler.cancel(seq)
+            raise
+        if seq.error is not None:
+            raise seq.error
+        return seq
+
+    async def submit(self, tokens: np.ndarray) -> InferenceResult:
+        """Score one prompt; await its ``(seq, vocab)`` logits.
+
+        A prefill-only scheduler request: it is admitted from the same FIFO
+        as generation requests, needing free pages but no generation slot,
+        and prefilled with the other admitted scoring
+        prompts of its length in one unpadded pass, so its logits equal
+        :meth:`run_solo`'s bit for bit.  A failure of that pass is
+        re-raised here.
+        """
+        tel = get_telemetry()
+        t0 = time.perf_counter()
+        t0_ns = time.perf_counter_ns() if tel.enabled else 0
+        with self._lock:
+            if self.metrics.started_at is None:
+                self.metrics.started_at = t0
+        seq = await self._settled(tokens, 0)
+        latency = time.perf_counter() - t0
+        if tel.enabled:
+            tel.trace.record("server.submit", t0_ns, time.perf_counter_ns(),
+                             request_id=seq.request_id,
+                             batch_size=seq.prefill_rows,
+                             tokens=seq.prompt.size)
+        self.metrics.request_latency.observe(latency)
+        with self._lock:
+            self.metrics.requests += 1
+            self.metrics.tokens += seq.prompt.size
+            self.metrics.finished_at = time.perf_counter()
+        return InferenceResult(request_id=seq.request_id, logits=seq.logits,
+                               latency_s=latency, batch_size=seq.prefill_rows)
+
+    @property
+    def decode_metrics(self):
+        """The scheduler's :class:`~repro.serve.scheduler.DecodeMetrics`:
+        per-token and per-request latency, decode tokens/s, and the
+        plan-exact counters of every prefill/decode pass it dispatched."""
+        return self.scheduler.metrics
 
     async def submit_generate(self, tokens: np.ndarray,
                               max_new_tokens: int = 16,
@@ -306,28 +333,11 @@ class InferenceServer:
         (it is compacted out of the decode pool at the next iteration);
         a fatal decode error is re-raised here.
         """
-        arr = self._check_request(tokens)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        arr = self.qlm.check_generation_request(tokens, max_new_tokens)
         tel = get_telemetry()
         t0 = time.perf_counter()
         t0_ns = time.perf_counter_ns() if tel.enabled else 0
-
-        def on_token(seq, token, done):
-            if done:
-                loop.call_soon_threadsafe(
-                    lambda: future.done() or future.set_result(seq))
-
-        seq = self.scheduler.submit(arr, max_new_tokens, eos_token=eos_token,
-                                    on_token=on_token)
-        self._ensure_pump()
-        try:
-            finished = await future
-        except asyncio.CancelledError:
-            self.scheduler.cancel(seq)
-            raise
-        if finished.error is not None:
-            raise finished.error
+        finished = await self._settled(arr, max_new_tokens, eos_token)
         latency = time.perf_counter() - t0
         if tel.enabled:
             tel.trace.record("server.submit_generate", t0_ns,
@@ -350,7 +360,7 @@ class InferenceServer:
         request so it stops occupying a decode-pool slot; a fatal decode
         error is re-raised to the consumer.
         """
-        arr = self._check_request(tokens)
+        arr = self.qlm.check_generation_request(tokens, max_new_tokens)
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue[tuple[int | None, bool]] = asyncio.Queue()
         tel = get_telemetry()
@@ -385,16 +395,16 @@ class InferenceServer:
 
     # -- baselines / lifecycle --------------------------------------------
     def run_solo(self, tokens: np.ndarray) -> np.ndarray:
-        """One request through the same pool, no batching.
+        """Score one prompt through the same pool, no queue.
 
-        The sequential baseline the throughput benchmark compares against;
-        returns logits ``(seq, vocab)`` bit-identical to what the same
-        request receives from :meth:`submit` inside any micro-batch.  Runs
-        over the pool's pinned programs, so the standalone path
-        re-plans and re-compiles nothing.
+        The sequential baseline for :meth:`submit`: the same unpadded step
+        prefill over the pool's pinned programs (nothing re-planned or
+        re-compiled), so it returns the ``(seq, vocab)`` logits that
+        :meth:`submit` gives the prompt in any scoring group, bit for bit.
         Updates only the modelled GEMM counters, not the request metrics.
         """
-        arr = self._check_request(tokens)
+        # The prompt alone must fit, as for a one-token generation.
+        arr = self.qlm.check_generation_request(tokens, 1)
         return self.forward(arr[None])[0]
 
     def generate_solo(self, tokens: np.ndarray, max_new_tokens: int = 16,
@@ -414,7 +424,6 @@ class InferenceServer:
     async def aclose(self) -> None:
         if self._pump_task is not None and not self._pump_task.done():
             await self._pump_task
-        await self.batcher.aclose()
         self.pool.close()
 
     def close(self) -> None:

@@ -4,8 +4,9 @@ Three layers behind one :class:`Telemetry` handle:
 
 1. **Tracing** (:mod:`repro.telemetry.tracing`): ring-buffered spans over
    monotonic clocks covering the full request lifecycle — submit →
-   batcher wait → admission wave → paged prefill (incl. prefix-share
-   hits) → each decode iteration → departure — plus executor-level spans
+   scheduler queue → admission wave → paged prefill (incl. prefix-share
+   hits; a scoring request settles here) → each decode iteration →
+   departure — plus executor-level spans
    (``mpu.gemm``, per-shard ``pool.shard`` dispatch / ``pool.merge``).
    Export with :meth:`Telemetry.export_chrome` and open in Perfetto.
 2. **Metrics** (:mod:`repro.telemetry.metrics`): Counter/Gauge/Histogram

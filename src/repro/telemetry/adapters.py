@@ -1,9 +1,9 @@
 """Bind a serving stack's live metrics into a registry.
 
 The serving structs (``DecodeMetrics``, ``ServerMetrics``,
-``BatcherStats``, ``PagePoolCounters``, ``PoolCounters``,
-``MPURunStats``) are the one store of what they count.  :func:`bind_server` exports them without
-copying anything on the hot paths: every ``int`` field becomes a
+``PagePoolCounters``, ``PoolCounters``, ``MPURunStats``) are the one store
+of what they count.  :func:`bind_server` exports them without copying
+anything on the hot paths: every ``int`` field becomes a
 *callback gauge* read live at scrape time, and the structs' latency
 :class:`~repro.telemetry.metrics.Histogram` objects are registered
 themselves, so a ``registry.snapshot()`` or ``render_prometheus()``
@@ -48,12 +48,11 @@ def bind_server(registry: MetricsRegistry, server) -> MetricsRegistry:
     callback gauges are re-pointed and the latency histograms re-registered,
     so the registry always exports the server bound last.
     """
-    scheduler, batcher, pages = server.scheduler, server.batcher, server.scheduler.pool
+    scheduler, pages = server.scheduler, server.scheduler.pool
     registry.register(server.metrics.request_latency)
     registry.register(scheduler.metrics.token_latency)
     registry.register(scheduler.metrics.request_latency)
     _bind_fields(registry, "server", lambda: server.metrics)
-    _bind_fields(registry, "batcher", lambda: batcher.stats)
     _bind_fields(registry, "decode", lambda: scheduler.metrics)
     _bind_fields(registry, "page_pool", lambda: pages.counters)
     _bind_fields(registry, "mpu", lambda: server.metrics.mpu_stats,
@@ -61,10 +60,6 @@ def bind_server(registry: MetricsRegistry, server) -> MetricsRegistry:
     _bind_fields(registry, "mpu", lambda: scheduler.metrics.mpu_stats,
                  source="scheduler")
 
-    registry.gauge(
-        "batcher_queue_depth",
-        help="requests waiting for micro-batch dispatch",
-    ).set_function(lambda: float(batcher.pending))
     registry.gauge(
         "decode_waiting_requests",
         help="requests queued for admission",

@@ -12,6 +12,7 @@ rejects malformed buffers and its build is cached.
 
 import ctypes
 import dataclasses
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -397,9 +398,22 @@ class TestKernelBuild:
         assert done.returncode == 0, done.stderr
 
     def test_warm_load_does_not_compile(self, tmp_path, monkeypatch):
-        built = native.build_library(tmp_path)
-        calls = []
+        # The first build into tmp_path fakes only the compile: it copies
+        # the library this session already built to the ``-o`` target, so
+        # the test costs no second cold build.
+        session_lib = native.build_library(native.cache_dir())
         run = subprocess.run
+
+        def copying_compile(argv, *args, **kwargs):
+            if "-o" not in argv:
+                return run(argv, *args, **kwargs)
+            shutil.copyfile(session_lib, argv[argv.index("-o") + 1])
+            return subprocess.CompletedProcess(argv, 0, "", "")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(subprocess, "run", copying_compile)
+            built = native.build_library(tmp_path)
+        calls = []
 
         def recording_run(argv, *args, **kwargs):
             calls.append(list(argv))

@@ -286,28 +286,42 @@ def _solo_tokens(prompt: tuple, max_new_tokens: int, eos_token) -> tuple:
     return tuple(int(t) for t in result.tokens)
 
 
+@functools.cache
+def _solo_logits(prompt: tuple) -> bytes:
+    logits, _, _ = _decode_qlm().prefill(np.array(prompt),
+                                         num_valid=np.array([len(prompt)]))
+    return logits[0].tobytes()
+
+
 class TestDecodeSchedulerProperties:
     """Random request streams through one :class:`DecodeScheduler`:
-    prompts share one of two prefixes (prefix hits), the page pool barely
-    fits the largest request (admission backpressure), and random requests
-    are cancelled between steps.  Whatever the interleaving, every request
+    generations and scoring requests (``max_new_tokens=0``) mixed, prompts
+    sharing one of two prefixes (prefix hits), the page pool barely fitting
+    the largest request (admission backpressure), and random requests
+    cancelled between steps.  Whatever the interleaving, every request
     settles exactly once, served tokens equal a solo ``generate`` (a prefix
-    of it when cancelled), and the pool ends audited clean and empty."""
+    of it when cancelled), scored logits equal a solo prefill bit for bit,
+    and the pool ends audited clean and empty."""
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_requests_settle_once_and_match_solo(self, data):
         tokens = st.integers(0, _DECODE_VOCAB - 1)
-        prefixes = [data.draw(st.lists(tokens, min_size=4, max_size=9))
+        # Equal-length prefixes and short suffixes make equal-length
+        # scoring prompts (one group pass) common; max_new_tokens 0 is a
+        # scoring request, drawn about half the time.
+        prefix_len = data.draw(st.integers(4, 9))
+        prefixes = [data.draw(st.lists(tokens, min_size=prefix_len,
+                                       max_size=prefix_len))
                     for _ in range(2)]
         requests = data.draw(st.lists(
             st.tuples(st.integers(0, 1), st.lists(tokens, min_size=1,
-                                                  max_size=4),
-                      st.integers(1, 6), st.none() | tokens),
+                                                  max_size=3),
+                      st.just(0) | st.integers(1, 6), st.none() | tokens),
             min_size=1, max_size=6))
         prompts = [tuple(prefixes[i] + suffix) for i, suffix, _, _ in requests]
         page_size = 4
-        largest = max(-(-(len(p) + n - 1) // page_size)
+        largest = max(-(-(len(p) + max(n, 1) - 1) // page_size)
                       for p, (_, _, n, _) in zip(prompts, requests, strict=True))
         sched = DecodeScheduler(
             _decode_qlm(), max_active=data.draw(st.integers(1, 4)),
@@ -330,6 +344,12 @@ class TestDecodeSchedulerProperties:
             assert [done for _, done in c] == [False] * (len(c) - 1) + [True]
             got = tuple(int(t) for t in seq.tokens)
             assert [t for t, _ in c if t is not None] == list(got)
+            if n == 0:
+                assert got == () and seq.shared_tokens == 0
+                if seq.finish_reason != "cancelled":
+                    assert seq.finish_reason == "length"
+                    assert seq.logits.tobytes() == _solo_logits(prompt)
+                continue
             want = _solo_tokens(prompt, n, eos)
             if seq.finish_reason == "cancelled":
                 assert got == want[:len(got)]

@@ -1,6 +1,5 @@
-"""Worker-pool and async-batcher tests for the serving subsystem."""
+"""Worker-pool tests for the serving subsystem."""
 
-import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
-from repro.serve import AsyncBatcher, BatchPolicy, PoolCounters, ShardedMPUPool
+from repro.serve import PoolCounters, ShardedMPUPool
 from repro.serve import workers
 from repro.telemetry import telemetry_session
 
@@ -353,125 +352,15 @@ class TestShardedMPUPool:
             with pytest.raises(KeyError):
                 pool.gemm("missing", np.zeros((32, 1)))
 
-
-class TestAsyncBatcher:
-    def test_coalesces_to_max_batch(self):
-        calls = []
-
-        def run_batch(items):
-            calls.append(len(items))
-            return [i * 10 for i in items]
-
-        async def main():
-            batcher = AsyncBatcher(run_batch,
-                                   BatchPolicy(max_batch=2, max_wait_us=50_000))
-            results = await asyncio.gather(*[batcher.submit(i) for i in range(5)])
-            await batcher.aclose()
-            return results
-
-        results = asyncio.run(main())
-        assert results == [0, 10, 20, 30, 40]  # fan-out preserves order
-        assert sorted(calls) == [1, 2, 2]  # two full batches + timer flush
-
-    def test_max_wait_flushes_partial_batch(self):
-        async def main():
-            batcher = AsyncBatcher(lambda items: [x + 1 for x in items],
-                                   BatchPolicy(max_batch=64, max_wait_us=1_000))
-            result = await asyncio.wait_for(batcher.submit(41), timeout=5.0)
-            await batcher.aclose()
-            return result, batcher.stats
-
-        result, stats = asyncio.run(main())
-        assert result == 42
-        assert stats.batches == 1 and stats.requests == 1
-
-    def test_zero_wait_disables_batching(self):
-        sizes = []
-
-        def run_batch(items):
-            sizes.append(len(items))
-            return items
-
-        async def main():
-            batcher = AsyncBatcher(run_batch, BatchPolicy(max_batch=8, max_wait_us=0))
-            await asyncio.gather(*[batcher.submit(i) for i in range(3)])
-            await batcher.aclose()
-
-        asyncio.run(main())
-        assert sizes == [1, 1, 1]
-
-    def test_run_batch_off_event_loop_thread(self):
-        loop_thread = threading.current_thread()
-        seen = []
-
-        def run_batch(items):
-            seen.append(threading.current_thread())
-            return items
-
-        async def main():
-            batcher = AsyncBatcher(run_batch, BatchPolicy(max_batch=1))
-            await batcher.submit(0)
-            await batcher.aclose()
-
-        asyncio.run(main())
-        assert seen and all(t is not loop_thread for t in seen)
-
-    def test_exception_propagates_to_all_requests(self):
-        def run_batch(items):
-            raise RuntimeError("engine on fire")
-
-        async def main():
-            batcher = AsyncBatcher(run_batch, BatchPolicy(max_batch=2, max_wait_us=100))
-            results = await asyncio.gather(batcher.submit(1), batcher.submit(2),
-                                           return_exceptions=True)
-            await batcher.aclose()
-            return results
-
-        results = asyncio.run(main())
-        assert all(isinstance(r, RuntimeError) for r in results)
-
-    def test_result_count_mismatch_raises(self):
-        async def main():
-            batcher = AsyncBatcher(lambda items: items[:-1],
-                                   BatchPolicy(max_batch=2, max_wait_us=100))
-            return await asyncio.gather(batcher.submit(1), batcher.submit(2),
-                                        return_exceptions=True)
-
-        results = asyncio.run(main())
-        assert all(isinstance(r, RuntimeError) for r in results)
-
-    def test_closed_batcher_refuses_submissions(self):
-        async def main():
-            batcher = AsyncBatcher(lambda items: items, BatchPolicy(max_batch=1))
-            await batcher.aclose()
-            with pytest.raises(RuntimeError):
-                await batcher.submit(0)
-
-        asyncio.run(main())
-
-    def test_batched_gemm_rows_identical_to_solo(self, rng, layers):
-        """The acceptance pin at the GEMM level: a request's output row is
-        identical whether its activation column rode a micro-batch or ran
-        alone through the sharded pool."""
+    def test_stacked_request_columns_identical_to_solo(self, rng, layers):
+        """The pin at the GEMM level: a request's output column is
+        identical whether its activation column rode a stacked batch or
+        ran alone through the sharded pool."""
         tensor = layers["mixed"]
         requests = [rng.standard_normal(tensor.shape[1]) for _ in range(6)]
         with ShardedMPUPool({"l": tensor}, num_shards=2,
                             mpu_config=MPU_CFG) as pool:
             solo = [pool.gemm("l", r)[0] for r in requests]
-
-            def run_batch(items):
-                stacked = np.stack(items, axis=1)        # (n, k)
-                y, _ = pool.gemm("l", stacked)
-                return [y[:, i] for i in range(len(items))]
-
-            async def main():
-                batcher = AsyncBatcher(run_batch,
-                                       BatchPolicy(max_batch=4, max_wait_us=10_000))
-                out = await asyncio.gather(*[batcher.submit(r) for r in requests])
-                await batcher.aclose()
-                return out, batcher.stats
-
-            batched, stats = asyncio.run(main())
-        assert stats.max_batch_size > 1  # genuinely coalesced
-        for got, want in zip(batched, solo, strict=True):
-            np.testing.assert_array_equal(got, want)
+            stacked, _ = pool.gemm("l", np.stack(requests, axis=1))
+        for i, want in enumerate(solo):
+            np.testing.assert_array_equal(stacked[:, i], want)

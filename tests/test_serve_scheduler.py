@@ -1,4 +1,5 @@
-"""Tests for continuous-batching generation: scheduler + server decode path.
+"""Tests for the one request queue: scheduler and server, generation and
+scoring (prefill-only) requests.
 
 The acceptance pin: for every request in a concurrent mixed-length batch,
 ``InferenceServer.submit_generate`` produces the same token sequence as a
@@ -224,9 +225,12 @@ class TestDecodeScheduler:
         with pytest.raises(ValueError):
             sched.submit(np.array([], dtype=np.int64), 4)
         with pytest.raises(ValueError):
-            sched.submit(rng.integers(0, VOCAB, size=4), 0)
+            sched.submit(rng.integers(0, VOCAB, size=4), -1)
         with pytest.raises(ValueError):  # 8 + 18 - 1 > max_seq_len 24
             sched.submit(rng.integers(0, VOCAB, size=8), 18)
+        with pytest.raises(ValueError):  # a scored prompt must fit too
+            sched.submit(rng.integers(0, VOCAB, size=25), 0)
+        assert not sched.has_work
         with pytest.raises(ValueError):
             DecodeScheduler(qlm, max_active=0)
 
@@ -377,6 +381,115 @@ class TestPagedScheduling:
         assert sched.metrics.prefill_tokens == 2 * 7
 
 
+def _solo_prefill(qlm, prompt):
+    logits, _, _ = qlm.prefill(prompt, num_valid=np.array([prompt.size]),
+                               mpu_config=MPU_CFG)
+    return logits[0]
+
+
+class TestScoringRequests:
+    """``max_new_tokens=0``: prefill-only requests through the one queue."""
+
+    def test_scored_in_the_admitting_step_by_length_group(self, qlm, rng):
+        sched = DecodeScheduler(qlm, max_active=4, mpu_config=MPU_CFG)
+        prompts = [rng.integers(0, VOCAB, size=n) for n in (6, 9, 6)]
+        gen = sched.submit(prompts[1], 4)
+        scored = [sched.submit(p, 0) for p in prompts]
+        finished = sched.step()
+        assert {s.request_id for s in scored} <= {s.request_id for s in finished}
+        for seq, prompt in zip(scored, prompts, strict=True):
+            assert seq.finish_reason == "length" and seq.generated == []
+            assert seq.logits.tobytes() == _solo_prefill(qlm, prompt).tobytes()
+        assert [s.prefill_rows for s in scored] == [2, 1, 2]
+        # Only the generation joined the decode cache; scoring pages are
+        # already back in the pool.
+        assert sched.num_active == 1
+        sched.audit_cache()
+        assert (sched.pool.num_pages - sched.pool.num_free
+                == len(sched._cache.row_pages(0)))
+        sched.run_until_idle()
+        assert gen.tokens.size == 4
+        assert sched.pool.num_free == sched.pool.num_pages
+        # The decode metrics account the generation alone.
+        assert sched.metrics.finished == sched.metrics.requests == 1
+        assert sched.metrics.admissions == 1
+        assert sched.metrics.prefill_tokens == 9
+
+    def test_scoring_never_maps_a_prefix(self, qlm, rng):
+        prompt = rng.integers(0, VOCAB, size=9)
+        sched = DecodeScheduler(qlm, max_active=2, mpu_config=MPU_CFG,
+                                cache_config=CacheConfig(page_size=4))
+        sched.submit(prompt, 3)
+        sched.run_until_idle()
+        scored = sched.submit(prompt, 0)
+        sched.run_until_idle()
+        assert scored.shared_tokens == 0
+        assert sched.metrics.prefix_hit_tokens == 0
+        assert scored.logits.shape == (9, VOCAB)
+        assert scored.logits.tobytes() == _solo_prefill(qlm, prompt).tobytes()
+
+    def test_scoring_passes_generations_held_at_the_cap(self, qlm, rng):
+        sched = DecodeScheduler(qlm, max_active=1, mpu_config=MPU_CFG)
+        first = sched.submit(rng.integers(0, VOCAB, size=5), 4)
+        second = sched.submit(rng.integers(0, VOCAB, size=6), 2)
+        scored = [sched.submit(rng.integers(0, VOCAB, size=n), 0)
+                  for n in (5, 7)]
+
+        def step():
+            return [s.request_id for s in sched.step()]
+
+        # The cap holds the second generation back, not the scoring
+        # requests queued behind it.
+        assert step() == [s.request_id for s in scored]
+        assert sched.num_active == 1 and sched.num_waiting == 1
+        later = sched.submit(rng.integers(0, VOCAB, size=5), 0)
+        assert step() == [later.request_id]
+        assert not first.done and sched.num_waiting == 1
+        assert step() == [first.request_id]
+        sched.run_until_idle()
+        assert second.tokens.size == 2
+        assert sched.metrics.admissions == 2
+        assert sched.metrics.backpressure_events == 0
+
+    def test_scoring_borrows_pages_held_for_decode_growth(self, qlm, rng):
+        # 4 pages of 4 tokens: the generation holds 2 and reserves 1 more.
+        sched = DecodeScheduler(qlm, max_active=2, mpu_config=MPU_CFG,
+                                cache_config=CacheConfig(page_size=4,
+                                                         num_pages=4))
+        gen = sched.submit(rng.integers(0, VOCAB, size=5), 8)
+        sched.step()
+        fits = sched.submit(rng.integers(0, VOCAB, size=8), 0)
+        waits = sched.submit(rng.integers(0, VOCAB, size=12), 0)
+        behind = sched.submit(rng.integers(0, VOCAB, size=3), 0)
+        # The 2-page prompt uses the free pages the generation will grow
+        # into; the 3-page one waits, and so does the request behind it.
+        assert [s.request_id for s in sched.step()] == [fits.request_id]
+        assert fits.logits.tobytes() == _solo_prefill(qlm, fits.prompt).tobytes()
+        assert sched.num_waiting == 2
+        sched.audit_cache()
+        while not gen.done:
+            assert not waits.done
+            sched.step()
+        sched.run_until_idle()
+        assert gen.tokens.size == 8
+        for seq in (waits, behind):
+            assert seq.finish_reason == "length"
+            assert (seq.logits.tobytes()
+                    == _solo_prefill(qlm, seq.prompt).tobytes())
+        assert sched.pool.num_free == sched.pool.num_pages
+
+    def test_cancelled_scoring_request_never_runs(self, qlm, rng):
+        sched = DecodeScheduler(qlm, max_active=2, mpu_config=MPU_CFG)
+        calls = []
+        seq = sched.submit(rng.integers(0, VOCAB, size=5), 0,
+                           on_token=lambda s, t, d: calls.append((t, d)))
+        sched.cancel(seq)
+        sched.run_until_idle()
+        assert seq.finish_reason == "cancelled" and seq.logits is None
+        assert calls == [(None, True)]
+        assert sched.metrics.prefill_tokens == 0
+
+
 class TestServerGenerate:
     """The async front-end over the scheduler, sharded pool underneath."""
 
@@ -477,6 +590,72 @@ class TestServerGenerate:
 
         with pytest.raises(RuntimeError, match="pool worker died"):
             asyncio.run(main())
+
+    def test_failing_scoring_group_fails_only_its_requests(self, qlm, rng):
+        """A GEMM error inside one scoring group's prefill fails that
+        group's requests; another group, a concurrent generation and the
+        pump carry on, and the page pool ends clean."""
+        server = _server(qlm, num_shards=2)
+        doomed = [rng.integers(0, VOCAB, size=7) for _ in range(2)]
+        other = rng.integers(0, VOCAB, size=5)
+        prompt = rng.integers(0, VOCAB, size=6)
+        want_logits = server.run_solo(other)
+        want_tokens = server.generate_solo(prompt, 5).tokens
+        original = server.scheduler._gemm
+        boom = RuntimeError("GEMM failed mid-group")
+
+        def failing_gemm(name, flat):
+            if flat.shape[1] == 2 * 7:  # only the two 7-token prompts' pass
+                raise boom
+            return original(name, flat)
+
+        server.scheduler._gemm = failing_gemm
+
+        async def main():
+            gen = asyncio.ensure_future(server.submit_generate(prompt, 5))
+            scored = await asyncio.gather(
+                *(server.submit(p) for p in [*doomed, other]),
+                return_exceptions=True)
+            generated = await gen
+            await server.aclose()
+            return scored, generated
+
+        scored, generated = asyncio.run(main())
+        assert scored[0] is boom and scored[1] is boom
+        assert scored[2].logits.tobytes() == want_logits.tobytes()
+        np.testing.assert_array_equal(generated.tokens, want_tokens)
+        server.scheduler.audit_cache()
+        assert server.scheduler.pool.num_free == server.scheduler.pool.num_pages
+        assert server.decode_metrics.finished == 1
+
+    def test_failing_generation_prefill_fails_its_wave(self, qlm, rng):
+        """An error in a generation wave's prefill reaches that wave's
+        clients instead of stranding them, and leaves the pool clean for
+        the next request."""
+        server = _server(qlm, num_shards=2)
+        prompt = rng.integers(0, VOCAB, size=9)
+        later = rng.integers(0, VOCAB, size=5)
+        want = server.generate_solo(later, 3).tokens
+        original = server.scheduler._gemm
+        boom = RuntimeError("GEMM failed in prefill")
+
+        def failing_gemm(name, flat):
+            if flat.shape[1] == 9:
+                raise boom
+            return original(name, flat)
+
+        server.scheduler._gemm = failing_gemm
+
+        async def main():
+            with pytest.raises(RuntimeError, match="GEMM failed"):
+                await asyncio.wait_for(server.submit_generate(prompt, 4), 30)
+            got = await server.submit_generate(later, 3)
+            await server.aclose()
+            return got
+
+        np.testing.assert_array_equal(asyncio.run(main()).tokens, want)
+        server.scheduler.audit_cache()
+        assert server.scheduler.pool.num_free == server.scheduler.pool.num_pages
 
     def test_abandoned_stream_cancels_the_request(self, qlm, rng):
         server = _server(qlm, num_shards=2)

@@ -176,8 +176,7 @@ class TestTraceReconstruction:
 
     def test_prometheus_exposition_covers_serving_metrics(self, trace_doc):
         _, _, prom, _ = trace_doc
-        for needle in ("batcher_queue_depth",
-                       "decode_waiting_requests",
+        for needle in ("decode_waiting_requests",
                        "decode_active_requests",
                        "page_pool_occupancy",
                        "decode_prefix_hit_rate",
@@ -219,10 +218,10 @@ class TestSchedulerBackpressureInstant:
 
 # Every family a bound, driven server exported before the serving structs
 # owned their latency histograms (name -> kind), with the pool's call
-# counters in place of the static per-shard cost gauges.
+# counters in place of the static per-shard cost gauges, and without the
+# micro-batcher's families since scoring runs through the scheduler.
 _GAUGE_FAMILIES = (
-    "batcher_batches", "batcher_max_batch_size", "batcher_queue_depth",
-    "batcher_requests", "decode_active_requests", "decode_admissions",
+    "decode_active_requests", "decode_admissions",
     "decode_backpressure_events", "decode_decode_tokens", "decode_finished",
     "decode_generated_tokens", "decode_iterations", "decode_prefill_tokens",
     "decode_prefix_hit_rate", "decode_prefix_hit_requests",
@@ -235,7 +234,7 @@ _GAUGE_FAMILIES = (
     "page_pool_pages_allocated", "page_pool_pages_released",
     "page_pool_pages_revived", "page_pool_pages_shared",
     "page_pool_prefix_hit_rate", "page_pool_registered_pages",
-    "page_pool_slots_written", "pool_gemm_calls_total", "server_batches",
+    "page_pool_slots_written", "pool_gemm_calls_total",
     "server_request_latency_seconds", "server_requests", "server_tokens",
 )
 PREVIOUS_FAMILIES = {name: "gauge" for name in _GAUGE_FAMILIES} | {
