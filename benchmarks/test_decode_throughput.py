@@ -136,16 +136,15 @@ def _decode_step_drive() -> dict:
     prompt = rng.integers(0, VOCAB, size=PROMPT_LEN)
     steps, rounds = 20, 3
 
-    gemm = qlm.prepared_gemm(cfg)
     best_ms, tokens = np.inf, []
     for _ in range(rounds):  # best-of-rounds damps machine noise
-        logits, cache, _ = qlm.prefill(prompt, gemm=gemm)
+        logits, cache, _ = qlm.prefill(prompt, mpu_config=cfg)
         token = np.array([[int(np.argmax(logits[0, -1]))]])
-        qlm.decode_step(token, cache, gemm=gemm)  # warm
+        qlm.decode_step(token, cache, mpu_config=cfg)  # warm
         round_tokens = []
         t0 = time.perf_counter()
         for _ in range(steps):
-            logits, _ = qlm.decode_step(token, cache, gemm=gemm)
+            logits, _ = qlm.decode_step(token, cache, mpu_config=cfg)
             token = np.array([[int(np.argmax(logits[0, -1]))]])
             round_tokens.append(int(token[0, 0]))
         best_ms = min(best_ms, (time.perf_counter() - t0) / steps * 1e3)

@@ -19,6 +19,7 @@ from repro.core import native
 from repro.core.gemm import figlut_gemm, prepare_weights
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.eval.tables import format_table
+from repro.serve import ShardedMPUPool
 
 
 def test_mpu_gemm_full_layer_shape(benchmark):
@@ -106,11 +107,12 @@ def test_mpu_native_kernel_large_shape(benchmark):
     program = mpu.prepare(tensor).program
 
     x = rng.standard_normal((1024, 32))
-    y, stats = run_once(benchmark, program.execute, x,
-                        accumulate_dtype=np.float32)
+    y = run_once(benchmark, program.execute, x, accumulate_dtype=np.float32)
+    stats = program.stats(32)
     y_ref, s_ref = mpu.gemm_reference(tensor, x[:, :1],
                                       accumulate_dtype=np.float32)
-    y1, s1 = program.execute(x[:, :1], accumulate_dtype=np.float32)
+    y1 = program.execute(x[:, :1], accumulate_dtype=np.float32)
+    s1 = program.stats(1)
     assert y1.tobytes() == y_ref.tobytes() and s1 == s_ref
     y_rows, _ = mpu.gemm_reference(tensor.take_rows(slice(0, 64)), x,
                                    accumulate_dtype=np.float32)
@@ -149,12 +151,12 @@ def test_native_kernel_width_sweep():
     program = MatrixProcessingUnit(MPUConfig()).prepare(tensor).program
     struct = native.bind(program)
     x = rng.standard_normal((128, 32))
-    y32, _ = program.execute(x, accumulate_dtype=np.float64)
+    y32 = program.execute(x, accumulate_dtype=np.float64)
 
     rows = []
     for width in [*range(1, 18), 32]:
         xs = np.ascontiguousarray(x[:, :width])
-        y, _ = program.execute(xs, accumulate_dtype=np.float64)
+        y = program.execute(xs, accumulate_dtype=np.float64)
         assert y.tobytes() == y32[:, :width].tobytes(), width
         out = np.zeros((512, width))
         best = float("inf")
@@ -173,6 +175,42 @@ def test_native_kernel_width_sweep():
     print("\n[MPU speed] native kernel per column width, 512x128 / 3-bit / "
           "fp64 accumulators\n"
           + format_table(["Width", "us per call", "ns per LUT read"], rows))
+
+
+def test_pool_call_host_overhead():
+    """Host time a 1-column pool call spends outside the kernel, record-only.
+
+    The bench model's ``mlp.w1`` shape (as in the width sweep) served by a
+    2-worker :class:`~repro.serve.ShardedMPUPool`: best of 7×200 µs per
+    ``pool.gemm`` call and per ``native.run`` call, interleaved, and their
+    difference — activation normalisation, the NumPy offset stage, the
+    pool's dispatch and counters.  No floor: the row carries the batch-1
+    per-call overhead into the trajectory.
+    """
+    rng = np.random.default_rng(6)
+    w = rng.standard_normal((512, 128)) * 0.05
+    tensor = prepare_weights(w, bits=3, method="bcq", group_size=128)
+    x = rng.standard_normal((128, 1))
+    out = np.zeros((512, 1))
+    with ShardedMPUPool({"mlp.w1": tensor}, num_shards=2) as pool:
+        struct = native.bind(pool.mpu.prepare(tensor).program)
+        calls = {"pool.gemm": lambda: pool.gemm("mlp.w1", x),
+                 "native.run": lambda: native.run(struct, x, np.float64, out)}
+        best = dict.fromkeys(calls, float("inf"))
+        for _ in range(7):
+            for name, call in calls.items():
+                start = time.perf_counter()
+                for _ in range(200):
+                    call()
+                best[name] = min(best[name],
+                                 (time.perf_counter() - start) / 200 * 1e6)
+        assert pool.counters.inline == 7 * 200  # no fan-out at 1 column
+    overhead = best["pool.gemm"] - best["native.run"]
+    rows = [[name, us] for name, us in best.items()] + [["overhead", overhead]]
+    print("\n[MPU speed] 1-column call, 512x128 / 3-bit / fp64 "
+          "accumulators\n" + format_table(["Path", "us per call"], rows))
+    record_bench("mpu_speed::pool_call_overhead_w1", "us_per_call", overhead,
+                 unit="us")
 
 
 def test_mpu_detailed_api_full_stack(benchmark):

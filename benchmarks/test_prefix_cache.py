@@ -78,7 +78,7 @@ def _drive() -> dict:
     prompts = [np.concatenate([shared, rng.integers(0, VOCAB, size=SUFFIX_LEN)])
                for _ in range(NUM_REQUESTS)]
 
-    qlm.prefill(prompts[0], gemm=qlm.prepared_gemm(MPU_CFG))  # warm the memos
+    qlm.prefill(prompts[0], mpu_config=MPU_CFG)  # warm the memos
 
     # Best of REPEATS alternating runs: per request the least TTFT, per
     # setting the least wall time.

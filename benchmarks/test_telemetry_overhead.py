@@ -54,14 +54,13 @@ def _drive() -> dict:
 
     def one_round() -> tuple[float, list[int]]:
         """One timed batch-1 decode round: ms/step + the emitted tokens."""
-        gemm = qlm.prepared_gemm(cfg)
-        logits, cache, _ = qlm.prefill(prompt, gemm=gemm)
+        logits, cache, _ = qlm.prefill(prompt, mpu_config=cfg)
         token = np.array([[int(np.argmax(logits[0, -1]))]])
-        qlm.decode_step(token, cache, gemm=gemm)  # warm
+        qlm.decode_step(token, cache, mpu_config=cfg)  # warm
         round_tokens = []
         t0 = time.perf_counter()
         for _ in range(STEPS):
-            logits, _ = qlm.decode_step(token, cache, gemm=gemm)
+            logits, _ = qlm.decode_step(token, cache, mpu_config=cfg)
             token = np.array([[int(np.argmax(logits[0, -1]))]])
             round_tokens.append(int(token[0, 0]))
         return (time.perf_counter() - t0) / STEPS * 1e3, round_tokens

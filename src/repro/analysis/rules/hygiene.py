@@ -2,9 +2,9 @@
 
 Mutable default arguments are the classic Python footgun, but in this
 repo they have a sharper edge: worker callables built in
-:mod:`repro.serve.workers` are shipped to executor threads and
-processes, so a shared mutable default becomes cross-request shared
-state that no lock guards.
+:mod:`repro.serve.workers` run on executor threads, so a shared
+mutable default becomes cross-request shared state that no lock
+guards.
 """
 
 from __future__ import annotations

@@ -167,9 +167,6 @@ class MPURunStats:
     tiles: int = 0
     bit_planes_processed: int = 0
 
-    def total_table_lookups(self) -> int:
-        return self.lut_reads
-
     def merge(self, other: MPURunStats) -> MPURunStats:
         """Counter-wise sum of two runs (e.g. the layers of a model)."""
         return MPURunStats(*(getattr(self, f.name) + getattr(other, f.name)
@@ -257,6 +254,19 @@ class MatrixProcessingUnit:
             stats.lut_generations * generator_addition_count(cfg.mu))
         return stats
 
+    def affine_stats(self, plan: TileExecutionPlan
+                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per-counter ``(intercept, slope)`` of :meth:`stats_from_plan`.
+
+        Every counter is affine in the batch, so batches 0 and 1 pin it
+        exactly; ``intercept + slope * batch`` is the counter at any batch.
+        """
+        at0, at1 = self.stats_from_plan(plan, 0), self.stats_from_plan(plan, 1)
+        base = tuple(getattr(at0, f.name) for f in fields(MPURunStats))
+        slope = tuple(getattr(at1, f.name) - b
+                      for f, b in zip(fields(MPURunStats), base, strict=True))
+        return base, slope
+
     @staticmethod
     def _segment_groups(x: np.ndarray, seg, mu: int) -> np.ndarray:
         """Zero-pad the segment's activations to whole µ-groups.
@@ -329,9 +339,9 @@ class MatrixProcessingUnit:
             and the cross-tile/offset accumulation stay in float64, as in
             the seed model.
 
-        Every call runs a :class:`~repro.core.program.CompiledProgram`: the
-        one embedded in :class:`PreparedWeights`, or one compiled on the
-        fly for a raw tensor.
+        Every call runs a :class:`~repro.core.program.CompiledProgram`
+        (:meth:`run`): the one embedded in :class:`PreparedWeights`, or
+        one prepared on the fly for a raw tensor.
 
         Returns
         -------
@@ -340,26 +350,23 @@ class MatrixProcessingUnit:
             ``stats`` is derived analytically from the execution plan and is
             identical to the counters :meth:`gemm_reference` increments.
         """
+        if not isinstance(weights, PreparedWeights):
+            weights = self.prepare(weights)
+        y = self.run(weights, activations, accumulate_dtype)
+        return y, weights.program.stats(1 if y.ndim == 1 else y.shape[1])
+
+    def run(self, weights: PreparedWeights, activations: np.ndarray,
+            accumulate_dtype: np.dtype | type = np.float64) -> np.ndarray:
+        """:meth:`gemm`'s ``Y`` alone, on prepared weights: the decode
+        path's GEMM hook, whose counters are counted per pass."""
         tel = get_telemetry()
         if not tel.enabled:
-            return self._gemm_impl(weights, activations, accumulate_dtype)
-        w = weights.weights if isinstance(weights, PreparedWeights) else weights
-        with tel.trace.span("mpu.gemm", m=w.shape[0], n=w.shape[1],
-                            prepared=w is not weights):
-            return self._gemm_impl(weights, activations, accumulate_dtype)
-
-    def _gemm_impl(self, weights: BCQTensor | PreparedWeights,
-                   activations: np.ndarray,
-                   accumulate_dtype: np.dtype | type
-                   ) -> tuple[np.ndarray, MPURunStats]:
-        # The body of gemm() (the public wrapper only adds the telemetry
-        # span; values are never touched either way).
-        if isinstance(weights, PreparedWeights):
-            program = weights.program
-        else:
-            from repro.core.program import compile_plan  # mpu ↔ program cycle
-            program = compile_plan(self.plan(weights), weights, self.config)
-        return program.execute(activations, accumulate_dtype=accumulate_dtype)
+            return weights.program.execute(activations,
+                                           accumulate_dtype=accumulate_dtype)
+        m, n = weights.weights.shape
+        with tel.trace.span("mpu.gemm", m=m, n=n):
+            return weights.program.execute(activations,
+                                           accumulate_dtype=accumulate_dtype)
 
     # -- scalar reference ----------------------------------------------------
     def gemm_reference(self, weights: BCQTensor, activations: np.ndarray,

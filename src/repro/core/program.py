@@ -58,7 +58,8 @@ Stats are attached at compile time: every counter of
 :meth:`~repro.core.mpu.MatrixProcessingUnit.stats_from_plan` is affine in
 the batch size, so the program stores the exact integer ``(intercept,
 slope)`` pair per counter and :meth:`CompiledProgram.stats` reproduces
-the analytic counters for any batch without touching the plan.
+the analytic counters for any batch without touching the plan
+(:meth:`CompiledProgram.execute` returns ``Y`` alone).
 
 Programs are self-contained — no :class:`~repro.quant.bcq.BCQTensor` or
 plan needed at run time — and never written while they run, so the
@@ -72,7 +73,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,9 +158,8 @@ class CompiledProgram:
 
     # -- execution ---------------------------------------------------------
     def execute(self, activations: np.ndarray,
-                accumulate_dtype: np.dtype | type = np.float64
-                ) -> tuple[np.ndarray, MPURunStats]:
-        """Run the program: ``Y = W X`` plus the plan-exact counters.
+                accumulate_dtype: np.dtype | type = np.float64) -> np.ndarray:
+        """Run the program: ``Y = W X`` (its counters are :meth:`stats`).
 
         Bit-identical to ``gemm_reference`` on the same plan: same LUT
         entries, same accumulator dtype footprint, same float addition
@@ -193,10 +193,7 @@ class CompiledProgram:
             tel.profile.add_timed(
                 self._profile_rows(batch, acc_dtype.itemsize), stage_ns)
 
-        stats = self.stats(batch)
-        if squeeze:
-            return y[:, 0], stats
-        return y, stats
+        return y[:, 0] if squeeze else y
 
     def _kernel_program(self):
         """The kernel's view of this program, validated and packed once.
@@ -252,20 +249,6 @@ class CompiledProgram:
         return luts, plane, scale, offset
 
 
-def _affine_stats(stats_fn) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-counter (intercept, slope) of a batch → MPURunStats function.
-
-    Every counter in :meth:`~repro.core.mpu.MatrixProcessingUnit.
-    stats_from_plan` is affine in the batch, so two evaluations pin it
-    exactly — no formula duplication in the compiler.
-    """
-    at0, at1 = stats_fn(0), stats_fn(1)
-    base = tuple(getattr(at0, f.name) for f in fields(MPURunStats))
-    slope = tuple(getattr(at1, f.name) - b
-                  for f, b in zip(fields(MPURunStats), base, strict=True))
-    return base, slope
-
-
 def compile_plan(plan: TileExecutionPlan,
                  weights: BCQTensor,
                  config: MPUConfig | None = None) -> CompiledProgram:
@@ -290,7 +273,7 @@ def compile_plan(plan: TileExecutionPlan,
     gmax = max((seg.lut_groups for seg in segments), default=0)
     num_slots = num_segments * gmax
 
-    base, slope = _affine_stats(lambda b: mpu.stats_from_plan(plan, b))
+    base, slope = mpu.affine_stats(plan)
     # Activation-row index matrix: real columns index x, padded positions
     # (ragged µ-group tails and slots past a segment's group count) hold
     # the sentinel n, which reads as a zero activation.

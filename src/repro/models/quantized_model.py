@@ -20,8 +20,8 @@ Incremental decoding rides the same glue: :meth:`QuantizedLM.prefill` and
 :class:`~repro.core.mpu.MatrixProcessingUnit` over memoised tile plans and
 :class:`~repro.core.mpu.PreparedWeights` (attention score/context matmuls
 stay float, as in the full forward), returning each pass's
-:class:`~repro.core.mpu.MPURunStats` so the modelled decode cost is
-plan-exact per emitted token instead of re-charging a full prefill.
+:meth:`QuantizedLM.model_mpu_stats` at its column count, so the modelled
+decode cost is plan-exact per emitted token, not a full prefill's.
 :meth:`QuantizedLM.generate` is one request run through the serving
 :class:`~repro.serve.scheduler.DecodeScheduler`, so solo and served
 generations come from the same decode loop.
@@ -192,20 +192,6 @@ class GenerationResult:
     mpu_stats: MPURunStats
 
 
-class _StatsSink:
-    """Accumulate the MPURunStats a GEMM hook reports (mutable cell)."""
-
-    def __init__(self) -> None:
-        self.total = MPURunStats()
-
-    def __call__(self, stats: MPURunStats) -> None:
-        self.total = self.total.merge(stats)
-
-    def take(self) -> MPURunStats:
-        total, self.total = self.total, MPURunStats()
-        return total
-
-
 @dataclass
 class QuantizedLM:
     """A trained LM whose weight GEMMs run on a functional engine.
@@ -222,6 +208,8 @@ class QuantizedLM:
                                                          repr=False)
     _prepared: dict[MPUConfig, dict[str, PreparedWeights]] = field(
         default_factory=dict, repr=False)
+    _model_affine: dict[MPUConfig, tuple[tuple[int, ...], tuple[int, ...]]] = \
+        field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, model: TransformerLM, recipe: QuantizationRecipe,
@@ -304,11 +292,23 @@ class QuantizedLM:
 
     def model_mpu_stats(self, batch: int,
                         mpu_config: MPUConfig | None = None) -> MPURunStats:
-        """Summed analytic MPU counters over every quantized weight GEMM."""
-        total = MPURunStats()
-        for name in self.quantized_weights:
-            total = total.merge(self.layer_mpu_stats(name, batch, mpu_config))
-        return total
+        """Summed analytic MPU counters over every quantized weight GEMM:
+        the layers' affine ``(intercept, slope)`` sums, memoised per
+        geometry from the plans (nothing is compiled)."""
+        if batch < 0:
+            raise ValueError("batch must be >= 0")
+        cfg = mpu_config or MPUConfig()
+        affine = self._model_affine.get(cfg)
+        if affine is None:
+            mpu = MatrixProcessingUnit(cfg)
+            pairs = [mpu.affine_stats(self.layer_plan(name, cfg))
+                     for name in self.quantized_weights]
+            affine = (tuple(map(sum, zip(*(b for b, _ in pairs)))),
+                      tuple(map(sum, zip(*(s for _, s in pairs)))))
+            self._model_affine[cfg] = affine
+        base, slope = affine
+        return MPURunStats(*(b + s * batch
+                             for b, s in zip(base, slope, strict=True)))
 
     # -- weight-stationary prepared state ---------------------------------
     def prepared_weights(self, mpu_config: MPUConfig | None = None
@@ -333,34 +333,23 @@ class QuantizedLM:
         return cached
 
     def prepared_gemm(self, mpu_config: MPUConfig | None = None):
-        """``gemm(name, flat) -> (y, stats)`` over the prepared weights.
+        """``gemm(name, flat) -> y`` over the prepared weights.
 
         The standalone (single-thread) twin of a serving pool's ``gemm``
-        dispatch: activations of shape ``(in_features, batch)`` run on one
-        :class:`~repro.core.mpu.MatrixProcessingUnit` against the memoised
-        :meth:`prepared_weights`, returning the output and the plan-exact
-        :class:`~repro.core.mpu.MPURunStats`, by running each layer's
-        memoised :class:`~repro.core.program.CompiledProgram`.
-        Bit-identical to a pool run of the same layer, inline or fanned
-        out.
+        dispatch: activations of shape ``(in_features, batch)`` run each
+        layer's memoised :class:`~repro.core.program.CompiledProgram`
+        (:meth:`prepared_weights`) through
+        :meth:`~repro.core.mpu.MatrixProcessingUnit.run`.  Bit-identical to
+        a pool run of the same layer, inline or fanned out.
         """
         cfg = mpu_config or MPUConfig()
         prepared = self.prepared_weights(cfg)
         mpu = MatrixProcessingUnit(cfg)
 
-        def gemm(name: str, flat: np.ndarray):
-            return mpu.gemm(prepared[name], flat)
+        def gemm(name: str, flat: np.ndarray) -> np.ndarray:
+            return mpu.run(prepared[name], flat)
 
         return gemm
-
-    def _decode_hook(self, gemm, sink: _StatsSink):
-        """A transformer ``matmul`` hook over ``gemm(name, flat) -> (y,
-        stats)``, feeding every GEMM's stats into ``sink``."""
-        def dispatch(name: str, flat: np.ndarray) -> np.ndarray:
-            y, stats = gemm(name, flat)
-            sink(stats)
-            return y
-        return self.matmul_via(dispatch)
 
     # -- incremental decoding ---------------------------------------------
     def prefill(self, tokens: np.ndarray, *, num_valid: np.ndarray | None = None,
@@ -371,10 +360,11 @@ class QuantizedLM:
 
         ``tokens`` is ``(seq,)`` or ``(batch, seq)`` (right-padded when
         ``num_valid`` gives per-row valid counts).  Weight GEMMs run through
-        ``gemm(name, flat) -> (y, stats)`` — default: the memoised
+        ``gemm(name, flat) -> y`` — default: the memoised
         :meth:`prepared_gemm` — while attention stays float, exactly like
-        the full forward.  Returns ``(logits, cache, stats)`` with the
-        populated cache and the pass's plan-exact counters.
+        the full forward.  Returns ``(logits, cache, stats)``: the pass's
+        counters are :meth:`model_mpu_stats` at ``mpu_config`` (the
+        geometry of ``gemm``) over its ``tokens.size`` columns.
 
         ``cache`` optionally supplies a cache over a shared page pool
         instead of a fresh :meth:`~repro.models.transformer.TransformerLM.
@@ -386,12 +376,11 @@ class QuantizedLM:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] == 0:
             raise ValueError("tokens must be (seq,) or (batch, seq), non-empty")
-        sink = _StatsSink()
-        hook = self._decode_hook(gemm or self.prepared_gemm(mpu_config), sink)
+        hook = self.matmul_via(gemm or self.prepared_gemm(mpu_config))
         if cache is None:
             cache = self.model.init_cache(arr.shape[0], capacity=capacity)
         logits = self.model.step(arr, cache, matmul=hook, num_valid=num_valid)
-        return logits, cache, sink.take()
+        return logits, cache, self.model_mpu_stats(arr.size, mpu_config)
 
     def decode_step(self, tokens: np.ndarray, cache: PagedKVCache, *,
                     mpu_config: MPUConfig | None = None,
@@ -400,16 +389,15 @@ class QuantizedLM:
 
         Appends to ``cache`` and returns ``(logits, stats)``; the stats are
         the iteration's plan-exact counters (flat batch = ``batch × t_new``
-        activation columns — independent of the cached sequence lengths, the
-        O(T) decode property the scheduler's accounting pins).
+        activation columns, independent of the cached sequence lengths),
+        with ``gemm`` and ``mpu_config`` as in :meth:`prefill`.
         """
         arr = np.asarray(tokens, dtype=np.int64)
         if arr.ndim == 1:
             arr = arr[:, None]
-        sink = _StatsSink()
-        hook = self._decode_hook(gemm or self.prepared_gemm(mpu_config), sink)
+        hook = self.matmul_via(gemm or self.prepared_gemm(mpu_config))
         logits = self.model.step(arr, cache, matmul=hook)
-        return logits, sink.take()
+        return logits, self.model_mpu_stats(arr.size, mpu_config)
 
     def check_generation_request(self, tokens: np.ndarray,
                                  max_new_tokens: int) -> np.ndarray:
@@ -473,10 +461,9 @@ class QuantizedLM:
 
         ``gemm(name, flat)`` receives the layer name and activations of
         shape ``(in_features, batch)`` and returns ``(out_features,
-        batch)`` — e.g. a serving pool dispatch, or the engine's GEMM in
-        :meth:`matmul`.  Matrices that were not quantized fall back to the
-        dense product.  This is the pooled forward path: ``model.forward
-        (tokens, matmul=qlm.matmul_via(pool_gemm))``.
+        batch)`` — e.g. a serving pool's ``gemm`` in the :meth:`prefill` /
+        :meth:`decode_step` passes, or the engine's GEMM in :meth:`matmul`.
+        Matrices that were not quantized fall back to the dense product.
         """
         def hook(name: str, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
             if name not in self.quantized_weights:
@@ -487,15 +474,10 @@ class QuantizedLM:
             return out.T.reshape(*lead_shape, -1)
         return hook
 
-    def logits(self, tokens: np.ndarray, matmul=None) -> np.ndarray:
-        """Forward-pass logits ``(batch, seq, vocab)`` through the engine.
-
-        ``matmul`` overrides the GEMM hook (defaults to :meth:`matmul`),
-        letting a serving front-end route the same model through a worker
-        pool via :meth:`matmul_via`.
-        """
+    def logits(self, tokens: np.ndarray) -> np.ndarray:
+        """Forward-pass logits ``(batch, seq, vocab)`` through the engine."""
         logits, _ = self.model.forward(np.asarray(tokens, dtype=np.int64),
-                                       matmul=matmul or self.matmul)
+                                       matmul=self.matmul)
         return logits
 
     def matmul(self, name: str, x: np.ndarray, weight: np.ndarray) -> np.ndarray:

@@ -26,11 +26,12 @@ iteration-level batching):
   (out-of-pages backpressure: the request waits, ``backpressure_events``
   counts the stalls).
 
-Every weight GEMM goes through a pluggable ``gemm(name, flat) -> (y,
-stats)`` — the pool dispatch of a server, or the model's own
-memoised :meth:`~repro.models.quantized_model.QuantizedLM.prepared_gemm` —
-so decode cost accounting stays plan-exact: :class:`DecodeMetrics` sums the
-:class:`~repro.core.mpu.MPURunStats` of exactly the passes that ran.
+Every weight GEMM goes through a pluggable ``gemm(name, flat) -> y`` —
+the pool dispatch of a server, or the model's own memoised
+:meth:`~repro.models.quantized_model.QuantizedLM.prepared_gemm`.  Costs are
+counted per pass: :class:`DecodeMetrics` adds each pass's
+:meth:`~repro.models.quantized_model.QuantizedLM.model_mpu_stats` at its
+column count, so its counters are plan-exact for the passes that ran.
 
 The scheduler core is synchronous and thread-safe (``submit`` may be called
 from any thread; ``step`` is driven by one driver at a time) —
@@ -274,7 +275,7 @@ class DecodeScheduler:
         passes, its :meth:`~repro.models.quantized_model.QuantizedLM.
         prepared_gemm` is the default engine dispatch.
     gemm:
-        Optional ``gemm(name, flat) -> (y, stats)`` override — e.g. an
+        Optional ``gemm(name, flat) -> y`` override — e.g. an
         :class:`~repro.serve.server.InferenceServer`'s pool dispatch,
         which is bit-exact against the default (inline or fanned out over
         columns), so served generations match solo ones token for token.
@@ -283,7 +284,7 @@ class DecodeScheduler:
         between iterations only while the pool holds fewer than this many
         (scoring requests never join the pool and do not count).
     mpu_config:
-        Geometry for the default ``gemm`` (ignored when ``gemm`` is given).
+        The geometry of ``gemm`` and of the counters.
     cache_config:
         Paged KV-cache knobs (:class:`CacheConfig`); default: prefix
         sharing and a pool sized so admission never blocks below
@@ -304,6 +305,7 @@ class DecodeScheduler:
         self.qlm = qlm
         self.model = qlm.model
         self.max_active = max_active
+        self.mpu_config = mpu_config
         self._gemm = gemm or qlm.prepared_gemm(mpu_config)
         self.cache_config = cache_config or CacheConfig()
         max_seq_len = self.model.config.max_seq_len
@@ -583,7 +585,8 @@ class DecodeScheduler:
             t_pf = time.perf_counter_ns() if tel.enabled else 0
             try:
                 logits, cache, stats = self.qlm.prefill(
-                    stacked, num_valid=suffix, cache=cache, gemm=self._gemm)
+                    stacked, num_valid=suffix, cache=cache,
+                    mpu_config=self.mpu_config, gemm=self._gemm)
             except CacheOverflowError as err:
                 # step() checks overflow before touching the cache, so only
                 # the offending requests fail; the rest retry immediately.
@@ -654,7 +657,8 @@ class DecodeScheduler:
         try:
             logits, cache, _ = self.qlm.prefill(
                 np.stack([seq.prompt for seq in group]),
-                num_valid=np.full(rows, width), cache=cache, gemm=self._gemm)
+                num_valid=np.full(rows, width), cache=cache,
+                mpu_config=self.mpu_config, gemm=self._gemm)
         except Exception as err:
             for seq in group:
                 seq._fail(err)
@@ -705,8 +709,9 @@ class DecodeScheduler:
             it0 = time.perf_counter()
             it0_ns = time.perf_counter_ns() if tel.enabled else 0
             try:
-                logits, stats = self.qlm.decode_step(last, self._cache,
-                                                     gemm=self._gemm)
+                logits, stats = self.qlm.decode_step(
+                    last, self._cache, mpu_config=self.mpu_config,
+                    gemm=self._gemm)
             except CacheOverflowError as err:
                 # The overflow check runs before any cache write, so only
                 # the named rows fail; survivors decode next iteration.

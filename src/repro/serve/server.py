@@ -25,11 +25,10 @@ output does not depend on what it was batched with: served logits equal
 step prefill, the scoring group without padding), and served tokens equal
 :meth:`InferenceServer.generate_solo`'s.
 
-Accounting reuses the analytic plan counters: every pooled GEMM returns its
-plan-exact :class:`~repro.core.mpu.MPURunStats` for the whole call, so the
-server's aggregate modelled cycles equal the ``QuantizedLM.model_mpu_stats``
-totals for the passes it actually ran, alongside the measured wall-clock
-latency percentiles and throughput.
+Accounting reuses the analytic plan counters: the pool counts each layer's
+completed GEMM calls and columns, and ``ServerMetrics.mpu_stats`` turns
+them into plan-exact :class:`~repro.core.mpu.MPURunStats` when read, equal
+to the ``QuantizedLM.model_mpu_stats`` totals of the passes that ran.
 """
 
 from __future__ import annotations
@@ -110,21 +109,26 @@ class ServerMetrics:
 
     Counters are exact over the server's lifetime: ``requests`` and
     ``tokens`` count scored requests and their prompt tokens,
-    ``mpu_stats`` every pooled GEMM (scoring, generation and the solo
-    baselines).  ``request_latency`` is the registry's
+    ``mpu_stats`` every GEMM ``pool`` completed (scoring, generation and
+    the solo baselines).  ``request_latency`` is the registry's
     :class:`~repro.telemetry.metrics.Histogram` of scoring latencies
     (``.percentile(q)``, ``.count()``): exact up to its reservoir size, a
     seeded uniform sample beyond it, at O(1) memory.
     """
 
+    pool: ShardedMPUPool = field(repr=False, compare=False)
     requests: int = 0
     tokens: int = 0
     request_latency: Histogram = field(default_factory=lambda: Histogram(
         "server_request_latency_seconds",
         help="one-shot submit latency"))
-    mpu_stats: MPURunStats = field(default_factory=MPURunStats)
     started_at: float | None = None
     finished_at: float | None = None
+
+    @property
+    def mpu_stats(self) -> MPURunStats:
+        """The pool's :attr:`ShardedMPUPool.mpu_stats`, read now."""
+        return self.pool.mpu_stats
 
     @property
     def elapsed_s(self) -> float:
@@ -176,10 +180,13 @@ class InferenceServer:
                                    num_shards=num_shards,
                                    mpu_config=mpu_config)
         self.policy = policy or BatchPolicy()
-        self.metrics = ServerMetrics()
-        self.scheduler = DecodeScheduler(qlm, gemm=self._metered_gemm,
-                                         max_active=decode_max_active,
-                                         cache_config=cache_config)
+        self.metrics = ServerMetrics(pool=self.pool)
+        # Looked up per call, so a wrapper later set on ``pool.gemm`` sees
+        # every scheduled GEMM.
+        self.scheduler = DecodeScheduler(
+            qlm, gemm=lambda name, flat: self.pool.gemm(name, flat),
+            max_active=decode_max_active, mpu_config=self.pool.mpu.config,
+            cache_config=cache_config)
         self._lock = threading.Lock()
         self._pump_task: asyncio.Task | None = None
         if get_telemetry().enabled:
@@ -209,14 +216,6 @@ class InferenceServer:
         bind_server(tel.metrics, self)
 
     # -- the pooled GEMM path ---------------------------------------------
-    def _metered_gemm(self, name: str,
-                      flat: np.ndarray) -> tuple[np.ndarray, MPURunStats]:
-        """Pool dispatch that also feeds the server-wide counters."""
-        y, stats = self.pool.gemm(name, flat)
-        with self._lock:
-            self.metrics.mpu_stats = self.metrics.mpu_stats.merge(stats)
-        return y, stats
-
     def forward(self, tokens: np.ndarray) -> np.ndarray:
         """Logits ``(batch, seq, vocab)`` of equal-length prompts.
 
@@ -226,7 +225,7 @@ class InferenceServer:
         batch, seq = np.shape(tokens)
         logits, _, _ = self.qlm.prefill(
             tokens, num_valid=np.full(batch, seq), capacity=seq,
-            gemm=self._metered_gemm)
+            mpu_config=self.pool.mpu.config, gemm=self.pool.gemm)
         return logits
 
     # -- the one request queue ---------------------------------------------
@@ -419,7 +418,8 @@ class InferenceServer:
         """
         return self.qlm.generate(np.asarray(tokens, dtype=np.int64),
                                  max_new_tokens, eos_token=eos_token,
-                                 gemm=self._metered_gemm)
+                                 mpu_config=self.pool.mpu.config,
+                                 gemm=self.pool.gemm)
 
     async def aclose(self) -> None:
         if self._pump_task is not None and not self._pump_task.done():

@@ -18,8 +18,9 @@ only when the call carries enough work to pay for the hop:
 The program never mixes columns (the native kernel keeps them apart and
 the offset stage sums each column alone, see ``docs/compilation.md``), so
 both paths are bit-identical to one ``execute`` of the whole batch and to
-``gemm_reference``; the :class:`~repro.core.mpu.MPURunStats` are the
-program's for the whole batch, computed once per call.
+``gemm_reference``.  A call returns ``Y`` alone: the pool counts each
+layer's completed calls and columns, which :attr:`ShardedMPUPool.mpu_stats`
+turns into the sum of every call's ``plan_stats`` when read.
 
 The calling thread runs the first chunk and a persistent
 :class:`concurrent.futures.ThreadPoolExecutor` the others; the kernel
@@ -35,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,6 +121,8 @@ class ShardedMPUPool:
                 max(2, -(-_FANOUT_LUT_READS // per_col))
                 if per_col > 0 and num_shards > 1 else float("inf"))
         self.counters = PoolCounters()
+        # Layer -> [completed calls, their activation columns].
+        self._tally = {name: [0, 0] for name in self._programs}
         self._lock = threading.Lock()
         self._closed = False
         self._executor: ThreadPoolExecutor | None = None
@@ -138,25 +141,32 @@ class ShardedMPUPool:
             raise ValueError(
                 f"layer {name!r} was planned with µ={plan.mu}, {plan.tiling}; "
                 f"the pool's MPUConfig needs µ={cfg.mu}, {tiling}")
-        # Baked stats are affine in the batch: batches 0 and 1 pin them.
-        for batch in (0, 1):
-            if prepared.program.stats(batch) != self.mpu.stats_from_plan(
-                    plan, batch):
-                raise ValueError(
-                    f"layer {name!r}: the prepared program's stats at batch "
-                    f"{batch} disagree with the pool's MPUConfig")
+        program = prepared.program
+        if (program.stats_base, program.stats_slope) != \
+                self.mpu.affine_stats(plan):
+            raise ValueError(f"layer {name!r}: the prepared program's stats "
+                             f"disagree with the pool's MPUConfig")
 
     # -- dispatch ----------------------------------------------------------
-    def layer_names(self) -> list[str]:
-        return list(self.plans)
-
     def plan_stats(self, name: str, batch: int) -> MPURunStats:
         """The layer plan's analytic counters (equal to a run's stats)."""
         return self.mpu.stats_from_plan(self.plans[name], batch)
 
-    def gemm(self, name: str,
-             activations: np.ndarray) -> tuple[np.ndarray, MPURunStats]:
-        """``Y = W[name] X`` with the plan-exact stats, inline or fanned out."""
+    @property
+    def mpu_stats(self) -> MPURunStats:
+        """The plan-exact counters of every call that returned: per layer,
+        ``calls × intercept + columns × slope`` of its program's stats."""
+        with self._lock:
+            tally = [(self._programs[name], calls, cols)
+                     for name, (calls, cols) in self._tally.items()]
+        total = [0] * len(fields(MPURunStats))
+        for program, calls, cols in tally:
+            total = [t + calls * b + cols * s for t, b, s in zip(
+                total, program.stats_base, program.stats_slope, strict=True)]
+        return MPURunStats(*total)
+
+    def gemm(self, name: str, activations: np.ndarray) -> np.ndarray:
+        """``Y = W[name] X``, inline or fanned out; counted once it returns."""
         program = self._programs.get(name)
         if program is None:
             raise KeyError(f"{name!r} is not a pooled layer")
@@ -172,14 +182,19 @@ class ShardedMPUPool:
                 self.counters.inline += 1
         tel = get_telemetry()
         if not tel.enabled:
-            return self._run(name, program, activations, fanout)
-        with tel.trace.span("pool.gemm", layer=name, cols=cols,
-                            fanout=fanout):
-            return self._run(name, program, activations, fanout)
+            y = self._run(name, program, activations, fanout)
+        else:
+            with tel.trace.span("pool.gemm", layer=name, cols=cols,
+                                fanout=fanout):
+                y = self._run(name, program, activations, fanout)
+        with self._lock:
+            tally = self._tally[name]
+            tally[0] += 1
+            tally[1] += cols
+        return y
 
     def _run(self, name: str, program: CompiledProgram,
-             activations: np.ndarray,
-             fanout: bool) -> tuple[np.ndarray, MPURunStats]:
+             activations: np.ndarray, fanout: bool) -> np.ndarray:
         if not fanout:
             return program.execute(activations,
                                    accumulate_dtype=self.accumulate_dtype)
@@ -191,9 +206,9 @@ class ShardedMPUPool:
         outputs = self._dispatch(name, program, chunks)
         tel = get_telemetry()
         if not tel.enabled:
-            return np.concatenate(outputs, axis=1), program.stats(cols)
+            return np.concatenate(outputs, axis=1)
         with tel.trace.span("pool.merge", layer=name):
-            return np.concatenate(outputs, axis=1), program.stats(cols)
+            return np.concatenate(outputs, axis=1)
 
     def _dispatch(self, name: str, program: CompiledProgram,
                   chunks: list[np.ndarray]) -> list[np.ndarray]:
@@ -216,11 +231,11 @@ class ShardedMPUPool:
         tel = get_telemetry()
         if not tel.enabled:
             return program.execute(chunk,
-                                   accumulate_dtype=self.accumulate_dtype)[0]
+                                   accumulate_dtype=self.accumulate_dtype)
         with tel.trace.span("pool.shard", layer=name, shard=w,
                             cols=chunk.shape[1]):
             return program.execute(chunk,
-                                   accumulate_dtype=self.accumulate_dtype)[0]
+                                   accumulate_dtype=self.accumulate_dtype)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

@@ -61,8 +61,13 @@ def _json_safe(value):
 
 
 def _sanitize(args: dict) -> dict:
-    return {k: (v if type(v) in _SCALARS else _json_safe(v))
-            for k, v in args.items()}
+    """``args`` itself when every value is a plain scalar (the span's own
+    fresh kwargs dict), else a coerced copy."""
+    for v in args.values():
+        if type(v) not in _SCALARS:
+            return {k: (v if type(v) in _SCALARS else _json_safe(v))
+                    for k, v in args.items()}
+    return args
 
 
 @dataclass(slots=True)

@@ -67,6 +67,13 @@ def _assert_same(lhs, rhs):
     assert s_l == s_r
 
 
+def _executed(program, x, **kwargs):
+    """``program.execute`` paired with the program's stats at its batch,
+    as ``MatrixProcessingUnit.gemm`` pairs them."""
+    y = program.execute(x, **kwargs)
+    return y, program.stats(1 if y.ndim == 1 else y.shape[1])
+
+
 class TestCompiledEquivalence:
     @pytest.mark.parametrize("inputs", INPUTS)
     @pytest.mark.parametrize("kind", KINDS)
@@ -89,9 +96,9 @@ class TestCompiledEquivalence:
         assert isinstance(prepared.program, CompiledProgram)
         # The prepared fast path, the embedded program directly, and an
         # on-the-fly compile from the raw tensor all agree bitwise.
-        _assert_same(mpu.gemm(prepared, x), prepared.program.execute(x))
+        _assert_same(mpu.gemm(prepared, x), _executed(prepared.program, x))
         fresh = compile_plan(prepared.plan, tensor, MPU_CFG)
-        _assert_same(mpu.gemm(prepared, x), fresh.execute(x))
+        _assert_same(mpu.gemm(prepared, x), _executed(fresh, x))
         _assert_same(mpu.gemm(prepared, x), mpu.gemm(tensor, x))
 
     def test_vector_input_squeezes(self, rng):
@@ -128,20 +135,21 @@ class TestCompiledEquivalence:
             tensor, _ = _case(rng, kind)
             x = rng.standard_normal((tensor.shape[1], 12))
             prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-            y, stats = prog.execute(x, accumulate_dtype=np.float32)
+            y, stats = _executed(prog, x, accumulate_dtype=np.float32)
             assert stats == prog.stats(12)
             for layout in (np.ascontiguousarray(x), np.asfortranarray(x)):
-                _assert_same(prog.execute(layout, accumulate_dtype=np.float32),
+                _assert_same(_executed(prog, layout,
+                                       accumulate_dtype=np.float32),
                              (y, stats))
                 for bounds in (((0, 5), (5, 7), (7, 12)),
                                tuple((i, i + 1) for i in range(12))):
                     chunks = [prog.execute(layout[:, lo:hi],
-                                           accumulate_dtype=np.float32)[0]
+                                           accumulate_dtype=np.float32)
                               for lo, hi in bounds]
                     _assert_same((np.concatenate(chunks, axis=1), stats),
                                  (y, stats))
-                column, _ = prog.execute(layout[:, 4],
-                                         accumulate_dtype=np.float32)
+                column = prog.execute(layout[:, 4],
+                                      accumulate_dtype=np.float32)
                 assert column.tobytes() == y[:, 4].tobytes()
 
     @pytest.mark.parametrize("acc", [np.float16, np.float32, np.float64])
@@ -178,7 +186,8 @@ class TestCompiledEquivalence:
             y_ref, s_ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
             assert program.stats(33) == s_ref
             for width in range(1, 34):
-                y, stats = program.execute(x[:, :width], accumulate_dtype=acc)
+                y, stats = _executed(program, x[:, :width],
+                                     accumulate_dtype=acc)
                 assert y.tobytes() == y_ref[:, :width].tobytes(), (acc, width)
                 assert stats == mpu.plan_stats(tensor, width)
 
@@ -242,10 +251,10 @@ class TestSlicedExecution:
         mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
         prog = compile_plan(plan, tensor, MPU_CFG)
-        y_full, _ = prog.execute(x, accumulate_dtype=np.float32)
+        y_full = prog.execute(x, accumulate_dtype=np.float32)
         pieces = []
         for cols in np.array_split(np.arange(x.shape[1]), parts):
-            y, stats = prog.execute(x[:, cols], accumulate_dtype=np.float32)
+            y, stats = _executed(prog, x[:, cols], accumulate_dtype=np.float32)
             assert stats == mpu.stats_from_plan(plan, cols.size)
             pieces.append(y)
         assert np.concatenate(pieces, axis=1).tobytes() == y_full.tobytes()
@@ -377,7 +386,8 @@ class TestKernelConcurrency:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(fresh.execute, x, np.float32)
+                futures = [pool.submit(_executed, fresh, x,
+                                       accumulate_dtype=np.float32)
                            for _ in range(64)]
                 results = [f.result(timeout=60) for f in futures]
         finally:

@@ -41,8 +41,7 @@ def qlm():
 def _naive_greedy(qlm, prompt, steps, mpu_config=MPU_CFG):
     """Greedy decoding by re-running the full forward per token, through the
     same prepared-MPU GEMM dispatch the KV-cached path uses."""
-    gemm = qlm.prepared_gemm(mpu_config)
-    hook = qlm.matmul_via(lambda name, flat: gemm(name, flat)[0])
+    hook = qlm.matmul_via(qlm.prepared_gemm(mpu_config))
     seq = np.asarray(prompt, dtype=np.int64)
     out = []
     for _ in range(steps):
@@ -184,3 +183,26 @@ class TestPreparedStateIsShared:
         fresh = MatrixProcessingUnit(MPU_CFG).plan_stats(
             qlm.bcq_views()[name], batch=5)
         assert qlm.layer_mpu_stats(name, 5, MPU_CFG) == fresh
+
+
+class TestModelMpuStats:
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_equals_the_sum_of_layer_stats(self, mixed):
+        # The memoised affine totals against the independent per-layer
+        # plan counters, at two geometries of one model, at every batch and
+        # again from the memo.
+        bits = None
+        if mixed:
+            names = _build_qlm().model.weight_matrix_names()
+            bits = {name: 1 + i % 3 for i, name in enumerate(names)}
+        qlm = _build_qlm(bits_per_layer=bits)
+        for _ in range(2):
+            for cfg in (MPU_CFG, MPUConfig()):
+                for batch in (0, 1, 5, 128):
+                    want = MPURunStats()
+                    for name in qlm.quantized_weights:
+                        want = want.merge(
+                            qlm.layer_mpu_stats(name, batch, cfg))
+                    assert qlm.model_mpu_stats(batch, cfg) == want
+        with pytest.raises(ValueError, match="batch"):
+            qlm.model_mpu_stats(-1)

@@ -188,7 +188,8 @@ class TestEndToEndIntegration:
                             accumulate_dtype=np.float32)
             return y
 
-        want = qlm.logits(tokens, matmul=qlm.matmul_via(program_gemm))
+        want = qlm.model.forward(tokens,
+                                 matmul=qlm.matmul_via(program_gemm))[0]
 
         ran = []
         execute = CompiledProgram.execute

@@ -179,8 +179,7 @@ class TestPagedMatchesForward:
         prompts = [rng.integers(0, VOCAB, size=n) for n in (3, 6, 10)]
         seqs = [sched.submit(p, 6) for p in prompts]
         sched.run_until_idle()
-        gemm = qlm.prepared_gemm()
-        hook = qlm.matmul_via(lambda name, flat: gemm(name, flat)[0])
+        hook = qlm.matmul_via(qlm.prepared_gemm())
         for seq, prompt in zip(seqs, prompts, strict=True):
             # Greedy re-forward: the cache-free oracle, token by token.
             tokens = prompt

@@ -259,8 +259,9 @@ class TestNativeKernelSweep:
         plan = mpu.plan(tensor)
         x = rng.standard_normal((n, batch))
 
-        y, stats = compile_plan(plan, tensor, cfg).execute(
-            x, accumulate_dtype=acc)
+        program = compile_plan(plan, tensor, cfg)
+        y = program.execute(x, accumulate_dtype=acc)
+        stats = program.stats(batch)
         y_ref, s_ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
         assert y.tobytes() == y_ref.tobytes()
         assert stats == s_ref

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mpu import MPUConfig, MatrixProcessingUnit
+from repro.core.mpu import MPUConfig, MPURunStats, MatrixProcessingUnit
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
 from repro.serve import PoolCounters, ShardedMPUPool
 from repro.serve import workers
@@ -30,6 +30,14 @@ def _layers(rng):
         "mixed": quantize_bcq_mixed(w2, rng.choice([1, 2, 3], size=17),
                                     BCQConfig(group_size=7, iterations=1)),
     }
+
+
+def _gemm(pool, name, x):
+    """``pool.gemm`` and the counters it added to ``pool.mpu_stats``."""
+    before = vars(pool.mpu_stats)
+    y = pool.gemm(name, x)
+    after = vars(pool.mpu_stats)
+    return y, MPURunStats(**{k: after[k] - before[k] for k in after})
 
 
 @pytest.fixture
@@ -76,7 +84,7 @@ class TestShardedMPUPool:
             for name, tensor in layers.items():
                 x = rng.standard_normal((tensor.shape[1], 4))
                 y_ref, stats_ref = mpu.gemm(tensor, x)
-                y, stats = pool.gemm(name, x)
+                y, stats = _gemm(pool, name, x)
                 np.testing.assert_array_equal(y, y_ref)
                 assert stats == stats_ref
 
@@ -91,7 +99,7 @@ class TestShardedMPUPool:
                             mpu_config=MPU_CFG) as pool:
             for name, tensor in layers.items():
                 x = rng.standard_normal((tensor.shape[1], cols))
-                y, stats = pool.gemm(name, x)
+                y, stats = _gemm(pool, name, x)
                 y_ref, _ = mpu.gemm_reference(tensor, x)
                 assert y.tobytes() == y_ref.tobytes()
                 assert stats == pool.plan_stats(name, cols)
@@ -119,7 +127,7 @@ class TestShardedMPUPool:
             x = x[:, 0]
         pool = pools[acc]
         before = PoolCounters(**vars(pool.counters))
-        y, stats = pool.gemm(name, x)
+        y, stats = _gemm(pool, name, x)
         y_ref, _ = MatrixProcessingUnit(MPU_CFG).gemm_reference(
             tensor, x, accumulate_dtype=acc)
         assert y.shape == y_ref.shape
@@ -145,9 +153,9 @@ class TestShardedMPUPool:
             for cols, counts in ((edge - 1, PoolCounters(inline=1)),
                                  (edge, PoolCounters(inline=1, fanout=1))):
                 x = rng.standard_normal((64, cols))
-                y, stats = pool.gemm("l", x)
+                y, stats = _gemm(pool, "l", x)
                 assert pool.counters == counts
-                want, want_stats = program.execute(x)
+                want, want_stats = program.execute(x), program.stats(cols)
                 assert y.tobytes() == want.tobytes()
                 assert stats == want_stats
 
@@ -186,7 +194,7 @@ class TestShardedMPUPool:
         prepared = {name: mpu.prepare(t) for name, t in layers.items()}
         with ShardedMPUPool(prepared, mpu_config=MPU_CFG) as pool:
             x = np.ones((layers["uniform"].shape[1], 3))
-            assert pool.gemm("uniform", x)[1] == pool.plan_stats("uniform", 3)
+            assert _gemm(pool, "uniform", x)[1] == pool.plan_stats("uniform", 3)
 
     def test_concurrent_calls(self, rng, layers, small_threshold):
         # Overlapping micro-batches issue pool.gemm from different threads;
@@ -199,7 +207,7 @@ class TestShardedMPUPool:
         with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG) as pool:
             with ThreadPoolExecutor(max_workers=4) as executor:
                 outs = list(executor.map(
-                    lambda x: pool.gemm("uniform", x)[0], xs))
+                    lambda x: pool.gemm("uniform", x), xs))
             assert pool.counters == PoolCounters(fanout=8)
         for got, want in zip(outs, refs, strict=True):
             np.testing.assert_array_equal(got, want)
@@ -214,7 +222,7 @@ class TestShardedMPUPool:
         with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG) as pool:
             with pytest.raises(ValueError, match="activation rows"):
                 pool.gemm("uniform", x[:-1])
-            y, stats = pool.gemm("uniform", x)
+            y, stats = _gemm(pool, "uniform", x)
             assert pool.counters == PoolCounters(fanout=2)
         assert y.tobytes() == y_ref.tobytes()
         assert stats == stats_ref
@@ -233,7 +241,7 @@ class TestShardedMPUPool:
         def call(i):
             x = xs[i // 2]
             if i % 2 == 0:
-                return pool.gemm("uniform", x)[0]
+                return pool.gemm("uniform", x)
             try:
                 pool.gemm("uniform", x[:-1])
             except ValueError as exc:
@@ -276,7 +284,7 @@ class TestShardedMPUPool:
                 pool.gemm("uniform", x)
             assert sorted(finished) == [w for w in range(3) if w != failing]
             del pool._run_chunk
-            y, _ = pool.gemm("uniform", x)
+            y = pool.gemm("uniform", x)
         assert y.tobytes() == y_ref.tobytes()
 
     def test_failed_fanout_call_raises_the_first_error_in_chunk_order(
@@ -307,7 +315,41 @@ class TestShardedMPUPool:
             with pytest.raises(RuntimeError, match="pool is closed"):
                 pool.gemm("uniform", rng.standard_normal((32, cols)))
         assert pool.counters == PoolCounters()
+        assert pool.mpu_stats == MPURunStats()
         pool.close()  # closing twice is harmless
+
+    def test_failed_calls_add_no_mpu_stats(self, rng, layers,
+                                           small_threshold):
+        # A call that raises, inline or fanned out, counts towards the
+        # path counters but adds nothing to the plan counters.
+        with ShardedMPUPool(layers, num_shards=2, mpu_config=MPU_CFG) as pool:
+            pool.gemm("uniform", rng.standard_normal((32, 1)))
+            counted = pool.mpu_stats
+            for cols in (1, 2 * FANOUT_COLS):
+                with pytest.raises(ValueError, match="activation rows"):
+                    pool.gemm("uniform", rng.standard_normal((31, cols)))
+            assert pool.mpu_stats == counted == pool.plan_stats("uniform", 1)
+            assert pool.counters == PoolCounters(inline=2, fanout=1)
+
+    def test_mpu_stats_sum_the_plan_stats_of_every_call(
+            self, rng, layers, small_threshold):
+        # Inline and fanned-out calls over both layers, some from other
+        # threads: the counters equal Σ plan_stats over the calls.
+        calls = [(name, cols) for name in ("uniform", "mixed")
+                 for cols in (1, 3, FANOUT_COLS, 2 * FANOUT_COLS + 1)]
+        with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG) as pool:
+            for name, cols in calls:
+                pool.gemm(name, rng.standard_normal((layers[name].shape[1],
+                                                     cols)))
+            with ThreadPoolExecutor(max_workers=3) as executor:
+                list(executor.map(
+                    lambda call: pool.gemm(call[0], np.ones(
+                        (layers[call[0]].shape[1], call[1]))), calls))
+            assert pool.counters.inline and pool.counters.fanout
+            want = MPURunStats()
+            for name, cols in calls * 2:
+                want = want.merge(pool.plan_stats(name, cols))
+            assert pool.mpu_stats == want
 
     def test_fanout_runs_on_the_pool_threads(self, rng, layers,
                                              small_threshold):
@@ -339,7 +381,7 @@ class TestShardedMPUPool:
         with ShardedMPUPool(layers, num_shards=3, mpu_config=MPU_CFG) as pool:
             for cols in (2, 3 * FANOUT_COLS):
                 x = rng.standard_normal((layers["uniform"].shape[1], cols))
-                _, merged = pool.gemm("uniform", x)
+                _, merged = _gemm(pool, "uniform", x)
                 assert merged == pool.plan_stats("uniform", batch=cols)
             assert pool.counters == PoolCounters(inline=1, fanout=1)
 
@@ -360,7 +402,7 @@ class TestShardedMPUPool:
         requests = [rng.standard_normal(tensor.shape[1]) for _ in range(6)]
         with ShardedMPUPool({"l": tensor}, num_shards=2,
                             mpu_config=MPU_CFG) as pool:
-            solo = [pool.gemm("l", r)[0] for r in requests]
-            stacked, _ = pool.gemm("l", np.stack(requests, axis=1))
+            solo = [pool.gemm("l", r) for r in requests]
+            stacked = pool.gemm("l", np.stack(requests, axis=1))
         for i, want in enumerate(solo):
             np.testing.assert_array_equal(stacked[:, i], want)

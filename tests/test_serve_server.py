@@ -107,6 +107,41 @@ class TestInferenceServer:
                 served_qlm.model_mpu_stats(batch=flat, mpu_config=MPU_CFG))
         assert server.metrics.mpu_stats == expected
 
+    def test_scheduler_looks_up_pool_gemm_per_call(self, rng, served_qlm):
+        # A wrapper set on the pool after the server is built sees every
+        # scheduled GEMM, and the counters equal Σ plan_stats over them.
+        server = InferenceServer(served_qlm, num_shards=2, mpu_config=MPU_CFG)
+        calls = []
+        real = server.pool.gemm
+
+        def gemm(name, flat):
+            calls.append((name, flat.shape[1]))
+            return real(name, flat)
+
+        server.pool.gemm = gemm
+        _serve(server, _requests(rng, 3, lengths=(5, 9)))
+        want = MPURunStats()
+        for name, cols in calls:
+            want = want.merge(server.pool.plan_stats(name, cols))
+        assert calls and server.metrics.mpu_stats == want
+
+    def test_failed_pool_gemms_add_no_mpu_stats(self, rng, served_qlm):
+        server = InferenceServer(served_qlm, num_shards=2, mpu_config=MPU_CFG)
+        prompt = _requests(rng, 1)[0]
+        server.run_solo(prompt)
+        counted = server.metrics.mpu_stats
+        assert counted == served_qlm.model_mpu_stats(prompt.size, MPU_CFG)
+        name = next(iter(server.pool.plans))
+        with pytest.raises(ValueError, match="activation rows"):
+            server.pool.gemm(name, np.ones((server.pool.plans[name].n - 1, 2)))
+        assert server.metrics.mpu_stats == counted
+        server.close()
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            server.run_solo(prompt)
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            server.generate_solo(prompt, 2)
+        assert server.metrics.mpu_stats == counted
+
     def test_mixed_precision_model_serves_bit_exact(self, rng):
         model = TransformerLM(TransformerConfig(vocab_size=VOCAB, max_seq_len=16,
                                                 d_model=16, n_heads=2, n_layers=1,
