@@ -104,15 +104,16 @@ def test_mpu_native_kernel_large_shape(benchmark):
     w = rng.standard_normal((1024, 1024)) * 0.05
     tensor = prepare_weights(w, bits=3, method="bcq", group_size=128)
     mpu = MatrixProcessingUnit(MPUConfig())
-    program = mpu.prepare(tensor).program
+    prepared = mpu.prepare(tensor)
+    program = prepared.program
 
     x = rng.standard_normal((1024, 32))
     y = run_once(benchmark, program.execute, x, accumulate_dtype=np.float32)
-    stats = program.stats(32)
+    stats = mpu.stats_from_plan(prepared.plan, 32)
     y_ref, s_ref = mpu.gemm_reference(tensor, x[:, :1],
                                       accumulate_dtype=np.float32)
     y1 = program.execute(x[:, :1], accumulate_dtype=np.float32)
-    s1 = program.stats(1)
+    s1 = mpu.stats_from_plan(prepared.plan, 1)
     assert y1.tobytes() == y_ref.tobytes() and s1 == s_ref
     y_rows, _ = mpu.gemm_reference(tensor.take_rows(slice(0, 64)), x,
                                    accumulate_dtype=np.float32)
@@ -148,7 +149,8 @@ def test_native_kernel_width_sweep():
     rng = np.random.default_rng(6)
     w = rng.standard_normal((512, 128)) * 0.05
     tensor = prepare_weights(w, bits=3, method="bcq", group_size=128)
-    program = MatrixProcessingUnit(MPUConfig()).prepare(tensor).program
+    mpu = MatrixProcessingUnit(MPUConfig())
+    program = mpu.prepare(tensor).program
     struct = native.bind(program)
     x = rng.standard_normal((128, 32))
     y32 = program.execute(x, accumulate_dtype=np.float64)
@@ -166,7 +168,7 @@ def test_native_kernel_width_sweep():
                 native.run(struct, xs, np.float64, out)
             best = min(best, (time.perf_counter() - start) / 20)
         us = best * 1e6
-        ns_per_read = best * 1e9 / program.stats(width).lut_reads
+        ns_per_read = best * 1e9 / mpu.plan_stats(tensor, width).lut_reads
         rows.append([width, us, ns_per_read])
         record_bench(f"mpu_speed::kernel_width_w{width}", "us_per_call", us,
                      unit="us")

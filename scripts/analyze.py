@@ -72,8 +72,8 @@ def _plan_family_sweep() -> int:
         (16, 30, 3, 7, 8, 1, 2, 8, False),      # prime group size
     ]
     for m, n, bits, group_size, pe_rows, pe_cols, mu, k, mixed in cases:
-        config = MPUConfig(pe_rows=pe_rows, pe_cols=pe_cols, mu=mu, k=k)
-        mpu = MatrixProcessingUnit(config)
+        mpu = MatrixProcessingUnit(
+            MPUConfig(pe_rows=pe_rows, pe_cols=pe_cols, mu=mu, k=k))
         weight = rng.standard_normal((m, n))
         if mixed:
             per_row = rng.integers(1, bits + 1, size=m)
@@ -84,13 +84,12 @@ def _plan_family_sweep() -> int:
                 weight, BCQConfig(bits=bits, group_size=group_size))
         plan = mpu.plan(bcq)
         verify_plan(plan)
-        program = compile_plan(plan, bcq, config)
-        verify_program(program, plan=plan, config=config)
+        program = compile_plan(plan, bcq)
+        verify_program(program, plan=plan)
         checked += 1
 
         # The program prepare() embeds (what serving pools pin).
-        verify_program(mpu.prepare(bcq, plan).program,
-                       plan=plan, config=config)
+        verify_program(mpu.prepare(bcq, plan).program, plan=plan)
         checked += 1
     return checked
 

@@ -14,10 +14,9 @@ only exercises dynamically:
 * :mod:`repro.analysis.verify` — structural verifiers for
   :class:`~repro.core.dataflow.TileExecutionPlan` and
   :class:`~repro.core.program.CompiledProgram`: scatter-index disjointness,
-  sentinel-row integrity, instruction-replay order, and baked affine
-  stats against the analytic plan counters — checkable on every compiled
-  program without running a single GEMM (``REPRO_VERIFY=1`` does exactly
-  that at compile time).
+  sentinel-row integrity, and every buffer against the plan it was
+  compiled from — checkable on every compiled program without running a
+  single GEMM (``REPRO_VERIFY=1`` does exactly that at compile time).
 * :mod:`repro.analysis.pool_audit` — the :class:`~repro.models.transformer.
   PagePool` / :class:`~repro.models.transformer.PagedKVCache` invariant
   auditor: refcount conservation against live page tables, registry

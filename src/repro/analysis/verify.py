@@ -2,7 +2,7 @@
 
 :func:`verify_plan` and :func:`verify_program` check every invariant the
 executors rely on — buffer geometry, sentinel integrity, scatter
-disjointness, baked affine stats — without running a single GEMM.  A
+disjointness, agreement with the plan — without running a single GEMM.  A
 violated invariant raises a :class:`VerificationError` subclass whose
 ``invariant`` attribute (and message prefix) names exactly which contract
 broke, so a CI failure or a ``REPRO_VERIFY=1`` compile-time check points
@@ -39,11 +39,6 @@ Program (:func:`verify_program`):
 ``scales-shape``            α matrix is ``(num_segments, rows_p)``.
 ``offset-slices``           offset column spans valid, ascending,
                             disjoint; one offset column per span.
-``affine-stats``            baked ``(intercept, slope)`` integer pairs,
-                            non-negative — and equal to the analytic
-                            ``stats_from_plan`` at a symbolic batch when
-                            the plan is supplied (affine ⇒ checking
-                            batches 0 and 1 checks every batch).
 ``plane-mask-active-rows``  per-plane scatter rows agree with each band's
                             ``active_rows_per_plane`` (plan required).
 ``segment-cols-match``      each slot block's column run equals its
@@ -52,12 +47,9 @@ Program (:func:`verify_program`):
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 
 from repro.core.dataflow import TileExecutionPlan
-from repro.core.mpu import MatrixProcessingUnit, MPUConfig, MPURunStats
 from repro.core.program import CompiledProgram
 
 __all__ = [
@@ -202,16 +194,13 @@ def _segment_blocks(program: CompiledProgram):
 
 
 def verify_program(program: CompiledProgram,
-                   plan: TileExecutionPlan | None = None,
-                   config: MPUConfig | None = None) -> None:
+                   plan: TileExecutionPlan | None = None) -> None:
     """Check the structural invariants of a compiled program.
 
-    Self-contained checks (geometry, sentinel integrity, scatter rows,
-    affine-stats shape) always run.  Supplying the ``plan`` the program
-    was compiled from (plus ``config`` when non-default) additionally
-    pins the program against the plan: segment columns, per-band plane
-    masks, offset spans, and the baked stats against
-    the analytic counters at a symbolic batch.
+    Self-contained checks (geometry, sentinel integrity, scatter rows)
+    always run.  Supplying the ``plan`` the program was compiled from
+    additionally pins the program against the plan: segment columns,
+    per-band plane masks and offset spans.
 
     Raises :class:`ProgramInvariantError` naming the violated invariant.
     """
@@ -331,25 +320,10 @@ def verify_program(program: CompiledProgram,
                        f"after the previous span's stop {prev_stop}")
         prev_stop = stop
 
-    # -- affine stats ------------------------------------------------------
-    num_counters = len(fields(MPURunStats))
-    if len(program.stats_base) != num_counters or \
-            len(program.stats_slope) != num_counters:
-        _prog_fail("affine-stats",
-                   f"stats need {num_counters} (intercept, slope) pairs; got "
-                   f"{len(program.stats_base)} / {len(program.stats_slope)}")
-    for name, b, s in zip((f.name for f in fields(MPURunStats)),
-                          program.stats_base, program.stats_slope, strict=True):
-        if b < 0 or s < 0 or int(b) != b or int(s) != s:
-            _prog_fail("affine-stats",
-                       f"counter {name}: intercept/slope must be "
-                       f"non-negative integers, got ({b}, {s})")
-
     # -- plan-pinned checks ------------------------------------------------
     if plan is None:
         return
     verify_plan(plan)
-    cfg = config or MPUConfig()
     if (m, n, mu) != (plan.m, plan.n, plan.mu):
         _prog_fail("program-geometry",
                    f"program is ({m}, {n}, µ={mu}) but plan is "
@@ -410,16 +384,3 @@ def verify_program(program: CompiledProgram,
                    f"plan's {plan.num_scale_groups} scale groups "
                    f"(group_size={group_size})")
 
-    # Baked stats vs the analytic counters at a symbolic batch: both sides
-    # are affine in the batch, so agreement at 0 and 1 is agreement at
-    # every batch.
-    mpu = MatrixProcessingUnit(cfg)
-    for batch in (0, 1):
-        analytic = mpu.stats_from_plan(plan, batch)
-        baked = program.stats(batch)
-        for f in fields(MPURunStats):
-            a, b = getattr(analytic, f.name), getattr(baked, f.name)
-            if a != b:
-                _prog_fail("affine-stats",
-                           f"counter {f.name} at batch {batch}: baked {b} "
-                           f"!= analytic {a}")

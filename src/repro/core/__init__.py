@@ -14,7 +14,7 @@ This package implements the paper's primary contribution:
   oracle).
 * :mod:`repro.core.program` — the plan compiler: lowers a tile-execution
   plan to a flat :class:`~repro.core.program.CompiledProgram` (concatenated
-  LUT-key/scale buffers plus a short instruction list), the MPU's one
+  LUT-key/scale buffers), the MPU's one
   executor, which replays the plan bit-identically to the scalar
   reference.
 * :mod:`repro.core.engines` — functional GEMM engines with the numerics of
@@ -44,15 +44,11 @@ from repro.core.rac import RAC
 from repro.core.pe import ProcessingElement, PEStats
 from repro.core.dataflow import (
     TilingConfig,
-    TileCoordinates,
     ColumnSegment,
     RowBand,
     TileStep,
     TileExecutionPlan,
     plan_bcq_tile_execution,
-    iterate_int_weight_tiles,
-    iterate_bcq_weight_tiles,
-    count_tile_fetches,
 )
 from repro.core.mpu import MPUConfig, MPURunStats, MatrixProcessingUnit
 from repro.core.program import CompiledProgram, PlanePass, compile_plan
@@ -87,15 +83,11 @@ __all__ = [
     "ProcessingElement",
     "PEStats",
     "TilingConfig",
-    "TileCoordinates",
     "ColumnSegment",
     "RowBand",
     "TileStep",
     "TileExecutionPlan",
     "plan_bcq_tile_execution",
-    "iterate_int_weight_tiles",
-    "iterate_bcq_weight_tiles",
-    "count_tile_fetches",
     "MPUConfig",
     "MPURunStats",
     "MatrixProcessingUnit",

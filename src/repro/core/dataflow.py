@@ -1,4 +1,4 @@
-"""Weight-stationary tiling, the FP-BCQ fetch order (Fig. 5), and the tile
+"""Weight-stationary tiling in the FP-BCQ fetch order (Fig. 5): the tile
 execution planner shared by the MPU simulation and the analytical models.
 
 The MPU processes a GEMM ``Y = W X`` (weights ``W`` of shape ``(M, N)``,
@@ -12,19 +12,14 @@ activations ``X`` of shape ``(N, batch)``) tile by tile:
   planes of the same tile before moving to the next tile** (Fig. 5b), so each
   input tile is fetched once and reused across all bit planes.
 
-Two layers live here:
-
-* the *iterators* (:func:`iterate_int_weight_tiles`,
-  :func:`iterate_bcq_weight_tiles`) — the raw geometric schedule, used by
-  fetch-count analytics and the packing model;
-* the *planner* (:func:`plan_bcq_tile_execution`) — a fully materialised
-  :class:`TileExecutionPlan` whose column extents are additionally **split at
-  BCQ scale-group boundaries**, so every planned segment carries exactly one
-  scale column.  The batched MPU executor and its retained scalar reference
-  both walk this plan; splitting at group boundaries is what lets every
-  partial sum go through the LUT/accumulator numerics (the seed's
-  multi-group tiles silently bypassed ``accumulate_dtype`` with a float64
-  matmul fallback).
+The *planner* (:func:`plan_bcq_tile_execution`) materialises that schedule
+as a :class:`TileExecutionPlan` whose column extents are additionally
+**split at BCQ scale-group boundaries**, so every planned segment carries
+exactly one scale column.  The compiled MPU executor and its scalar
+reference both walk this plan, and every ``MPURunStats`` counter is derived
+from it (``MatrixProcessingUnit.stats_from_plan``); splitting at group
+boundaries is what lets every partial sum go through the LUT/accumulator
+numerics.
 
 The planner also carries **mixed precision**: ``per_row_bits`` assigns each
 output row its own BCQ plane count (ShiftAddLLM-style allocation, the
@@ -45,38 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TileCoordinates",
     "TilingConfig",
     "ColumnSegment",
     "RowBand",
     "TileStep",
     "TileExecutionPlan",
     "plan_bcq_tile_execution",
-    "iterate_int_weight_tiles",
-    "iterate_bcq_weight_tiles",
-    "count_tile_fetches",
 ]
-
-
-@dataclass(frozen=True)
-class TileCoordinates:
-    """One step of the weight-stationary schedule.
-
-    Attributes
-    ----------
-    row_slice, col_slice:
-        The output-channel rows and input-channel columns of the weight tile.
-    bit_plane:
-        Bit-plane index processed in this step (always 0 for INT engines,
-        which carry all bits in one plane).
-    tile_index:
-        Linear index of the (row, col) tile, independent of bit plane.
-    """
-
-    row_slice: slice
-    col_slice: slice
-    bit_plane: int
-    tile_index: int
 
 
 @dataclass(frozen=True)
@@ -176,8 +146,7 @@ class RowBand:
 class TileStep:
     """One executed step of the planned schedule: a (row band, column
     segment, bit plane) triple.  ``tile_index`` is the geometric (row band,
-    column band) tile the step belongs to, matching
-    :class:`TileCoordinates` numbering."""
+    column band) tile the step belongs to, numbered row-major."""
 
     band: RowBand
     segment: ColumnSegment
@@ -216,11 +185,6 @@ class TileExecutionPlan:
     row_bands: tuple[RowBand, ...]
     segments: tuple[ColumnSegment, ...]
     num_bands: int
-
-    @property
-    def row_slices(self) -> tuple[slice, ...]:
-        """Row slices of the ``tile_m`` bands (kept for geometric consumers)."""
-        return tuple(band.row_slice for band in self.row_bands)
 
     @property
     def num_tiles(self) -> int:
@@ -335,50 +299,3 @@ def plan_bcq_tile_execution(m: int, n: int, bits: int, config: TilingConfig,
                              tiling=config, row_bands=tuple(row_bands),
                              segments=tuple(segments), num_bands=num_bands)
 
-
-def iterate_int_weight_tiles(m: int, n: int, config: TilingConfig) -> Iterator[TileCoordinates]:
-    """Tile order for INT-weight engines (Fig. 5a): one pass, no bit planes."""
-    index = 0
-    for rsl in _tile_slices(m, config.tile_m):
-        for csl in _tile_slices(n, config.tile_n):
-            yield TileCoordinates(rsl, csl, bit_plane=0, tile_index=index)
-            index += 1
-
-
-def iterate_bcq_weight_tiles(m: int, n: int, bits: int,
-                             config: TilingConfig) -> Iterator[TileCoordinates]:
-    """Tile order for BCQ engines (Fig. 5b): all bit planes of a tile, then the next tile."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
-    index = 0
-    for rsl in _tile_slices(m, config.tile_m):
-        for csl in _tile_slices(n, config.tile_n):
-            for plane in range(bits):
-                yield TileCoordinates(rsl, csl, bit_plane=plane, tile_index=index)
-            index += 1
-
-
-def count_tile_fetches(m: int, n: int, bits: int, config: TilingConfig,
-                       bcq: bool = True) -> dict[str, int]:
-    """Count weight-tile and input-tile fetches for a schedule.
-
-    Because BCQ schedules iterate bit planes innermost, the *input* tile is
-    fetched once per (row, col) tile regardless of ``bits``, while a schedule
-    that iterated tiles innermost would fetch inputs ``bits`` times.  The
-    returned dictionary reports both so the benefit is measurable.
-    """
-    tiles = config.num_tiles(m, n)
-    if bcq:
-        weight_tile_fetches = tiles * bits
-        input_tile_fetches = tiles
-        naive_input_tile_fetches = tiles * bits
-    else:
-        weight_tile_fetches = tiles
-        input_tile_fetches = tiles
-        naive_input_tile_fetches = tiles
-    return {
-        "weight_tile_fetches": weight_tile_fetches,
-        "input_tile_fetches": input_tile_fetches,
-        "input_tile_fetches_if_plane_outermost": naive_input_tile_fetches,
-        "tiles": tiles,
-    }

@@ -393,20 +393,24 @@ class FIGLUTFloatEngine(_FIGLUTBase):
 
     name = "figlut-f"
 
+    def __init__(self, activation_format: FloatFormat | str = "fp16",
+                 accumulator: str = "fp32", mu: int = 4) -> None:
+        super().__init__(activation_format, accumulator, mu)
+        self._mpu = MatrixProcessingUnit(MPUConfig(mu=mu))
+
     def gemm(self, weights: UniformQuantizedTensor | BCQTensor | PreparedWeights,
              activations: np.ndarray) -> np.ndarray:
         if isinstance(weights, PreparedWeights):
             if weights.program.mu != self.mu:
                 raise ValueError(f"weights prepared at µ={weights.program.mu}, engine µ={self.mu}")
-            bcq, program_weights = weights.weights, weights
         else:
-            bcq = program_weights = _as_bcq(weights)
+            weights = self._mpu.prepare(_as_bcq(weights))
+        bcq = weights.weights
         m, n = bcq.shape
         x, squeeze = _activation_2d(activations, n)
         x = self._quantize_activations(x)
         batch = x.shape[1]
-        y, _ = MatrixProcessingUnit(MPUConfig(mu=self.mu)).gemm(
-            program_weights, x, accumulate_dtype=self._acc_dtype())
+        y = self._mpu.run(weights, x, accumulate_dtype=self._acc_dtype())
 
         row_planes = int(np.sum(bcq.per_row_bits))
         self._count_lut_ops(m, n, batch, bcq.bits, row_planes)

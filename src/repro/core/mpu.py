@@ -117,15 +117,12 @@ class MPUConfig:
         LUT key width; each PE row consumes µ input channels.
     k:
         RACs per PE; each PE column produces k output channels.
-    use_half_lut:
-        Model the hFFLUT (half-size LUT + sign-flip decoder).
     """
 
     pe_rows: int = 16
     pe_cols: int = 2
     mu: int = 4
     k: int = 32
-    use_half_lut: bool = True
 
     def __post_init__(self) -> None:
         for name in ("pe_rows", "pe_cols", "mu", "k"):
@@ -141,16 +138,6 @@ class MPUConfig:
     def tile_m(self) -> int:
         """Output channels covered by one weight tile."""
         return self.pe_cols * self.k
-
-    @property
-    def num_racs(self) -> int:
-        """Total RAC units in the array."""
-        return self.pe_rows * self.pe_cols * self.k
-
-    @property
-    def num_luts(self) -> int:
-        """Total LUTs in the array (one per PE)."""
-        return self.pe_rows * self.pe_cols
 
 
 @dataclass
@@ -192,11 +179,15 @@ class PreparedWeights:
         The plan lowered to a flat :class:`~repro.core.program.
         CompiledProgram` (its RAC key matrices packed once), which every
         :meth:`MatrixProcessingUnit.gemm` on prepared weights executes.
+    config:
+        The MPU geometry the plan was made for; a run's counters are the
+        plan's under it.
     """
 
     weights: BCQTensor
     plan: TileExecutionPlan
     program: CompiledProgram
+    config: MPUConfig
 
 
 class MatrixProcessingUnit:
@@ -219,11 +210,13 @@ class MatrixProcessingUnit:
     def plan_stats(self, weights: BCQTensor, batch: int) -> MPURunStats:
         """Analytic run counters for a GEMM of ``weights`` against ``batch``
         activation columns, derived from the plan without executing it."""
-        if batch < 0:
-            raise ValueError("batch must be >= 0")
         return self.stats_from_plan(self.plan(weights), batch)
 
     def stats_from_plan(self, plan: TileExecutionPlan, batch: int) -> MPURunStats:
+        """The run counters of ``plan`` at ``batch`` activation columns: the
+        one source of every :class:`MPURunStats` a GEMM reports."""
+        if batch < 0:
+            raise ValueError("batch must be >= 0")
         cfg = self.config
         stats = MPURunStats()
         stats.tiles = plan.num_tiles
@@ -314,8 +307,9 @@ class MatrixProcessingUnit:
         """
         from repro.core.program import compile_plan  # mpu ↔ program cycle
         plan = plan if plan is not None else self.plan(weights)
-        program = compile_plan(plan, weights, self.config)
-        return PreparedWeights(weights=weights, plan=plan, program=program)
+        return PreparedWeights(weights=weights, plan=plan,
+                               program=compile_plan(plan, weights),
+                               config=self.config)
 
     # -- executor ------------------------------------------------------------
     def gemm(self, weights: BCQTensor | PreparedWeights,
@@ -347,13 +341,15 @@ class MatrixProcessingUnit:
         -------
         (Y, stats):
             ``Y`` has shape ``(M, batch)`` (or ``(M,)`` for vector input);
-            ``stats`` is derived analytically from the execution plan and is
-            identical to the counters :meth:`gemm_reference` increments.
+            ``stats`` is :meth:`stats_from_plan` of the weights' plan under
+            the geometry they were prepared for, identical to the counters
+            :meth:`gemm_reference` increments.
         """
         if not isinstance(weights, PreparedWeights):
             weights = self.prepare(weights)
         y = self.run(weights, activations, accumulate_dtype)
-        return y, weights.program.stats(1 if y.ndim == 1 else y.shape[1])
+        return y, MatrixProcessingUnit(weights.config).stats_from_plan(
+            weights.plan, 1 if y.ndim == 1 else y.shape[1])
 
     def run(self, weights: PreparedWeights, activations: np.ndarray,
             accumulate_dtype: np.dtype | type = np.float64) -> np.ndarray:

@@ -54,16 +54,13 @@ the reference's float operations in the reference's order (see
   bit planes innermost, scattered to the plane's active rows;
 * the offset stage is the same NumPy group sum the reference runs.
 
-Stats are attached at compile time: every counter of
-:meth:`~repro.core.mpu.MatrixProcessingUnit.stats_from_plan` is affine in
-the batch size, so the program stores the exact integer ``(intercept,
-slope)`` pair per counter and :meth:`CompiledProgram.stats` reproduces
-the analytic counters for any batch without touching the plan
-(:meth:`CompiledProgram.execute` returns ``Y`` alone).
+A program carries no counters: :meth:`CompiledProgram.execute` returns
+``Y`` alone, and a run's :class:`~repro.core.mpu.MPURunStats` are the
+plan's (:meth:`~repro.core.mpu.MatrixProcessingUnit.stats_from_plan`).
 
-Programs are self-contained — no :class:`~repro.quant.bcq.BCQTensor` or
-plan needed at run time — and never written while they run, so the
-serving pool's threads all execute one shared program per layer.
+Programs need neither the :class:`~repro.quant.bcq.BCQTensor` nor the plan
+to run, and are never written while they run, so the serving pool's
+threads all execute one shared program per layer.
 """
 
 # repro: bit-exact — the compiled executor must replay the scalar
@@ -79,12 +76,7 @@ import numpy as np
 
 from repro.core import native
 from repro.core.dataflow import TileExecutionPlan
-from repro.core.mpu import (
-    MatrixProcessingUnit,
-    MPUConfig,
-    MPURunStats,
-    _normalize_activations,
-)
+from repro.core.mpu import MatrixProcessingUnit, _normalize_activations
 from repro.quant.bcq import BCQTensor
 from repro.telemetry import get_telemetry
 
@@ -137,29 +129,15 @@ class CompiledProgram:
     passes: tuple[PlanePass, ...]
     offsets: np.ndarray
     offset_slices: tuple[tuple[int, int], ...]
-    stats_base: tuple[int, ...]
-    stats_slope: tuple[int, ...]
 
     @property
     def num_slots(self) -> int:
         return int(self.lut_cols.shape[0])
 
-    def stats(self, batch: int) -> MPURunStats:
-        """The analytic run counters for ``batch`` activation columns.
-
-        Exact for every batch: each counter of the plan-derived stats is
-        affine in the batch size, and the integer intercept/slope pair was
-        computed from the plan formulas at compile time.
-        """
-        if batch < 0:
-            raise ValueError("batch must be >= 0")
-        return MPURunStats(*(b + s * batch
-                             for b, s in zip(self.stats_base, self.stats_slope, strict=True)))
-
     # -- execution ---------------------------------------------------------
     def execute(self, activations: np.ndarray,
                 accumulate_dtype: np.dtype | type = np.float64) -> np.ndarray:
-        """Run the program: ``Y = W X`` (its counters are :meth:`stats`).
+        """Run the program: ``Y = W X`` (its counters are the plan's).
 
         Bit-identical to ``gemm_reference`` on the same plan: same LUT
         entries, same accumulator dtype footprint, same float addition
@@ -250,30 +228,25 @@ class CompiledProgram:
 
 
 def compile_plan(plan: TileExecutionPlan,
-                 weights: BCQTensor,
-                 config: MPUConfig | None = None) -> CompiledProgram:
+                 weights: BCQTensor) -> CompiledProgram:
     """Lower a tile-execution plan into a :class:`CompiledProgram`.
 
-    Every column segment and every scale group of the plan is lowered, and
-    the baked stats are the plan's analytic counters.  The program's
-    buffers are validated and packed for the native kernel here (building
-    the kernel on the first compile of a process), so no request pays for
-    it.
+    Every column segment and every scale group of the plan is lowered, at
+    the plan's µ.  The program's buffers are validated and packed for the
+    native kernel here (building the kernel on the first compile of a
+    process), so no request pays for it.
     """
-    config = config or MPUConfig()
-    mpu = MatrixProcessingUnit(config)
     if (plan.m, plan.n) != weights.shape:
         raise ValueError(f"plan shape ({plan.m}, {plan.n}) does not match "
                          f"weights {weights.shape}")
     segments = plan.segments
 
     m, n = weights.shape
-    mu = config.mu
+    mu = plan.mu
     num_segments = len(segments)
     gmax = max((seg.lut_groups for seg in segments), default=0)
     num_slots = num_segments * gmax
 
-    base, slope = mpu.affine_stats(plan)
     # Activation-row index matrix: real columns index x, padded positions
     # (ragged µ-group tails and slots past a segment's group count) hold
     # the sentinel n, which reads as a zero activation.
@@ -302,7 +275,7 @@ def compile_plan(plan: TileExecutionPlan,
             plane_w = weights.bitplanes[p][:, seg.col_slice]
             if rows is not None:
                 plane_w = plane_w[rows]
-            seg_keys = mpu._segment_keys(
+            seg_keys = MatrixProcessingUnit._segment_keys(
                 plane_w.astype(np.int64), seg, mu, powers)    # (rows, G)
             keys[si * gmax: si * gmax + seg.lut_groups] = seg_keys.T
             alpha = weights.scales[p][:, seg.scale_group]
@@ -318,12 +291,12 @@ def compile_plan(plan: TileExecutionPlan,
     program = CompiledProgram(
         m=m, n=n, mu=mu, num_segments=num_segments, slots_per_segment=gmax,
         lut_cols=lut_cols, passes=tuple(passes), offsets=offsets,
-        offset_slices=offset_slices, stats_base=base, stats_slope=slope)
+        offset_slices=offset_slices)
     if os.environ.get("REPRO_VERIFY"):
         # Structural verification of every freshly compiled program
         # (including prepare()).  Lazy import: analysis depends on this
         # module.
         from repro.analysis.verify import verify_program
-        verify_program(program, plan=plan, config=config)
+        verify_program(program, plan=plan)
     program._kernel_program()
     return program

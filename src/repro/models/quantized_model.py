@@ -265,8 +265,6 @@ class QuantizedLM:
         memoised per MPU geometry (see :meth:`layer_plan`).
         """
         cfg = mpu_config or MPUConfig()
-        if batch < 0:
-            raise ValueError("batch must be >= 0")
         return MatrixProcessingUnit(cfg).stats_from_plan(
             self.layer_plan(name, cfg), batch)
 

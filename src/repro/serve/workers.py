@@ -10,7 +10,7 @@ rebuild every table).  It splits the *activation columns* instead, and
 only when the call carries enough work to pay for the hop:
 
 * below ``_FANOUT_LUT_READS`` LUT reads — the plan's work at that column
-  count, ``program.stats(batch).lut_reads`` — the call runs inline on the
+  count, ``plan_stats(name, batch).lut_reads`` — the call runs inline on the
   calling thread: at batch 1 a thread hop costs more than the kernel;
 * at or above it, the columns are cut into ``num_workers`` contiguous
   chunks that run concurrently and are concatenated in order.
@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from repro.core.dataflow import TileExecutionPlan, TilingConfig
+from repro.core.dataflow import TileExecutionPlan
 from repro.core.mpu import MatrixProcessingUnit, MPUConfig, MPURunStats, PreparedWeights
 from repro.core.program import CompiledProgram
 from repro.quant.bcq import BCQTensor
@@ -72,8 +72,8 @@ class ShardedMPUPool:
         :class:`~repro.core.mpu.PreparedWeights` (e.g.
         ``QuantizedLM.prepared_weights()``), whose program is pinned as is
         so the solo and served paths hold one set of RAC keys.  It must be
-        prepared for the same ``mpu_config``: a plan or baked stats from
-        another geometry raise ``ValueError``.  A tensor is prepared here.
+        prepared for the same ``mpu_config``: weights prepared for another
+        geometry raise ``ValueError``.  A tensor is prepared here.
     num_shards:
         Worker count: a fanned-out call splits its activation columns into
         this many contiguous chunks (fewer when the call has fewer
@@ -102,21 +102,27 @@ class ShardedMPUPool:
         self.accumulate_dtype = np.dtype(accumulate_dtype)
         prepared = {}
         for name, w in weights.items():
-            if isinstance(w, PreparedWeights):
-                self._check_prepared(name, w)
-            else:
+            if not isinstance(w, PreparedWeights):
                 w = self.mpu.prepare(w)
+            elif w.config != self.mpu.config:
+                raise ValueError(
+                    f"layer {name!r} was prepared for {w.config}; the pool's "
+                    f"MPUConfig is {self.mpu.config}")
             prepared[name] = w
         self.plans: dict[str, TileExecutionPlan] = {
             name: p.plan for name, p in prepared.items()}
         self._programs: dict[str, CompiledProgram] = {
             name: p.program for name, p in prepared.items()}
+        # Each layer's per-counter (intercept, slope) in the batch, for
+        # mpu_stats and the fan-out threshold.
+        self._affine = {name: self.mpu.affine_stats(plan)
+                        for name, plan in self.plans.items()}
         # The first column count whose LUT reads reach the fan-out
         # threshold (reads are linear in the batch, so a ceiling division
         # finds it); one column, or one worker, never fans out.
         self._fanout_cols: dict[str, float] = {}
-        for name, program in self._programs.items():
-            per_col = program.stats(1).lut_reads - program.stats(0).lut_reads
+        for name, (_, slope) in self._affine.items():
+            per_col = MPURunStats(*slope).lut_reads
             self._fanout_cols[name] = (
                 max(2, -(-_FANOUT_LUT_READS // per_col))
                 if per_col > 0 and num_shards > 1 else float("inf"))
@@ -130,23 +136,6 @@ class ShardedMPUPool:
             self._executor = ThreadPoolExecutor(
                 max_workers=num_shards - 1, thread_name_prefix="mpu-pool")
 
-    def _check_prepared(self, name: str, prepared: PreparedWeights) -> None:
-        """Reject weights planned for another geometry, without re-planning:
-        their program would serve stats that disagree with
-        :meth:`plan_stats`."""
-        cfg = self.mpu.config
-        plan = prepared.plan
-        tiling = TilingConfig(tile_m=cfg.tile_m, tile_n=cfg.tile_n)
-        if (plan.mu, plan.tiling) != (cfg.mu, tiling):
-            raise ValueError(
-                f"layer {name!r} was planned with µ={plan.mu}, {plan.tiling}; "
-                f"the pool's MPUConfig needs µ={cfg.mu}, {tiling}")
-        program = prepared.program
-        if (program.stats_base, program.stats_slope) != \
-                self.mpu.affine_stats(plan):
-            raise ValueError(f"layer {name!r}: the prepared program's stats "
-                             f"disagree with the pool's MPUConfig")
-
     # -- dispatch ----------------------------------------------------------
     def plan_stats(self, name: str, batch: int) -> MPURunStats:
         """The layer plan's analytic counters (equal to a run's stats)."""
@@ -155,14 +144,14 @@ class ShardedMPUPool:
     @property
     def mpu_stats(self) -> MPURunStats:
         """The plan-exact counters of every call that returned: per layer,
-        ``calls × intercept + columns × slope`` of its program's stats."""
+        ``calls × intercept + columns × slope`` of its plan's stats."""
         with self._lock:
-            tally = [(self._programs[name], calls, cols)
+            tally = [(self._affine[name], calls, cols)
                      for name, (calls, cols) in self._tally.items()]
         total = [0] * len(fields(MPURunStats))
-        for program, calls, cols in tally:
+        for (base, slope), calls, cols in tally:
             total = [t + calls * b + cols * s for t, b, s in zip(
-                total, program.stats_base, program.stats_slope, strict=True)]
+                total, base, slope, strict=True)]
         return MPURunStats(*total)
 
     def gemm(self, name: str, activations: np.ndarray) -> np.ndarray:

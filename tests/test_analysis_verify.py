@@ -34,7 +34,7 @@ def build(m=24, n=40, bits=3, group_size=16, config=CFG, mixed=False, seed=7):
     else:
         bcq = quantize_bcq(weight, BCQConfig(bits=bits, group_size=group_size))
     plan = MatrixProcessingUnit(config).plan(bcq)
-    return plan, bcq, compile_plan(plan, bcq, config), config
+    return plan, bcq, compile_plan(plan, bcq)
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +69,10 @@ def expect(invariant, fn, *args, **kwargs):
 class TestSoundArtifactsPass:
     def test_uniform_mixed_and_ragged_programs_verify(self, uniform, mixed,
                                                       ragged):
-        for plan, _, program, cfg in (uniform, mixed, ragged):
+        for plan, _, program in (uniform, mixed, ragged):
             verify_plan(plan)
             verify_program(program)
-            verify_program(program, plan=plan, config=cfg)
+            verify_program(program, plan=plan)
 
     @pytest.mark.parametrize("cfg", [
         MPUConfig(pe_rows=1, pe_cols=1, mu=2, k=1),
@@ -83,29 +83,29 @@ class TestSoundArtifactsPass:
         # Tile edges, µ-groups and scale groups fall differently under each
         # geometry; every whole program still pins to its own plan.
         for mixed in (False, True):
-            plan, _, program, _ = build(m=21, n=37, group_size=12,
-                                        config=cfg, mixed=mixed)
+            plan, _, program = build(m=21, n=37, group_size=12,
+                                     config=cfg, mixed=mixed)
             verify_plan(plan)
-            verify_program(program, plan=plan, config=cfg)
+            verify_program(program, plan=plan)
 
 
 class TestProgramMutations:
     """Distinct corruption classes, each rejected by its own invariant."""
 
     def test_geometry_wrong_lut_cols_shape(self, uniform):
-        _, _, program, _ = uniform
+        _, _, program = uniform
         bad = corrupt(program, lut_cols=program.lut_cols[:-1])
         expect("program-geometry", verify_program, bad)
 
     def test_gather_index_out_of_bounds(self, uniform):
-        _, _, program, _ = uniform
+        _, _, program = uniform
         cols = program.lut_cols.copy()
         cols[0, 0] = program.n + 5
         expect("lut-cols-bounds", verify_program,
                corrupt(program, lut_cols=cols))
 
     def test_sentinel_not_a_suffix(self, ragged):
-        _, _, program, _ = ragged
+        _, _, program = ragged
         cols = program.lut_cols.copy()
         # Punch a sentinel hole into the middle of a real column run.
         block = cols[:program.slots_per_segment].reshape(-1)
@@ -115,7 +115,7 @@ class TestProgramMutations:
                corrupt(program, lut_cols=cols))
 
     def test_non_contiguous_column_run(self, uniform):
-        _, _, program, _ = uniform
+        _, _, program = uniform
         cols = program.lut_cols.copy()
         flat = cols[:program.slots_per_segment].reshape(-1)
         flat[0], flat[1] = flat[1], flat[0]  # break ascending order
@@ -123,7 +123,7 @@ class TestProgramMutations:
                corrupt(program, lut_cols=cols))
 
     def test_padded_slot_with_nonzero_key(self, ragged):
-        _, _, program, _ = ragged
+        _, _, program = ragged
         padded = np.flatnonzero(
             (program.lut_cols == program.n).all(axis=1))
         assert padded.size, "fixture must produce padded sentinel slots"
@@ -135,7 +135,7 @@ class TestProgramMutations:
                corrupt(program, passes=passes))
 
     def test_rac_key_out_of_range(self, uniform):
-        _, _, program, _ = uniform
+        _, _, program = uniform
         pp = program.passes[0]
         keys = pp.keys.copy()
         keys[0, 0] = 1 << program.mu
@@ -143,7 +143,7 @@ class TestProgramMutations:
         expect("keys-range", verify_program, corrupt(program, passes=passes))
 
     def test_duplicate_scatter_row(self, mixed):
-        _, _, program, _ = mixed
+        _, _, program = mixed
         masked = [i for i, pp in enumerate(program.passes)
                   if pp.rows is not None and pp.rows.size > 1]
         assert masked, "mixed-precision fixture must have masked planes"
@@ -156,7 +156,7 @@ class TestProgramMutations:
                corrupt(program, passes=tuple(passes)))
 
     def test_scatter_row_out_of_bounds(self, mixed):
-        _, _, program, _ = mixed
+        _, _, program = mixed
         i = next(i for i, pp in enumerate(program.passes)
                  if pp.rows is not None)
         rows = program.passes[i].rows.copy()
@@ -167,7 +167,7 @@ class TestProgramMutations:
                corrupt(program, passes=tuple(passes)))
 
     def test_plane_rows_not_nested(self, mixed):
-        _, _, program, _ = mixed
+        _, _, program = mixed
         # Swapping a narrower plane ahead of a wider one makes the later
         # plane activate rows its predecessor retired.
         sizes = [program.m if pp.rows is None else pp.rows.size
@@ -179,14 +179,14 @@ class TestProgramMutations:
                corrupt(program, passes=tuple(passes)))
 
     def test_scales_shape_mismatch(self, uniform):
-        _, _, program, _ = uniform
+        _, _, program = uniform
         pp = program.passes[0]
         passes = (dataclasses.replace(pp, scales=pp.scales[:, :-1]),) \
             + program.passes[1:]
         expect("scales-shape", verify_program, corrupt(program, passes=passes))
 
     def test_overlapping_offset_slices(self, uniform):
-        _, _, program, _ = uniform
+        _, _, program = uniform
         assert len(program.offset_slices) >= 2
         slices = list(program.offset_slices)
         start, stop = slices[1]
@@ -194,30 +194,16 @@ class TestProgramMutations:
         expect("offset-slices", verify_program,
                corrupt(program, offset_slices=tuple(slices)))
 
-    def test_negative_affine_slope(self, uniform):
-        _, _, program, _ = uniform
-        slope = list(program.stats_slope)
-        slope[0] = -1
-        expect("affine-stats", verify_program,
-               corrupt(program, stats_slope=tuple(slope)))
-
-    def test_baked_stats_disagree_with_plan(self, uniform):
-        plan, _, program, _ = uniform
-        base = list(program.stats_base)
-        base[0] += 1  # off-by-one intercept: wrong at every batch
-        expect("affine-stats", verify_program,
-               corrupt(program, stats_base=tuple(base)), plan=plan, config=CFG)
-
     def test_dropped_plane_pass_vs_plan(self, uniform):
-        plan, _, program, _ = uniform
+        plan, _, program = uniform
         # The truncated program is self-consistent, so the plan comparison
         # is what fires.
         expect("plane-mask-active-rows", verify_program,
                corrupt(program, passes=program.passes[:-1]),
-               plan=plan, config=CFG)
+               plan=plan)
 
     def test_shifted_columns_vs_plan(self, uniform):
-        plan, _, program, _ = uniform
+        plan, _, program = uniform
         cols = program.lut_cols.copy()
         width = plan.segments[0].width
         # Segment 0 gathers [1, width+1) instead of [0, width): still a
@@ -225,37 +211,36 @@ class TestProgramMutations:
         flat = cols[:program.slots_per_segment].reshape(-1)
         flat[flat < program.n] = np.arange(1, width + 1)
         expect("segment-cols-match", verify_program,
-               corrupt(program, lut_cols=cols), plan=plan, config=CFG)
+               corrupt(program, lut_cols=cols), plan=plan)
 
     def test_dropped_offset_span_vs_plan(self, uniform):
-        plan, _, program, _ = uniform
+        plan, _, program = uniform
         # Dropping the last scale group's span and offsets column leaves a
         # self-consistent program; only the plan knows a group is missing.
         bad = corrupt(program, offset_slices=program.offset_slices[:-1],
                       offsets=program.offsets[:, :-1])
         verify_program(bad)
-        expect("offset-slices", verify_program, bad, plan=plan, config=CFG)
+        expect("offset-slices", verify_program, bad, plan=plan)
 
     def test_program_pinned_to_another_plan(self, uniform, mixed):
         # Same shape, segments and scale groups, but the mixed program's
         # masked planes are not the uniform plan's full-height bands.
-        plan, _, _, _ = uniform
-        _, _, program, _ = mixed
+        plan, _, _ = uniform
+        _, _, program = mixed
         verify_program(program)
-        expect("plane-mask-active-rows", verify_program, program,
-               plan=plan, config=CFG)
+        expect("plane-mask-active-rows", verify_program, program, plan=plan)
 
 
 class TestPlanMutations:
     def test_missing_segment(self, uniform):
-        plan, _, _, _ = uniform
+        plan, _, _ = uniform
         with pytest.raises(PlanInvariantError) as err:
             verify_plan(dataclasses.replace(plan,
                                             segments=plan.segments[:-1]))
         assert err.value.invariant == "segment-partition"
 
     def test_duplicated_segment(self, uniform):
-        plan, _, _, _ = uniform
+        plan, _, _ = uniform
         segs = plan.segments
         with pytest.raises(PlanInvariantError) as err:
             verify_plan(dataclasses.replace(
@@ -263,7 +248,7 @@ class TestPlanMutations:
         assert err.value.invariant == "segment-partition"
 
     def test_band_planes_beyond_bits(self, uniform):
-        plan, _, _, _ = uniform
+        plan, _, _ = uniform
         bands = list(plan.row_bands)
         bands[-1] = dataclasses.replace(bands[-1], planes=plan.bits + 1)
         with pytest.raises(PlanInvariantError) as err:
@@ -271,7 +256,7 @@ class TestPlanMutations:
         assert err.value.invariant == "row-band-planes"
 
     def test_segment_lut_groups_miscounted(self, ragged):
-        plan, _, _, _ = ragged
+        plan, _, _ = ragged
         segs = list(plan.segments)
         segs[0] = dataclasses.replace(segs[0],
                                       lut_groups=segs[0].lut_groups + 1)
@@ -280,7 +265,7 @@ class TestPlanMutations:
         assert err.value.invariant == "segment-lut-groups"
 
     def test_row_band_gap(self, uniform):
-        plan, _, _, _ = uniform
+        plan, _, _ = uniform
         bands = list(plan.row_bands)
         bands[0] = dataclasses.replace(
             bands[0], row_slice=slice(1, bands[0].row_slice.stop))
@@ -289,7 +274,7 @@ class TestPlanMutations:
         assert err.value.invariant == "row-band-partition"
 
     def test_active_rows_growing(self, uniform):
-        plan, _, _, _ = uniform
+        plan, _, _ = uniform
         bands = list(plan.row_bands)
         active = list(bands[0].active_rows_per_plane)
         active[-1] = active[0] + 1
@@ -300,7 +285,7 @@ class TestPlanMutations:
         assert err.value.invariant == "active-rows-monotone"
 
     def test_segment_crossing_scale_group(self, uniform):
-        plan, _, _, _ = uniform
+        plan, _, _ = uniform
         segs = list(plan.segments)
         first = segs[0]
         merged = dataclasses.replace(
@@ -315,7 +300,7 @@ class TestPlanMutations:
 
 class TestReproVerifyKnob:
     def test_compile_verifies_under_env_knob(self, monkeypatch, uniform):
-        plan, bcq, _, _ = uniform
+        plan, bcq, _ = uniform
         monkeypatch.setenv("REPRO_VERIFY", "1")
-        program = compile_plan(plan, bcq, CFG)  # must self-verify cleanly
-        verify_program(program, plan=plan, config=CFG)
+        program = compile_plan(plan, bcq)  # must self-verify cleanly
+        verify_program(program, plan=plan)

@@ -67,11 +67,12 @@ def _assert_same(lhs, rhs):
     assert s_l == s_r
 
 
-def _executed(program, x, **kwargs):
-    """``program.execute`` paired with the program's stats at its batch,
-    as ``MatrixProcessingUnit.gemm`` pairs them."""
+def _executed(program, plan, x, **kwargs):
+    """``program.execute`` paired with its plan's stats at its batch, as
+    ``MatrixProcessingUnit.gemm`` pairs them."""
     y = program.execute(x, **kwargs)
-    return y, program.stats(1 if y.ndim == 1 else y.shape[1])
+    return y, MatrixProcessingUnit(MPU_CFG).stats_from_plan(
+        plan, 1 if y.ndim == 1 else y.shape[1])
 
 
 class TestCompiledEquivalence:
@@ -96,9 +97,11 @@ class TestCompiledEquivalence:
         assert isinstance(prepared.program, CompiledProgram)
         # The prepared fast path, the embedded program directly, and an
         # on-the-fly compile from the raw tensor all agree bitwise.
-        _assert_same(mpu.gemm(prepared, x), _executed(prepared.program, x))
-        fresh = compile_plan(prepared.plan, tensor, MPU_CFG)
-        _assert_same(mpu.gemm(prepared, x), _executed(fresh, x))
+        _assert_same(mpu.gemm(prepared, x),
+                     _executed(prepared.program, prepared.plan, x))
+        fresh = compile_plan(prepared.plan, tensor)
+        _assert_same(mpu.gemm(prepared, x),
+                     _executed(fresh, prepared.plan, x))
         _assert_same(mpu.gemm(prepared, x), mpu.gemm(tensor, x))
 
     def test_vector_input_squeezes(self, rng):
@@ -134,11 +137,13 @@ class TestCompiledEquivalence:
         for kind in ("mixed", "uniform"):
             tensor, _ = _case(rng, kind)
             x = rng.standard_normal((tensor.shape[1], 12))
-            prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-            y, stats = _executed(prog, x, accumulate_dtype=np.float32)
-            assert stats == prog.stats(12)
+            mpu = MatrixProcessingUnit(MPU_CFG)
+            prepared = mpu.prepare(tensor)
+            prog, plan = prepared.program, prepared.plan
+            y, stats = _executed(prog, plan, x, accumulate_dtype=np.float32)
+            assert stats == mpu.stats_from_plan(plan, 12)
             for layout in (np.ascontiguousarray(x), np.asfortranarray(x)):
-                _assert_same(_executed(prog, layout,
+                _assert_same(_executed(prog, plan, layout,
                                        accumulate_dtype=np.float32),
                              (y, stats))
                 for bounds in (((0, 5), (5, 7), (7, 12)),
@@ -181,12 +186,13 @@ class TestCompiledEquivalence:
                                         BCQConfig(group_size=6, iterations=1))
         x = rng.standard_normal((23, 33))
         mpu = MatrixProcessingUnit(MPU_CFG)
-        program = mpu.prepare(tensor).program
+        prepared = mpu.prepare(tensor)
+        program, plan = prepared.program, prepared.plan
         for acc in (np.float16, np.float32, np.float64):
             y_ref, s_ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
-            assert program.stats(33) == s_ref
+            assert mpu.stats_from_plan(plan, 33) == s_ref
             for width in range(1, 34):
-                y, stats = _executed(program, x[:, :width],
+                y, stats = _executed(program, plan, x[:, :width],
                                      accumulate_dtype=acc)
                 assert y.tobytes() == y_ref[:, :width].tobytes(), (acc, width)
                 assert stats == mpu.plan_stats(tensor, width)
@@ -197,7 +203,7 @@ class TestProgramStructure:
         tensor, _ = _case(rng, "ragged")
         mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
-        prog = compile_plan(plan, tensor, MPU_CFG)
+        prog = compile_plan(plan, tensor)
         n_seg = len(plan.segments)
         assert prog.num_segments == n_seg
         assert prog.num_slots == n_seg * prog.slots_per_segment
@@ -207,19 +213,15 @@ class TestProgramStructure:
             assert pp.keys.shape == (prog.num_slots, tensor.shape[0])
             assert pp.scales.dtype == np.float64
 
-    @pytest.mark.parametrize("batch", [0, 1, 3, 17])
-    def test_stats_affine_in_batch(self, rng, batch):
-        tensor, _ = _case(rng, "mixed")
+    def test_stats_reject_negative_batch(self, rng):
+        tensor, _ = _case(rng, "uniform")
         mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
-        prog = compile_plan(plan, tensor, MPU_CFG)
-        assert prog.stats(batch) == mpu.stats_from_plan(plan, batch)
-
-    def test_stats_rejects_negative_batch(self, rng):
-        tensor, _ = _case(rng, "uniform")
-        prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
-        with pytest.raises(ValueError, match="batch"):
-            prog.stats(-1)
+        for batch in (-1, -2):
+            with pytest.raises(ValueError, match="batch"):
+                mpu.stats_from_plan(plan, batch)
+            with pytest.raises(ValueError, match="batch"):
+                mpu.plan_stats(tensor, batch)
 
 
 class TestSlicedExecution:
@@ -250,11 +252,12 @@ class TestSlicedExecution:
         x = rng.standard_normal((tensor.shape[1], 9))
         mpu = MatrixProcessingUnit(MPU_CFG)
         plan = mpu.plan(tensor)
-        prog = compile_plan(plan, tensor, MPU_CFG)
+        prog = compile_plan(plan, tensor)
         y_full = prog.execute(x, accumulate_dtype=np.float32)
         pieces = []
         for cols in np.array_split(np.arange(x.shape[1]), parts):
-            y, stats = _executed(prog, x[:, cols], accumulate_dtype=np.float32)
+            y, stats = _executed(prog, plan, x[:, cols],
+                                 accumulate_dtype=np.float32)
             assert stats == mpu.stats_from_plan(plan, cols.size)
             pieces.append(y)
         assert np.concatenate(pieces, axis=1).tobytes() == y_full.tobytes()
@@ -297,7 +300,7 @@ class TestProgramErrors:
         other, _ = _case(rng, "ragged")
         plan = MatrixProcessingUnit(MPU_CFG).plan(tensor)
         with pytest.raises(ValueError, match="does not match"):
-            compile_plan(plan, other, MPU_CFG)
+            compile_plan(plan, other)
 
     @pytest.mark.parametrize("batch", [1, 9])
     def test_profile_bytes_match_per_plane_formula(self, rng, batch):
@@ -380,13 +383,14 @@ class TestKernelConcurrency:
         tensor, x = _case(rng, "mixed")
         mpu = MatrixProcessingUnit(MPU_CFG)
         want = mpu.gemm_reference(tensor, x, accumulate_dtype=np.float32)
-        prog = mpu.prepare(tensor).program
-        fresh = dataclasses.replace(prog)  # not yet bound to the kernel
+        prepared = mpu.prepare(tensor)
+        # Not yet bound to the kernel.
+        fresh = dataclasses.replace(prepared.program)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(_executed, fresh, x,
+                futures = [pool.submit(_executed, fresh, prepared.plan, x,
                                        accumulate_dtype=np.float32)
                            for _ in range(64)]
                 results = [f.result(timeout=60) for f in futures]

@@ -34,13 +34,14 @@ def _tensor(shape, mixed, seed):
 
 @pytest.fixture(scope="module")
 def sweep():
-    """(size, kind) → (tensor, program) over small/large × uniform/mixed."""
+    """(size, kind) → (tensor, prepared weights) over small/large ×
+    uniform/mixed."""
     mpu = MatrixProcessingUnit(CFG)
     out = {}
     for i, (size, shape) in enumerate(SIZES.items()):
         for j, kind in enumerate(("uniform", "mixed")):
             tensor = _tensor(shape, kind == "mixed", seed=10 * i + j)
-            out[size, kind] = (tensor, mpu.prepare(tensor).program)
+            out[size, kind] = (tensor, mpu.prepare(tensor))
     return out
 
 
@@ -54,11 +55,11 @@ class TestLayerShapes:
     @pytest.mark.parametrize("kind", ["uniform", "mixed"])
     @pytest.mark.parametrize("batch", BATCHES)
     def test_program_matches_oracle(self, sweep, size, kind, batch):
-        tensor, program = sweep[size, kind]
+        tensor, prepared = sweep[size, kind]
         x = _x(tensor, batch)
-        y = program.execute(x, accumulate_dtype=np.float32)
-        stats = program.stats(batch)
+        y = prepared.program.execute(x, accumulate_dtype=np.float32)
         mpu = MatrixProcessingUnit(CFG)
+        stats = mpu.stats_from_plan(prepared.plan, batch)
         assert stats == mpu.plan_stats(tensor, batch)
         # Strided rows reach every row band and, for the mixed tensor,
         # every per-row bit width; the last row closes the final band.
@@ -71,7 +72,7 @@ class TestLayerShapes:
     def test_row_slices_merge_bit_exact(self, sweep):
         # Three contiguous row slices of the large layer, each compiled on
         # its own, stack back into exactly the whole program's output.
-        tensor, program = sweep["large", "mixed"]
+        tensor, prepared = sweep["large", "mixed"]
         x = _x(tensor, 8)
         mpu = MatrixProcessingUnit(CFG)
         pieces = []
@@ -80,13 +81,14 @@ class TestLayerShapes:
             y, stats = mpu.gemm(sliced, x, accumulate_dtype=np.float32)
             assert stats == mpu.plan_stats(sliced, 8)
             pieces.append(y)
-        y_full = program.execute(x, accumulate_dtype=np.float32)
+        y_full = prepared.program.execute(x, accumulate_dtype=np.float32)
         assert np.concatenate(pieces, axis=0).tobytes() == y_full.tobytes()
 
     def test_column_chunks_merge_bit_exact(self, sweep):
         # Uneven column chunks of a batch-32 call, the pool's fan-out split,
         # concatenate into exactly the whole call's output.
-        tensor, program = sweep["small", "mixed"]
+        tensor, prepared = sweep["small", "mixed"]
+        program = prepared.program
         x = _x(tensor, 32)
         y_full = program.execute(x, accumulate_dtype=np.float32)
         pieces = []

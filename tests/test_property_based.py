@@ -259,9 +259,9 @@ class TestNativeKernelSweep:
         plan = mpu.plan(tensor)
         x = rng.standard_normal((n, batch))
 
-        program = compile_plan(plan, tensor, cfg)
+        program = compile_plan(plan, tensor)
         y = program.execute(x, accumulate_dtype=acc)
-        stats = program.stats(batch)
+        stats = mpu.stats_from_plan(plan, batch)
         y_ref, s_ref = mpu.gemm_reference(tensor, x, accumulate_dtype=acc)
         assert y.tobytes() == y_ref.tobytes()
         assert stats == s_ref

@@ -149,13 +149,15 @@ class TestShardedMPUPool:
             assert (pool.plan_stats("l", edge - 1).lut_reads
                     < workers._FANOUT_LUT_READS
                     <= pool.plan_stats("l", edge).lut_reads)
-            program = MatrixProcessingUnit().prepare(tensor).program
+            mpu = MatrixProcessingUnit()
+            prepared = mpu.prepare(tensor)
             for cols, counts in ((edge - 1, PoolCounters(inline=1)),
                                  (edge, PoolCounters(inline=1, fanout=1))):
                 x = rng.standard_normal((64, cols))
                 y, stats = _gemm(pool, "l", x)
                 assert pool.counters == counts
-                want, want_stats = program.execute(x), program.stats(cols)
+                want = prepared.program.execute(x)
+                want_stats = mpu.stats_from_plan(prepared.plan, cols)
                 assert y.tobytes() == want.tobytes()
                 assert stats == want_stats
 
@@ -384,6 +386,12 @@ class TestShardedMPUPool:
                 _, merged = _gemm(pool, "uniform", x)
                 assert merged == pool.plan_stats("uniform", batch=cols)
             assert pool.counters == PoolCounters(inline=1, fanout=1)
+
+    def test_plan_stats_reject_negative_batch(self, layers):
+        with ShardedMPUPool(layers, num_shards=1, mpu_config=MPU_CFG) as pool:
+            for batch in (-1, -2):
+                with pytest.raises(ValueError, match="batch"):
+                    pool.plan_stats("uniform", batch)
 
     def test_rejects_bad_configuration(self, layers):
         with pytest.raises(ValueError):
