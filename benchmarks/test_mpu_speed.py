@@ -179,40 +179,53 @@ def test_native_kernel_width_sweep():
           + format_table(["Width", "us per call", "ns per LUT read"], rows))
 
 
-def test_pool_call_host_overhead():
-    """Host time a 1-column pool call spends outside the kernel, record-only.
-
-    The bench model's ``mlp.w1`` shape (as in the width sweep) served by a
-    2-worker :class:`~repro.serve.ShardedMPUPool`: best of 7×200 µs per
-    ``pool.gemm`` call and per ``native.run`` call, interleaved, and their
-    difference — activation normalisation, the NumPy offset stage, the
-    pool's dispatch and counters.  No floor: the row carries the batch-1
-    per-call overhead into the trajectory.
-    """
-    rng = np.random.default_rng(6)
-    w = rng.standard_normal((512, 128)) * 0.05
+def _pool_and_kernel_us(name: str, shape: tuple[int, int],
+                        rng: np.random.Generator) -> dict[str, float]:
+    """Best of 7×200 µs per 1-column ``pool.gemm`` and ``native.run`` call
+    of a 3-bit BCQ layer of ``shape`` (128-column groups), interleaved."""
+    w = rng.standard_normal(shape) * 0.05
     tensor = prepare_weights(w, bits=3, method="bcq", group_size=128)
-    x = rng.standard_normal((128, 1))
-    out = np.zeros((512, 1))
-    with ShardedMPUPool({"mlp.w1": tensor}, num_shards=2) as pool:
+    x = rng.standard_normal((shape[1], 1))
+    out = np.zeros((shape[0], 1))
+    with ShardedMPUPool({name: tensor}, num_shards=2) as pool:
         struct = native.bind(pool.mpu.prepare(tensor).program)
-        calls = {"pool.gemm": lambda: pool.gemm("mlp.w1", x),
+        calls = {"pool.gemm": lambda: pool.gemm(name, x),
                  "native.run": lambda: native.run(struct, x, np.float64, out)}
         best = dict.fromkeys(calls, float("inf"))
         for _ in range(7):
-            for name, call in calls.items():
+            for path, call in calls.items():
                 start = time.perf_counter()
                 for _ in range(200):
                     call()
-                best[name] = min(best[name],
+                best[path] = min(best[path],
                                  (time.perf_counter() - start) / 200 * 1e6)
         assert pool.counters.inline == 7 * 200  # no fan-out at 1 column
-    overhead = best["pool.gemm"] - best["native.run"]
-    rows = [[name, us] for name, us in best.items()] + [["overhead", overhead]]
-    print("\n[MPU speed] 1-column call, 512x128 / 3-bit / fp64 "
-          "accumulators\n" + format_table(["Path", "us per call"], rows))
-    record_bench("mpu_speed::pool_call_overhead_w1", "us_per_call", overhead,
-                 unit="us")
+    return best
+
+
+def test_pool_call_host_overhead():
+    """Host time a 1-column pool call spends outside the kernel, record-only.
+
+    Two bench-model layer shapes, each served by a 2-worker
+    :class:`~repro.serve.ShardedMPUPool`: ``mlp.w1`` (512×128, one scale
+    group, as in the width sweep) and ``mlp.w2`` (128×512, four scale
+    groups, so four offset terms per output).  Per shape: ``pool.gemm``,
+    ``native.run`` and their difference — activation normalisation and the
+    pool's dispatch and counters.  ``native.run`` is the whole GEMM, offset
+    stage included, so the difference holds no arithmetic.  No floor: the
+    rows carry the batch-1 per-call overhead into the trajectory.
+    """
+    rng = np.random.default_rng(6)
+    rows = []
+    for name, shape in (("mlp.w1", (512, 128)), ("mlp.w2", (128, 512))):
+        best = _pool_and_kernel_us(name, shape, rng)
+        overhead = best["pool.gemm"] - best["native.run"]
+        rows += [[name, path, us] for path, us in best.items()]
+        rows.append([name, "overhead", overhead])
+        record_bench(f"mpu_speed::pool_call_overhead_{name.split('.')[1]}",
+                     "us_per_call", overhead, unit="us")
+    print("\n[MPU speed] 1-column call, 3-bit / fp64 accumulators\n"
+          + format_table(["Layer", "Path", "us per call"], rows))
 
 
 def test_mpu_detailed_api_full_stack(benchmark):

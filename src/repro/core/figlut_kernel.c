@@ -1,11 +1,11 @@
 /*
  * Native executor of a compiled FIGLUT GEMM program (repro.core.program).
  *
- * figlut_execute() runs the LUT datapath of one CompiledProgram for a batch
- * of activation columns: the LUT build, the plane gather-accumulate and the
- * alpha-scaled y updates.  The offset stage stays in NumPy, where it shares
- * its reduction with gemm_reference.  Every float operation replays the
- * scalar reference's order, so the output is bitwise identical to it:
+ * figlut_execute() runs one CompiledProgram, the whole GEMM, for a batch of
+ * activation columns: the LUT build, the plane gather-accumulate, the
+ * alpha-scaled y updates and the offset stage.  Every float operation
+ * replays the scalar reference's order, so the output is bitwise identical
+ * to it:
  *
  *  - a LUT entry is ((0.0 + s_0*x_0) + s_1*x_1) + ... summed in double, with
  *    s_i = +-1.0 multiplied (not negated), then converted once, directly, to
@@ -13,8 +13,12 @@
  *  - a partial starts at +0.0 and adds its mu-groups in ascending order in
  *    the accumulator type; an fp16 add is a float add of the two widened
  *    halves rounded to nearest-even half, as NumPy's half loop does;
- *  - y[row][col] += (double)alpha * (double)partial, segments ascending and
- *    bit planes innermost, with the plane's scatter rows for masked planes.
+ *  - y starts at +0.0; y[row][col] += (double)alpha * (double)partial,
+ *    segments ascending and bit planes innermost, with the plane's scatter
+ *    rows for masked planes;
+ *  - then y[row][col] += z[row][g] * (0.0 + sum of x[a_g:b_g][col]), groups
+ *    ascending, with NumPy's pairwise summation order (see pairwise()), so
+ *    the group sum equals the x[a:b].sum(axis=0) that gemm_reference runs.
  *
  * The batch is walked in tiles of w <= COL_TILE columns; one pass over a
  * plane's keys accumulates a block of COL_TILE / w rows x w columns, with w
@@ -51,6 +55,9 @@ typedef struct {
     const int32_t *const *keys;   /* per plane: (num_slots, rows_p) */
     const int64_t *const *rows;   /* per plane: scatter rows, NULL = all */
     const double *const *scales;  /* per plane: (num_segments, rows_p) */
+    int64_t num_groups;
+    const int64_t *group_rows;    /* (num_groups, 2): [start, stop) of x */
+    const double *offsets;        /* (m, num_groups) */
 } figlut_program;
 
 /* -1.0 read through a volatile, so the compiler cannot fold -1.0 * x into
@@ -297,6 +304,89 @@ static const stages STAGES[] = {
     {sizeof(half), lut_f16, plane_f16, scale_f16},
 };
 
+/* -- offset stage -------------------------------------------------------- */
+
+/* NumPy's pairwise_sum block: up to this many terms run on 8 accumulators. */
+#define PW_BLOCK 128
+
+/*
+ * out[c] = x[0][c] + ... + x[n - 1][c] for c < w (rows stride apart), in
+ * the order of NumPy's pairwise_sum: fewer than 8 terms add in turn to
+ * -0.0; up to PW_BLOCK terms, accumulator j sums terms j, j + 8, ... of
+ * the whole 8-term blocks, the eight combine as ((r0 + r1) + (r2 + r3)) +
+ * ((r4 + r5) + (r6 + r7)) and the tail adds in turn; above PW_BLOCK the
+ * two halves, split at n / 2 rounded down to a multiple of 8, are summed
+ * apart and added.  Each column is summed alone; a block of columns only
+ * shares the loads' row walk.
+ */
+static void pairwise(const double *x, int64_t n, int64_t stride, int64_t w,
+                     double *restrict out)
+{
+    if (n < 8) {
+        for (int64_t c = 0; c < w; c++)
+            out[c] = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            for (int64_t c = 0; c < w; c++)
+                out[c] += x[i * stride + c];
+    } else if (n <= PW_BLOCK) {
+        double r[8][COL_TILE];
+        for (int64_t j = 0; j < 8; j++)
+            for (int64_t c = 0; c < w; c++)
+                r[j][c] = x[j * stride + c];
+        int64_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int64_t j = 0; j < 8; j++)
+                for (int64_t c = 0; c < w; c++)
+                    r[j][c] += x[(i + j) * stride + c];
+        for (int64_t c = 0; c < w; c++)
+            out[c] = ((r[0][c] + r[1][c]) + (r[2][c] + r[3][c]))
+                     + ((r[4][c] + r[5][c]) + (r[6][c] + r[7][c]));
+        for (; i < n; i++)
+            for (int64_t c = 0; c < w; c++)
+                out[c] += x[i * stride + c];
+    } else {
+        int64_t half = n / 2;
+        half -= half % 8;
+        double low[COL_TILE];
+        pairwise(x, half, stride, w, low);
+        pairwise(x + half * stride, n - half, stride, w, out);
+        for (int64_t c = 0; c < w; c++)
+            out[c] = low[c] + out[c];
+    }
+}
+
+/*
+ * ytile[r * w + c] += z[r][g] * sums[g][c] over groups g ascending, where
+ * sums[g][c] = 0.0 + pairwise(group g of column c0 + c): NumPy's column sum
+ * starts its output at the add identity +0.0, so a group of -0.0 sums to
+ * +0.0.  The group sums of the tile come first, then y is updated row by
+ * row.
+ */
+static void offset_tile(const figlut_program *p, const double *x,
+                        int64_t batch, int64_t c0, int64_t w,
+                        double *restrict sums, double *restrict ytile)
+{
+    const int64_t groups = p->num_groups;
+    for (int64_t g = 0; g < groups; g++) {
+        const int64_t start = p->group_rows[2 * g];
+        double *sg = sums + g * w;
+        pairwise(x + start * batch + c0, p->group_rows[2 * g + 1] - start,
+                 batch, w, sg);
+        for (int64_t c = 0; c < w; c++)
+            sg[c] = 0.0 + sg[c];
+    }
+    for (int64_t r = 0; r < p->m; r++) {
+        const double *z = p->offsets + r * groups;
+        double *yr = ytile + r * w;
+        for (int64_t g = 0; g < groups; g++) {
+            const double zg = z[g];
+            const double *sg = sums + g * w;
+            for (int64_t c = 0; c < w; c++)
+                yr[c] = yr[c] + zg * sg[c];
+        }
+    }
+}
+
 static int64_t now_ns(void)
 {
     struct timespec ts;
@@ -304,42 +394,40 @@ static int64_t now_ns(void)
     return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-/* Adds the time since *t to stage_ns[stage] and restarts *t (profiling). */
-static void lap(int64_t *stage_ns, int stage, int64_t *t)
+/* Adds the time since *t to clock[stage] and restarts *t (profiling). */
+static void lap(int64_t *clock, int stage, int64_t *t)
 {
-    if (!stage_ns)
+    if (!clock)
         return;
     const int64_t now = now_ns();
-    stage_ns[stage] += now - *t;
+    clock[stage] += now - *t;
     *t = now;
 }
 
-/*
- * y (m, batch) += the LUT datapath of program p over x (n, batch); both are
- * row-major float64.  stage_ns, when not NULL, accumulates nanoseconds spent
- * in the LUT build [0], plane gathers [1] and y updates [2].
- * Returns 0, 1 for an unknown accumulator code, 2 when out of memory.
- */
-int figlut_execute(const figlut_program *p, int acc, const double *x,
-                   int64_t batch, double *y, int64_t *stage_ns)
+/* figlut_execute without the running clock: clock, when not NULL, is a
+ * private one the laps add to. */
+static int execute(const figlut_program *p, int acc, const double *x,
+                   int64_t batch, double *y, int64_t *clock)
 {
-    if (acc < 0 || acc > 2)
-        return 1;
+    if (!batch)
+        return 0;
     const stages *st = &STAGES[acc];
     const int64_t gmax = p->slots_per_segment, entries = (int64_t)1 << p->mu;
-    if (!p->num_segments || !gmax || !p->num_planes || !batch)
-        return 0;
+    const int datapath = p->num_segments && gmax && p->num_planes;
     const int64_t tile = batch < COL_TILE ? batch : COL_TILE;
     int64_t max_rows = 0;
     for (int64_t pl = 0; pl < p->num_planes; pl++)
         if (p->plane_rows[pl] > max_rows)
             max_rows = p->plane_rows[pl];
-    void *tab = malloc((size_t)(gmax * entries * tile) * st->itemsize);
+    /* No request is for 0 bytes, for which malloc may return NULL. */
+    void *tab = malloc((size_t)(datapath ? gmax * entries * tile : 1)
+                       * st->itemsize);
     void *part = malloc((size_t)(max_rows * tile + 1) * st->itemsize);
-    double *sums = malloc((size_t)(2 * entries * tile) * sizeof(double));
-    /* y's column tile, copied row-contiguous so the updates stream through
-     * it; y itself is that layout when one tile spans the batch. */
-    double *ytile = tile == batch ? y : malloc((size_t)(p->m * tile) *
+    double *sums = malloc((size_t)(2 * entries * tile + p->num_groups * tile)
+                          * sizeof(double));
+    /* y's column tile, row-contiguous so the updates stream through it; y
+     * itself is that layout when one tile spans the batch. */
+    double *ytile = tile == batch ? y : malloc((size_t)(p->m * tile + 1) *
                                                sizeof(double));
     if (!tab || !part || !sums || !ytile) {
         free(tab);
@@ -349,32 +437,34 @@ int figlut_execute(const figlut_program *p, int acc, const double *x,
             free(ytile);
         return 2;
     }
-    int64_t t = stage_ns ? now_ns() : 0;
+    int64_t t = clock ? now_ns() : 0;
     for (int64_t c0 = 0; c0 < batch; c0 += tile) {
         const int64_t w = batch - c0 < tile ? batch - c0 : tile;
-        if (ytile != y)
-            for (int64_t r = 0; r < p->m; r++)
-                memcpy(ytile + r * w, y + r * batch + c0,
-                       (size_t)w * sizeof(double));
-        for (int64_t s = 0; s < p->num_segments; s++) {
+        memset(ytile, 0, (size_t)(p->m * w) * sizeof(double));
+        lap(clock, 2, &t);
+        for (int64_t s = 0; datapath && s < p->num_segments; s++) {
             st->lut(x, batch, c0, w, p->lut_cols + s * gmax * p->mu, gmax,
                     p->mu, p->n, tab, sums);
-            lap(stage_ns, 0, &t);
+            lap(clock, 0, &t);
             for (int64_t pl = 0; pl < p->num_planes; pl++) {
                 const int64_t rows = p->plane_rows[pl];
                 st->plane(tab, entries, w, p->keys[pl] + s * gmax * rows,
                           rows, gmax, part);
-                lap(stage_ns, 1, &t);
+                lap(clock, 1, &t);
                 st->scale(part, rows, w, p->scales[pl] + s * rows,
                           p->rows[pl], ytile);
-                lap(stage_ns, 2, &t);
+                lap(clock, 2, &t);
             }
+        }
+        if (p->num_groups) {
+            offset_tile(p, x, batch, c0, w, sums + 2 * entries * tile, ytile);
+            lap(clock, 3, &t);
         }
         if (ytile != y) {
             for (int64_t r = 0; r < p->m; r++)
                 memcpy(y + r * batch + c0, ytile + r * w,
                        (size_t)w * sizeof(double));
-            lap(stage_ns, 2, &t);
+            lap(clock, 2, &t);
         }
     }
     free(tab);
@@ -382,5 +472,30 @@ int figlut_execute(const figlut_program *p, int acc, const double *x,
     free(sums);
     if (ytile != y)
         free(ytile);
+    return 0;
+}
+
+/*
+ * y (m, batch) = the GEMM of program p over x (n, batch); both are
+ * row-major float64.  stage_ns, when not NULL, is a running clock: a
+ * successful call adds the nanoseconds it spent in the LUT build [0], plane
+ * gathers [1], y updates [2] and offset stage [3], and 1 to its call count
+ * [4], atomically, so concurrent calls may share it.  Returns 0, 1 for an
+ * unknown accumulator code, 2 when out of memory.
+ */
+int figlut_execute(const figlut_program *p, int acc, const double *x,
+                   int64_t batch, double *y, int64_t *stage_ns)
+{
+    if (acc < 0 || acc > 2)
+        return 1;
+    if (!stage_ns)
+        return execute(p, acc, x, batch, y, NULL);
+    int64_t laps[4] = {0, 0, 0, 0};
+    const int status = execute(p, acc, x, batch, y, laps);
+    if (status)
+        return status;
+    for (int i = 0; i < 4; i++)
+        __atomic_fetch_add(&stage_ns[i], laps[i], __ATOMIC_RELAXED);
+    __atomic_fetch_add(&stage_ns[4], 1, __ATOMIC_RELAXED);
     return 0;
 }

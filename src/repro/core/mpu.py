@@ -55,6 +55,7 @@ weights, which a serving worker keeps stationary — so repeated
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -76,27 +77,28 @@ if TYPE_CHECKING:
 __all__ = ["MPUConfig", "MPURunStats", "MatrixProcessingUnit", "PreparedWeights"]
 
 
-def _normalize_activations(activations: np.ndarray,
-                           expected_rows: int) -> tuple[np.ndarray, bool]:
-    """Normalize ``(N,)`` / ``(N, batch)`` activations to float64 2-D,
-    column-contiguous.
+def _normalize_activations(activations: np.ndarray, expected_rows: int,
+                           order: str = "F") -> tuple[np.ndarray, bool]:
+    """Normalize ``(N,)`` / ``(N, batch)`` activations to float64 2-D in
+    ``order``: column-contiguous (``"F"``) by default.
 
     The single input-handling path shared by the compiled
-    :meth:`~repro.core.program.CompiledProgram.execute` and the scalar
-    ``gemm_reference``, so the two cannot drift on shape, dtype or layout
-    handling.  The layout is part of the numerics: NumPy reduces a
+    :meth:`~repro.core.program.CompiledProgram.execute` (which hands the
+    native kernel row-major ``"C"`` activations) and the scalar
+    ``gemm_reference``, so the two cannot drift on shape or dtype handling.
+    The reference's layout is part of its numerics: NumPy reduces a
     column-contiguous group with its pairwise sum but walks a C-order one
     row by row, so the offset stage's bits would otherwise depend on how
     the caller's array is laid out.  Column-contiguous, every column is
-    summed alone and the same way at any batch width or column chunking.
-    Returns ``(x, squeeze)`` where ``squeeze`` records that the caller
-    should return a vector.
+    summed alone and the same way at any batch width or column chunking,
+    which is the order the kernel replays.  Returns ``(x, squeeze)`` where
+    ``squeeze`` records that the caller should return a vector.
     """
     x = np.asarray(activations, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]
-    x = np.asfortranarray(x)
+    x = np.asarray(x, order=order)
     if x.shape[0] != expected_rows:
         raise ValueError(
             f"activation rows {x.shape[0]} != weight cols {expected_rows}")
@@ -355,14 +357,20 @@ class MatrixProcessingUnit:
             accumulate_dtype: np.dtype | type = np.float64) -> np.ndarray:
         """:meth:`gemm`'s ``Y`` alone, on prepared weights: the decode
         path's GEMM hook, whose counters are counted per pass."""
+        program = weights.program
         tel = get_telemetry()
         if not tel.enabled:
-            return weights.program.execute(activations,
-                                           accumulate_dtype=accumulate_dtype)
-        m, n = weights.weights.shape
-        with tel.trace.span("mpu.gemm", m=m, n=n):
-            return weights.program.execute(activations,
-                                           accumulate_dtype=accumulate_dtype)
+            return program.execute(activations,
+                                   accumulate_dtype=accumulate_dtype)
+        # The "mpu.gemm" span, from explicit stamps: a context-manager span
+        # would cost ~0.4 µs more on every traced GEMM.
+        start = time.perf_counter_ns()
+        try:
+            return program.execute(activations,
+                                    accumulate_dtype=accumulate_dtype)
+        finally:
+            tel.trace.record("mpu.gemm", start, time.perf_counter_ns(),
+                             m=program.m, n=program.n)
 
     # -- scalar reference ----------------------------------------------------
     def gemm_reference(self, weights: BCQTensor, activations: np.ndarray,
@@ -430,8 +438,8 @@ class MatrixProcessingUnit:
         # y += z_rg · Σ(x over group g), once per output, ascending groups.
         col_groups = weights.column_groups()
         for g in range(plan.num_scale_groups):
-            # The compiled offset stage reduces the group with this same
-            # call, so the order is consistent by construction.
+            # NumPy's pairwise column sum over column-contiguous x: the
+            # kernel's offset stage replays its order (figlut_kernel.c).
             group_sum = x[col_groups[g], :].sum(axis=0, keepdims=True)  # repro: noqa reassociating-reduction
             y += weights.offsets[:, g][:, None] * group_sum
             stats.offset_additions += m * batch

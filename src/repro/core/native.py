@@ -1,8 +1,8 @@
 """Build, cache and call the native program executor (``figlut_kernel.c``).
 
-:meth:`~repro.core.program.CompiledProgram.execute` runs the LUT datapath
-of every GEMM — LUT build, plane gather-accumulate, α-scaled ``y``
-updates — in one C call through :mod:`ctypes`, which releases the GIL for
+:meth:`~repro.core.program.CompiledProgram.execute` runs every GEMM — LUT
+build, plane gather-accumulate, α-scaled ``y`` updates and the offset
+stage — in one C call through :mod:`ctypes`, which releases the GIL for
 the call, so the serving pool's column chunks run truly in parallel.
 
 The kernel is compiled on first use with the system C compiler (``cc``)
@@ -17,7 +17,9 @@ naming the compiler it tried.
 :func:`bind` checks the dtype, C-contiguity, shape and index range of every
 program buffer before any raw pointer reaches C; :func:`run` checks the
 activation and output buffers of each call.  A bad buffer raises
-:class:`ValueError` instead of reading out of bounds.
+:class:`ValueError` instead of reading out of bounds.  The per-call checks
+are a handful of attribute compares, so a batch-1 :func:`run` costs little
+more than the foreign call itself.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -56,7 +59,10 @@ class _Program(ctypes.Structure):
                 ("plane_rows", ctypes.c_void_p),
                 ("keys", ctypes.c_void_p),
                 ("rows", ctypes.c_void_p),
-                ("scales", ctypes.c_void_p)]
+                ("scales", ctypes.c_void_p),
+                ("num_groups", ctypes.c_int64),
+                ("group_rows", ctypes.c_void_p),
+                ("offsets", ctypes.c_void_p)]
 
 
 def cache_dir() -> Path:
@@ -98,6 +104,12 @@ def build_library(cache: Path, compiler: str = COMPILER) -> Path:
 
 
 def _load(path: Path) -> ctypes.CDLL:
+    probe = np.empty(1)
+    if (sys.implementation.name != "cpython"
+            or _data(probe) != probe.ctypes.data):
+        raise RuntimeError("the native GEMM kernel reads ndarray data "
+                           "pointers as CPython lays them out; this "
+                           "interpreter differs")
     lib = ctypes.CDLL(str(path))
     lib.figlut_execute.argtypes = [ctypes.POINTER(_Program), ctypes.c_int,
                                    ctypes.c_void_p, ctypes.c_int64,
@@ -107,9 +119,10 @@ def _load(path: Path) -> ctypes.CDLL:
     return lib
 
 
-# Per-stage nanosecond clock of one profiled call: LUT build, plane
-# gathers, y updates, plus a slot the caller fills for the offset stage.
-StageClock = ctypes.c_int64 * 4
+# A running clock of profiled calls: nanoseconds in the LUT build, plane
+# gathers, y updates and offset stage, then the call count.  The kernel adds
+# to it atomically, so the pool's threads can share one.
+StageClock = ctypes.c_int64 * 5
 
 _lib: ctypes.CDLL | None = None
 _lib_lock = threading.Lock()
@@ -123,6 +136,23 @@ def library() -> ctypes.CDLL:
             if _lib is None:
                 _lib = _load(build_library(cache_dir()))
     return _lib
+
+
+# An ndarray's data pointer is the first field after its object header
+# (NumPy's ``PyArrayObject_fields.data``, which the ``PyArray_DATA`` of
+# every compiled extension reads), and CPython's ``id`` is the object's
+# address.  Reading the field costs a fifth of ``arr.ctypes.data``, which
+# builds a helper object per access; :func:`library` checks that the two
+# agree before the first call.
+_DATA_FIELD = object.__basicsize__
+_pointer_at = ctypes.c_void_p.from_address
+
+
+def _data(arr: np.ndarray) -> int:
+    return _pointer_at(id(arr) + _DATA_FIELD).value
+
+
+_F64 = np.dtype(np.float64)
 
 
 def _checked(name: str, arr, dtype, shape: tuple[int, ...],
@@ -175,33 +205,45 @@ def bind(program) -> _Program:
             rp = _checked(f"rows{p}", pp.rows, np.int64, (width,), m)
             rows[p] = rp.ctypes.data
             keep.append(rp)
+    groups = len(program.offset_slices)
+    offsets = _checked("offsets", program.offsets, np.float64, (m, groups))
+    # A ragged or non-pair entry fails the conversion with ValueError.
+    group_rows = np.array(program.offset_slices,
+                          dtype=np.int64).reshape(groups, 2)
+    start, stop = group_rows[:, 0], group_rows[:, 1]
+    if ((start < 0) | (start > stop) | (stop > n)).any():
+        raise ValueError(f"offset_slices: a span [start, stop) outside "
+                         f"0 <= start <= stop <= n={n}")
+    keep += [offsets, group_rows]
     struct = _Program(m, n, mu, segments, gmax, planes, lut_cols.ctypes.data,
                       plane_rows.ctypes.data, ctypes.addressof(keys),
-                      ctypes.addressof(rows), ctypes.addressof(scales))
+                      ctypes.addressof(rows), ctypes.addressof(scales),
+                      groups, group_rows.ctypes.data, offsets.ctypes.data)
     struct.buffers = tuple(keep)
     return struct
 
 
 def run(struct: _Program, x: np.ndarray, acc_dtype: np.dtype, y: np.ndarray,
         stage_ns: StageClock | None = None) -> None:
-    """``y += `` the program's LUT datapath over ``x`` (GIL released).
+    """``y = W x``: the program's whole GEMM over ``x`` (GIL released).
 
-    ``stage_ns``, when given, accumulates the nanoseconds spent in the LUT
-    build, plane gathers and ``y`` updates into its first three slots.
+    ``x`` is ``(n, batch)`` and ``y`` ``(m, batch)``, both C-contiguous
+    float64; every element of ``y`` is overwritten.  ``stage_ns``, when
+    given, is a running :data:`StageClock` the call adds its stage times
+    and one call to.
     """
     acc = ACCUMULATORS.get(np.dtype(acc_dtype))
     if acc is None:
         raise ValueError(f"unsupported accumulator dtype {acc_dtype}; "
                          f"expected one of {sorted(map(str, ACCUMULATORS))}")
     batch = x.shape[1] if x.ndim == 2 else -1
-    _checked("activations", x, np.float64, (struct.n, batch))
-    _checked("output", y, np.float64, (struct.m, batch))
+    _checked("activations", x, _F64, (struct.n, batch))
+    _checked("output", y, _F64, (struct.m, batch))
     if not y.flags.writeable:
         raise ValueError("output: buffer is read-only")
     if stage_ns is not None and type(stage_ns) is not StageClock:
         raise ValueError("stage_ns: expected a native.StageClock")
-    status = library().figlut_execute(ctypes.byref(struct), acc,
-                                      x.ctypes.data, batch, y.ctypes.data,
+    status = library().figlut_execute(struct, acc, _data(x), batch, _data(y),
                                       stage_ns)
     if status == 2:
         raise MemoryError("native GEMM kernel: out of memory")

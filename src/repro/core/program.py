@@ -8,9 +8,9 @@ flow can be resolved **once**.  :func:`compile_plan` lowers a plan into a
 ``LoopIR_compiler`` shape: IR in, flat program out) — and
 :meth:`CompiledProgram.execute` runs it with **one native call** per GEMM:
 a C loop nest (:mod:`repro.core.native`, ``figlut_kernel.c``) that builds
-the LUTs, gathers and accumulates every bit plane and applies the α-scaled
-``y`` updates, with the GIL released.  Only the offset stage stays in
-NumPy.  It is the only executor
+the LUTs, gathers and accumulates every bit plane, applies the α-scaled
+``y`` updates and adds every scale group's offset term, with the GIL
+released.  It is the only executor
 :meth:`repro.core.mpu.MatrixProcessingUnit.gemm` runs; the scalar
 :meth:`~repro.core.mpu.MatrixProcessingUnit.gemm_reference` walk of the
 same plan is its oracle.
@@ -33,8 +33,9 @@ plan's segments) slots each, so every per-slot buffer is a dense matrix:
     float64 ``(num_segments, rows_p)`` α matrix — no per-call
     ``plane_activity()`` or scale gathering.
 ``offsets`` / ``offset_slices``
-    Every scale group's offset column and column span, walked in
-    ascending group order exactly like the reference offset stage.
+    Every scale group's float64 offset column and activation-row span,
+    walked in ascending group order exactly like the reference offset
+    stage.
 
 Bit-exactness contract
 ----------------------
@@ -52,7 +53,10 @@ the reference's float operations in the reference's order (see
   slots add ``+0.0``, which is value-preserving;
 * the α multiply is float64, and the ``y`` updates run segments ascending,
   bit planes innermost, scattered to the plane's active rows;
-* the offset stage is the same NumPy group sum the reference runs.
+* the offset stage sums each group of each activation column in NumPy's
+  pairwise order, starting from ``+0.0`` — the ``x[a:b].sum(axis=0)`` the
+  reference runs over column-contiguous activations — then adds
+  ``z · Σx`` (float64, multiply then add) to ``y``, groups ascending.
 
 A program carries no counters: :meth:`CompiledProgram.execute` returns
 ``Y`` alone, and a run's :class:`~repro.core.mpu.MPURunStats` are the
@@ -69,7 +73,6 @@ threads all execute one shared program per layer.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +85,33 @@ from repro.telemetry import get_telemetry
 
 __all__ = ["CompiledProgram", "PlanePass", "compile_plan"]
 
-# Profile rollup keys, one per kernel stage plus the NumPy offset stage.
+# Profile rollup keys, one per kernel stage.
 # "fused" names the whole program running as one native call; the keys
 # predate the kernel and stay stable for ledgers that read them.
 _PROFILE_KEYS = tuple(f"program.fused.{stage}"
                       for stage in ("luts", "plane", "scale", "offset"))
+
+
+class _StageTally:
+    """One run shape's profile rows over its running kernel clock.
+
+    ``rows`` are the per-call ``(key, count, bytes, clock slot)`` of each
+    stage; :meth:`read` scales them by the clock's call count for the
+    profile it is attached to.
+    """
+
+    __slots__ = ("profile", "rows", "clock")
+
+    def __init__(self, profile, rows: tuple) -> None:
+        self.profile = profile
+        self.rows = rows
+        self.clock = native.StageClock()
+        profile.attach(self.read)
+
+    def read(self) -> list[tuple[str, int, float, int]]:
+        calls = self.clock[4]
+        return [(key, count * calls, self.clock[slot] / 1e9, nbytes * calls)
+                for key, count, nbytes, slot in self.rows] if calls else []
 
 
 @dataclass(frozen=True)
@@ -116,8 +141,8 @@ class CompiledProgram:
     """A tile-execution plan lowered to flat buffers.
 
     :meth:`execute` runs the LUT build, the plane gathers and the α-scaled
-    ``y`` updates of every segment in one native kernel call, then adds
-    every scale group's offset term (``offset_slices`` ascending).
+    ``y`` updates of every segment, then every scale group's offset term
+    (``offset_slices`` ascending), in one native kernel call.
     """
 
     m: int
@@ -144,33 +169,18 @@ class CompiledProgram:
         order per output element.  ``accumulate_dtype`` is float16,
         float32 or float64.
         """
-        x, squeeze = _normalize_activations(activations, self.n)
-        batch = x.shape[1]
-        acc_dtype = np.dtype(accumulate_dtype)
-        y = np.zeros((self.m, batch), dtype=np.float64)
-
+        x, squeeze = _normalize_activations(activations, self.n, order="C")
+        y = np.empty((self.m, x.shape[1]))
         # Opt-in per-stage profiling: when off (the default) the kernel gets
-        # a NULL clock and reads no time; when on, it accumulates
-        # nanoseconds per stage and the rollup merges into the profile once
-        # per call.  Values are never touched either way.
+        # a NULL clock and reads no time; when on, it adds nanoseconds per
+        # stage to this run shape's running clock, which the profile reads
+        # at snapshot time.  Values are never touched either way.
         tel = get_telemetry()
-        stage_ns = None
+        clock = None
         if tel.enabled and tel.profiling:
-            stage_ns = native.StageClock()
-        native.run(self._kernel_program(), np.ascontiguousarray(x),
-                   acc_dtype, y, stage_ns)
-        if stage_ns is not None:
-            t_offset = time.perf_counter_ns()
-        for k, (start, stop) in enumerate(self.offset_slices):
-            # Same reduction call, over the same array, as gemm_reference's
-            # offset loop: the one group-sum op both paths share.
-            group_sum = x[start:stop, :].sum(axis=0, keepdims=True)  # repro: noqa reassociating-reduction
-            y += self.offsets[:, k][:, None] * group_sum
-        if stage_ns is not None:
-            stage_ns[3] = time.perf_counter_ns() - t_offset
-            tel.profile.add_timed(
-                self._profile_rows(batch, acc_dtype.itemsize), stage_ns)
-
+            clock = self._stage_clock(tel.profile, x.shape[1],
+                                      accumulate_dtype)
+        native.run(self._kernel_program(), x, accumulate_dtype, y, clock)
         return y[:, 0] if squeeze else y
 
     def _kernel_program(self):
@@ -186,25 +196,37 @@ class CompiledProgram:
             object.__setattr__(self, "_kernel_cache", bound)
         return bound
 
-    def _profile_rows(self, batch: int, acc_itemsize: int) -> tuple:
-        """``(key, count, bytes, clock slot)`` of every stage one run at
-        ``batch`` executes, cached per (batch, accumulator width) on the
-        (frozen) instance like :meth:`_kernel_program`."""
+    def _stage_clock(self, profile, batch: int,
+                     accumulate_dtype) -> native.StageClock:
+        """The running kernel clock of this program's runs at ``batch``
+        columns and ``accumulate_dtype`` under ``profile``.
+
+        Made and attached to ``profile`` on first use, and cached per
+        (batch, accumulator) on the (frozen) instance like
+        :meth:`_kernel_program`, so a profiled call pays one lookup.
+        """
         cache = getattr(self, "_profile_cache", None)
         if cache is None:
             cache = {}
             object.__setattr__(self, "_profile_cache", cache)
-        rows = cache.get((batch, acc_itemsize))
-        if rows is None:
-            kernel = int(self.num_slots > 0 and bool(self.passes) and batch > 0)
-            counts = (kernel, kernel, kernel, len(self.offset_slices))
-            rows = tuple(
-                (key, count, nbytes, i) for i, (key, count, nbytes) in enumerate(
-                    zip(_PROFILE_KEYS, counts,
-                        self._profile_bytes(batch, acc_itemsize), strict=True))
-                if count)
-            cache[batch, acc_itemsize] = rows
-        return rows
+        key = batch, accumulate_dtype
+        tally = cache.get(key)
+        if tally is None or tally.profile is not profile:
+            tally = cache[key] = _StageTally(
+                profile, self._profile_rows(
+                    batch, np.dtype(accumulate_dtype).itemsize))
+        return tally.clock
+
+    def _profile_rows(self, batch: int, acc_itemsize: int) -> tuple:
+        """``(key, count, bytes, clock slot)`` of every stage one run at
+        ``batch`` executes."""
+        kernel = int(self.num_slots > 0 and bool(self.passes) and batch > 0)
+        counts = (kernel, kernel, kernel, len(self.offset_slices))
+        return tuple(
+            (key, count, nbytes, i) for i, (key, count, nbytes) in enumerate(
+                zip(_PROFILE_KEYS, counts,
+                    self._profile_bytes(batch, acc_itemsize), strict=True))
+            if count)
 
     def _profile_bytes(self, batch: int, acc_itemsize: int) -> tuple[int, ...]:
         """Bytes-touched estimate per stage (luts, plane, scale, offset)
@@ -286,7 +308,9 @@ def compile_plan(plan: TileExecutionPlan,
     groups = range(plan.num_scale_groups)
     offset_slices = tuple((col_groups[g].start, col_groups[g].stop)
                           for g in groups)
-    offsets = np.ascontiguousarray(weights.offsets[:, list(groups)])
+    # float64 z, like α: the reference's offset multiply is float64.
+    offsets = np.ascontiguousarray(weights.offsets[:, list(groups)],
+                                   dtype=np.float64)
 
     program = CompiledProgram(
         m=m, n=n, mu=mu, num_segments=num_segments, slots_per_segment=gmax,

@@ -118,10 +118,15 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
 
 def _layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                         eps: float = 1e-5):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # np.mean and np.var's own ufuncs on float64 (a sum, then a divide by
+    # the count), with the mean taken once and ``x - mean`` shared by the
+    # variance and ``x_hat``: the same bytes at half the NumPy calls.
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
+    centered = x - mean
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean) * inv_std
+    x_hat = centered * inv_std
     out = gamma * x_hat + beta
     cache = (x_hat, inv_std, gamma)
     return out, cache

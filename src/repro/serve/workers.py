@@ -15,9 +15,9 @@ only when the call carries enough work to pay for the hop:
 * at or above it, the columns are cut into ``num_workers`` contiguous
   chunks that run concurrently and are concatenated in order.
 
-The program never mixes columns (the native kernel keeps them apart and
-the offset stage sums each column alone, see ``docs/compilation.md``), so
-both paths are bit-identical to one ``execute`` of the whole batch and to
+The program never mixes columns (the native kernel keeps them apart, its
+offset stage included, see ``docs/compilation.md``), so both paths are
+bit-identical to one ``execute`` of the whole batch and to
 ``gemm_reference``.  A call returns ``Y`` alone: the pool counts each
 layer's completed calls and columns, which :attr:`ShardedMPUPool.mpu_stats`
 turns into the sum of every call's ``plan_stats`` when read.

@@ -3,20 +3,26 @@
 This is the third telemetry layer: when ``Telemetry.profiling`` is on,
 the compiled executor rolls up per-stage timings of its native kernel —
 ``program.fused.luts`` / ``program.fused.plane`` / ``program.fused.scale``
-plus the NumPy ``program.fused.offset`` stage — with bytes-touched
-estimates, and the scheduler rolls up per-phase timings
-(``scheduler.admit`` / ``scheduler.decode``).
+/ ``program.fused.offset`` — with bytes-touched estimates, and the
+scheduler rolls up per-phase timings (``scheduler.admit`` /
+``scheduler.decode``).
 
-Hot loops accumulate locally and merge once per call via
-:meth:`Profile.add_timed`, so the lock is taken once per program
-execution, not once per stage.
+A phase records itself with :meth:`Profile.record`.  The kernel keeps its
+own running stage clocks instead (one per program and batch width, added
+to atomically in C), and the executor attaches a reader of each clock once
+(:meth:`Profile.attach`), so a profiled GEMM adds no Python work per call;
+every :meth:`Profile.snapshot` folds the attached readers' totals in.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Iterable
 
 __all__ = ["Profile"]
+
+# A reader of running totals: ``(op, count, seconds, bytes)`` rows.
+Reader = Callable[[], Iterable[tuple[str, int, float, int]]]
 
 
 class Profile:
@@ -26,6 +32,7 @@ class Profile:
         self._lock = threading.Lock()
         # op -> [count, seconds, bytes]
         self._ops: dict[str, list] = {}
+        self._readers: list[Reader] = []
 
     def record(self, op: str, seconds: float, nbytes: int = 0,
                count: int = 1) -> None:
@@ -38,30 +45,25 @@ class Profile:
             entry[1] += seconds
             entry[2] += nbytes
 
-    def add_timed(self, rows, clock_ns) -> None:
-        """Merge ``(op, count, bytes, slot)`` rows timed by ``clock_ns[slot]``
-        nanoseconds under one lock acquisition — the compiled executor's
-        per-call path, with ``rows`` cached per program and batch."""
+    def attach(self, reader: Reader) -> None:
+        """Add ``reader()``'s running ``(op, count, seconds, bytes)`` totals
+        to every later :meth:`snapshot`."""
         with self._lock:
-            for op, count, nbytes, slot in rows:
-                entry = self._ops.get(op)
-                if entry is None:
-                    entry = [0, 0.0, 0]
-                    self._ops[op] = entry
-                entry[0] += count
-                entry[1] += clock_ns[slot] / 1e9
-                entry[2] += nbytes
+            self._readers.append(reader)
 
     def snapshot(self) -> dict[str, dict]:
         """op → {count, seconds, bytes}, sorted by op name."""
         with self._lock:
-            return {op: {"count": e[0], "seconds": e[1], "bytes": e[2]}
-                    for op, e in sorted(self._ops.items())}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._ops.clear()
+            ops = {op: list(entry) for op, entry in self._ops.items()}
+            readers = list(self._readers)
+        for reader in readers:
+            for op, count, seconds, nbytes in reader():
+                entry = ops.setdefault(op, [0, 0.0, 0])
+                entry[0] += count
+                entry[1] += seconds
+                entry[2] += nbytes
+        return {op: {"count": e[0], "seconds": e[1], "bytes": e[2]}
+                for op, e in sorted(ops.items())}
 
     def __bool__(self) -> bool:
-        with self._lock:
-            return bool(self._ops)
+        return bool(self.snapshot())

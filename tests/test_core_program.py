@@ -24,6 +24,7 @@ from repro.core import native
 from repro.core.mpu import MPUConfig, MatrixProcessingUnit
 from repro.core.program import CompiledProgram, compile_plan
 from repro.quant.bcq import BCQConfig, quantize_bcq, quantize_bcq_mixed
+from repro.telemetry import telemetry_session
 
 MPU_CFG = MPUConfig(pe_rows=2, pe_cols=2, mu=4, k=2)  # tile 4×8
 
@@ -321,6 +322,89 @@ class TestProgramErrors:
         assert prog._profile_bytes(batch, acc) == expected
 
 
+# (columns, group_size) of tensors whose scale groups take every branch of
+# the kernel's pairwise group sum: fewer than 8 rows (29 / 5, ragged tail
+# 4), up to 128 with a ragged 8-block tail (100 / 37: 37, 37, 26), exactly
+# 128 and a 1-row tail (257 / 128), and above 128, split once or twice
+# (300 / 133: 133, 133, 34; 300 / 300).
+GROUP_SHAPES = [(29, 5), (100, 37), (257, 128), (300, 133), (300, 300)]
+
+
+def _special_columns(x, groups):
+    """``x`` with non-finite and signed-zero groups in columns 1-4: an
+    all ``-0.0`` group, a group holding ``+inf``, one holding a NaN, and one
+    holding both infinities."""
+    first, last = groups[0], groups[-1]
+    x[first, 1] = -0.0
+    x[last.start, 2] = np.inf
+    x[first.stop - 1, 3] = np.nan
+    x[first.start, 4], x[last.stop - 1, 4] = np.inf, -np.inf
+    return x
+
+
+class TestOffsetStage:
+    """The kernel adds every scale group's offset term after the LUT
+    datapath, summing each group of each column in NumPy's pairwise order,
+    so it matches ``gemm_reference``'s ``x[a:b].sum(axis=0)`` byte for byte."""
+
+    @pytest.mark.parametrize("n, group_size", GROUP_SHAPES)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_group_lengths_match_reference(self, n, group_size):
+        rng = np.random.default_rng(n + group_size)
+        w = rng.standard_normal((6, n)) * 0.1
+        tensor = quantize_bcq(w, BCQConfig(bits=2, group_size=group_size,
+                                           iterations=1))
+        x = _special_columns(
+            rng.standard_normal((n, 1024)) * 10.0 ** rng.uniform(-3, 3, (n, 1)),
+            tensor.column_groups())
+        mpu = MatrixProcessingUnit()
+        prepared = mpu.prepare(tensor)
+        # A column of a batch equals the column run alone, so the 1024-column
+        # run is checked on columns at tile edges and the special ones.
+        cols = [0, 1, 2, 3, 4, 5, 15, 16, 17, 1023]
+        for acc in (np.float16, np.float32, np.float64):
+            want, _ = mpu.gemm_reference(tensor, x[:, cols],
+                                         accumulate_dtype=acc)
+            for batch in (1, 6):
+                got = prepared.program.execute(x[:, :batch],
+                                               accumulate_dtype=acc)
+                assert got.tobytes() == want[:, :batch].tobytes(), (acc, batch)
+            got = prepared.program.execute(x, accumulate_dtype=acc)[:, cols]
+            assert got.tobytes() == want.tobytes(), acc
+
+    @pytest.mark.parametrize("batch", [1, 6, 1024])
+    def test_group_sum_is_numpys_column_sum(self, batch):
+        # A program with no bit planes and a 1.0 offset returns its group
+        # sum itself, so every length pins the kernel's pairwise order to
+        # NumPy's own x[a:b].sum(axis=0) over column-contiguous activations:
+        # a NumPy change to its pairwise summation fails here.
+        rng = np.random.default_rng(batch)
+        lengths = list(range(1, 300)) + [512, 1000, 4096]
+        if batch == 1024:
+            lengths = [1, 7, 8, 9, 127, 128, 129, 255, 256, 299, 1000]
+        n = max(lengths) + 3
+        x = np.asfortranarray(rng.standard_normal((n, batch))
+                              * 10.0 ** rng.uniform(-3, 3, (n, 1)))
+        for length in lengths:
+            program = CompiledProgram(
+                m=1, n=n, mu=4, num_segments=0, slots_per_segment=0,
+                lut_cols=np.zeros((0, 4), dtype=np.int64), passes=(),
+                offsets=np.ones((1, 1)), offset_slices=((3, 3 + length),))
+            want = x[3:3 + length].sum(axis=0)
+            assert program.execute(x)[0].tobytes() == want.tobytes(), length
+
+    def test_negative_zero_group_sums_to_positive_zero(self):
+        # NumPy sums an all -0.0 column group to +0.0 (its output starts at
+        # +0.0); y starts at +0.0 too, so no zero's sign may leak into Y.
+        program = CompiledProgram(
+            m=1, n=20, mu=4, num_segments=0, slots_per_segment=0,
+            lut_cols=np.zeros((0, 4), dtype=np.int64), passes=(),
+            offsets=np.ones((1, 2)), offset_slices=((0, 5), (5, 20)))
+        y = program.execute(np.full((20, 3), -0.0))
+        assert y.tobytes() == np.zeros((1, 3)).tobytes()
+
+
 def _with_pass(program, p, **replacements):
     """``program`` with plane ``p``'s buffers replaced."""
     passes = list(program.passes)
@@ -335,7 +419,10 @@ class TestKernelBoundary:
     @pytest.mark.parametrize("breakage", [
         "keys-dtype", "keys-strided", "keys-shape", "key-out-of-range",
         "scales-dtype", "scales-shape", "rows-out-of-range",
-        "lut-cols-past-sentinel", "lut-cols-dtype", "mu-too-wide"])
+        "lut-cols-past-sentinel", "lut-cols-dtype", "mu-too-wide",
+        "offsets-dtype", "offsets-shape", "offsets-strided",
+        "offset-start-after-stop", "offset-stop-past-n",
+        "offset-start-negative", "offset-slice-not-a-pair"])
     def test_bad_program_buffer_raises(self, rng, breakage):
         tensor, x = _case(rng, "mixed")
         prog = MatrixProcessingUnit(MPU_CFG).prepare(tensor).program
@@ -357,7 +444,24 @@ class TestKernelBoundary:
             "lut-cols-dtype": lambda: dataclasses.replace(
                 prog, lut_cols=prog.lut_cols.astype(np.int32)),
             "mu-too-wide": lambda: dataclasses.replace(prog, mu=17),
+            "offsets-dtype": lambda: dataclasses.replace(
+                prog, offsets=prog.offsets.astype(np.float32)),
+            "offsets-shape": lambda: dataclasses.replace(
+                prog, offsets=prog.offsets[:-1]),
+            "offsets-strided": lambda: dataclasses.replace(
+                prog, offsets=np.repeat(prog.offsets, 2, axis=1)[:, ::2]),
+            "offset-start-after-stop": lambda: dataclasses.replace(
+                prog, offset_slices=((3, 2),) + prog.offset_slices[1:]),
+            "offset-stop-past-n": lambda: dataclasses.replace(
+                prog, offset_slices=prog.offset_slices[:-1]
+                + ((prog.offset_slices[-1][0], prog.n + 1),)),
+            "offset-start-negative": lambda: dataclasses.replace(
+                prog, offset_slices=((-1, 2),) + prog.offset_slices[1:]),
+            "offset-slice-not-a-pair": lambda: dataclasses.replace(
+                prog, offset_slices=((0, 1, 2),) + prog.offset_slices[1:]),
         }[breakage]()
+        with pytest.raises(ValueError):
+            native.bind(bad)
         with pytest.raises(ValueError):
             bad.execute(x)
 
@@ -398,6 +502,34 @@ class TestKernelConcurrency:
             sys.setswitchinterval(interval)
         for got in results:
             _assert_same(got, want)
+
+    def test_shared_stage_clock_counts_every_call(self, rng):
+        # With profiling on, every call of one program at one batch width
+        # adds to one running clock, from any thread: the kernel adds
+        # atomically, so a lost update would drop a call from the counts.
+        tensor, x = _case(rng, "mixed")
+        # Not yet bound, so the first calls also race to attach the clock.
+        program = dataclasses.replace(
+            MatrixProcessingUnit(MPU_CFG).prepare(tensor).program)
+        calls = 8 * 64
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with telemetry_session(profiling=True) as tel:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(program.execute, x)
+                               for _ in range(calls)]
+                    for future in futures:
+                        future.result(timeout=60)
+                profile = tel.profile.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        luts_bytes = program._profile_bytes(x.shape[1], 8)[0]
+        assert profile["program.fused.luts"]["count"] == calls
+        assert profile["program.fused.luts"]["bytes"] == calls * luts_bytes
+        assert profile["program.fused.offset"]["count"] == \
+            calls * len(program.offset_slices)
+        assert all(op["seconds"] > 0 for op in profile.values())
 
 
 class TestKernelBuild:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.models.training import AdamOptimizer, TrainingConfig, train_language_model
-from repro.models.transformer import TransformerConfig, TransformerLM, cross_entropy, softmax
+from repro.models.transformer import (
+    TransformerConfig,
+    TransformerLM,
+    _layer_norm_forward,
+    cross_entropy,
+    softmax,
+)
 
 
 @pytest.fixture
@@ -80,6 +86,35 @@ class TestForward:
         assert "lm_head.weight" in called
         assert any(name.endswith("attn.wq") for name in called)
         assert any(name.endswith("mlp.w2") for name in called)
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(1, 1, 128), (6, 1, 128), (3, 37, 128),
+                                       (8, 128, 128)])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_same_bytes_as_mean_var_formula(self, rng, shape):
+        # The layer norm computes np.mean / np.var's ufuncs itself, once;
+        # output and backward cache must be those of the formula, byte for
+        # byte, non-finite rows included.
+        def formula(x, gamma, beta, eps=1e-5):
+            mean = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)
+            inv_std = 1.0 / np.sqrt(var + eps)
+            x_hat = (x - mean) * inv_std
+            return gamma * x_hat + beta, (x_hat, inv_std, gamma)
+
+        for trial in range(10):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+            if trial % 2:
+                x.flat[rng.choice(x.size, 3, replace=False)] = [
+                    np.inf, -np.inf, np.nan]
+            gamma, beta = rng.standard_normal((2, shape[-1]))
+            got, got_cache = _layer_norm_forward(x, gamma, beta)
+            want, want_cache = formula(x, gamma, beta)
+            assert got.tobytes() == want.tobytes()
+            assert len(got_cache) == len(want_cache)
+            for g, w in zip(got_cache, want_cache, strict=True):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestGradients:
