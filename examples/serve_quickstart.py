@@ -5,9 +5,10 @@ Builds a small transformer, quantizes its weight GEMMs to BCQ, and stands up
 an :class:`repro.serve.InferenceServer`: every layer's compiled program is
 pinned once in a worker pool (large GEMMs split their activation columns
 across the workers), and the server's one scheduler admits concurrent
-scoring requests in waves, prefilling each wave's same-length prompts in
-one shared engine pass.  An async client fires N concurrent requests, then
-the script prints per-request p50/p99 latency, tokens/s, the batching
+scoring requests between iterations, prefilling the admitted prompts of
+each length in one shared, unpadded engine pass.  An async client fires
+N concurrent requests, then the script prints per-request p50/p99
+latency, tokens/s, the batching
 profile, and the plan-exact modelled MPU counters — and verifies that a
 batched request's logits are bit-identical to a solo run.
 

@@ -38,7 +38,8 @@ longer reduction differently, so such rows match their solo run to
 ``DECODE_ATOL``.  What does hold bit for bit is row independence at equal
 shapes: an unpadded step over equal-length rows gives each row exactly its
 solo step's logits — the property serving relies on, which is why the
-server scores through ``step`` alone, in unpadded same-length groups.
+decode scheduler prefills every request, scoring or generation, in
+unpadded groups of one shape (equal cached length, equal new tokens).
 
 The K/V cache is one representation: a :class:`PagedKVCache` holds
 per-sequence page tables over a :class:`PagePool` of fixed-size K/V pages,

@@ -15,14 +15,15 @@ iteration-level batching):
   cached sequences already are;
 * new requests are admitted *between* iterations: any prompt prefix
   already resident as registered pages is mapped copy-on-write (its
-  prefill is **skipped**), the divergent suffixes prefill together as one
-  ragged right-padded stacked pass, and the new page tables splice onto
-  the shared cache in O(rows added) — no K/V copies;
+  prefill is **skipped**), the suffixes prefill in unpadded same-shape
+  groups (equal cached length, equal new tokens: one stacked pass each,
+  so no padded column is ever computed or billed), and the new page
+  tables splice onto the shared cache in O(rows added) — no K/V copies;
 * sequences leave as soon as they emit their EOS token or exhaust their
   token budget; departure releases their page references in O(pages of
   the departing rows) — no survivor-gather compaction copies;
 * admission reserves worst-case page growth for every in-flight sequence,
-  so a wave that would exhaust the pool mid-decode is simply not admitted
+  so a request that would exhaust the pool mid-decode is simply not admitted
   (out-of-pages backpressure: the request waits, ``backpressure_events``
   counts the stalls).
 
@@ -44,19 +45,19 @@ same code.
 
 Scoring rides the same queue.  A request submitted with
 ``max_new_tokens=0`` is *prefill-only*: it waits in the same FIFO and is
-prefilled through the same
-:meth:`~repro.models.quantized_model.QuantizedLM.prefill`.  Scoring
-requests of one length run as one unpadded group pass (no prefix mapping:
-every position's logits are wanted), get their ``(seq, vocab)`` logits
-attached, settle with ``finish_reason="length"`` and release their pages
-in the same iteration — they never join the decode cache, so they do not
-count against ``max_active`` and only free pages gate them.  Their passes
+prefilled through the same group passes.  Scoring requests of one length
+form one group (no prefix mapping: every position's logits are wanted),
+get their ``(seq, vocab)`` logits attached, settle with
+``finish_reason="length"`` and release their pages in the same
+iteration — they never join the decode cache, so they do not count
+against ``max_active`` and only free pages gate them.  Their passes
 run between decode iterations, and :class:`DecodeMetrics` leaves them out.
 
-A failure settles only the requests it concerns: a cache overflow fails
-the rows that overflow, a prefill pass that raises fails the requests of
-that pass, an oversized request fails at admission, and an ``on_token``
-hook that raises fails its own request and is dropped.
+A failure settles only the requests it concerns: a decode step's cache
+overflow fails the rows that overflow, a prefill pass that raises (a
+cache overflow included) fails its own group, an oversized request fails
+at admission, and an ``on_token`` hook that raises fails its own request
+and is dropped.
 """
 
 from __future__ import annotations
@@ -450,18 +451,20 @@ class DecodeScheduler:
         backpressure instead of a mid-decode failure.  A generation held
         back (at the cap or for pages) holds back the generations behind it
         but not the scoring requests, whose pages return before the next
-        admission; a scoring request held back for pages ends the wave.
+        admission; a scoring request held back for pages ends the round.
 
-        The admitted generation prompts then prefill as one ragged pass
-        (:meth:`_prefill_wave`) and the scoring prompts as one unpadded
-        pass per length (:meth:`_score_group`).
+        The admitted requests then prefill in groups of one shape —
+        ``(scoring, cached length, new tokens)`` — one unpadded pass per
+        group (:meth:`_prefill_group`), in the queue order of each group's
+        first request.
         """
         pool = self.pool
         sharing = self.cache_config.prefix_sharing
         tel = get_telemetry()
         t_adm = time.perf_counter_ns() if tel.enabled else 0
         admitted: list[SequenceState] = []
-        rowspecs: list[tuple[list[int], int, int]] = []
+        # (scoring, cached length, new tokens) -> [(seq, pages, prefix key)]
+        groups: dict[tuple[bool, int, int], list] = {}
         oversized: list[tuple[SequenceState, int]] = []
         with self._lock:
             slots = self.max_active - len(self._active)
@@ -514,7 +517,8 @@ class DecodeScheduler:
                     reserved += need
                     slots -= 1
                 admitted.append(seq)
-                rowspecs.append((pages, key, matched))
+                shape = (seq.scoring, matched, seq.prompt.size - matched)
+                groups.setdefault(shape, []).append((seq, pages, key))
             self._waiting.extend(waiting)
         finished: list[SequenceState] = []
         for seq, max_pages in oversized:
@@ -531,21 +535,15 @@ class DecodeScheduler:
                 tel.trace.record("request.queue", seq._submitted_ns, now,
                                  request_id=seq.request_id)
 
-        wave = [i for i, seq in enumerate(admitted) if not seq.scoring]
-        if wave:
-            finished += self._prefill_wave([admitted[i] for i in wave],
-                                           [rowspecs[i] for i in wave])
+        if any(not seq.scoring for seq in admitted):
             with self._lock:
                 self.metrics.admissions += 1
-        t_score = time.perf_counter()
-        groups: dict[int, list[SequenceState]] = {}
-        for seq in admitted:
-            if seq.scoring:
-                groups.setdefault(seq.prompt.size, []).append(seq)
-        for _, group in sorted(groups.items()):
-            self._score_group(group)
-            finished += group
-        score_s = time.perf_counter() - t_score
+        score_s = 0.0
+        for (scoring, _, _), group in groups.items():
+            t_pass = time.perf_counter()
+            finished += self._prefill_group(group)
+            if scoring:
+                score_s += time.perf_counter() - t_pass
         if tel.enabled:
             tel.trace.record(
                 "scheduler.admission", t_adm, time.perf_counter_ns(),
@@ -555,122 +553,69 @@ class DecodeScheduler:
                 prefix_hit_tokens=sum(s.shared_tokens for s in admitted))
         return finished, score_s
 
-    def _prefill_wave(self, admitted: list[SequenceState],
-                      rowspecs: list[tuple[list[int], int, int]]
-                      ) -> list[SequenceState]:
-        """Prefill admitted generation prompts as *one* ragged
-        right-padded stacked pass and join their rows to the decode cache;
+    def _prefill_group(self, group: list[tuple[SequenceState, list[int], int]]
+                       ) -> list[SequenceState]:
+        """Prefill one group of same-shape requests as one unpadded pass;
         returns the requests that finished.
 
-        Each sequence's first token comes from its last valid prefill
-        logit.  A cache overflow fails only the rows that overflow (the
-        rest retry at once); any other error fails the whole wave.
+        Each entry is ``(seq, pages, prefix_key)``: the prefix pages
+        ``map_prefix`` mapped, whose references pass to the group's cache.
+        Every row has the same cached length and the same number of new
+        tokens, so each row's logits equal its solo prefill bit for bit,
+        and the rows either all overflow the cache or none do.  A scoring
+        group settles with its ``(seq, vocab)`` logits and releases its
+        pages; a generation group emits each row's first token from its
+        last logit, and the rows still running join the decode cache.  A
+        pass that raises fails only this group's requests.
         """
-        pool = self.pool
         tel = get_telemetry()
-        finished: list[SequenceState] = []
-        while admitted:
-            cache = self.model.init_paged_cache(
-                0, pool, capacity=self.cache_config.capacity)
-            for seq, (pages, key, matched) in zip(admitted, rowspecs, strict=True):
-                pool.acquire(pages)  # the wave cache's own reference
-                cache.add_row(pages, key, matched)
-            shared = np.array([m for _, _, m in rowspecs], dtype=np.int64)
-            suffix = np.array([s.prompt.size for s in admitted],
-                              dtype=np.int64) - shared
-            stacked = np.zeros((len(admitted), int(suffix.max())),
-                               dtype=np.int64)
-            for i, seq in enumerate(admitted):
-                stacked[i, : suffix[i]] = seq.prompt[shared[i]:]
-            t_pf = time.perf_counter_ns() if tel.enabled else 0
-            try:
-                logits, cache, stats = self.qlm.prefill(
-                    stacked, num_valid=suffix, cache=cache,
-                    mpu_config=self.mpu_config, gemm=self._gemm)
-            except CacheOverflowError as err:
-                # step() checks overflow before touching the cache, so only
-                # the offending requests fail; the rest retry immediately.
-                cache.release()
-                for r in err.rows:
-                    admitted[r]._fail(err)
-                    finished.append(admitted[r])
-                    pool.release(rowspecs[r][0])  # the map_prefix reference
-                keep = [i for i in range(len(admitted))
-                        if admitted[i].finish_reason != "error"]
-                admitted = [admitted[i] for i in keep]
-                rowspecs = [rowspecs[i] for i in keep]
-                continue
-            except Exception as err:
-                cache.release()
-                for seq, (pages, _, _) in zip(admitted, rowspecs, strict=True):
-                    seq._fail(err)
-                    pool.release(pages)  # the map_prefix reference
-                return finished + admitted
-            if tel.enabled:
-                tel.trace.record("scheduler.prefill", t_pf,
-                                 time.perf_counter_ns(),
-                                 request_ids=[s.request_id for s in admitted],
-                                 prefill_tokens=int(suffix.sum()),
-                                 prefix_hit_tokens=int(shared.sum()))
-            break
-        for pages, _, _ in rowspecs:
-            pool.release(pages)  # map_prefix's reference; the cache holds its own
-        if not admitted:
-            return finished
+        seqs = [seq for seq, _, _ in group]
+        rows, shared = len(seqs), seqs[0].shared_tokens
+        width = seqs[0].prompt.size - shared
+        cache = self.model.init_paged_cache(
+            0, self.pool, capacity=self.cache_config.capacity)
+        for _, pages, key in group:
+            cache.add_row(pages, key, shared)
+        t_pf = time.perf_counter_ns() if tel.enabled else 0
+        try:
+            logits, cache, stats = self.qlm.prefill(
+                np.stack([seq.prompt[shared:] for seq in seqs]),
+                num_valid=np.full(rows, width), cache=cache,
+                mpu_config=self.mpu_config, gemm=self._gemm)
+        except Exception as err:
+            cache.release()
+            for seq in seqs:
+                seq._fail(err)
+            return seqs
+        if tel.enabled:
+            tel.trace.record("scheduler.prefill", t_pf, time.perf_counter_ns(),
+                             request_ids=[s.request_id for s in seqs],
+                             prefill_tokens=rows * width,
+                             prefix_hit_tokens=rows * shared)
+        if seqs[0].scoring:
+            cache.release()
+            for i, seq in enumerate(seqs):
+                seq._score(logits[i], rows)
+            return seqs
 
         with self._lock:
             self.metrics.mpu_stats = self.metrics.mpu_stats.merge(stats)
-            self.metrics.prefill_tokens += int(suffix.sum())
-            self.metrics.prefix_hit_tokens += int(shared.sum())
-            self.metrics.prefix_hit_requests += int(np.count_nonzero(shared))
-            self.metrics.generated_tokens += len(admitted)
-
-        for i, seq in enumerate(admitted):
-            seq._emit(int(np.argmax(logits[i, suffix[i] - 1])))
-            if seq.done:
-                finished.append(seq)
-        dead = [i for i, seq in enumerate(admitted) if seq.done]
+            self.metrics.prefill_tokens += rows * width
+            self.metrics.prefix_hit_tokens += rows * shared
+            self.metrics.prefix_hit_requests += rows if shared else 0
+            self.metrics.generated_tokens += rows
+        for i, seq in enumerate(seqs):
+            seq._emit(int(np.argmax(logits[i, -1])))
+        dead = [i for i, seq in enumerate(seqs) if seq.done]
         if dead:
             cache.remove_rows(dead)
-        survivors = [seq for seq in admitted if not seq.done]
         with self._lock:
             if self._cache is None:
                 self._cache = cache
             else:
                 self._cache.extend(cache)
-            self._active.extend(survivors)
-        return finished
-
-    def _score_group(self, group: list[SequenceState]) -> None:
-        """Prefill equal-length scoring prompts as one unpadded pass and
-        settle each with its ``(seq, vocab)`` logits.
-
-        With no padding, every row's logits equal its solo prefill bit for
-        bit.  The group's pages are released before this returns, and a
-        pass that raises fails only this group's requests.
-        """
-        tel = get_telemetry()
-        rows, width = len(group), group[0].prompt.size
-        cache = self.model.init_paged_cache(
-            rows, self.pool, capacity=self.cache_config.capacity)
-        t_pf = time.perf_counter_ns() if tel.enabled else 0
-        try:
-            logits, cache, _ = self.qlm.prefill(
-                np.stack([seq.prompt for seq in group]),
-                num_valid=np.full(rows, width), cache=cache,
-                mpu_config=self.mpu_config, gemm=self._gemm)
-        except Exception as err:
-            for seq in group:
-                seq._fail(err)
-            return
-        finally:
-            cache.release()
-        if tel.enabled:
-            tel.trace.record("scheduler.prefill", t_pf, time.perf_counter_ns(),
-                             request_ids=[s.request_id for s in group],
-                             prefill_tokens=rows * width, prefix_hit_tokens=0)
-        for i, seq in enumerate(group):
-            seq._score(logits[i], rows)
+            self._active.extend(seq for seq in seqs if not seq.done)
+        return [seqs[i] for i in dead]
 
     def audit_cache(self) -> None:
         """Assert the paged pool's bookkeeping invariants.

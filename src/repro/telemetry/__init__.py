@@ -4,7 +4,7 @@ Three layers behind one :class:`Telemetry` handle:
 
 1. **Tracing** (:mod:`repro.telemetry.tracing`): ring-buffered spans over
    monotonic clocks covering the full request lifecycle — submit →
-   scheduler queue → admission wave → paged prefill (incl. prefix-share
+   scheduler queue → admission round → paged prefill (incl. prefix-share
    hits; a scoring request settles here) → each decode iteration →
    departure — plus executor-level spans
    (``mpu.gemm``, per-shard ``pool.shard`` dispatch / ``pool.merge``).

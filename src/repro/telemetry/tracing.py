@@ -14,7 +14,7 @@ Two recording styles cover every instrumentation site:
 * ``recorder.record(name, start_ns, end_ns, **args)`` — retroactive
   recording from explicit timestamps, for spans whose start crosses a
   function boundary (a request's queue wait from submit to admission, an
-  admission wave whose member ids are only known at the end).
+  admission round whose member ids are only known at the end).
 
 Span args are coerced to JSON-safe scalars at record time, so
 :meth:`TraceRecorder.export_chrome` can always serialize — the resulting

@@ -101,7 +101,7 @@ class TestDecodeScheduler:
         assert len(other.tokens) == 8
 
     def test_plan_exact_iteration_scaling(self, qlm, rng):
-        """Aggregate MPURunStats == one ragged stacked prefill + (N-1)
+        """Aggregate MPURunStats == one unpadded stacked prefill + (N-1)
         stacked single-column decode passes: per-step cost follows the
         active count, not the cached lengths (no O(T²) re-prefill)."""
         count, steps, plen = 3, 6, 7
@@ -347,6 +347,71 @@ class TestPagedScheduling:
             short.tokens, qlm.generate(short_prompt, 6,
                                        mpu_config=MPU_CFG).tokens)
         assert sched.pool.num_free == sched.pool.num_pages
+
+    def test_prefill_overflow_fails_its_own_group(self, qlm, rng):
+        sched = DecodeScheduler(qlm, max_active=2, mpu_config=MPU_CFG,
+                                cache_config=CacheConfig(page_size=4,
+                                                         capacity=12))
+        long = sched.submit(rng.integers(0, VOCAB, size=14), 2)  # 14 > 12
+        short_prompt = rng.integers(0, VOCAB, size=5)
+        short = sched.submit(short_prompt, 4)
+        scored = sched.submit(rng.integers(0, VOCAB, size=6), 0)
+        finished = sched.step()
+        assert {long.request_id, scored.request_id} <= {
+            s.request_id for s in finished}
+        assert long.finish_reason == "error" and long.tokens.size == 0
+        assert isinstance(long.error, CacheOverflowError)
+        assert scored.finish_reason == "length"
+        assert (scored.logits.tobytes()
+                == _solo_prefill(qlm, scored.prompt).tobytes())
+        sched.audit_cache()
+        sched.run_until_idle()
+        np.testing.assert_array_equal(
+            short.tokens, qlm.generate(short_prompt, 4,
+                                       mpu_config=MPU_CFG).tokens)
+        sched.audit_cache()
+        assert sched.pool.num_free == sched.pool.num_pages
+
+    def test_one_unpadded_pass_per_prefill_shape(self, qlm, rng, monkeypatch):
+        """Admitted prompts of different shapes prefill as separate passes
+        with no padded column, and the counters bill exactly those passes."""
+        sched = DecodeScheduler(qlm, max_active=4, mpu_config=MPU_CFG,
+                                cache_config=CacheConfig(page_size=4))
+        prefix = rng.integers(0, VOCAB, size=9)
+        sched.submit(prefix, 2)
+        sched.run_until_idle()  # registers the prefix's first two pages
+        prompts = [rng.integers(0, VOCAB, size=5),
+                   rng.integers(0, VOCAB, size=9),
+                   np.concatenate([prefix[:8], rng.integers(0, VOCAB, size=5)]),
+                   rng.integers(0, VOCAB, size=5)]
+        solo = [qlm.generate(p, 4, mpu_config=MPU_CFG).tokens for p in prompts]
+        passes, padded = [], []
+        inner = qlm.prefill
+
+        def prefill(*args, **kwargs):  # wrapped as bench/ledger.py does
+            rows, width = np.shape(args[0])
+            passes.append((rows, width, int(kwargs["cache"].lengths[0])))
+            padded.append(int(rows * width - np.sum(kwargs["num_valid"])))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(qlm, "prefill", prefill)
+        stats, tokens = sched.metrics.mpu_stats, sched.metrics.prefill_tokens
+        seqs = [sched.submit(p, 4) for p in prompts]
+        sched.step()
+        # (rows, new tokens, cached length) in the queue order of each
+        # shape's first request.
+        assert passes == [(2, 5, 0), (1, 9, 0), (1, 5, 8)]
+        assert padded == [0, 0, 0]
+        assert seqs[2].shared_tokens == 8
+        for rows, width, _ in passes:
+            stats = stats.merge(qlm.model_mpu_stats(rows * width, MPU_CFG))
+        stats = stats.merge(qlm.model_mpu_stats(len(prompts), MPU_CFG))
+        assert sched.metrics.mpu_stats == stats
+        assert sched.metrics.prefill_tokens == tokens + 2 * 5 + 9 + 5
+        sched.run_until_idle()
+        for seq, want in zip(seqs, solo, strict=True):
+            np.testing.assert_array_equal(seq.tokens, want)
+        assert len(passes) == 3
 
     def test_small_pages_serve_solo_tokens(self, qlm, rng):
         prompts = [rng.integers(0, VOCAB, size=int(n)) for n in (4, 9, 6, 5)]
@@ -628,8 +693,8 @@ class TestServerGenerate:
         assert server.scheduler.pool.num_free == server.scheduler.pool.num_pages
         assert server.decode_metrics.finished == 1
 
-    def test_failing_generation_prefill_fails_its_wave(self, qlm, rng):
-        """An error in a generation wave's prefill reaches that wave's
+    def test_failing_generation_prefill_fails_its_group(self, qlm, rng):
+        """An error in a generation group's prefill reaches that group's
         clients instead of stranding them, and leaves the pool clean for
         the next request."""
         server = _server(qlm, num_shards=2)
