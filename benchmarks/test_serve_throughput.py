@@ -70,8 +70,8 @@ def _drive() -> dict:
 
     async def paired_rounds():
         # One untimed round warms the batched leg in the loop it is timed
-        # in: the event loop, the first executor thread and the pump's
-        # first step.
+        # in: the event loop, the server's driver thread and its first
+        # step.
         await fire()
         sequential, batched = [], []
         for _ in range(ROUNDS):

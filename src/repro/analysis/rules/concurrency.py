@@ -1,8 +1,9 @@
 """Rules guarding the serve layer's concurrency discipline.
 
 :mod:`repro.serve` deliberately mixes ``threading`` locks (the decode
-scheduler and worker pools run on executor threads) with asyncio (the
-server pump).  Two failure modes recur in that mix:
+scheduler runs on the server's driver thread, the worker pools on executor
+threads) with asyncio (the server front-end).  Two failure modes recur in
+that mix:
 
 * a ``threading.Lock`` held across an ``await`` or a
   ``run_in_executor`` hop blocks the entire event loop until the

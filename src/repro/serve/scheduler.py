@@ -36,8 +36,8 @@ column count, so its counters are plan-exact for the passes that ran.
 
 The scheduler core is synchronous and thread-safe (``submit`` may be called
 from any thread; ``step`` is driven by one driver at a time) —
-:class:`~repro.serve.server.InferenceServer` pumps it from an asyncio task
-via the event loop's executor, and tests/benchmarks drive it inline with
+:class:`~repro.serve.server.InferenceServer` steps it back to back on one
+driver thread, and tests/benchmarks drive it inline with
 :meth:`DecodeScheduler.run_until_idle`.  It is the only greedy decode loop:
 :meth:`~repro.models.quantized_model.QuantizedLM.generate` is a one-request
 inline run over a private pool, so solo and served tokens come from the
@@ -455,8 +455,9 @@ class DecodeScheduler:
 
         The admitted requests then prefill in groups of one shape —
         ``(scoring, cached length, new tokens)`` — one unpadded pass per
-        group (:meth:`_prefill_group`), in the queue order of each group's
-        first request.
+        group (:meth:`_prefill_group`), shortest first: by new tokens,
+        ascending, groups of equal width in the queue order of their first
+        request.  A short pass then never waits behind a long one.
         """
         pool = self.pool
         sharing = self.cache_config.prefix_sharing
@@ -539,7 +540,8 @@ class DecodeScheduler:
             with self._lock:
                 self.metrics.admissions += 1
         score_s = 0.0
-        for (scoring, _, _), group in groups.items():
+        for (scoring, _, _), group in sorted(groups.items(),
+                                             key=lambda item: item[0][2]):
             t_pass = time.perf_counter()
             finished += self._prefill_group(group)
             if scoring:

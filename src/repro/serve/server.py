@@ -2,7 +2,9 @@
 
 :class:`InferenceServer` is the top of the serving stack.  Every request
 joins one :class:`~repro.serve.scheduler.DecodeScheduler` queue, and one
-pump drives its iterations:
+driver thread runs its iterations back to back while there is work; the
+event loop only queues requests and delivers results, and it does so
+while the next iteration computes:
 
 * :meth:`InferenceServer.submit` scores a prompt.  It is a prefill-only
   scheduler request (``max_new_tokens=0``): admitted from the same FIFO
@@ -53,14 +55,15 @@ __all__ = ["BatchPolicy", "InferenceResult", "GeneratedSequence",
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """The server pump's admission window.
+    """The server driver's admission window.
 
     Attributes
     ----------
     max_wait_us:
-        A starting pump waits this long (microseconds) so requests
-        submitted together share the first scheduler iteration.  ``0``
-        starts at once.
+        A driver woken from idle sleeps this long (microseconds) so
+        requests submitted together share the first scheduler iteration.
+        ``0`` starts at once.  The sleep runs on the driver thread, so
+        windows below a millisecond are honoured.
     max_batch:
         Reported with the server's configuration only: the serving path
         does not read it.  Admission is capped by the scheduler's
@@ -145,6 +148,10 @@ class ServerMetrics:
 class InferenceServer:
     """Pooled inference over a :class:`QuantizedLM`, one scheduler for all.
 
+    One driver thread runs the scheduler's iterations.  It starts with the
+    first request; :meth:`aclose` joins it after serving out the queued
+    work, :meth:`close` after failing that work.
+
     Parameters
     ----------
     qlm:
@@ -159,8 +166,9 @@ class InferenceServer:
         entries and accumulators on uncast activations (see "Numerics" in
         ``docs/serving.md``).
     policy:
-        The pump's admission window (:class:`BatchPolicy`): requests
-        submitted within ``max_wait_us`` share the first iteration.
+        The driver's admission window (:class:`BatchPolicy`): requests
+        submitted within ``max_wait_us`` of an idle server share the first
+        iteration.
     decode_max_active:
         In-flight generation cap of the scheduler.
     cache_config:
@@ -187,8 +195,14 @@ class InferenceServer:
             qlm, gemm=lambda name, flat: self.pool.gemm(name, flat),
             max_active=decode_max_active, mpu_config=self.pool.mpu.config,
             cache_config=cache_config)
-        self._lock = threading.Lock()
-        self._pump_task: asyncio.Task | None = None
+        # Guards the metrics and the driver's state; the driver thread
+        # waits on it.
+        self._lock = threading.Condition()
+        self._driver: threading.Thread | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._closed = False     # no new requests; the driver exits idle
+        self._aborting = False   # close(): fail queued work, do not drain
+        self._settling = False
         if get_telemetry().enabled:
             self.bind_telemetry()
 
@@ -229,34 +243,99 @@ class InferenceServer:
         return logits
 
     # -- the one request queue ---------------------------------------------
-    def _ensure_pump(self) -> None:
-        """Start (or restart) the scheduler pump on the running loop.
+    def _enqueue(self, tokens: np.ndarray, max_new_tokens: int,
+                 eos_token: int | None, on_token) -> SequenceState:
+        """Queue one request and wake the driver thread.
 
-        The pump first sleeps the policy's admission window so
-        concurrently-submitted requests share the first iteration, then
-        drives one scheduler iteration at a time in the executor — between
-        iterations the event loop runs, which is exactly when new requests
-        enqueue and get admitted (iteration-level batching).
+        The driver starts with the first request.  The wake is scheduled
+        with ``loop.call_soon``, so an idle driver runs only after every
+        request submitted in the same loop turn is queued.  Raises
+        ``RuntimeError("pool is closed")`` once the server is closed.
+        """
+        loop = asyncio.get_running_loop()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("pool is closed")
+            seq = self.scheduler.submit(tokens, max_new_tokens,
+                                        eos_token=eos_token, on_token=on_token)
+            self._loop = loop
+            if self._driver is None:
+                self._driver = threading.Thread(
+                    target=self._drive, name="serve-driver", daemon=True)
+                self._driver.start()
+        loop.call_soon(self._wake)
+        return seq
+
+    def _wake(self) -> None:
+        with self._lock:
+            self._lock.notify()
+
+    def _drive(self) -> None:
+        """The driver thread: scheduler steps back to back while there is
+        work, all on this one thread.
+
+        Woken from idle, it first sleeps the policy's admission window so
+        concurrently submitted requests share the first iteration.  After
+        a step that settled requests it waits for their clients
+        (:meth:`_settle`).  A step that raises fails every queued and
+        in-flight request, and the driver keeps serving.
+        """
+        window = self.policy.max_wait_us / 1e6
+        while self._await_work():
+            time.sleep(window)
+            while self.scheduler.has_work:
+                if self._aborting:
+                    self.scheduler.abort(RuntimeError("pool is closed"))
+                    break
+                try:
+                    # Looked up per iteration: a wrapper set on the
+                    # instance sees every step.
+                    finished = self.scheduler.step()
+                except Exception as exc:
+                    finished = self.scheduler.abort(exc)
+                if finished:
+                    self._settle()
+
+    def _await_work(self) -> bool:
+        """Wait until a request is queued (``True``) or the server is
+        closed with no work left (``False``)."""
+        with self._lock:
+            self._lock.wait_for(
+                lambda: self._closed or self.scheduler.has_work)
+            return self.scheduler.has_work
+
+    def _settle(self) -> None:
+        """Wait two turns of the clients' loop before the next admission.
+
+        A settled request's result is delivered in one turn and its
+        awaiting task resumes in the next, so a closed-loop client's next
+        request is queued when the marker, sent through
+        ``call_soon_threadsafe(loop.call_soon, ...)``, runs.  The wait also
+        ends when the server closes, the loop closes or another loop takes
+        over, so ``close()`` called on the loop thread cannot deadlock.
         """
         with self._lock:
-            if self._pump_task is None or self._pump_task.done():
-                self._pump_task = asyncio.get_running_loop().create_task(
-                    self._pump())
-
-    async def _pump(self) -> None:
-        loop = asyncio.get_running_loop()
-        await asyncio.sleep(self.policy.max_wait_us / 1e6)
+            loop = self._loop
+            self._settling = True
         try:
-            while self.scheduler.has_work:
-                await loop.run_in_executor(None, self.scheduler.step)
-        except Exception as exc:
-            # A fatal driver error (e.g. a dead pool worker) must reach the
-            # awaiting clients, not die silently with the pump task.
-            self.scheduler.abort(exc)
+            loop.call_soon_threadsafe(loop.call_soon, self._end_settle)
+        except RuntimeError:  # the loop is closed
+            return
+        with self._lock:
+            while self._settling and not (self._closed or loop.is_closed()
+                                          or loop is not self._loop):
+                # A loop closed with the marker still queued sends no
+                # notify; the timeout re-checks it.
+                self._lock.wait(0.1)
+
+    def _end_settle(self) -> None:
+        with self._lock:
+            self._settling = False
+            self._lock.notify()
 
     async def _settled(self, tokens: np.ndarray, max_new_tokens: int,
                        eos_token: int | None = None) -> SequenceState:
-        """Queue one request, keep the pump running, await its settlement.
+        """Queue one request and await its settlement.
 
         Cancelling the awaiting task abandons the request; a failure is
         re-raised here.
@@ -269,9 +348,7 @@ class InferenceServer:
                 loop.call_soon_threadsafe(
                     lambda: future.done() or future.set_result(seq))
 
-        seq = self.scheduler.submit(tokens, max_new_tokens,
-                                    eos_token=eos_token, on_token=on_token)
-        self._ensure_pump()
+        seq = self._enqueue(tokens, max_new_tokens, eos_token, on_token)
         try:
             await future
         except asyncio.CancelledError:
@@ -370,9 +447,7 @@ class InferenceServer:
             item = (None if token is None else int(token), bool(done))
             loop.call_soon_threadsafe(queue.put_nowait, item)
 
-        seq = self.scheduler.submit(arr, max_new_tokens, eos_token=eos_token,
-                                    on_token=on_token)
-        self._ensure_pump()
+        seq = self._enqueue(arr, max_new_tokens, eos_token, on_token)
         try:
             while True:
                 token, done = await queue.get()
@@ -421,13 +496,32 @@ class InferenceServer:
                                  mpu_config=self.pool.mpu.config,
                                  gemm=self.pool.gemm)
 
+    def _stop(self, abort: bool) -> None:
+        """Refuse new requests, then join the driver once it has drained
+        the queued work (or, with ``abort``, failed it)."""
+        with self._lock:
+            self._closed = True
+            self._aborting = self._aborting or abort
+            self._lock.notify()
+            driver = self._driver
+        if driver is not None and driver is not threading.current_thread():
+            driver.join()
+
     async def aclose(self) -> None:
-        if self._pump_task is not None and not self._pump_task.done():
-            await self._pump_task
+        """Serve every queued and in-flight request, stop the driver, then
+        close the pool.  The driver is joined off the loop, which keeps
+        delivering tokens meanwhile."""
+        await asyncio.to_thread(self._stop, False)
         self.pool.close()
 
     def close(self) -> None:
-        """Synchronous shutdown (pool only; call :meth:`aclose` in a loop)."""
+        """Synchronous shutdown: stop the driver, then close the pool.
+
+        Queued and in-flight requests fail with ``RuntimeError("pool is
+        closed")`` after the step running now, as every later request
+        does; :meth:`aclose` serves them out instead.
+        """
+        self._stop(True)
         self.pool.close()
 
     def __enter__(self) -> InferenceServer:

@@ -398,9 +398,9 @@ class TestPagedScheduling:
         stats, tokens = sched.metrics.mpu_stats, sched.metrics.prefill_tokens
         seqs = [sched.submit(p, 4) for p in prompts]
         sched.step()
-        # (rows, new tokens, cached length) in the queue order of each
-        # shape's first request.
-        assert passes == [(2, 5, 0), (1, 9, 0), (1, 5, 8)]
+        # (rows, new tokens, cached length), shortest first; the two
+        # 5-token shapes in the queue order of their first request.
+        assert passes == [(2, 5, 0), (1, 5, 8), (1, 9, 0)]
         assert padded == [0, 0, 0]
         assert seqs[2].shared_tokens == 8
         for rows, width, _ in passes:
@@ -479,6 +479,26 @@ class TestScoringRequests:
         assert sched.metrics.finished == sched.metrics.requests == 1
         assert sched.metrics.admissions == 1
         assert sched.metrics.prefill_tokens == 9
+
+    def test_shorter_scoring_pass_runs_first(self, qlm, rng, monkeypatch):
+        # A 12-token prompt queued before a 4-token one: the 4-token group
+        # prefills first, so the short pass never waits behind the long one.
+        sched = DecodeScheduler(qlm, max_active=4, mpu_config=MPU_CFG)
+        prompts = [rng.integers(0, VOCAB, size=n) for n in (12, 4)]
+        solo = [_solo_prefill(qlm, p) for p in prompts]
+        widths = []
+        inner = qlm.prefill
+
+        def prefill(*args, **kwargs):
+            widths.append(np.shape(args[0])[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(qlm, "prefill", prefill)
+        scored = [sched.submit(p, 0) for p in prompts]
+        assert len(sched.step()) == 2
+        assert widths == [4, 12]
+        for seq, want in zip(scored, solo, strict=True):
+            assert seq.logits.tobytes() == want.tobytes()
 
     def test_scoring_never_maps_a_prefix(self, qlm, rng):
         prompt = rng.integers(0, VOCAB, size=9)

@@ -1,6 +1,8 @@
-"""End-to-end tests of the sharded inference server's scoring path."""
+"""End-to-end tests of the sharded inference server: its scoring path and
+the lifecycle of its driver thread."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -190,3 +192,98 @@ class TestInferenceServer:
         assert [r.batch_size for r in results] == [2] * len(requests)
         for result, want in zip(results, solo, strict=True):
             assert result.logits.tobytes() == want.tobytes()
+
+
+class TestServerDriver:
+    """The one driver thread: started by the first request, joined on
+    close, stepping the scheduler back to back."""
+
+    @pytest.mark.parametrize("shutdown", ["aclose", "close"])
+    def test_no_driver_thread_outlives_the_server(self, rng, served_qlm,
+                                                  shutdown):
+        before = set(threading.enumerate())
+        server = InferenceServer(served_qlm, num_shards=2, mpu_config=MPU_CFG)
+        prompt = _requests(rng, 1)[0]
+
+        async def main():
+            await asyncio.wait_for(server.submit_generate(prompt, 2), 30)
+            assert set(threading.enumerate()) - before  # the driver runs
+            if shutdown == "aclose":
+                await asyncio.wait_for(server.aclose(), 30)
+            else:
+                # On the loop thread, while the driver may still wait for
+                # the loop to settle the finished request.
+                server.close()
+
+        asyncio.run(main())
+        assert set(threading.enumerate()) <= before
+
+    def test_requests_after_close_raise(self, rng, served_qlm):
+        server = InferenceServer(served_qlm, num_shards=2, mpu_config=MPU_CFG)
+        prompt = _requests(rng, 1)[0]
+        server.close()
+
+        async def stream():
+            return [t async for t in server.stream_generate(prompt, 2)]
+
+        async def main():
+            for request in (server.submit(prompt),
+                            server.submit_generate(prompt, 2), stream()):
+                with pytest.raises(RuntimeError, match="pool is closed"):
+                    await asyncio.wait_for(request, 30)
+
+        asyncio.run(main())
+
+    def test_one_server_serves_two_event_loops(self, rng, served_qlm):
+        server = InferenceServer(served_qlm, num_shards=2, mpu_config=MPU_CFG)
+        prompts = _requests(rng, 2)
+        want = [server.generate_solo(p, 3).tokens for p in prompts]
+        with server:
+            got = [asyncio.run(asyncio.wait_for(
+                server.submit_generate(p, 3), 30)).tokens for p in prompts]
+        for tokens, expected in zip(got, want, strict=True):
+            np.testing.assert_array_equal(tokens, expected)
+
+    def test_resubmitted_request_is_admitted_in_the_next_step(self, rng,
+                                                               served_qlm):
+        # A closed-loop client sends each request when the previous one
+        # returns, beside a long generation that keeps the driver stepping.
+        # The driver waits for the client before it admits again, so each
+        # request joins the step right after the one that settled the
+        # previous request.
+        server = InferenceServer(served_qlm, num_shards=2, mpu_config=MPU_CFG,
+                                 policy=BatchPolicy(max_wait_us=0))
+        sched = server.scheduler
+        log = []  # per step: (ids waiting at entry, at exit, ids settled)
+        inner = sched.step
+
+        def waiting():
+            with sched._lock:
+                return {seq.request_id for seq in sched._waiting}
+
+        def step():  # an instance wrapper, as bench/ledger.py installs
+            entry = waiting()
+            finished = inner()
+            log.append((entry, waiting(), {s.request_id for s in finished}))
+            return finished
+
+        async def main():
+            await server.submit_generate(_requests(rng, 1)[0], 1)
+            # Set once the driver runs: it must look the method up on
+            # every iteration to see the wrapper.
+            sched.step = step
+            background = asyncio.ensure_future(server.submit_generate(
+                rng.integers(0, VOCAB, size=3), 12))
+            ids = [(await server.submit_generate(prompt, 1)).request_id
+                   for prompt in _requests(rng, 4)]
+            await background
+            await server.aclose()
+            return ids
+
+        ids = asyncio.run(asyncio.wait_for(main(), 60))
+        admitted = {r: i for i, (entry, exit_, _) in enumerate(log)
+                    for r in entry - exit_}
+        settled = {r: i for i, (_, _, done) in enumerate(log) for r in done}
+        assert set(ids) <= admitted.keys() & settled.keys()
+        for prev, nxt in zip(ids, ids[1:]):
+            assert admitted[nxt] == settled[prev] + 1
