@@ -392,17 +392,21 @@ class DecodeScheduler:
         exception attached, and its ``on_token`` hook fires once more with
         ``token=None, done=True`` so async front-ends can propagate the
         failure instead of hanging their clients.  The scheduler is left
-        empty and usable for new requests.
+        empty and usable for new requests, and every request is failed
+        even when releasing the cache raises.
         """
-        with self._lock:
-            failed = list(self._waiting) + self._active
-            self._waiting.clear()
-            self._active = []
-            if self._cache is not None:
-                self._cache.release()
-            self._cache = None
-        for seq in failed:
-            seq._fail(error)
+        failed: list[SequenceState] = []
+        try:
+            with self._lock:
+                failed = list(self._waiting) + self._active
+                self._waiting.clear()
+                self._active = []
+                cache, self._cache = self._cache, None
+                if cache is not None:
+                    cache.release()
+        finally:
+            for seq in failed:
+                seq._fail(error)
         return failed
 
     # -- the iteration loop ------------------------------------------------

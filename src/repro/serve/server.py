@@ -202,7 +202,6 @@ class InferenceServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False     # no new requests; the driver exits idle
         self._aborting = False   # close(): fail queued work, do not drain
-        self._settling = False
         if get_telemetry().enabled:
             self.bind_telemetry()
 
@@ -260,11 +259,14 @@ class InferenceServer:
                                         eos_token=eos_token, on_token=on_token)
             self._loop = loop
             if self._driver is None:
-                self._driver = threading.Thread(
-                    target=self._drive, name="serve-driver", daemon=True)
-                self._driver.start()
+                self._start_driver_locked()
         loop.call_soon(self._wake)
         return seq
+
+    def _start_driver_locked(self) -> None:
+        self._driver = threading.Thread(target=self._drive,
+                                        name="serve-driver", daemon=True)
+        self._driver.start()
 
     def _wake(self) -> None:
         with self._lock:
@@ -278,23 +280,32 @@ class InferenceServer:
         concurrently submitted requests share the first iteration.  After
         a step that settled requests it waits for their clients
         (:meth:`_settle`).  A step that raises fails every queued and
-        in-flight request, and the driver keeps serving.
+        in-flight request, and the driver keeps serving.  Should the driver
+        itself die (``abort`` raising, say), a new one takes over the work
+        still queued, or else starts with the next request.
         """
         window = self.policy.max_wait_us / 1e6
-        while self._await_work():
-            time.sleep(window)
-            while self.scheduler.has_work:
-                if self._aborting:
-                    self.scheduler.abort(RuntimeError("pool is closed"))
-                    break
-                try:
-                    # Looked up per iteration: a wrapper set on the
-                    # instance sees every step.
-                    finished = self.scheduler.step()
-                except Exception as exc:
-                    finished = self.scheduler.abort(exc)
-                if finished:
-                    self._settle()
+        try:
+            while self._await_work():
+                time.sleep(window)
+                while self.scheduler.has_work:
+                    if self._aborting:
+                        self.scheduler.abort(RuntimeError("pool is closed"))
+                        break
+                    try:
+                        # Looked up per iteration: a wrapper set on the
+                        # instance sees every step.
+                        finished = self.scheduler.step()
+                    except Exception as exc:
+                        finished = self.scheduler.abort(exc)
+                    if finished:
+                        self._settle()
+        except BaseException:
+            with self._lock:
+                self._driver = None
+                if self.scheduler.has_work:
+                    self._start_driver_locked()
+            raise
 
     def _await_work(self) -> bool:
         """Wait until a request is queued (``True``) or the server is
@@ -309,28 +320,29 @@ class InferenceServer:
 
         A settled request's result is delivered in one turn and its
         awaiting task resumes in the next, so a closed-loop client's next
-        request is queued when the marker, sent through
+        request is queued when this settle's own marker, sent through
         ``call_soon_threadsafe(loop.call_soon, ...)``, runs.  The wait also
         ends when the server closes, the loop closes or another loop takes
         over, so ``close()`` called on the loop thread cannot deadlock.
         """
         with self._lock:
             loop = self._loop
-            self._settling = True
+        settled = threading.Event()
         try:
-            loop.call_soon_threadsafe(loop.call_soon, self._end_settle)
+            loop.call_soon_threadsafe(loop.call_soon, self._end_settle,
+                                      settled)
         except RuntimeError:  # the loop is closed
             return
         with self._lock:
-            while self._settling and not (self._closed or loop.is_closed()
-                                          or loop is not self._loop):
+            while not (settled.is_set() or self._closed or loop.is_closed()
+                       or loop is not self._loop):
                 # A loop closed with the marker still queued sends no
                 # notify; the timeout re-checks it.
                 self._lock.wait(0.1)
 
-    def _end_settle(self) -> None:
+    def _end_settle(self, settled: threading.Event) -> None:
         with self._lock:
-            self._settling = False
+            settled.set()
             self._lock.notify()
 
     async def _settled(self, tokens: np.ndarray, max_new_tokens: int,
@@ -504,8 +516,10 @@ class InferenceServer:
             self._aborting = self._aborting or abort
             self._lock.notify()
             driver = self._driver
-        if driver is not None and driver is not threading.current_thread():
+        while driver is not None and driver is not threading.current_thread():
             driver.join()
+            with self._lock:  # a driver that died may have handed over
+                driver = None if self._driver is driver else self._driver
 
     async def aclose(self) -> None:
         """Serve every queued and in-flight request, stop the driver, then

@@ -7,7 +7,8 @@ Three layers behind one :class:`Telemetry` handle:
    scheduler queue → admission round → paged prefill (incl. prefix-share
    hits; a scoring request settles here) → each decode iteration →
    departure — plus executor-level spans
-   (``mpu.gemm``, per-shard ``pool.shard`` dispatch / ``pool.merge``).
+   (``mpu.gemm``; a fanned-out ``pool.gemm`` with its per-shard
+   ``pool.shard`` dispatch and ``pool.merge``).
    Export with :meth:`Telemetry.export_chrome` and open in Perfetto.
 2. **Metrics** (:mod:`repro.telemetry.metrics`): Counter/Gauge/Histogram
    families with label sets and O(1) streaming percentile reservoirs.

@@ -160,6 +160,24 @@ class TestDecodeScheduler:
         np.testing.assert_array_equal(
             sched.submit(rng.integers(0, VOCAB, size=4), 2).prompt.shape, (4,))
 
+    def test_abort_fails_every_request_when_release_raises(self, qlm, rng):
+        sched = DecodeScheduler(qlm, max_active=1, mpu_config=MPU_CFG)
+        running = sched.submit(rng.integers(0, VOCAB, size=4), 8)
+        waiting = sched.submit(rng.integers(0, VOCAB, size=4), 8)
+        sched.step()
+        release = sched._cache.release
+
+        def failing_release():
+            release()
+            raise ValueError("page released more than acquired")
+
+        sched._cache.release = failing_release
+        boom = RuntimeError("worker died")
+        with pytest.raises(ValueError, match="released more"):
+            sched.abort(boom)
+        assert running.error is boom and waiting.error is boom
+        assert not sched.has_work
+
     def test_raising_hook_fails_only_its_request(self, qlm, rng):
         """A client hook that raises settles its own request as an error;
         its neighbours keep decoding in step with their caches."""

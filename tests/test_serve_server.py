@@ -244,6 +244,43 @@ class TestServerDriver:
         for tokens, expected in zip(got, want, strict=True):
             np.testing.assert_array_equal(tokens, expected)
 
+    def test_a_driver_that_dies_is_replaced(self, rng, served_qlm,
+                                            monkeypatch):
+        # A step fails, and so does the abort that fails its request: the
+        # driver thread dies, and a new one serves the next request.
+        server = InferenceServer(served_qlm, num_shards=2, mpu_config=MPU_CFG)
+        sched = server.scheduler
+        abort = sched.abort
+        dying, died = [], []  # died: (thread, exception) from excepthook
+        monkeypatch.setattr(threading, "excepthook", lambda args: died.append(
+            (args.thread, args.exc_value)))
+
+        def failing_step():
+            del sched.step  # once
+            raise RuntimeError("step failed")
+
+        def failing_abort(exc):
+            del sched.abort  # once
+            dying.append(threading.current_thread())
+            abort(exc)
+            raise ValueError("abort failed")
+
+        sched.step, sched.abort = failing_step, failing_abort
+        first, second = _requests(rng, 2)
+        want = server.generate_solo(second, 3).tokens
+
+        async def main():
+            with pytest.raises(RuntimeError, match="step failed"):
+                await asyncio.wait_for(server.submit_generate(first, 3), 30)
+            got = await asyncio.wait_for(server.submit_generate(second, 3), 30)
+            await asyncio.wait_for(server.aclose(), 30)
+            return got.tokens
+
+        np.testing.assert_array_equal(asyncio.run(main()), want)
+        dying[0].join(30)
+        assert [(t, type(e)) for t, e in died] == [(dying[0], ValueError)]
+        assert server._driver is not dying[0]
+
     def test_resubmitted_request_is_admitted_in_the_next_step(self, rng,
                                                                served_qlm):
         # A closed-loop client sends each request when the previous one
